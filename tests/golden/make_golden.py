@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Regenerate the golden closed-loop outputs checked by tests/test_golden.py.
+
+Usage, from the root of a source checkout:
+
+    PYTHONPATH=src python3 tests/golden/make_golden.py
+
+Runs ``colavmpc run`` for every shipped scenario under the noise presets
+``none`` and ``radar``, both with seed 0. For each case it writes
+``<scenario>-<noise>/metrics.json`` and records the sha256 of
+trajectory.csv, planner.csv and metrics.json in ``digests.json``.
+Regenerate only for an intended change of behaviour, and say why in
+that change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from colavmpc import scenarios
+from colavmpc.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+NOISES = ("none", "radar")
+OUTPUTS = ("trajectory.csv", "planner.csv", "metrics.json")
+
+
+def run_case(scenario: str, noise: str, out: Path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--scenario", scenario, "--noise", noise, "--seed", "0", "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"colavmpc run failed for {scenario}-{noise}")
+
+
+def regenerate() -> int:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario in scenarios.SCENARIO_NAMES:
+            for noise in NOISES:
+                case = f"{scenario}-{noise}"
+                out = Path(tmp) / case
+                run_case(scenario, noise, out)
+                digests[case] = {
+                    name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS
+                }
+                (GOLDEN / case).mkdir(exist_ok=True)
+                (GOLDEN / case / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
+                print(case, file=sys.stderr)
+    (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

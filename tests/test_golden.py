@@ -1,0 +1,31 @@
+"""Closed-loop outputs must match the committed golden fixture byte for byte.
+
+The fixture under tests/golden/ holds, for every shipped scenario under
+the noise presets none and radar (seed 0), metrics.json and the sha256
+of trajectory.csv, planner.csv and metrics.json as written by
+``colavmpc run``. tests/golden/make_golden.py regenerates it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from colavmpc.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_golden_outputs(case, tmp_path):
+    scenario, noise = case.rsplit("-", 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--scenario", scenario, "--noise", noise, "--seed", "0", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "metrics.json").read_text() == (GOLDEN / case / "metrics.json").read_text()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
+    assert digests == DIGESTS[case]
