@@ -2,7 +2,6 @@
 
 from .core import (
     Pose,
-    PoseTrajectory,
     TimeGrid,
     Velocity2,
     VelocityTrajectory,
@@ -12,7 +11,7 @@ from .core import (
 )
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
 from .primitives import AccelBox, ErrorModel, StepParams
-from .tree import CandidateTrajectory, TreeParams, generate_tree, input_blocking_check
+from .tree import CandidateSet, TreeParams, generate_tree, input_blocking_check
 from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 from .objective import (
     ObjectiveWeights,
@@ -24,14 +23,14 @@ from .objective import (
 )
 from .obstacles import EstimateNoise, ObstacleEstimate, ObstacleScript, observe, predict_obstacle
 from .config import ConfigError, ScenarioConfig
-from .sim import Metrics, RunLog, classify_situation, compute_metrics, run
+from .sim import Metrics, RunLog, classify_situation, compute_metrics, plan_step, run
 from .scenarios import SCENARIO_NAMES, build_scenario, load_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccelBox",
-    "CandidateTrajectory",
+    "CandidateSet",
     "ConfigError",
     "ControllerGains",
     "DesiredTrajectory",
@@ -45,7 +44,6 @@ __all__ = [
     "ObstacleScript",
     "PenaltyGeometry",
     "Pose",
-    "PoseTrajectory",
     "RunLog",
     "SCENARIO_NAMES",
     "ScenarioConfig",
@@ -67,6 +65,7 @@ __all__ = [
     "los_targets",
     "observe",
     "penalty",
+    "plan_step",
     "predict_obstacle",
     "region_radius",
     "resample",

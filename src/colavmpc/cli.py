@@ -12,10 +12,9 @@ import numpy as np
 from . import config as cfg_mod
 from . import scenarios, sim
 from .config import ConfigError
-from .core import TimeGrid
-from .objective import penalty_field, select
-from .obstacles import NOISE_PRESETS, observe, predict_obstacle
-from .tree import generate_tree
+from .core import TimeGrid, VelocityTrajectory
+from .objective import penalty_field
+from .obstacles import NOISE_PRESETS, observe
 from .vessel import inverse_model
 
 
@@ -41,10 +40,10 @@ def _load_config(args) -> cfg_mod.ScenarioConfig:
     )
 
 
-def _summary_text(config, metrics) -> str:
+def _summary_text(config, log, metrics) -> str:
     lines = [
         f"scenario: {config.name}",
-        f"seed: {config.seed}",
+        f"seed: {log.seed}",
         f"noise: {config.noise_preset or 'custom'}",
         f"planner calls: {metrics.planner_calls}",
         f"first-maneuver switches: {metrics.switch_count}",
@@ -69,7 +68,7 @@ def cmd_run(args) -> int:
     (out / "metrics.json").write_text(
         json.dumps(sim.metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
     )
-    summary = _summary_text(config, metrics)
+    summary = _summary_text(config, log, metrics)
     (out / "summary.txt").write_text(summary)
     print(summary, end="")
     return 0
@@ -77,47 +76,28 @@ def cmd_run(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _load_config(args)
-    model = config.vessel
-    dtraj = config.desired.build()
     state = config.ownship
-    rng_seed = config.noise.seed if config.noise.seed is not None else config.seed
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(config.tracker_seed)
     estimates = [observe(s, config.noise, 0.0, rng) for s in config.obstacles]
-    tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
-
-    from .guidance import desired_acceleration, los_targets
-
-    def hook(node_state, node_desired, step):
-        targets = los_targets(dtraj, node_state, node_state.time, config.los)
-        return desired_acceleration(targets, node_desired, step)
-
-    candidates = generate_tree(
-        config.tree, model, config.error_model, state,
-        (state.vel.sog, state.pose.course), tau0, hook, config.integration_dt,
-    )
-    if not candidates:
-        print("fail-safe: no feasible candidates, holding previous desired velocity")
-        return 0
-    pred_grid = TimeGrid.from_span(0.0, config.tree.horizon, config.eval_dt)
-    predictions = [predict_obstacle(est, pred_grid) for est in estimates]
-    from .core import VelocityTrajectory
-
-    previous = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.tree.step_times[0], config.eval_dt),
+    commanded = VelocityTrajectory.constant(
+        TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
         state.vel.sog, state.pose.course,
     )
-    best, table = select(
-        candidates, dtraj, predictions, config.geometry, config.weights,
-        previous, config.eval_dt,
+    candidates, table = sim.plan_step(
+        config, config.desired.build(), 0.0, state, commanded,
+        inverse_model(config.vessel, state.vel), estimates,
     )
+    if table is None:
+        print("fail-safe: no feasible candidates, holding previous desired velocity")
+        return 0
     print(f"{'id':>4} {'align':>14} {'avoid':>14} {'tran':>6} {'total':>16} {'samples'}")
-    for i, cand in enumerate(candidates):
+    for i, path in enumerate(candidates.sample_path.tolist()):
         mark = " *" if i == table.selected else ""
         print(
             f"{i:>4} {table.align[i]:>14.4f} {table.avoid[i]:>14.4f} "
-            f"{table.tran[i]:>6.0f} {table.total[i]:>16.4f} {cand.sample_path}{mark}"
+            f"{table.tran[i]:>6.0f} {table.total[i]:>16.4f} {tuple(map(tuple, path))}{mark}"
         )
-    print(f"selected candidate: {best.index}")
+    print(f"selected candidate: {table.selected}")
     return 0
 
 

@@ -9,7 +9,7 @@ all times seconds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +156,12 @@ class ScenarioConfig:
     obstacles: tuple[ObstacleScript, ...]
     noise: EstimateNoise
     noise_preset: str | None = None
+
+    @property
+    def tracker_seed(self) -> int:
+        """Seed of the synthetic tracker: the noise section's own seed if
+        it sets one, else the scenario seed."""
+        return self.seed if self.noise.seed is None else self.noise.seed
 
     def make_gains(self) -> ControllerGains:
         kp_sog, kp_rot, kp_course = self.gains_kp
@@ -417,10 +423,14 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
 
     noise, preset_name = _parse_noise(top.section("noise", required=False), noise_override)
     top.finish()
+    if seed_override is not None:
+        seed = seed_override
+        if noise.seed is not None:
+            noise = replace(noise, seed=seed_override)
 
     return ScenarioConfig(
         name=name,
-        seed=seed if seed_override is None else seed_override,
+        seed=seed,
         duration=duration,
         integration_dt=integration_dt,
         planner_period=planner_period,

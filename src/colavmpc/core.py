@@ -133,26 +133,6 @@ class VelocityTrajectory:
         )
 
 
-@dataclass(frozen=True)
-class PoseTrajectory:
-    """Predicted pose trajectory on a grid (course unwrapped)."""
-
-    grid: TimeGrid
-    north: np.ndarray
-    east: np.ndarray
-    course: np.ndarray
-
-    def __post_init__(self):
-        for name in ("north", "east", "course"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n,):
-                raise ValueError(f"{name} must have length grid.n={self.grid.n}")
-            object.__setattr__(self, name, arr)
-
-    def pose_at(self, i: int) -> Pose:
-        return Pose(float(self.north[i]), float(self.east[i]), float(self.course[i]))
-
-
 def cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoidal integral along the last axis, starting at 0."""
     y = np.asarray(y, dtype=float)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PoseTrajectory, TimeGrid, VelocityTrajectory, resample, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, resample, wrap_angle
 from .guidance import DesiredTrajectory
-from .tree import CandidateTrajectory
+from .tree import CandidateSet
 
 TRAN_TOL = 1e-6
 
@@ -205,64 +205,6 @@ def _trapz(values: np.ndarray, dt: float):
     return np.trapezoid(values, dx=dt, axis=-1)
 
 
-def align_cost(
-    pose: PoseTrajectory, dtraj: DesiredTrajectory, w_course: float, w_pos: float = 1.0
-) -> float:
-    """Time integral of weighted position and course error vs the reference."""
-    times = pose.grid.times()
-    ref_n, ref_e = dtraj.position(times)
-    ref_course = dtraj.course(times)
-    err_pos = np.hypot(pose.north - ref_n, pose.east - ref_e)
-    err_course = np.abs(wrap_angle(pose.course - ref_course))
-    return float(_trapz(w_pos * err_pos + w_course * err_course, pose.grid.dt))
-
-
-def avoid_cost(
-    pose: PoseTrajectory,
-    obstacles: list[ObstaclePrediction],
-    geom: PenaltyGeometry,
-) -> float:
-    """Penalty integral summed over obstacles along the pose trajectory."""
-    times = pose.grid.times()
-    total = 0.0
-    for obs in obstacles:
-        obs_n, obs_e = obs.at(times)
-        d = np.hypot(pose.north - obs_n, pose.east - obs_e)
-        beta = relative_bearing(pose.north, pose.east, obs_n, obs_e, obs.course)
-        total += obs.weight * float(_trapz(penalty(geom, d, beta), pose.grid.dt))
-    return total
-
-
-def tran_deviation(
-    candidate_first: VelocityTrajectory, previous_first: VelocityTrajectory
-) -> tuple[float, float]:
-    """Integrated |SOG| and |course| deviation from the previous reference."""
-    prev = previous_first
-    if (
-        abs(prev.grid.t0 - candidate_first.grid.t0) > 1e-9
-        or prev.grid.n != candidate_first.grid.n
-        or abs(prev.grid.dt - candidate_first.grid.dt) > 1e-9
-    ):
-        prev = resample(previous_first, candidate_first.grid)
-    dt = candidate_first.grid.dt
-    e_sog = float(_trapz(np.abs(candidate_first.sog - prev.sog), dt))
-    e_course = float(_trapz(np.abs(wrap_angle(candidate_first.course - prev.course)), dt))
-    return e_sog, e_course
-
-
-def tran_cost(
-    candidates_first: list[VelocityTrajectory],
-    previous_first: VelocityTrajectory,
-    tol: float = TRAN_TOL,
-) -> np.ndarray:
-    """Binary transitional scores: 0 only for the candidates closest (in
-    both channels) to the previously committed first maneuver."""
-    devs = np.array([tran_deviation(c, previous_first) for c in candidates_first])
-    e_min = devs.min(axis=0)
-    keep = (devs[:, 0] <= e_min[0] + tol) & (devs[:, 1] <= e_min[1] + tol)
-    return np.where(keep, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class CostTable:
     align: np.ndarray
@@ -272,67 +214,39 @@ class CostTable:
     selected: int
 
 
-def _pose_on_eval_grid(pose: PoseTrajectory, eval_dt: float | None) -> PoseTrajectory:
-    if eval_dt is None:
-        return pose
-    ratio = eval_dt / pose.grid.dt
-    stride = int(round(ratio))
-    if abs(ratio - stride) > 1e-9 or stride < 1 or (pose.grid.n - 1) % stride != 0:
-        raise ValueError("eval_dt must be an integer multiple of the trajectory dt")
-    grid = TimeGrid(pose.grid.t0, eval_dt, (pose.grid.n - 1) // stride + 1)
-    return PoseTrajectory(
-        grid=grid,
-        north=pose.north[::stride],
-        east=pose.east[::stride],
-        course=pose.course[::stride],
-    )
-
-
-def _velocity_on_eval_grid(traj: VelocityTrajectory, eval_dt: float | None) -> VelocityTrajectory:
-    if eval_dt is None:
-        return traj
-    ratio = eval_dt / traj.grid.dt
-    stride = int(round(ratio))
-    if abs(ratio - stride) > 1e-9 or stride < 1 or (traj.grid.n - 1) % stride != 0:
-        raise ValueError("eval_dt must be an integer multiple of the trajectory dt")
-    grid = TimeGrid(traj.grid.t0, eval_dt, (traj.grid.n - 1) // stride + 1)
-    return VelocityTrajectory(
-        grid=grid,
-        sog=traj.sog[::stride],
-        rot=traj.rot[::stride],
-        course=traj.course[::stride],
-        sog_acc=traj.sog_acc[::stride],
-        rot_acc=traj.rot_acc[::stride],
-    )
-
-
-def evaluate_costs(
-    candidates: list[CandidateTrajectory],
+def select(
+    candidates: CandidateSet,
     dtraj: DesiredTrajectory,
     obstacles: list[ObstaclePrediction],
     geom: PenaltyGeometry,
     weights: ObjectiveWeights,
     previous_first: VelocityTrajectory | None,
-    eval_dt: float | None = None,
+    eval_dt: float,
 ) -> CostTable:
-    """Per-candidate cost breakdown and the argmin index.
+    """Per-candidate cost breakdown and the index of the weighted minimum.
 
-    Costs are integrated on the evaluation grid (eval_dt strides the
-    candidate grids when given). Candidates from one tree share their
-    grid, so the terms evaluate as stacked matrices. Ties break toward
+    Every term integrates on the evaluation grid, which takes every
+    (eval_dt / dt)-th point of the candidates' integration grid. With no
+    previous reference the transitional term is zero. Ties break toward
     the lowest index.
     """
     if not candidates:
         raise ValueError("empty candidate set")
-    poses = [_pose_on_eval_grid(c.predicted_pose, eval_dt) for c in candidates]
-    grid = poses[0].grid
-    for p in poses[1:]:
-        if (p.grid.t0, p.grid.dt, p.grid.n) != (grid.t0, grid.dt, grid.n):
-            raise ValueError("candidates must share one evaluation grid")
+    src = candidates.grid
+    ratio = eval_dt / src.dt
+    stride = int(round(ratio))
+    if (
+        abs(ratio - stride) > 1e-9
+        or stride < 1
+        or (src.n - 1) % stride != 0
+        or (candidates.n_first - 1) % stride != 0
+    ):
+        raise ValueError("eval_dt must be an integer multiple of the trajectory dt")
+    grid = TimeGrid(src.t0, eval_dt, (src.n - 1) // stride + 1)
     times = grid.times()
-    cand_n = np.stack([p.north for p in poses])
-    cand_e = np.stack([p.east for p in poses])
-    cand_chi = np.stack([p.course for p in poses])
+    cand_n = candidates.pred_north[:, ::stride]
+    cand_e = candidates.pred_east[:, ::stride]
+    cand_chi = candidates.pred_course[:, ::stride]
 
     ref_n, ref_e = dtraj.position(times)
     ref_chi = dtraj.course(times)
@@ -351,8 +265,7 @@ def evaluate_costs(
     if previous_first is None:
         tran = np.zeros(len(candidates))
     else:
-        firsts = [_velocity_on_eval_grid(c.first_maneuver_desired, eval_dt) for c in candidates]
-        fgrid = firsts[0].grid
+        fgrid = TimeGrid(src.t0, eval_dt, (candidates.n_first - 1) // stride + 1)
         prev = previous_first
         if (
             abs(prev.grid.t0 - fgrid.t0) > 1e-9
@@ -360,28 +273,13 @@ def evaluate_costs(
             or abs(prev.grid.dt - fgrid.dt) > 1e-9
         ):
             prev = resample(previous_first, fgrid)
-        dev_sog = _trapz(np.abs(np.stack([f.sog for f in firsts]) - prev.sog), fgrid.dt)
-        dev_chi = _trapz(
-            np.abs(wrap_angle(np.stack([f.course for f in firsts]) - prev.course)), fgrid.dt
-        )
+        first = slice(0, candidates.n_first, stride)
+        dev_sog = _trapz(np.abs(candidates.sog[:, first] - prev.sog), fgrid.dt)
+        dev_chi = _trapz(np.abs(wrap_angle(candidates.course[:, first] - prev.course)), fgrid.dt)
         keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
         tran = np.where(keep, 0.0, 1.0)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
     return CostTable(align=align, avoid=avoid, tran=tran, total=total, selected=int(np.argmin(total)))
-
-
-def select(
-    candidates: list[CandidateTrajectory],
-    dtraj: DesiredTrajectory,
-    obstacles: list[ObstaclePrediction],
-    geom: PenaltyGeometry,
-    weights: ObjectiveWeights,
-    previous_first: VelocityTrajectory | None,
-    eval_dt: float | None = None,
-) -> tuple[CandidateTrajectory, CostTable]:
-    """Pick the candidate minimizing the weighted objective."""
-    table = evaluate_costs(candidates, dtraj, obstacles, geom, weights, previous_first, eval_dt)
-    return candidates[table.selected], table
 
 
 def penalty_field(

@@ -9,9 +9,9 @@ A maneuver is a pair of piecewise-linear acceleration profiles:
   change = accel * t_ramp * (t_course - 2 * t_ramp).
 
 Sampled accelerations are bounded by what the actuators can reach
-within one ramp time, mapped through the vessel model. Channels are
-integrated cumulatively (trapezoidal) on the step grid, predicted with
-first-order closed-loop error decay, and rolled out to positions.
+within one ramp time, mapped through the vessel model. The tree
+integrates the unit profiles into reference, prediction and position
+channels.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PoseTrajectory, TimeGrid, Velocity2, VelocityTrajectory, cumtrapz, wrap_angle
+from .core import Velocity2
 from .vessel import VesselModel
-
-
-class NoFeasibleManeuver(RuntimeError):
-    """Every sampled acceleration pair failed the steady-state feasibility check."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,6 @@ class AccelBox:
         if self.sog_min > self.sog_max or self.rot_min > self.rot_max:
             raise ValueError("acceleration box must have min <= max")
 
-    def contains_sog(self, a: float) -> bool:
-        return self.sog_min <= a <= self.sog_max
-
-    def contains_rot(self, a: float) -> bool:
-        return self.rot_min <= a <= self.rot_max
-
 
 @dataclass(frozen=True)
 class ErrorModel:
@@ -84,18 +74,6 @@ class ErrorModel:
             raise ValueError("time constants must be > 0")
 
 
-def sat(a, a_min, a_max):
-    """Component-wise clamp; shapes must match."""
-    a = np.asarray(a, dtype=float)
-    a_min = np.asarray(a_min, dtype=float)
-    a_max = np.asarray(a_max, dtype=float)
-    if a.shape != a_min.shape or a.shape != a_max.shape:
-        raise ValueError("sat arguments must have matching shapes")
-    if np.any(a_min > a_max):
-        raise ValueError("sat requires a_min <= a_max")
-    return np.clip(a, a_min, a_max)
-
-
 def possible_accelerations(
     model: VesselModel, x0: Velocity2, tau0, t_ramp: float
 ) -> AccelBox:
@@ -105,8 +83,8 @@ def possible_accelerations(
     hi = np.asarray(model.tau_max)
     if np.any(tau0 < lo - 1e-9) or np.any(tau0 > hi + 1e-9):
         raise ValueError(f"tau0 {tau0.tolist()} outside actuator limits")
-    tau_hi = sat(tau0 + t_ramp * np.asarray(model.tau_rate_max), lo, hi)
-    tau_lo = sat(tau0 + t_ramp * np.asarray(model.tau_rate_min), lo, hi)
+    tau_hi = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_max), lo, hi)
+    tau_lo = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_min), lo, hi)
     du_hi, dr_hi = model.rates(x0.sog, x0.rot, tau_hi[0], tau_hi[1])
     du_lo, dr_lo = model.rates(x0.sog, x0.rot, tau_lo[0], tau_lo[1])
     return AccelBox(float(du_lo), float(du_hi), float(dr_lo), float(dr_hi))
@@ -161,16 +139,6 @@ def course_profile_unit(t_rel: np.ndarray, p: StepParams) -> np.ndarray:
     return up - down
 
 
-def sog_primitive(sog_acc: float, p: StepParams, grid: TimeGrid) -> np.ndarray:
-    """SOG acceleration profile sampled on the grid (relative to grid.t0)."""
-    return sog_acc * sog_profile_unit(grid.times() - grid.t0, p)
-
-
-def course_primitive(rot_acc: float, p: StepParams, grid: TimeGrid) -> np.ndarray:
-    """ROT acceleration profile sampled on the grid (relative to grid.t0)."""
-    return rot_acc * course_profile_unit(grid.times() - grid.t0, p)
-
-
 def terminal_sog_feasible(model: VesselModel, sog_terminal) -> np.ndarray:
     """Steady-state feasibility of terminal speeds (terminal ROT is zero)."""
     sog_terminal = np.asarray(sog_terminal, dtype=float)
@@ -179,86 +147,3 @@ def terminal_sog_feasible(model: VesselModel, sog_terminal) -> np.ndarray:
     ok_speed = (sog_terminal >= model.u_min - eps) & (sog_terminal <= model.u_max + eps)
     ok_tau = (tau_m >= model.tau_min[0] - eps) & (tau_m <= model.tau_max[0] + eps)
     return ok_speed & ok_tau
-
-
-def integrate_primitives(
-    model: VesselModel,
-    sog_accs,
-    rot_accs,
-    initial,
-    p: StepParams,
-    grid: TimeGrid,
-) -> list[VelocityTrajectory]:
-    """Cross product of SOG and course primitives as velocity trajectories.
-
-    Channels integrate cumulatively from (sog0, rot0=0, course0).
-    Combinations whose terminal steady state the actuators cannot hold
-    are dropped; raises NoFeasibleManeuver if nothing survives.
-    """
-    sog0, rot0, course0 = initial
-    if abs(rot0) > 1e-9:
-        raise ValueError("maneuvers must start at zero desired ROT")
-    sog_accs = np.asarray(sog_accs, dtype=float)
-    rot_accs = np.asarray(rot_accs, dtype=float)
-    t_rel = grid.times() - grid.t0
-    unit_s = sog_profile_unit(t_rel, p)
-    unit_c = course_profile_unit(t_rel, p)
-    cum_s = cumtrapz(unit_s, grid.dt)
-    cum_c = cumtrapz(unit_c, grid.dt)
-    cum2_c = cumtrapz(cum_c, grid.dt)
-
-    feasible = terminal_sog_feasible(model, sog0 + sog_accs * cum_s[-1])
-    out = []
-    for i, a_u in enumerate(sog_accs):
-        if not feasible[i]:
-            continue
-        sog = sog0 + a_u * cum_s
-        sog_acc = a_u * unit_s
-        for a_r in rot_accs:
-            out.append(
-                VelocityTrajectory(
-                    grid=grid,
-                    sog=sog,
-                    rot=a_r * cum_c,
-                    course=course0 + a_r * cum2_c,
-                    sog_acc=sog_acc,
-                    rot_acc=a_r * unit_c,
-                )
-            )
-    if not out:
-        raise NoFeasibleManeuver(
-            f"no feasible maneuver from sog0={sog0} with accelerations {sog_accs.tolist()}"
-        )
-    return out
-
-
-def predict(
-    traj: VelocityTrajectory, em: ErrorModel, actual
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feedback-corrected SOG/course prediction.
-
-    The initial tracking error decays exponentially on top of the
-    desired channels: err0 * exp(-(t - t0)/tc) + desired(t).
-    """
-    sog0, course0 = actual
-    t_rel = traj.grid.times() - traj.grid.t0
-    err_sog = sog0 - traj.sog[0]
-    err_course = wrap_angle(course0 - traj.course[0])
-    sog_bar = err_sog * np.exp(-t_rel / em.tc_sog) + traj.sog
-    course_bar = err_course * np.exp(-t_rel / em.tc_course) + traj.course
-    return sog_bar, course_bar
-
-
-def rollout_position(pred_sog, pred_course, grid: TimeGrid, p0) -> PoseTrajectory:
-    """Integrate planar position from predicted SOG/course.
-
-    Trapezoidal quadrature of (cos/sin of course) * sog from p0; the
-    predicted course rides along as the pose course channel.
-    """
-    pred_sog = np.asarray(pred_sog, dtype=float)
-    pred_course = np.asarray(pred_course, dtype=float)
-    if pred_sog.shape != (grid.n,) or pred_course.shape != (grid.n,):
-        raise ValueError("predicted channels must match the grid length")
-    north = p0[0] + cumtrapz(pred_sog * np.cos(pred_course), grid.dt)
-    east = p0[1] + cumtrapz(pred_sog * np.sin(pred_course), grid.dt)
-    return PoseTrajectory(grid=grid, north=north, east=east, course=pred_course)

@@ -2,11 +2,11 @@
 
 Steps the plant and controller on the integration clock, the synthetic
 tracker on its update period, and the planner on its own period. Each
-planner call observes obstacles, predicts them at constant velocity,
-grows the maneuver tree seeded from the previously commanded desired
-velocity, and hands the selected candidate to the controller. Logs
-everything; derives distance/incursion metrics and COLREGs situation
-labels from the log.
+planner call (plan_step) grows the maneuver tree seeded from the
+previously commanded desired velocity, predicts the observed obstacles
+at constant velocity, scores the candidates and hands the winner to the
+controller. Logs everything; derives distance/incursion metrics and
+COLREGs situation labels from the log.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
-from .guidance import desired_acceleration, los_targets
-from .objective import region_radius, relative_bearing, select
-from .obstacles import ground_truth, observe, predict_obstacle
-from .tree import generate_tree
+from .guidance import DesiredTrajectory, desired_acceleration, los_targets
+from .objective import CostTable, region_radius, relative_bearing, select
+from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
+from .tree import CandidateSet, generate_tree
 from .vessel import control_law, inverse_model, step_plant
 
 SPEED_FLOOR = 0.2  # m/s, below this a vessel is not "moving" for COLREGs
@@ -164,6 +164,52 @@ def _hold_trajectory(traj: VelocityTrajectory, until: float) -> VelocityTrajecto
     )
 
 
+def plan_step(
+    config: ScenarioConfig,
+    dtraj: DesiredTrajectory,
+    t: float,
+    state: VesselState,
+    commanded: VelocityTrajectory,
+    tau,
+    estimates: list[ObstacleEstimate],
+) -> tuple[CandidateSet, CostTable | None]:
+    """One planner call at time t.
+
+    Grows the tree from the commanded reference's value at t, with the
+    actuator input tau clipped to its limits and LOS guidance seeding
+    one sample per node. Scores the candidates against constant-velocity
+    predictions of the obstacle estimates, charging the transitional
+    cost against the commanded first maneuver. The winner is
+    table.selected; table is None when no maneuver is feasible (the
+    fail-safe hold).
+    """
+    model = config.vessel
+    dt = config.integration_dt
+    offset = int(round((t - commanded.grid.t0) / dt))
+    desired_vel0 = (float(commanded.sog[offset]), float(commanded.course[offset]))
+    tau0 = np.clip(tau, model.tau_min, model.tau_max)
+
+    def hook(node_state, node_desired, step):
+        targets = los_targets(dtraj, node_state, node_state.time, config.los)
+        return desired_acceleration(targets, node_desired, step)
+
+    candidates = generate_tree(
+        config.tree, model, config.error_model, state, desired_vel0, tau0, hook, dt
+    )
+    if not candidates:
+        return candidates, None
+    previous_first = resample(
+        commanded, TimeGrid.from_span(t, config.tree.step_times[0], config.eval_dt)
+    )
+    pred_grid = TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
+    predictions = [predict_obstacle(est, pred_grid) for est in estimates]
+    table = select(
+        candidates, dtraj, predictions, config.geometry, config.weights,
+        previous_first, config.eval_dt,
+    )
+    return candidates, table
+
+
 def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     """Simulate the scenario; deterministic for a given config and seed."""
     model = config.vessel
@@ -173,24 +219,16 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
     horizon = config.tree.horizon
-    rng_seed = config.noise.seed if config.noise.seed is not None else config.seed
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(config.tracker_seed)
 
     state = config.ownship
-    tau_applied = np.clip(
-        inverse_model(model, state.vel), model.tau_min, model.tau_max
-    )
+    tau_applied = inverse_model(model, state.vel)
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, config.planner_period, dt),
         state.vel.sog,
         state.pose.course,
     )
     selected_id = -1
-
-    def hook(node_state, node_desired, step):
-        targets = los_targets(dtraj, node_state, node_state.time, config.los)
-        return desired_acceleration(targets, node_desired, step)
-
     estimates = {}
     next_obs_t = 0.0
 
@@ -218,40 +256,27 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
             next_obs_t += config.noise.period
 
         if step_idx % planner_every == 0 and step_idx < n_steps:
-            offset = int(round((t - commanded.grid.t0) / dt))
-            desired_vel0 = (float(commanded.sog[offset]), float(commanded.course[offset]))
-            candidates = generate_tree(
-                config.tree, model, config.error_model, state, desired_vel0,
-                tau_applied, hook, dt,
+            candidates, table = plan_step(
+                config, dtraj, t, state, commanded, tau_applied,
+                [estimates[script.id] for script in config.obstacles],
             )
-            first_grid = TimeGrid.from_span(t, config.tree.step_times[0], config.eval_dt)
-            previous_first = resample(commanded, first_grid)
-            if not candidates:
+            if table is None:
                 commanded = _hold_trajectory(commanded, t + horizon)
                 selected_id = -1
                 planner_rows.append(
                     (t, -1, 0, math.nan, math.nan, math.nan, math.nan, True, 0.0, 0.0)
                 )
             else:
-                pred_grid = TimeGrid.from_span(t, horizon, config.eval_dt)
-                predictions = [
-                    predict_obstacle(estimates[s.id], pred_grid) for s in config.obstacles
-                ]
-                best, table = select(
-                    candidates, dtraj, predictions, config.geometry, config.weights,
-                    previous_first, config.eval_dt,
-                )
-                commanded = best.desired
-                selected_id = best.index
-                k = table.selected
-                first = best.first_maneuver_desired
+                k = selected_id = table.selected
+                commanded = candidates.trajectory(k)
+                end = candidates.n_first - 1
                 planner_rows.append(
                     (
-                        t, best.index, len(candidates),
+                        t, k, len(candidates),
                         float(table.align[k]), float(table.avoid[k]),
                         float(table.tran[k]), float(table.total[k]), False,
-                        float(abs(first.course[-1] - first.course[0])),
-                        float(first.sog[-1] - first.sog[0]),
+                        float(abs(candidates.course[k, end] - candidates.course[k, 0])),
+                        float(candidates.sog[k, end] - candidates.sog[k, 0]),
                     )
                 )
 
@@ -311,7 +336,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     )
     log = RunLog(
         name=config.name,
-        seed=rng_seed,
+        seed=config.tracker_seed,
         dt=dt,
         t=dt * np.arange(n_rows),
         own_north=cols["own_north"],
@@ -371,7 +396,8 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
         situation = "none"
         for idx in range(len(log.t)):
             own = VesselState(
-                pose=_pose_at(log, idx), vel=Velocity2(max(log.own_sog[idx], 0.0), log.own_rot[idx]),
+                pose=Pose(float(log.own_north[idx]), float(log.own_east[idx]), float(log.own_course[idx])),
+                vel=Velocity2(max(log.own_sog[idx], 0.0), log.own_rot[idx]),
                 time=float(log.t[idx]),
             )
             label = classify_situation(
@@ -413,10 +439,6 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
         observable_maneuvers=observable,
         planner_calls=len(pl.t),
     )
-
-
-def _pose_at(log: RunLog, idx: int) -> Pose:
-    return Pose(float(log.own_north[idx]), float(log.own_east[idx]), float(log.own_course[idx]))
 
 
 def runlog_to_csv(log: RunLog) -> str:

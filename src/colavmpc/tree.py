@@ -2,10 +2,11 @@
 
 Chains single-step maneuver generation into candidate trajectories of B
 maneuvers. Nodes carry vessel states, edges carry sub-trajectories;
-every root-to-leaf path flattens into one candidate. Desired channels
-integrate from the parent edge's terminal desired values (so the
-commanded reference stays continuous), while prediction feedback
-re-seeds from the parent edge's terminal predicted state.
+every root-to-leaf path flattens into one row of a struct-of-arrays
+CandidateSet. Desired channels integrate from the parent edge's
+terminal desired values (so the commanded reference stays continuous),
+while prediction feedback re-seeds from the parent edge's terminal
+predicted state.
 
 Expansion is vectorized per node: with the acceleration profiles fixed
 per level, every channel is an affine function of the sampled
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pose, PoseTrajectory, TimeGrid, Velocity2, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
+from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
 from .primitives import (
     ErrorModel,
     StepParams,
@@ -30,7 +31,12 @@ from .primitives import (
 )
 from .vessel import VesselModel, inverse_model
 
-_CHANNELS = ("sog", "rot", "course", "sog_acc", "rot_acc", "sog_bar", "course_bar", "north", "east")
+# desired reference, then the feedback-corrected prediction; all but
+# pred_sog reach the CandidateSet under these names
+_CHANNELS = (
+    "sog", "rot", "course", "sog_acc", "rot_acc",
+    "pred_sog", "pred_course", "pred_north", "pred_east",
+)
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,43 @@ def input_blocking_check(params: TreeParams, sample_period: float) -> bool:
 
 
 @dataclass(frozen=True)
-class CandidateTrajectory:
-    """One root-to-leaf path: desired reference plus predicted pose."""
+class CandidateSet:
+    """Every root-to-leaf path of one tree, one row per leaf.
 
-    index: int
-    desired: VelocityTrajectory
-    predicted_pose: PoseTrajectory
-    first_maneuver_desired: VelocityTrajectory
-    sample_path: tuple[tuple[int, int], ...]
+    The channel arrays are (n_leaves, grid.n) on the integration grid:
+    the desired reference (sog, rot, course, sog_acc, rot_acc) and the
+    feedback-corrected prediction (pred_north, pred_east, pred_course).
+    sample_path[leaf, level] is the (sog, rot) sample index the path
+    takes at that level. The first maneuver spans the first n_first grid
+    points. A tree with no feasible level-0 maneuver has no leaves and
+    is falsy.
+    """
+
+    grid: TimeGrid
+    n_first: int
+    sog: np.ndarray
+    rot: np.ndarray
+    course: np.ndarray
+    sog_acc: np.ndarray
+    rot_acc: np.ndarray
+    pred_north: np.ndarray
+    pred_east: np.ndarray
+    pred_course: np.ndarray
+    sample_path: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample_path)
+
+    def trajectory(self, leaf: int) -> VelocityTrajectory:
+        """The desired reference of one candidate over the whole horizon."""
+        return VelocityTrajectory(
+            grid=self.grid,
+            sog=self.sog[leaf],
+            rot=self.rot[leaf],
+            course=self.course[leaf],
+            sog_acc=self.sog_acc[leaf],
+            rot_acc=self.rot_acc[leaf],
+        )
 
 
 class _Level:
@@ -97,8 +132,7 @@ class _Level:
     def __init__(self, grid: TimeGrid):
         self.grid = grid
         self.parent: np.ndarray = np.empty(0, dtype=int)
-        self.sample_sog: np.ndarray = np.empty(0, dtype=int)
-        self.sample_rot: np.ndarray = np.empty(0, dtype=int)
+        self.samples: np.ndarray = np.empty((0, 2), dtype=int)
         self.channels: dict[str, np.ndarray] = {}
         self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _CHANNELS}
         self._parent_parts: list[np.ndarray] = []
@@ -115,9 +149,7 @@ class _Level:
         if not self._parent_parts:
             return False
         self.parent = np.concatenate(self._parent_parts)
-        samples = np.concatenate(self._sample_parts, axis=0)
-        self.sample_sog = samples[:, 0]
-        self.sample_rot = samples[:, 1]
+        self.samples = np.concatenate(self._sample_parts, axis=0)
         for name in _CHANNELS:
             self.channels[name] = np.concatenate(self._parts[name], axis=0)
         self._parts = self._parent_parts = self._sample_parts = None
@@ -140,17 +172,16 @@ def generate_tree(
     tau0,
     guidance_hook,
     dt: float,
-) -> list[CandidateTrajectory]:
+) -> CandidateSet:
     """Breadth-first expansion to the configured depth.
 
     guidance_hook(node_state, node_desired, step) -> (sog_acc, rot_acc)
     or None supplies the desired-acceleration substitution per node.
     Channels with a single sample are forced to zero acceleration so
-    constant speed/course stays representable. Returns candidates in
-    deterministic sample order; empty if no level-0 maneuver is
-    feasible.
+    constant speed/course stays representable. tau0 must lie within the
+    actuator limits. Returns the candidates in deterministic sample
+    order, with no leaves if no level-0 maneuver is feasible.
     """
-    tau0 = np.clip(np.asarray(tau0, dtype=float), model.tau_min, model.tau_max)
     levels: list[_Level] = []
     t_level = state.time
 
@@ -236,25 +267,25 @@ def generate_tree(
                 blocks={
                     "sog": rep(sog),
                     "sog_acc": rep(a_u * unit_s),
-                    "sog_bar": rep(sog_bar),
+                    "pred_sog": rep(sog_bar),
                     "rot": tile(a_r * cum_c),
                     "rot_acc": tile(a_r * unit_c),
                     "course": tile(course),
-                    "course_bar": tile(course_bar),
-                    "north": north.reshape(n_s * n_r, n_t),
-                    "east": east.reshape(n_s * n_r, n_t),
+                    "pred_course": tile(course_bar),
+                    "pred_north": north.reshape(n_s * n_r, n_t),
+                    "pred_east": east.reshape(n_s * n_r, n_t),
                 },
             )
 
         if not level.seal():
-            return []
+            return _assemble_candidates(params, [], state.time, dt)
         levels.append(level)
         node_u_d = level.terminal("sog")
         node_chi_d = level.terminal("course")
-        node_u_bar = level.terminal("sog_bar")
-        node_chi_bar = level.terminal("course_bar")
-        node_north = level.terminal("north")
-        node_east = level.terminal("east")
+        node_u_bar = level.terminal("pred_sog")
+        node_chi_bar = level.terminal("pred_course")
+        node_north = level.terminal("pred_north")
+        node_east = level.terminal("pred_east")
         t_level += step.t_total
 
     return _assemble_candidates(params, levels, state.time, dt)
@@ -262,11 +293,10 @@ def generate_tree(
 
 def _assemble_candidates(
     params: TreeParams, levels: list[_Level], t0: float, dt: float
-) -> list[CandidateTrajectory]:
+) -> CandidateSet:
+    """Join each leaf's edges into full-horizon rows; no levels, no leaves."""
     full_grid = TimeGrid.from_span(t0, params.horizon, dt)
-    first_grid = TimeGrid.from_span(t0, params.step_times[0], dt)
-    n_first = first_grid.n
-    n_leaves = levels[-1].count
+    n_leaves = levels[-1].count if levels else 0
 
     # edge index of each leaf's path at every level, leaves in level order
     path_idx = [np.arange(n_leaves)]
@@ -274,50 +304,18 @@ def _assemble_candidates(
         path_idx.append(level.parent[path_idx[-1]])
     path_idx.reverse()
 
-    full = {}
-    for name in _CHANNELS:
-        arr = np.empty((n_leaves, full_grid.n))
-        offset = 0
-        for level, idx in zip(levels, path_idx):
-            n_t = level.grid.n
+    full = {name: np.empty((n_leaves, full_grid.n)) for name in _CHANNELS if name != "pred_sog"}
+    sample_path = np.empty((n_leaves, params.levels, 2), dtype=int)
+    offset = 0
+    for k, (level, idx) in enumerate(zip(levels, path_idx)):
+        n_t = level.grid.n
+        for name, arr in full.items():
             arr[:, offset : offset + n_t] = level.channels[name][idx]
-            offset += n_t - 1  # levels share their boundary sample
-        full[name] = arr
-
-    candidates = []
-    for leaf in range(n_leaves):
-        desired = VelocityTrajectory(
-            grid=full_grid,
-            sog=full["sog"][leaf],
-            rot=full["rot"][leaf],
-            course=full["course"][leaf],
-            sog_acc=full["sog_acc"][leaf],
-            rot_acc=full["rot_acc"][leaf],
-        )
-        pose = PoseTrajectory(
-            grid=full_grid,
-            north=full["north"][leaf],
-            east=full["east"][leaf],
-            course=full["course_bar"][leaf],
-        )
-        first = VelocityTrajectory(
-            grid=first_grid,
-            sog=desired.sog[:n_first],
-            rot=desired.rot[:n_first],
-            course=desired.course[:n_first],
-            sog_acc=desired.sog_acc[:n_first],
-            rot_acc=desired.rot_acc[:n_first],
-        )
-        candidates.append(
-            CandidateTrajectory(
-                index=leaf,
-                desired=desired,
-                predicted_pose=pose,
-                first_maneuver_desired=first,
-                sample_path=tuple(
-                    (int(level.sample_sog[idx[leaf]]), int(level.sample_rot[idx[leaf]]))
-                    for level, idx in zip(levels, path_idx)
-                ),
-            )
-        )
-    return candidates
+        sample_path[:, k] = level.samples[idx]
+        offset += n_t - 1  # levels share their boundary sample
+    return CandidateSet(
+        grid=full_grid,
+        n_first=TimeGrid.from_span(t0, params.step_times[0], dt).n,
+        sample_path=sample_path,
+        **full,
+    )

@@ -107,17 +107,6 @@ def default_model() -> VesselModel:
     )
 
 
-def dynamics(model: VesselModel, x: Velocity2, tau) -> tuple[float, float]:
-    """Velocity rates (sog_dot, rot_dot) for an in-range actuator input."""
-    tau = np.asarray(tau, dtype=float)
-    lo = np.asarray(model.tau_min)
-    hi = np.asarray(model.tau_max)
-    if np.any(tau < lo - 1e-9) or np.any(tau > hi + 1e-9):
-        raise ValueError(f"tau {tau.tolist()} outside [{lo.tolist()}, {hi.tolist()}]")
-    du, dr = model.rates(x.sog, x.rot, tau[0], tau[1])
-    return float(du), float(dr)
-
-
 def inverse_model(model: VesselModel, x_ss: Velocity2) -> np.ndarray:
     """Steady-state actuator input tau = sigma(x_ss); may lie outside limits."""
     s_sog, s_rot = model.damping(x_ss.sog, x_ss.rot)

@@ -1,0 +1,91 @@
+"""Independent one-candidate-at-a-time references for the stacked planner.
+
+The library grows and scores all candidates of a tree as stacked
+arrays. These scalar versions do the same job for one candidate at a
+time, with plain loops and one trajectory per call, and are what the
+tests compare the stacked results against.
+"""
+
+import numpy as np
+
+from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, resample, wrap_angle
+from colavmpc.objective import TRAN_TOL, penalty, relative_bearing
+from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
+
+
+def _trapz(values, dt):
+    return np.trapezoid(values, dx=dt, axis=-1)
+
+
+def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course, w_pos=1.0) -> float:
+    """Time integral of weighted position and course error vs the reference."""
+    times = grid.times()
+    ref_n, ref_e = dtraj.position(times)
+    ref_course = dtraj.course(times)
+    err_pos = np.hypot(north - ref_n, east - ref_e)
+    err_course = np.abs(wrap_angle(course - ref_course))
+    return float(_trapz(w_pos * err_pos + w_course * err_course, grid.dt))
+
+
+def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
+    """Penalty integral summed over obstacles along one predicted path."""
+    times = grid.times()
+    total = 0.0
+    for obs in obstacles:
+        obs_n, obs_e = obs.at(times)
+        d = np.hypot(north - obs_n, east - obs_e)
+        beta = relative_bearing(north, east, obs_n, obs_e, obs.course)
+        total += obs.weight * float(_trapz(penalty(geom, d, beta), grid.dt))
+    return total
+
+
+def tran_deviation(first: VelocityTrajectory, previous_first: VelocityTrajectory) -> tuple[float, float]:
+    """Integrated |SOG| and |course| deviation from the previous reference."""
+    prev = previous_first
+    if (prev.grid.t0, prev.grid.dt, prev.grid.n) != (first.grid.t0, first.grid.dt, first.grid.n):
+        prev = resample(previous_first, first.grid)
+    dt = first.grid.dt
+    e_sog = float(_trapz(np.abs(first.sog - prev.sog), dt))
+    e_course = float(_trapz(np.abs(wrap_angle(first.course - prev.course)), dt))
+    return e_sog, e_course
+
+
+def tran_cost(firsts: list[VelocityTrajectory], previous_first: VelocityTrajectory) -> np.ndarray:
+    """0 for the candidates closest (in both channels) to the previous
+    first maneuver, 1 for every other one."""
+    devs = np.array([tran_deviation(f, previous_first) for f in firsts])
+    e_min = devs.min(axis=0)
+    keep = (devs[:, 0] <= e_min[0] + TRAN_TOL) & (devs[:, 1] <= e_min[1] + TRAN_TOL)
+    return np.where(keep, 0.0, 1.0)
+
+
+def integrate_primitives(model, sog_accs, rot_accs, initial, p, grid: TimeGrid) -> list[VelocityTrajectory]:
+    """Cross product of SOG and course primitives as velocity trajectories.
+
+    Channels integrate from (sog0, course0) at zero ROT; SOG samples
+    whose terminal steady state the actuators cannot hold are dropped.
+    """
+    sog0, course0 = initial
+    t_rel = grid.times() - grid.t0
+    unit_s = sog_profile_unit(t_rel, p)
+    unit_c = course_profile_unit(t_rel, p)
+    cum_s = cumtrapz(unit_s, grid.dt)
+    cum_c = cumtrapz(unit_c, grid.dt)
+    cum2_c = cumtrapz(cum_c, grid.dt)
+    feasible = terminal_sog_feasible(model, sog0 + np.asarray(sog_accs) * cum_s[-1])
+    out = []
+    for a_u, ok in zip(sog_accs, feasible):
+        if not ok:
+            continue
+        for a_r in rot_accs:
+            out.append(
+                VelocityTrajectory(
+                    grid=grid,
+                    sog=sog0 + a_u * cum_s,
+                    rot=a_r * cum_c,
+                    course=course0 + a_r * cum2_c,
+                    sog_acc=a_u * unit_s,
+                    rot_acc=a_r * unit_c,
+                )
+            )
+    return out

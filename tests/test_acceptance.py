@@ -18,14 +18,14 @@ from colavmpc.objective import (
     ObstaclePrediction,
     PenaltyGeometry,
     _outer_penalty,
-    evaluate_costs,
     penalty,
     region_radius,
+    select,
 )
-from colavmpc.obstacles import observe, predict_obstacle
+from colavmpc.obstacles import observe
 from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
-from colavmpc.sim import classify_situation, run, runlog_to_csv
-from colavmpc.tree import CandidateTrajectory, generate_tree
+from colavmpc.sim import classify_situation, plan_step, run, runlog_to_csv
+from colavmpc.tree import CandidateSet
 from colavmpc.vessel import inverse_model
 
 GEOM_T2 = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
@@ -196,37 +196,25 @@ def test_c04_table_spot_values():
 
 def test_c05_tree_shape_and_solve_time():
     cfg = scenarios.build_scenario("head_on")
-    model = cfg.vessel
     state = cfg.ownship
-    tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
+    tau = inverse_model(cfg.vessel, state.vel)
     dtraj = cfg.desired.build()
-
-    from colavmpc.guidance import los_targets
-
-    def hook(node_state, node_desired, step):
-        return desired_acceleration(
-            los_targets(dtraj, node_state, node_state.time, cfg.los), node_desired, step
-        )
+    commanded = VelocityTrajectory.constant(
+        TimeGrid.from_span(0.0, cfg.planner_period, cfg.integration_dt), 5.0, 0.0
+    )
 
     rng = np.random.default_rng(0)
     estimates = [observe(s, cfg.noise, 0.0, rng) for s in cfg.obstacles]
 
     t_start = time.perf_counter()
-    cands = generate_tree(
-        cfg.tree, model, cfg.error_model, state, (5.0, 0.0), tau0, hook, cfg.integration_dt
-    )
-    pred_grid = TimeGrid.from_span(0.0, cfg.tree.horizon, cfg.eval_dt)
-    preds = [predict_obstacle(e, pred_grid) for e in estimates]
-    prev = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, cfg.planner_period, cfg.eval_dt), 5.0, 0.0
-    )
-    evaluate_costs(cands, dtraj, preds, cfg.geometry, cfg.weights, prev, cfg.eval_dt)
+    cands, table = plan_step(cfg, dtraj, 0.0, state, commanded, tau, estimates)
     elapsed = time.perf_counter() - t_start
 
     shapes_ok = (
-        len(cands) <= 225
-        and all(len(c.sample_path) == 3 for c in cands)
-        and all(abs(c.desired.grid.span - 55.0) < 1e-9 for c in cands)
+        table is not None
+        and len(cands) <= 225
+        and cands.sample_path.shape[1:] == (3, 2)
+        and abs(cands.grid.span - 55.0) < 1e-9
     )
     ok = shapes_ok and elapsed < 1.0
     _report(5, ok, "tree shape (<=225 x 3 maneuvers x 55 s) and solve time",
@@ -353,27 +341,17 @@ def _random_instance(rng):
     course_ref = rng.uniform(-math.pi, math.pi)
     dtraj = DesiredTrajectory.line(rng.uniform(-50, 50), rng.uniform(-50, 50), course_ref, rng.uniform(2.0, 8.0))
     cands = []
-    cand_objs = []
+    rows = {name: np.zeros((n_cand, n_eval)) for name in ("north", "east", "course", "sog", "ref_course")}
     for i in range(n_cand):
         north = np.cumsum(rng.uniform(-3, 4, n_eval)) + rng.uniform(-100, 100)
         east = np.cumsum(rng.uniform(-3, 4, n_eval)) + rng.uniform(-100, 100)
         course = rng.uniform(-math.pi, math.pi, n_eval)
         f_sog = rng.uniform(0.0, 8.0, n_first)
         f_course = rng.uniform(-math.pi, math.pi, n_first)
-        pose = __import__("colavmpc.core", fromlist=["PoseTrajectory"]).PoseTrajectory(
-            grid=grid, north=north, east=east, course=course
-        )
-        first = VelocityTrajectory(
-            grid=fgrid, sog=f_sog, rot=np.zeros(n_first), course=f_course,
-            sog_acc=np.zeros(n_first), rot_acc=np.zeros(n_first),
-        )
-        dummy = VelocityTrajectory.constant(grid, 5.0, 0.0)
-        cand_objs.append(
-            CandidateTrajectory(
-                index=i, desired=dummy, predicted_pose=pose,
-                first_maneuver_desired=first, sample_path=((i, 0),),
-            )
-        )
+        rows["north"][i], rows["east"][i], rows["course"][i] = north, east, course
+        # the reference beyond the first maneuver is never scored
+        rows["sog"][i, :n_first] = f_sog
+        rows["ref_course"][i, :n_first] = f_course
         cands.append({
             "north": north.tolist(), "east": east.tolist(), "course": course.tolist(),
             "f_sog": f_sog.tolist(), "f_course": f_course.tolist(),
@@ -435,15 +413,22 @@ def _random_instance(rng):
         "ref_chi": [dtraj.course(float(t)) for t in times],
         "prev_sog": prev_sog.tolist(), "prev_course": prev_course.tolist(),
     }
-    return inst, cand_objs, dtraj, obs_preds, geom, weights, prev
+    zeros = np.zeros((n_cand, n_eval))
+    cand_set = CandidateSet(
+        grid=grid, n_first=n_first,
+        sog=rows["sog"], rot=zeros, course=rows["ref_course"], sog_acc=zeros, rot_acc=zeros,
+        pred_north=rows["north"], pred_east=rows["east"], pred_course=rows["course"],
+        sample_path=np.zeros((n_cand, 1, 2), dtype=int),
+    )
+    return inst, cand_set, dtraj, obs_preds, geom, weights, prev
 
 
 def test_c06_brute_force_argmin_oracle():
     rng = np.random.default_rng(20240106)
     mismatches = 0
     for _ in range(200):
-        inst, cand_objs, dtraj, obs_preds, geom, weights, prev = _random_instance(rng)
-        table = evaluate_costs(cand_objs, dtraj, obs_preds, geom, weights, prev, eval_dt=None)
+        inst, cand_set, dtraj, obs_preds, geom, weights, prev = _random_instance(rng)
+        table = select(cand_set, dtraj, obs_preds, geom, weights, prev, 0.5)
         if table.selected != _py_select(inst):
             mismatches += 1
     ok = mismatches == 0

@@ -82,6 +82,25 @@ def test_run_shipped_scenario_smoke(tmp_path):
     assert metrics["obstacles"]["target"]["collision_time_s"] == 0.0
 
 
+def test_seed_override_reaches_explicit_noise_seed(tmp_path):
+    # a noise section with its own seed: --seed replaces it, and the
+    # summary reports the seed the tracker actually used
+    cfg_path, data = _small_config(tmp_path, seed=0)
+    data["noise"] = {
+        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.26, "latency": 2.5, "period": 2.5, "seed": 3,
+    }
+    cfg_path.write_text(json.dumps(data))
+    runs = {}
+    for seed in (None, "7", "8"):
+        out = tmp_path / f"seed{seed}"
+        extra = [] if seed is None else ["--seed", seed]
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)] + extra) == 0
+        runs[seed] = out
+    assert "seed: 3\n" in (runs[None] / "summary.txt").read_text()
+    assert "seed: 7\n" in (runs["7"] / "summary.txt").read_text()
+    assert (runs["7"] / "trajectory.csv").read_bytes() != (runs["8"] / "trajectory.csv").read_bytes()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg_path, data = _small_config(tmp_path)
     data["mystery_knob"] = 3
@@ -113,6 +132,26 @@ def test_solve_selects_guidance_candidate_without_obstacles(tmp_path, capsys):
     starred = [line for line in out.splitlines() if line.endswith("*")]
     assert len(starred) == 1
     assert f" {selected} " in starred[0] or starred[0].lstrip().startswith(str(selected))
+
+
+def test_solve_matches_first_planner_call_of_run(tmp_path, capsys):
+    # solve and the first planner call of run go through the same planning
+    # step: same winner, same cost breakdown, same candidate count
+    cfg_path, _ = _small_config(tmp_path)
+    args = ["--config", str(cfg_path), "--noise", "radar", "--seed", "5"]
+    assert main(["solve"] + args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    selected = int(lines[-1].split()[-1])
+    starred = [line.split() for line in lines if line.endswith("*")]
+    assert len(starred) == 1 and int(starred[0][0]) == selected
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out)] + args) == 0
+    header, first = (out / "planner.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert int(row["candidate"]) == selected
+    assert int(row["n_candidates"]) == len(lines) - 2  # header and selection lines
+    for col, name in enumerate(("align", "avoid", "tran", "total"), start=1):
+        assert float(starred[0][col]) == pytest.approx(float(row[name]), abs=1e-4)
 
 
 def test_raster_outputs(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
-from colavmpc.primitives import StepParams, course_primitive, sog_primitive
+from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
 
 PARAMS = LosParams(lookahead=500.0, along_track_gain=0.005, epsilon=0.05, u_max_los=18.0)
 STEP = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
@@ -108,10 +108,10 @@ def test_round_trip_reproduces_targets(u0, chi0, u_los, chi_los, kr, eu, ec):
     t_sog = 2 * t_ramp + eu * dt
     t_course = 4 * t_ramp + ec * dt
     p = StepParams(max(t_sog, t_course), t_ramp, t_sog, t_course, 5, 5)
-    grid = TimeGrid.from_span(0.0, p.t_total, dt)
+    t_rel = TimeGrid.from_span(0.0, p.t_total, dt).times()
     du, dr = desired_acceleration((u_los, chi_los), (u0, chi0), p)
-    sog = u0 + cumtrapz(sog_primitive(du, p, grid), dt)
-    rot = cumtrapz(course_primitive(dr, p, grid), dt)
+    sog = u0 + cumtrapz(du * sog_profile_unit(t_rel, p), dt)
+    rot = cumtrapz(dr * course_profile_unit(t_rel, p), dt)
     course = chi0 + cumtrapz(rot, dt)
     assert sog[-1] == pytest.approx(u_los, abs=1e-9)
     assert wrap_angle(course[-1] - chi_los) == pytest.approx(0.0, abs=1e-9)

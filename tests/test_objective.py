@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from colavmpc.core import PoseTrajectory, TimeGrid, VelocityTrajectory
+import oracles
+from colavmpc.core import TimeGrid, VelocityTrajectory
 from colavmpc.guidance import DesiredTrajectory
 from colavmpc.objective import (
     CostTable,
@@ -12,17 +13,13 @@ from colavmpc.objective import (
     PenaltyGeometry,
     _inner_penalty,
     _outer_penalty,
-    align_cost,
-    avoid_cost,
-    evaluate_costs,
     penalty,
     penalty_field,
     region_radius,
     relative_bearing,
     select,
-    tran_cost,
 )
-from colavmpc.tree import CandidateTrajectory
+from colavmpc.tree import CandidateSet
 
 # Table-style defaults used across the suite
 GEOM_ELL = PenaltyGeometry.elliptical(a=(50.0, 150.0, 250.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
@@ -126,34 +123,57 @@ def test_total_penalty_continuous_at_inner_core():
         assert abs(hi - lo) < 1e-8
 
 
-def _pose_line(offset_e=0.0, course=0.0, t_end=25.0, dt=0.5, sog=5.0):
-    grid = TimeGrid.from_span(0.0, t_end, dt)
-    t = grid.times()
-    return PoseTrajectory(
-        grid=grid,
-        north=sog * t * math.cos(course),
-        east=offset_e + sog * t * math.sin(course),
-        course=np.full(grid.n, course),
-    )
-
-
+# candidates on a 25 s horizon evaluated at the 0.5 s grid they live on,
+# with a 5 s first maneuver
+GRID = TimeGrid.from_span(0.0, 25.0, 0.5)
+N_FIRST = 11
+EVAL_DT = 0.5
 LINE = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
 
 
+def _line(offset_e=0.0, course=0.0, sog=5.0):
+    """Straight predicted path at constant velocity, its reference holding (sog, course).
+
+    Returns (pred_north, pred_east, pred_course, ref_sog, ref_course).
+    """
+    t = GRID.times()
+    return sog * t * math.cos(course), offset_e + sog * t * math.sin(course), course, sog, course
+
+
+def _set(*cands) -> CandidateSet:
+    """Stack (pred_north, pred_east, pred_course, ref_sog, ref_course) rows;
+    scalars hold their value over the grid."""
+    def rows(k):
+        arr = np.array([np.broadcast_to(c[k], (GRID.n,)) for c in cands], dtype=float)
+        return arr.reshape(len(cands), GRID.n)
+
+    zeros = np.zeros((len(cands), GRID.n))
+    return CandidateSet(
+        grid=GRID, n_first=N_FIRST,
+        sog=rows(3), rot=zeros, course=rows(4), sog_acc=zeros, rot_acc=zeros,
+        pred_north=rows(0), pred_east=rows(1), pred_course=rows(2),
+        sample_path=np.zeros((len(cands), 1, 2), dtype=int),
+    )
+
+
+def _select(cands, obstacles=(), geom=GEOM_CIRC, weights=WEIGHTS, prev=None):
+    return select(cands, LINE, list(obstacles), geom, weights, prev, EVAL_DT)
+
+
 def test_align_cost_zero_on_reference():
-    assert align_cost(_pose_line(), LINE, w_course=100.0) == pytest.approx(0.0, abs=1e-12)
+    assert _select(_set(_line())).align[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_align_cost_lateral_offset():
     # 10 m constant offset over 25 s at w_pos=1
-    assert align_cost(_pose_line(offset_e=10.0), LINE, w_course=100.0) == pytest.approx(250.0, abs=1e-9)
+    assert _select(_set(_line(offset_e=10.0))).align[0] == pytest.approx(250.0, abs=1e-9)
 
 
 def test_align_cost_course_offset():
-    grid = TimeGrid.from_span(0.0, 25.0, 0.5)
-    t = grid.times()
-    pose = PoseTrajectory(grid=grid, north=5.0 * t, east=np.zeros(grid.n), course=np.full(grid.n, 0.1))
-    assert align_cost(pose, LINE, w_course=100.0) == pytest.approx(250.0, abs=1e-9)
+    # on the reference position, 0.1 rad off its course, at w_course=100
+    north, east, _, sog, _ = _line()
+    table = _select(_set((north, east, 0.1, sog, 0.0)))
+    assert table.align[0] == pytest.approx(250.0, abs=1e-9)
 
 
 def _static_prediction(north, east, course=0.0, t_end=25.0, dt=0.5):
@@ -168,24 +188,22 @@ def _static_prediction(north, east, course=0.0, t_end=25.0, dt=0.5):
 
 
 def test_avoid_cost_empty_and_far():
-    pose = _pose_line()
-    assert avoid_cost(pose, [], GEOM_CIRC) == 0.0
-    assert avoid_cost(pose, [_static_prediction(0.0, 10_000.0)], GEOM_CIRC) == 0.0
+    cands = _set(_line())
+    assert _select(cands).avoid[0] == 0.0
+    assert _select(cands, [_static_prediction(0.0, 10_000.0)]).avoid[0] == 0.0
 
 
 def test_avoid_cost_parked_in_collision_region():
-    grid = TimeGrid.from_span(0.0, 25.0, 0.5)
-    pose = PoseTrajectory(grid=grid, north=np.zeros(grid.n), east=np.zeros(grid.n), course=np.zeros(grid.n))
+    parked = _set((0.0, 0.0, 0.0, 0.0, 0.0))
     obs = _static_prediction(5.0, 0.0)
-    assert avoid_cost(pose, [obs], GEOM_CIRC) == pytest.approx(25.0, abs=1e-9)
+    assert _select(parked, [obs]).avoid[0] == pytest.approx(25.0, abs=1e-9)
     # elliptical adds the inner plateau on top
-    assert avoid_cost(pose, [obs], GEOM_ELL) == pytest.approx(50.0, abs=1e-9)
+    assert _select(parked, [obs], geom=GEOM_ELL).avoid[0] == pytest.approx(50.0, abs=1e-9)
 
 
 def test_avoid_cost_prediction_must_cover_horizon():
-    pose = _pose_line(t_end=25.0)
     with pytest.raises(ValueError):
-        avoid_cost(pose, [_static_prediction(0.0, 1000.0, t_end=10.0)], GEOM_CIRC)
+        _select(_set(_line()), [_static_prediction(0.0, 1000.0, t_end=10.0)])
 
 
 def test_relative_bearing_convention():
@@ -201,89 +219,81 @@ def _vel_const(sog, course, t_end=5.0, dt=0.5):
     return VelocityTrajectory.constant(TimeGrid.from_span(0.0, t_end, dt), sog, course)
 
 
+def _tran(firsts, prev):
+    """Transitional scores of candidates whose references hold (sog, course)."""
+    return _select(_set(*(_line(sog=sog, course=course) for sog, course in firsts)), prev=prev).tran
+
+
 def test_tran_cost_examples():
     prev = _vel_const(5.0, 0.0)
-    cands = [_vel_const(5.0, 0.0), _vel_const(5.0, 0.2), _vel_const(6.0, 0.0)]
-    scores = tran_cost(cands, prev)
-    np.testing.assert_allclose(scores, [0.0, 1.0, 1.0])
+    np.testing.assert_allclose(_tran([(5.0, 0.0), (5.0, 0.2), (6.0, 0.0)], prev), [0.0, 1.0, 1.0])
 
 
 def test_tran_cost_all_equal():
     prev = _vel_const(5.0, 0.1)
-    cands = [_vel_const(5.0, 0.1) for _ in range(4)]
-    np.testing.assert_allclose(tran_cost(cands, prev), np.zeros(4))
+    np.testing.assert_allclose(_tran([(5.0, 0.1)] * 4, prev), np.zeros(4))
 
 
 def test_tran_cost_requires_min_in_both_channels():
     prev = _vel_const(5.0, 0.0)
     # candidate 0: best course, worse sog; candidate 1: best sog, worse course
-    cands = [_vel_const(6.0, 0.0), _vel_const(5.0, 0.3), _vel_const(5.0, 0.0)]
-    np.testing.assert_allclose(tran_cost(cands, prev), [1.0, 1.0, 0.0])
-
-
-def _candidate(index, offset_e, course=0.0, sog=5.0):
-    pose = _pose_line(offset_e=offset_e, course=course, sog=sog)
-    vel = VelocityTrajectory.constant(pose.grid, sog, course)
-    first = VelocityTrajectory.constant(TimeGrid.from_span(0.0, 5.0, 0.5), sog, course)
-    return CandidateTrajectory(
-        index=index, desired=vel, predicted_pose=pose, first_maneuver_desired=first,
-        sample_path=((index, 0),),
-    )
+    np.testing.assert_allclose(_tran([(6.0, 0.0), (5.0, 0.3), (5.0, 0.0)], prev), [1.0, 1.0, 0.0])
 
 
 def test_select_singleton():
-    cand = _candidate(0, 0.0)
-    best, table = select([cand], LINE, [], GEOM_CIRC, WEIGHTS, None)
-    assert best is cand
+    table = _select(_set(_line()))
+    assert table.selected == 0
     assert isinstance(table, CostTable)
 
 
 def test_select_empty_rejected():
     with pytest.raises(ValueError):
-        select([], LINE, [], GEOM_CIRC, WEIGHTS, None)
+        _select(_set())
 
 
 def test_select_avoids_blocked_straight_candidate():
     # obstacle dead ahead on the straight candidate, inside the safety region
-    cands = [_candidate(0, 0.0), _candidate(1, 60.0), _candidate(2, -60.0)]
+    cands = _set(_line(0.0), _line(60.0), _line(-60.0))
     obs = _static_prediction(60.0, 0.0, course=math.pi)
-    best, table = select(cands, LINE, [obs], GEOM_CIRC, WEIGHTS, None)
-    assert best.index != 0
-    assert table.avoid[0] > table.avoid[best.index]
+    table = _select(cands, [obs])
+    assert table.selected != 0
+    assert table.avoid[0] > table.avoid[table.selected]
 
 
 def test_select_scale_invariance():
-    cands = [_candidate(0, 0.0), _candidate(1, 40.0), _candidate(2, -60.0)]
+    cands = _set(_line(0.0), _line(40.0), _line(-60.0))
     obs = _static_prediction(80.0, 10.0, course=math.pi)
     prev = _vel_const(5.0, 0.0)
-    best1, _ = select(cands, LINE, [obs], GEOM_CIRC, WEIGHTS, prev)
+    best1 = _select(cands, [obs], prev=prev).selected
     scaled = ObjectiveWeights(
         w_align=WEIGHTS.w_align * 7.5, w_avoid=WEIGHTS.w_avoid * 7.5,
         w_tran=WEIGHTS.w_tran * 7.5, w_course=WEIGHTS.w_course,
     )
-    best2, _ = select(cands, LINE, [obs], GEOM_CIRC, scaled, prev)
-    assert best1.index == best2.index
+    best2 = _select(cands, [obs], weights=scaled, prev=prev).selected
+    assert best1 == best2
 
 
 def test_select_deterministic():
-    cands = [_candidate(i, off) for i, off in enumerate((0.0, 25.0, -25.0, 50.0))]
+    cands = _set(*(_line(off) for off in (0.0, 25.0, -25.0, 50.0)))
     obs = _static_prediction(70.0, 0.0)
     prev = _vel_const(5.0, 0.0)
-    r1 = select(cands, LINE, [obs], GEOM_ELL, WEIGHTS, prev)
-    r2 = select(cands, LINE, [obs], GEOM_ELL, WEIGHTS, prev)
-    assert r1[0].index == r2[0].index
-    np.testing.assert_array_equal(r1[1].total, r2[1].total)
+    r1 = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
+    r2 = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
+    assert r1.selected == r2.selected
+    np.testing.assert_array_equal(r1.total, r2.total)
 
 
 def test_evaluate_costs_matches_scalar_terms():
-    cands = [_candidate(i, off, course=c) for i, (off, c) in enumerate(((0.0, 0.0), (30.0, 0.05), (-45.0, -0.1)))]
+    specs = ((0.0, 0.0), (30.0, 0.05), (-45.0, -0.1))
+    cands = _set(*(_line(off, course=c) for off, c in specs))
     obs = _static_prediction(90.0, -20.0, course=0.4)
     prev = _vel_const(5.0, 0.02)
-    table = evaluate_costs(cands, LINE, [obs], GEOM_ELL, WEIGHTS, prev)
-    for i, cand in enumerate(cands):
-        assert table.align[i] == align_cost(cand.predicted_pose, LINE, WEIGHTS.w_course)
-        assert table.avoid[i] == avoid_cost(cand.predicted_pose, [obs], GEOM_ELL)
-    scores = tran_cost([c.first_maneuver_desired for c in cands], prev)
+    table = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
+    for i in range(len(cands)):
+        north, east, course = cands.pred_north[i], cands.pred_east[i], cands.pred_course[i]
+        assert table.align[i] == oracles.align_cost(GRID, north, east, course, LINE, WEIGHTS.w_course)
+        assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, [obs], GEOM_ELL)
+    scores = oracles.tran_cost([_vel_const(5.0, c) for _, c in specs], prev)
     np.testing.assert_array_equal(table.tran, scores)
 
 

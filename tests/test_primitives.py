@@ -5,38 +5,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colavmpc.core import TimeGrid, Velocity2, cumtrapz
+from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, cumtrapz
 from colavmpc.primitives import (
     AccelBox,
     ErrorModel,
-    NoFeasibleManeuver,
     StepParams,
-    course_primitive,
-    integrate_primitives,
+    course_profile_unit,
     possible_accelerations,
-    predict,
-    rollout_position,
     sample_accelerations,
-    sat,
-    sog_primitive,
+    sog_profile_unit,
 )
+from colavmpc.tree import TreeParams, generate_tree
 from colavmpc.vessel import default_model, inverse_model
 
 MODEL = default_model()
+EM = ErrorModel(5.0, 5.0)
 P = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
 GRID = TimeGrid.from_span(0.0, 5.0, 0.1)
 
 
+def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None, dt=0.1):
+    """Candidates of a one-level tree from a vessel at (sog, course, rot),
+    seeded from the desired (sog, course), by default the actual one."""
+    state = VesselState(Pose(0.0, 0.0, course), Velocity2(sog, rot), 0.0)
+    tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
+    params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0)
+    return generate_tree(params, MODEL, EM, state, desired or (sog, course), tau0, None, dt)
+
+
+def _rates(x0, tau):
+    du, dr = MODEL.rates(x0.sog, x0.rot, tau[0], tau[1])
+    return float(du), float(dr)
+
+
 def test_sat_examples():
-    assert sat(np.array([1.5]), np.array([0.0]), np.array([1.0]))[0] == 1.0
-    assert sat(np.array([-0.2]), np.array([0.0]), np.array([1.0]))[0] == 0.0
-    assert sat(np.array([0.5]), np.array([0.0]), np.array([1.0]))[0] == 0.5
-    assert sat(1.5, 0.0, 1.0) == 1.0  # scalar form
+    # the actuator input reachable within one ramp is clamped to the limits
+    # from above and below, and passes through unclamped inside them
+    x0 = Velocity2(10.0, 0.0)
+    box = possible_accelerations(MODEL, x0, np.asarray(MODEL.tau_max), 1.0)
+    assert (box.sog_max, box.rot_max) == pytest.approx(_rates(x0, MODEL.tau_max), abs=1e-12)
+    box = possible_accelerations(MODEL, x0, np.asarray(MODEL.tau_min), 1.0)
+    assert (box.sog_min, box.rot_min) == pytest.approx(_rates(x0, MODEL.tau_min), abs=1e-12)
+    box = possible_accelerations(MODEL, x0, np.array([0.5, 0.0]), 0.5)
+    assert (box.sog_max, box.rot_max) == pytest.approx(_rates(x0, (0.75, 0.25)), abs=1e-12)
+    assert (box.sog_min, box.rot_min) == pytest.approx(_rates(x0, (0.25, -0.25)), abs=1e-12)
 
 
 def test_sat_shape_mismatch():
+    # an actuator input that is not one value per actuator is rejected
     with pytest.raises(ValueError):
-        sat(np.zeros(2), np.zeros(3), np.zeros(3))
+        possible_accelerations(MODEL, Velocity2(5.0, 0.0), np.full(3, 0.5), 1.0)
 
 
 def test_step_params_invariants():
@@ -106,17 +124,16 @@ def test_sample_single_prefers_zero():
 
 
 def test_sog_primitive_mid_ramp_and_area():
-    acc = sog_primitive(1.0, P, GRID)
-    t = GRID.times()
+    acc = 1.0 * sog_profile_unit(GRID.times(), P)
     mid = int(round((P.t_ramp / 2) / GRID.dt))
     assert acc[mid] == pytest.approx(0.5, abs=1e-12)
     # trapezoid area: ramp up 1 s, hold until 4 s, ramp down by 5 s
     assert np.trapezoid(acc, dx=GRID.dt) == pytest.approx(1.0 * (5.0 - 1.0), abs=1e-12)
-    assert np.all(sog_primitive(0.0, P, GRID) == 0.0)
+    assert np.all(0.0 * sog_profile_unit(GRID.times(), P) == 0.0)
 
 
 def test_course_primitive_zero_integral_and_peak():
-    acc = course_primitive(0.05, P, GRID)
+    acc = 0.05 * course_profile_unit(GRID.times(), P)
     assert abs(np.trapezoid(acc, dx=GRID.dt)) < 1e-12
     rot = cumtrapz(acc, GRID.dt)
     peak_idx = int(round(2 * P.t_ramp / GRID.dt))
@@ -126,42 +143,50 @@ def test_course_primitive_zero_integral_and_peak():
 
 
 def test_integrate_primitives_identity_maneuver():
-    trajs = integrate_primitives(MODEL, [0.0], [0.0], (5.0, 0.0, 0.7), P, GRID)
-    assert len(trajs) == 1
-    assert np.all(trajs[0].sog == 5.0)
-    assert np.all(trajs[0].rot == 0.0)
-    assert np.all(trajs[0].course == 0.7)
+    cands = _one_level(5.0, 1, 1, sog=5.0, course=0.7)
+    assert len(cands) == 1
+    assert np.all(cands.sog == 5.0)
+    assert np.all(cands.rot == 0.0)
+    assert np.all(cands.course == 0.7)
 
 
 def test_integrate_primitives_cross_product_count():
-    box = possible_accelerations(MODEL, Velocity2(5.0, 0.0), inverse_model(MODEL, Velocity2(5.0, 0.0)), 1.0)
-    sog, rot = sample_accelerations(box, 5, 5)
-    trajs = integrate_primitives(MODEL, sog, rot, (5.0, 0.0, 0.0), P, GRID)
-    assert len(trajs) <= 25
+    cands = _one_level(5.0, 5, 5)
+    assert len(cands) <= 25
+    pairs = {tuple(path[0]) for path in cands.sample_path.tolist()}
+    assert len(pairs) == len(cands)  # every kept (sog, rot) sample pair once
 
 
 def test_integrate_primitives_filters_overspeed():
-    # +1 m/s^2 over (t_sog - t_ramp)=4 s ends at 21 m/s, above u_max
-    trajs = integrate_primitives(MODEL, [0.0, 1.0], [0.0], (17.0, 0.0, 0.0), P, GRID)
-    assert len(trajs) == 1
-    assert trajs[0].sog[-1] == pytest.approx(17.0)
+    # seeded 0.5 m/s below the top speed from a 10 m/s vessel: the largest
+    # speed samples would end above u_max and are dropped
+    cands = _one_level(5.0, 3, 1, sog=10.0, desired=(MODEL.u_max - 0.5, 0.0))
+    assert 0 < len(cands) < 3
+    assert np.all(cands.sog[:, -1] <= MODEL.u_max + 1e-9)
+    assert 2 not in cands.sample_path[:, 0, 0]
 
 
 def test_integrate_primitives_all_infeasible():
-    with pytest.raises(NoFeasibleManeuver):
-        integrate_primitives(MODEL, [0.0, 0.1], [0.0], (30.0, 0.0, 0.0), P, GRID)
+    cands = _one_level(5.0, 2, 1, sog=5.0, desired=(30.0, 0.0))
+    assert len(cands) == 0
+    assert not cands
 
 
 def test_integrate_primitives_requires_zero_rot():
-    with pytest.raises(ValueError):
-        integrate_primitives(MODEL, [0.0], [0.0], (5.0, 0.1, 0.0), P, GRID)
+    # maneuvers start at zero desired ROT at every level, even from a
+    # vessel that is turning
+    state = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.05), 0.0)
+    tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
+    params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
+    cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), tau0, None, 0.1)
+    starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
+    assert np.all(cands.rot[:, starts] == 0.0)
 
 
 def test_maneuvers_start_and_end_at_zero_rot():
-    trajs = integrate_primitives(MODEL, [0.2], [0.05, -0.05], (5.0, 0.0, 0.0), P, GRID)
-    for traj in trajs:
-        assert traj.rot[0] == 0.0
-        assert abs(traj.rot[-1]) < 1e-12
+    cands = _one_level(5.0, 1, 5)
+    assert np.all(cands.rot[:, 0] == 0.0)
+    assert np.all(np.abs(cands.rot[:, -1]) < 1e-12)
 
 
 @given(
@@ -179,56 +204,62 @@ def test_acceleration_slew_bounded_by_ramp_slope(kr, extra_u, extra_c, a_u, a_r)
     t_course = 4 * t_ramp + extra_c * dt
     t_total = max(t_sog, t_course)
     p = StepParams(t_total, t_ramp, t_sog, t_course, 1, 1)
-    grid = TimeGrid.from_span(0.0, t_total, dt)
-    sog_acc = sog_primitive(a_u, p, grid)
-    rot_acc = course_primitive(a_r, p, grid)
+    t_rel = TimeGrid.from_span(0.0, t_total, dt).times()
+    sog_acc = a_u * sog_profile_unit(t_rel, p)
+    rot_acc = a_r * course_profile_unit(t_rel, p)
     assert np.max(np.abs(np.diff(sog_acc))) <= abs(a_u) / t_ramp * dt + 1e-9
     assert np.max(np.abs(np.diff(rot_acc))) <= abs(a_r) / t_ramp * dt + 1e-9
 
 
 def test_predict_zero_error_passthrough():
-    traj = integrate_primitives(MODEL, [0.3], [0.02], (5.0, 0.0, 0.1), P, GRID)[0]
-    sog_bar, course_bar = predict(traj, ErrorModel(5.0, 5.0), (traj.sog[0], traj.course[0]))
-    np.testing.assert_allclose(sog_bar, traj.sog, atol=1e-15)
-    np.testing.assert_allclose(course_bar, traj.course, atol=1e-15)
+    # the vessel is on its reference: the prediction is the reference
+    cands = _one_level(5.0, 5, 5, sog=5.0, course=0.1)
+    np.testing.assert_array_equal(cands.pred_course, cands.course)
+    dt = cands.grid.dt
+    north = cumtrapz(cands.sog * np.cos(cands.course), dt)
+    east = cumtrapz(cands.sog * np.sin(cands.course), dt)
+    np.testing.assert_allclose(cands.pred_north, north, atol=1e-12)
+    np.testing.assert_allclose(cands.pred_east, east, atol=1e-12)
 
 
 def test_predict_exponential_decay_value():
-    grid = TimeGrid.from_span(0.0, 10.0, 0.1)
-    p = StepParams(10.0, 1.0, 5.0, 5.0, 1, 1)
-    traj = integrate_primitives(MODEL, [0.0], [0.0], (5.0, 0.0, 0.0), p, grid)[0]
-    sog_bar, _ = predict(traj, ErrorModel(5.0, 5.0), (6.0, 0.0))
-    idx = int(round(5.0 / grid.dt))
-    assert sog_bar[idx] - traj.sog[idx] == pytest.approx(math.exp(-1.0), abs=1e-12)
+    # initial errors decay with the 5 s time constants: 0.1 rad of course
+    # error is down to 0.1/e after 5 s
+    cands = _one_level(10.0, 1, 1, sog=5.0, course=0.1, desired=(5.0, 0.0))
+    idx = int(round(5.0 / cands.grid.dt))
+    assert cands.pred_course[0, idx] - cands.course[0, idx] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-12)
+    # 1 m/s of speed error shows as the distance gained over a vessel on
+    # its reference, the integral of exp(-t/5) over 5 s
+    fast = _one_level(10.0, 1, 1, sog=6.0, course=0.0, desired=(5.0, 0.0))
+    on_ref = _one_level(10.0, 1, 1, sog=5.0, course=0.0, desired=(5.0, 0.0))
+    gained = fast.pred_north[0, idx] - on_ref.pred_north[0, idx]
+    assert gained == pytest.approx(5.0 * (1.0 - math.exp(-1.0)), abs=1e-3)
 
 
 def test_predict_decays_to_reference():
-    grid = TimeGrid.from_span(0.0, 60.0, 0.5)
-    p = StepParams(60.0, 1.0, 5.0, 5.0, 1, 1)
-    traj = integrate_primitives(MODEL, [0.0], [0.0], (5.0, 0.0, 0.0), p, grid)[0]
-    _, course_bar = predict(traj, ErrorModel(5.0, 5.0), (5.0, 0.2))
-    assert abs(course_bar[-1] - traj.course[-1]) < 1e-5
+    cands = _one_level(60.0, 1, 1, sog=5.0, course=0.2, desired=(5.0, 0.0), dt=0.5)
+    assert abs(cands.pred_course[0, -1] - cands.course[0, -1]) < 1e-5
 
 
 def test_rollout_straight_lines():
-    grid = TimeGrid.from_span(0.0, 10.0, 0.1)
-    sog = np.full(grid.n, 5.0)
-    north = rollout_position(sog, np.zeros(grid.n), grid, (0.0, 0.0))
-    assert north.north[-1] == pytest.approx(50.0, abs=1e-9)
-    assert north.east[-1] == pytest.approx(0.0, abs=1e-12)
-    east = rollout_position(sog, np.full(grid.n, math.pi / 2), grid, (0.0, 0.0))
-    assert east.north[-1] == pytest.approx(0.0, abs=1e-9)
-    assert east.east[-1] == pytest.approx(50.0, abs=1e-9)
+    north = _one_level(10.0, 1, 1, sog=5.0, course=0.0)
+    assert north.pred_north[0, -1] == pytest.approx(50.0, abs=1e-9)
+    assert north.pred_east[0, -1] == pytest.approx(0.0, abs=1e-12)
+    east = _one_level(10.0, 1, 1, sog=5.0, course=math.pi / 2)
+    assert east.pred_north[0, -1] == pytest.approx(0.0, abs=1e-9)
+    assert east.pred_east[0, -1] == pytest.approx(50.0, abs=1e-9)
 
 
 def test_rollout_constant_turn_matches_circle():
-    # analytic arc: radius U/r, swept angle r*T
+    # analytic arc: radius U/r, swept angle r*T, against the trapezoidal
+    # quadrature of (cos, sin)(course) * sog the tree rolls positions out with
     sog_val, rot_val, t_end = 5.0, 0.1, 10.0
     grid = TimeGrid.from_span(0.0, t_end, 0.1)
     course = rot_val * grid.times()
-    pose = rollout_position(np.full(grid.n, sog_val), course, grid, (0.0, 0.0))
+    north = cumtrapz(sog_val * np.cos(course), grid.dt)
+    east = cumtrapz(sog_val * np.sin(course), grid.dt)
     radius = sog_val / rot_val
     exact_n = radius * math.sin(rot_val * t_end)
     exact_e = radius * (1.0 - math.cos(rot_val * t_end))
-    err = math.hypot(pose.north[-1] - exact_n, pose.east[-1] - exact_e)
+    err = math.hypot(north[-1] - exact_n, east[-1] - exact_e)
     assert err / math.hypot(exact_n, exact_e) < 0.005

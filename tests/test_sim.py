@@ -253,23 +253,23 @@ def test_prediction_matches_closed_loop_plant():
     tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
     cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, (5.0, 0.0), tau0, None, 0.1)
     for pick in (0, len(cands) // 2, len(cands) - 1):
-        cand = cands[pick]
+        desired = cands.trajectory(pick)
         gains = default_gains()
         s = state
         dt = 0.1
-        for k in range(cand.desired.grid.n - 1):
-            x_d = V2(max(cand.desired.sog[k], 0.0), cand.desired.rot[k])
+        for k in range(desired.grid.n - 1):
+            x_d = V2(max(desired.sog[k], 0.0), desired.rot[k])
             tau = control_law(
-                model, gains, s.vel, s.pose.course, x_d, cand.desired.course[k],
-                (cand.desired.sog_acc[k], cand.desired.rot_acc[k]), dt,
+                model, gains, s.vel, s.pose.course, x_d, desired.course[k],
+                (desired.sog_acc[k], desired.rot_acc[k]), dt,
             )
             s = step_plant(model, s, tau, dt)
             pos_err = math.hypot(
-                s.pose.north - cand.predicted_pose.north[k + 1],
-                s.pose.east - cand.predicted_pose.east[k + 1],
+                s.pose.north - cands.pred_north[pick, k + 1],
+                s.pose.east - cands.pred_east[pick, k + 1],
             )
             course_err = abs(
-                (s.pose.course - cand.predicted_pose.course[k + 1] + math.pi) % (2 * math.pi)
+                (s.pose.course - cands.pred_course[pick, k + 1] + math.pi) % (2 * math.pi)
                 - math.pi
             )
             assert pos_err < 10.0

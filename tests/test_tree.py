@@ -5,7 +5,8 @@ import pytest
 
 from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
-from colavmpc.primitives import ErrorModel, integrate_primitives, possible_accelerations, sample_accelerations
+import oracles
+from colavmpc.primitives import ErrorModel, possible_accelerations, sample_accelerations
 from colavmpc.tree import TreeParams, generate_tree, input_blocking_check
 from colavmpc.vessel import default_model, inverse_model
 
@@ -53,11 +54,11 @@ def test_table_configuration_shape():
     cands = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), None, DT)
     assert len(cands) <= 225
     assert len(cands) == 225  # all feasible from a benign state
-    for cand in cands:
-        assert len(cand.sample_path) == 3
-        assert cand.desired.grid.span == pytest.approx(55.0)
-        assert cand.predicted_pose.grid.span == pytest.approx(55.0)
-        assert cand.first_maneuver_desired.grid.span == pytest.approx(5.0)
+    assert cands.sample_path.shape == (225, 3, 2)
+    assert cands.grid.span == pytest.approx(55.0)
+    for channel in (cands.sog, cands.course, cands.pred_north, cands.pred_course):
+        assert channel.shape == (225, cands.grid.n)
+    assert (cands.n_first - 1) * cands.grid.dt == pytest.approx(5.0)
 
 
 def test_three_level_span_25s():
@@ -65,7 +66,7 @@ def test_three_level_span_25s():
     state = _state()
     cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), _tau0(state), None, DT)
     assert len(cands) == 45
-    assert cands[0].desired.grid.span == pytest.approx(25.0)
+    assert cands.grid.span == pytest.approx(25.0)
 
 
 def test_degenerate_tree_continues_current_velocity():
@@ -73,36 +74,47 @@ def test_degenerate_tree_continues_current_velocity():
     state = _state(course=0.4, sog=6.0)
     cands = generate_tree(params, MODEL, EM, state, (6.0, 0.4), _tau0(state), None, DT)
     assert len(cands) == 1
-    np.testing.assert_allclose(cands[0].desired.sog, 6.0, atol=1e-12)
-    np.testing.assert_allclose(cands[0].desired.course, 0.4, atol=1e-12)
+    np.testing.assert_allclose(cands.sog[0], 6.0, atol=1e-12)
+    np.testing.assert_allclose(cands.course[0], 0.4, atol=1e-12)
 
 
 def test_candidate_channels_continuous_across_levels():
     state = _state(sog=5.3, course=0.2, rot=0.01)
     cands = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.25), _tau0(state), None, DT)
-    for cand in cands:
-        # candidates integrate from the previous commanded values exactly,
-        # which is what keeps the reference continuous across replans
-        assert cand.desired.sog[0] == 5.0
-        assert cand.desired.course[0] == 0.25
-        assert cand.desired.rot[0] == 0.0
-    for cand in cands[:: max(len(cands) // 9, 1)]:
-        max_rot = np.max(np.abs(cand.desired.rot))
-        max_acc = np.max(np.abs(cand.desired.sog_acc))
-        assert np.max(np.abs(np.diff(cand.desired.course))) <= max_rot * DT + 1e-9
-        assert np.max(np.abs(np.diff(cand.desired.sog))) <= max_acc * DT + 1e-9
+    # candidates integrate from the previous commanded values exactly,
+    # which is what keeps the reference continuous across replans
+    assert np.all(cands.sog[:, 0] == 5.0)
+    assert np.all(cands.course[:, 0] == 0.25)
+    assert np.all(cands.rot[:, 0] == 0.0)
+    for leaf in range(0, len(cands), max(len(cands) // 9, 1)):
+        max_rot = np.max(np.abs(cands.rot[leaf]))
+        max_acc = np.max(np.abs(cands.sog_acc[leaf]))
+        assert np.max(np.abs(np.diff(cands.course[leaf]))) <= max_rot * DT + 1e-9
+        assert np.max(np.abs(np.diff(cands.sog[leaf]))) <= max_acc * DT + 1e-9
         # position steps bounded by the fastest predicted speed
-        step = np.hypot(np.diff(cand.predicted_pose.north), np.diff(cand.predicted_pose.east))
-        assert np.max(step) <= (np.max(cand.desired.sog) + 1.0) * DT
+        step = np.hypot(np.diff(cands.pred_north[leaf]), np.diff(cands.pred_east[leaf]))
+        assert np.max(step) <= (np.max(cands.sog[leaf]) + 1.0) * DT
 
 
 def test_first_maneuver_matches_full_prefix():
+    # each candidate's first n_first points are exactly the level-0 maneuver
+    # a one-level tree generates for the same samples, and the winner's
+    # trajectory carries the full rows
     state = _state()
     cands = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), None, DT)
-    for cand in cands[::37]:
-        n = cand.first_maneuver_desired.grid.n
-        np.testing.assert_array_equal(cand.first_maneuver_desired.sog, cand.desired.sog[:n])
-        np.testing.assert_array_equal(cand.first_maneuver_desired.course, cand.desired.course[:n])
+    first_params = TreeParams((5.0,), (5,), (5,), 1.0, 5.0, 5.0)
+    firsts = generate_tree(first_params, MODEL, EM, state, (5.0, 0.0), _tau0(state), None, DT)
+    assert firsts.grid.n == cands.n_first
+    by_samples = {tuple(path[0]): j for j, path in enumerate(firsts.sample_path.tolist())}
+    for leaf in range(0, len(cands), 37):
+        j = by_samples[tuple(cands.sample_path[leaf, 0].tolist())]
+        n = cands.n_first
+        np.testing.assert_array_equal(cands.sog[leaf, :n], firsts.sog[j])
+        np.testing.assert_array_equal(cands.course[leaf, :n], firsts.course[j])
+        traj = cands.trajectory(leaf)
+        assert traj.grid == cands.grid
+        np.testing.assert_array_equal(traj.sog, cands.sog[leaf])
+        np.testing.assert_array_equal(traj.rot_acc, cands.rot_acc[leaf])
 
 
 def test_tree_deterministic():
@@ -110,10 +122,9 @@ def test_tree_deterministic():
     a = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, -0.3), _tau0(state), None, DT)
     b = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, -0.3), _tau0(state), None, DT)
     assert len(a) == len(b)
-    for ca, cb in zip(a, b):
-        assert ca.sample_path == cb.sample_path
-        np.testing.assert_array_equal(ca.desired.sog, cb.desired.sog)
-        np.testing.assert_array_equal(ca.predicted_pose.north, cb.predicted_pose.north)
+    np.testing.assert_array_equal(a.sample_path, b.sample_path)
+    np.testing.assert_array_equal(a.sog, b.sog)
+    np.testing.assert_array_equal(a.pred_north, b.pred_north)
 
 
 def test_level0_matches_single_step_primitives():
@@ -125,12 +136,12 @@ def test_level0_matches_single_step_primitives():
     box = possible_accelerations(MODEL, state.vel, tau0, 1.0)
     sog_s, rot_s = sample_accelerations(box, 5, 5)
     grid = TimeGrid.from_span(0.0, 5.0, DT)
-    trajs = integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0, 0.0), params.step_params(0), grid)
+    trajs = oracles.integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0), params.step_params(0), grid)
     assert len(cands) == len(trajs)
-    for cand, traj in zip(cands, trajs):
-        np.testing.assert_array_equal(cand.desired.sog, traj.sog)
-        np.testing.assert_array_equal(cand.desired.rot, traj.rot)
-        np.testing.assert_array_equal(cand.desired.course, traj.course)
+    for leaf, traj in enumerate(trajs):
+        np.testing.assert_array_equal(cands.sog[leaf], traj.sog)
+        np.testing.assert_array_equal(cands.rot[leaf], traj.rot)
+        np.testing.assert_array_equal(cands.course[leaf], traj.course)
 
 
 def test_guidance_seeded_candidate_hits_targets():
@@ -143,9 +154,8 @@ def test_guidance_seeded_candidate_hits_targets():
     cands = generate_tree(
         TABLE_PARAMS, MODEL, EM, state, (5.0, 0.1), _tau0(state), _los_hook(dtraj, los), DT
     )
-    n_first = cands[0].first_maneuver_desired.grid.n
-    end_sog = np.array([c.desired.sog[n_first - 1] for c in cands])
-    end_course = np.array([c.desired.course[n_first - 1] for c in cands])
+    end_sog = cands.sog[:, cands.n_first - 1]
+    end_course = cands.course[:, cands.n_first - 1]
     hit = (np.abs(end_sog - targets[0]) < 1e-9) & (
         np.abs(wrap_angle(end_course - targets[1])) < 1e-9
     )
@@ -165,15 +175,15 @@ def test_select_prefers_guidance_seeded_candidate_without_obstacles():
     prev = VelocityTrajectory.constant(TimeGrid.from_span(0.0, 5.0, 0.5), 5.0, 0.0)
     weights = ObjectiveWeights(w_align=1.0, w_avoid=6000.0, w_tran=4200.0, w_course=100.0)
     geom = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
-    best, table = select(cands, dtraj, [], geom, weights, prev, 0.5)
+    table = select(cands, dtraj, [], geom, weights, prev, 0.5)
     # on-path start: the winner is the hold-course candidate seeded by the
     # guidance hook, with zero align and zero transitional cost
     targets = los_targets(dtraj, state, 0.0, los)
-    n_first = best.first_maneuver_desired.grid.n
-    assert abs(best.desired.sog[n_first - 1] - targets[0]) < 1e-9
-    assert abs(wrap_angle(best.desired.course[n_first - 1] - targets[1])) < 1e-9
-    assert table.align[best.index] == pytest.approx(0.0, abs=1e-9)
-    assert table.tran[best.index] == 0.0
+    best, end = table.selected, cands.n_first - 1
+    assert abs(cands.sog[best, end] - targets[0]) < 1e-9
+    assert abs(wrap_angle(cands.course[best, end] - targets[1])) < 1e-9
+    assert table.align[best] == pytest.approx(0.0, abs=1e-9)
+    assert table.tran[best] == 0.0
 
 
 def test_single_sample_levels_hold_speed():
@@ -183,10 +193,9 @@ def test_single_sample_levels_hold_speed():
     cands = generate_tree(
         TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), _los_hook(dtraj, los), DT
     )
-    n_first = cands[0].first_maneuver_desired.grid.n
-    for cand in cands[::37]:
+    for leaf in range(0, len(cands), 37):
         # levels 1 and 2 have n_sog=1: speed stays at the level-0 terminal value
-        tail = cand.desired.sog[n_first - 1 :]
+        tail = cands.sog[leaf, cands.n_first - 1 :]
         np.testing.assert_allclose(tail, tail[0], atol=1e-9)
 
 
@@ -195,16 +204,16 @@ def test_empty_tree_when_all_level0_infeasible():
     cands = generate_tree(
         TABLE_PARAMS, MODEL, EM, state, (50.0, 0.0), np.array([1.0, 0.0]), None, DT
     )
-    assert cands == []
+    assert len(cands) == 0
+    assert not cands
 
 
 def test_prediction_feedback_decays_initial_error():
     state = _state(sog=6.0, course=0.15)  # one m/s and 0.15 rad off the desired
     cands = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), None, DT)
-    cand = cands[0]
     # at t0 the predicted pose course equals the actual course, not the desired
-    assert cand.predicted_pose.course[0] == pytest.approx(0.15, abs=1e-12)
+    assert cands.pred_course[0, 0] == pytest.approx(0.15, abs=1e-12)
     # far into the horizon the prediction hugs the desired course
     assert abs(
-        cand.predicted_pose.course[-1] - cand.desired.course[-1]
+        cands.pred_course[0, -1] - cands.course[0, -1]
     ) < 0.15 * math.exp(-50.0 / 5.0) + 1e-9

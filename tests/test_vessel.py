@@ -11,24 +11,30 @@ from colavmpc.vessel import (
     control_law,
     default_gains,
     default_model,
-    dynamics,
     inverse_model,
     step_plant,
 )
+from colavmpc.primitives import possible_accelerations
 
 MODEL = default_model()
+
+
+def _rates(x, tau):
+    """Velocity rates (sog_dot, rot_dot) as floats."""
+    du, dr = MODEL.rates(x.sog, x.rot, tau[0], tau[1])
+    return float(du), float(dr)
 
 
 def test_equilibrium_by_construction():
     x = Velocity2(7.0, 0.05)
     tau = inverse_model(MODEL, x)
-    du, dr = dynamics(MODEL, x, tau)
+    du, dr = _rates(x, tau)
     assert du == pytest.approx(0.0, abs=1e-12)
     assert dr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_max_throttle_holds_top_speed():
-    du, dr = dynamics(MODEL, Velocity2(MODEL.u_max, 0.0), (MODEL.tau_max[0], 0.0))
+    du, dr = _rates(Velocity2(MODEL.u_max, 0.0), (MODEL.tau_max[0], 0.0))
     assert abs(du) < 1e-6
     assert abs(dr) < 1e-12
 
@@ -40,15 +46,16 @@ def test_throttle_floor_holds_min_speed():
 
 def test_damping_decelerates():
     # throttle at the floor is far below the 5 m/s equilibrium
-    du, _ = dynamics(MODEL, Velocity2(5.0, 0.0), (MODEL.tau_min[0], 0.0))
+    du, _ = _rates(Velocity2(5.0, 0.0), (MODEL.tau_min[0], 0.0))
     assert du < 0.0
 
 
 def test_dynamics_rejects_out_of_range_tau():
+    # the planner refuses to expand from an actuator input outside the limits
     with pytest.raises(ValueError):
-        dynamics(MODEL, Velocity2(5.0, 0.0), (0.0, 0.0))
+        possible_accelerations(MODEL, Velocity2(5.0, 0.0), (0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        dynamics(MODEL, Velocity2(5.0, 0.0), (1.2, 0.0))
+        possible_accelerations(MODEL, Velocity2(5.0, 0.0), (1.2, 0.0), 1.0)
 
 
 def test_inverse_model_at_rest():
@@ -67,7 +74,7 @@ def test_inverse_model_top_speed():
 )
 def test_inverse_round_trip(sog, rot):
     x = Velocity2(sog, rot)
-    du, dr = dynamics(MODEL, x, inverse_model(MODEL, x))
+    du, dr = _rates(x, inverse_model(MODEL, x))
     assert abs(du) < 1e-12 and abs(dr) < 1e-12
 
 
