@@ -10,7 +10,7 @@ from .core import (
     wrap_angle,
 )
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
-from .primitives import AccelBox, ErrorModel, StepParams
+from .primitives import ErrorModel, StepParams
 from .tree import CandidateSet, TreeParams, generate_tree, input_blocking_check
 from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 from .objective import (
@@ -29,7 +29,6 @@ from .scenarios import SCENARIO_NAMES, build_scenario, load_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelBox",
     "CandidateSet",
     "ConfigError",
     "ControllerGains",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VesselState, wrap_angle
+from .core import wrap_angle
 from .primitives import StepParams
 
 
@@ -96,42 +96,40 @@ class LosParams:
             raise ValueError("epsilon must be in (0, 1)")
 
 
-def los_targets(
-    dtraj: DesiredTrajectory, state: VesselState, t: float, p: LosParams
-) -> tuple[float, float]:
+def los_targets(dtraj: DesiredTrajectory, north, east, course, t: float, p: LosParams):
     """Speed and course targets from LOS guidance at time t.
 
-    Cross-track error is positive when the vessel sits to starboard of
-    the path direction, so the arctan term steers back to port. The
-    speed target is scaled by the projection of the vessel course onto
-    the path and saturated to [0, u_max_los]; a small epsilon guards the
+    north, east and course locate the vessel (scalars or arrays of the
+    same shape); the targets come back shaped like them. Cross-track
+    error is positive when the vessel sits to starboard of the path
+    direction, so the arctan term steers back to port. The speed target
+    is scaled by the projection of the vessel course onto the path and
+    saturated to [0, u_max_los]; a small epsilon guards the
     perpendicular singularity.
     """
     pd_n, pd_e = dtraj.position(t)
     chi_path = dtraj.course(t)
     u_t = dtraj.speed(t)
-    dn = state.pose.north - float(pd_n)
-    de = state.pose.east - float(pd_e)
-    along = math.cos(chi_path) * dn + math.sin(chi_path) * de
-    cross = -math.sin(chi_path) * dn + math.cos(chi_path) * de
-    chi_d = wrap_angle(chi_path + math.atan(-cross / p.lookahead))
-    c = math.cos(wrap_angle(state.pose.course - chi_path))
-    denom = c if abs(c) > p.epsilon else p.epsilon
+    dn = north - pd_n
+    de = east - pd_e
+    along = np.cos(chi_path) * dn + np.sin(chi_path) * de
+    cross = -np.sin(chi_path) * dn + np.cos(chi_path) * de
+    chi_d = wrap_angle(chi_path + np.arctan(-cross / p.lookahead))
+    c = np.cos(wrap_angle(course - chi_path))
+    denom = np.where(np.abs(c) > p.epsilon, c, p.epsilon)
     u_d = (u_t - p.along_track_gain * along) / denom
-    return float(np.clip(u_d, 0.0, p.u_max_los)), float(chi_d)
+    return np.clip(u_d, 0.0, p.u_max_los), chi_d
 
 
-def desired_acceleration(
-    targets: tuple[float, float], current_desired: tuple[float, float], p: StepParams
-) -> tuple[float, float]:
+def desired_acceleration(targets, current_desired, p: StepParams):
     """Accelerations whose primitives end exactly at the LOS targets.
 
     Inverts the maneuver net-change identities: a SOG primitive changes
     speed by a * (t_sog - t_ramp) and a course primitive changes course
-    by a * t_ramp * (t_course - 2 * t_ramp).
+    by a * t_ramp * (t_course - 2 * t_ramp). Scalars or arrays.
     """
     u_los, chi_los = targets
     u_d0, chi_d0 = current_desired
     sog_acc = (u_los - u_d0) / (p.t_sog - p.t_ramp)
     rot_acc = wrap_angle(chi_los - chi_d0) / (p.t_ramp * (p.t_course - 2.0 * p.t_ramp))
-    return float(sog_acc), float(rot_acc)
+    return sog_acc, rot_acc

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Velocity2
 from .vessel import VesselModel
 
 
@@ -49,20 +48,6 @@ class StepParams:
 
 
 @dataclass(frozen=True)
-class AccelBox:
-    """Reachable acceleration ranges for one ramp time."""
-
-    sog_min: float
-    sog_max: float
-    rot_min: float
-    rot_max: float
-
-    def __post_init__(self):
-        if self.sog_min > self.sog_max or self.rot_min > self.rot_max:
-            raise ValueError("acceleration box must have min <= max")
-
-
-@dataclass(frozen=True)
 class ErrorModel:
     """First-order closed-loop error time constants (seconds)."""
 
@@ -74,50 +59,63 @@ class ErrorModel:
             raise ValueError("time constants must be > 0")
 
 
-def possible_accelerations(
-    model: VesselModel, x0: Velocity2, tau0, t_ramp: float
-) -> AccelBox:
-    """Acceleration box reachable from tau0 within one ramp time."""
+def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
+    """Acceleration ranges reachable from tau0 within one ramp time.
+
+    sog and rot are node velocities (scalars or arrays); tau0 holds one
+    (tau_m, tau_delta) input along its last axis, shared or per node.
+    Returns (sog_min, sog_max, rot_min, rot_max) shaped like the nodes.
+    """
     tau0 = np.asarray(tau0, dtype=float)
     lo = np.asarray(model.tau_min)
     hi = np.asarray(model.tau_max)
+    if tau0.shape[-1:] != lo.shape:
+        raise ValueError(f"tau0 needs one value per actuator, got shape {tau0.shape}")
     if np.any(tau0 < lo - 1e-9) or np.any(tau0 > hi + 1e-9):
         raise ValueError(f"tau0 {tau0.tolist()} outside actuator limits")
     tau_hi = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_max), lo, hi)
     tau_lo = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_min), lo, hi)
-    du_hi, dr_hi = model.rates(x0.sog, x0.rot, tau_hi[0], tau_hi[1])
-    du_lo, dr_lo = model.rates(x0.sog, x0.rot, tau_lo[0], tau_lo[1])
-    return AccelBox(float(du_lo), float(du_hi), float(dr_lo), float(dr_hi))
+    du_hi, dr_hi = model.rates(sog, rot, tau_hi[..., 0], tau_hi[..., 1])
+    du_lo, dr_lo = model.rates(sog, rot, tau_lo[..., 0], tau_lo[..., 1])
+    return du_lo, du_hi, dr_lo, dr_hi
 
 
-def _sample_channel(lo: float, hi: float, n: int, desired) -> np.ndarray:
+def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if n == 1:
         # keep constant speed/course representable: 0 if reachable,
-        # else the box edge nearest zero
-        samples = np.array([float(np.clip(0.0, lo, hi))])
-    else:
-        samples = np.linspace(lo, hi, n)
-    if desired is not None and lo <= desired <= hi:
-        idx = int(np.argmin(np.abs(samples - desired)))
-        samples[idx] = desired
+        # else the range edge nearest zero; a desired value is ignored
+        return np.clip(0.0, lo, hi)[..., None]
+    samples = lo[..., None] + np.arange(n) * ((hi - lo) / (n - 1))[..., None]
+    samples[..., -1] = hi
+    if desired is not None:
+        desired = np.asarray(desired, dtype=float)
+        nearest = np.argmin(np.abs(samples - desired[..., None]), axis=-1)
+        hit = ((lo <= desired) & (desired <= hi))[..., None] & (np.arange(n) == nearest[..., None])
+        samples = np.where(hit, desired[..., None], samples)
     return samples
 
 
 def sample_accelerations(
-    box: AccelBox, n_sog: int, n_course: int, desired=None
+    bounds, n_sog: int, n_course: int, desired=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform endpoint-inclusive sample grids over the box.
+    """Uniform endpoint-inclusive sample grids over the reachable ranges.
 
-    If a desired acceleration component lies inside the box, the sample
-    nearest to it is replaced by it (ties toward the lower index).
+    bounds is (sog_min, sog_max, rot_min, rot_max) as returned by
+    possible_accelerations; the samples run along a new last axis. A
+    channel with more than one sample whose desired acceleration lies
+    inside its range has the sample nearest to it replaced by it (ties
+    toward the lower index).
     """
     if n_sog < 1 or n_course < 1:
         raise ValueError("sample counts must be >= 1")
+    sog_min, sog_max, rot_min, rot_max = bounds
     d_sog = d_rot = None
     if desired is not None:
         d_sog, d_rot = desired
-    sog = _sample_channel(box.sog_min, box.sog_max, n_sog, d_sog)
-    rot = _sample_channel(box.rot_min, box.rot_max, n_course, d_rot)
+    sog = _sample_channel(sog_min, sog_max, n_sog, d_sog)
+    rot = _sample_channel(rot_min, rot_max, n_course, d_rot)
     return sog, rot
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
+from .core import TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
 from .guidance import DesiredTrajectory, desired_acceleration, los_targets
 from .objective import CostTable, region_radius, relative_bearing, select
 from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
@@ -107,44 +107,45 @@ class Metrics:
     planner_calls: int
 
 
-def classify_situation(ownship: VesselState, obstacle) -> str:
-    """COLREGs encounter label from instantaneous geometry.
+def classify_situation(
+    own_north, own_east, own_course, own_sog, obs_north, obs_east, obs_sog, obs_course
+):
+    """COLREGs encounter labels from instantaneous geometry.
 
-    obstacle is ((north, east), sog, course). Requires both vessels
-    moving and converging, otherwise returns "none". Overtaking is
-    checked before head-on and crossing, head-on needs nearly
-    reciprocal courses with the obstacle in the forward sector, and
-    crossings split by which side the obstacle bears on.
+    Takes the ownship and obstacle position, course and speed as scalars
+    or arrays of one shape and returns a label per element (a str for
+    scalars). Requires both vessels moving and converging, otherwise
+    the label is "none". Overtaking is checked before head-on and
+    crossing, head-on needs nearly reciprocal courses with the obstacle
+    in the forward sector, and crossings split by which side the
+    obstacle bears on.
     """
-    (obs_n, obs_e), obs_sog, obs_course = obstacle
-    own = ownship
-    if own.vel.sog <= SPEED_FLOOR or obs_sog <= SPEED_FLOOR:
-        return "none"
-    dn = obs_n - own.pose.north
-    de = obs_e - own.pose.east
-    dist = math.hypot(dn, de)
-    if dist < 1e-6:
-        return "none"
-    rel_vn = obs_sog * math.cos(obs_course) - own.vel.sog * math.cos(own.pose.course)
-    rel_ve = obs_sog * math.sin(obs_course) - own.vel.sog * math.sin(own.pose.course)
-    range_rate = (dn * rel_vn + de * rel_ve) / dist
-    if range_rate >= 0.0:
-        return "none"
-    bearing_of_obstacle = wrap_angle(math.atan2(de, dn) - own.pose.course)
-    bearing_of_ownship = wrap_angle(math.atan2(-de, -dn) - obs_course)
-    if abs(bearing_of_ownship) > ABAFT_BEAM and own.vel.sog > obs_sog:
-        return "overtaking"
-    if abs(bearing_of_obstacle) > ABAFT_BEAM and obs_sog > own.vel.sog:
-        return "overtaken"
-    course_diff = abs(wrap_angle(obs_course - own.pose.course))
-    if (
-        abs(course_diff - math.pi) <= HEAD_ON_COURSE_MARGIN
-        and abs(bearing_of_obstacle) <= HEAD_ON_BEARING_LIMIT
-    ):
-        return "head_on"
-    if bearing_of_obstacle > 0.0:
-        return "crossing_give_way"
-    return "crossing_stand_on"
+    dn = obs_north - own_north
+    de = obs_east - own_east
+    rel_vn = obs_sog * np.cos(obs_course) - own_sog * np.cos(own_course)
+    rel_ve = obs_sog * np.sin(obs_course) - own_sog * np.sin(own_course)
+    unlabelled = (
+        (own_sog <= SPEED_FLOOR)
+        | (obs_sog <= SPEED_FLOOR)
+        | (np.hypot(dn, de) < 1e-6)
+        | (dn * rel_vn + de * rel_ve >= 0.0)  # not converging
+    )
+    bearing_of_obstacle = wrap_angle(np.arctan2(de, dn) - own_course)
+    bearing_of_ownship = wrap_angle(np.arctan2(-de, -dn) - obs_course)
+    course_diff = np.abs(wrap_angle(obs_course - own_course))
+    labels = np.select(
+        [
+            unlabelled,
+            (np.abs(bearing_of_ownship) > ABAFT_BEAM) & (own_sog > obs_sog),
+            (np.abs(bearing_of_obstacle) > ABAFT_BEAM) & (obs_sog > own_sog),
+            (np.abs(course_diff - math.pi) <= HEAD_ON_COURSE_MARGIN)
+            & (np.abs(bearing_of_obstacle) <= HEAD_ON_BEARING_LIMIT),
+            bearing_of_obstacle > 0.0,
+        ],
+        ["none", "overtaking", "overtaken", "head_on", "crossing_give_way"],
+        "crossing_stand_on",
+    )
+    return labels if labels.ndim else str(labels)
 
 
 def _hold_trajectory(traj: VelocityTrajectory, until: float) -> VelocityTrajectory:
@@ -177,11 +178,11 @@ def plan_step(
 
     Grows the tree from the commanded reference's value at t, with the
     actuator input tau clipped to its limits and LOS guidance seeding
-    one sample per node. Scores the candidates against constant-velocity
-    predictions of the obstacle estimates, charging the transitional
-    cost against the commanded first maneuver. The winner is
-    table.selected; table is None when no maneuver is feasible (the
-    fail-safe hold).
+    one sample per node, for a whole tree level per call. Scores the
+    candidates against constant-velocity predictions of the obstacle
+    estimates, charging the transitional cost against the commanded
+    first maneuver. The winner is table.selected; table is None when no
+    maneuver is feasible (the fail-safe hold).
     """
     model = config.vessel
     dt = config.integration_dt
@@ -189,9 +190,9 @@ def plan_step(
     desired_vel0 = (float(commanded.sog[offset]), float(commanded.course[offset]))
     tau0 = np.clip(tau, model.tau_min, model.tau_max)
 
-    def hook(node_state, node_desired, step):
-        targets = los_targets(dtraj, node_state, node_state.time, config.los)
-        return desired_acceleration(targets, node_desired, step)
+    def hook(t_level, north, east, course, desired, step):
+        targets = los_targets(dtraj, north, east, course, t_level, config.los)
+        return desired_acceleration(targets, desired, step)
 
     candidates = generate_tree(
         config.tree, model, config.error_model, state, desired_vel0, tau0, hook, dt
@@ -393,20 +394,12 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
         safety_time = float(np.count_nonzero(d < d1) * log.dt)
         collision_time = float(np.count_nonzero(d < d0) * log.dt)
 
-        situation = "none"
-        for idx in range(len(log.t)):
-            own = VesselState(
-                pose=Pose(float(log.own_north[idx]), float(log.own_east[idx]), float(log.own_course[idx])),
-                vel=Velocity2(max(log.own_sog[idx], 0.0), log.own_rot[idx]),
-                time=float(log.t[idx]),
-            )
-            label = classify_situation(
-                own,
-                ((ser.true_north[idx], ser.true_east[idx]), ser.true_sog[idx], ser.true_course[idx]),
-            )
-            if label != "none":
-                situation = label
-                break
+        labels = classify_situation(
+            log.own_north, log.own_east, log.own_course, log.own_sog,
+            ser.true_north, ser.true_east, ser.true_sog, ser.true_course,
+        )
+        labelled = np.flatnonzero(labels != "none")
+        situation = str(labels[labelled[0]]) if len(labelled) else "none"
 
         cpa = int(np.argmin(d))
         side, ahead = _passing_geometry(log, ser, cpa)
@@ -464,11 +457,7 @@ def runlog_to_csv(log: RunLog) -> str:
         ):
             headers.append(f"obs_{obs_id}_{suffix}")
             columns.append(arr)
-    buf = io.StringIO()
-    buf.write(",".join(headers) + "\n")
-    for i in range(len(log.t)):
-        buf.write(",".join(_fmt(col[i]) for col in columns) + "\n")
-    return buf.getvalue()
+    return _csv(headers, columns)
 
 
 def planner_to_csv(log: RunLog) -> str:
@@ -477,22 +466,24 @@ def planner_to_csv(log: RunLog) -> str:
         "failsafe", "course_change_rad", "sog_change_mps",
     ]
     pl = log.planner
+    columns = [
+        pl.t, pl.candidate, pl.n_candidates, pl.align, pl.avoid, pl.tran, pl.total,
+        pl.failsafe, pl.course_change, pl.sog_change,
+    ]
+    return _csv(headers, columns)
+
+
+def _csv(headers: list[str], columns: list[np.ndarray]) -> str:
+    """Header line, then one line per row: integer and boolean columns
+    as integers, float columns with 12 significant digits."""
+    template = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in columns) + "\n"
     buf = io.StringIO()
     buf.write(",".join(headers) + "\n")
-    for i in range(len(pl.t)):
-        row = [
-            _fmt(pl.t[i]), str(int(pl.candidate[i])), str(int(pl.n_candidates[i])),
-            _fmt(pl.align[i]), _fmt(pl.avoid[i]), _fmt(pl.tran[i]), _fmt(pl.total[i]),
-            str(int(pl.failsafe[i])), _fmt(pl.course_change[i]), _fmt(pl.sog_change[i]),
-        ]
-        buf.write(",".join(row) + "\n")
+    # row by row: turning every cell into a Python float at once
+    # (tolist) or np.savetxt raised the peak memory of long runs
+    for row in np.column_stack(columns):
+        buf.write(template % tuple(row))
     return buf.getvalue()
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".12g")
 
 
 def metrics_to_dict(metrics: Metrics) -> dict:

@@ -8,9 +8,10 @@ terminal desired values (so the commanded reference stays continuous),
 while prediction feedback re-seeds from the parent edge's terminal
 predicted state.
 
-Expansion is vectorized per node: with the acceleration profiles fixed
+Expansion is vectorized per level: with the acceleration profiles fixed
 per level, every channel is an affine function of the sampled
-acceleration, so sample grids broadcast straight onto the level grid.
+acceleration, so all of a level's (node, sample) edges broadcast
+straight onto the level grid at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
 from .primitives import (
     ErrorModel,
     StepParams,
@@ -29,14 +30,11 @@ from .primitives import (
     sog_profile_unit,
     terminal_sog_feasible,
 )
-from .vessel import VesselModel, inverse_model
+from .vessel import VesselModel
 
-# desired reference, then the feedback-corrected prediction; all but
-# pred_sog reach the CandidateSet under these names
-_CHANNELS = (
-    "sog", "rot", "course", "sog_acc", "rot_acc",
-    "pred_sog", "pred_course", "pred_north", "pred_east",
-)
+# the CandidateSet channels: desired reference, then the
+# feedback-corrected prediction
+_CHANNELS = ("sog", "rot", "course", "sog_acc", "rot_acc", "pred_north", "pred_east", "pred_course")
 
 
 @dataclass(frozen=True)
@@ -126,43 +124,6 @@ class CandidateSet:
         )
 
 
-class _Level:
-    """Stacked edge data for one tree level."""
-
-    def __init__(self, grid: TimeGrid):
-        self.grid = grid
-        self.parent: np.ndarray = np.empty(0, dtype=int)
-        self.samples: np.ndarray = np.empty((0, 2), dtype=int)
-        self.channels: dict[str, np.ndarray] = {}
-        self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _CHANNELS}
-        self._parent_parts: list[np.ndarray] = []
-        self._sample_parts: list[np.ndarray] = []
-
-    def add_node_block(self, parent_idx, i_sog, i_rot, blocks):
-        n = len(i_sog)
-        self._parent_parts.append(np.full(n, parent_idx, dtype=int))
-        self._sample_parts.append(np.stack([i_sog, i_rot], axis=1))
-        for name in _CHANNELS:
-            self._parts[name].append(blocks[name])
-
-    def seal(self) -> bool:
-        if not self._parent_parts:
-            return False
-        self.parent = np.concatenate(self._parent_parts)
-        self.samples = np.concatenate(self._sample_parts, axis=0)
-        for name in _CHANNELS:
-            self.channels[name] = np.concatenate(self._parts[name], axis=0)
-        self._parts = self._parent_parts = self._sample_parts = None
-        return True
-
-    @property
-    def count(self) -> int:
-        return len(self.parent)
-
-    def terminal(self, name: str) -> np.ndarray:
-        return self.channels[name][:, -1]
-
-
 def generate_tree(
     params: TreeParams,
     model: VesselModel,
@@ -173,25 +134,34 @@ def generate_tree(
     guidance_hook,
     dt: float,
 ) -> CandidateSet:
-    """Breadth-first expansion to the configured depth.
+    """Breadth-first expansion to the configured depth, one level at a time.
 
-    guidance_hook(node_state, node_desired, step) -> (sog_acc, rot_acc)
-    or None supplies the desired-acceleration substitution per node.
-    Channels with a single sample are forced to zero acceleration so
-    constant speed/course stays representable. tau0 must lie within the
-    actuator limits. Returns the candidates in deterministic sample
-    order, with no leaves if no level-0 maneuver is feasible.
+    guidance_hook(t, north, east, course, desired, step) -> (sog_acc,
+    rot_acc), or None, supplies the desired-acceleration substitution
+    for all nodes of a level at once: t is the level's start time,
+    north/east/course the nodes' predicted poses and desired their
+    (sog, course) reference values, all (n_nodes,) arrays. tau0 must
+    lie within the actuator limits. Returns the candidates in
+    deterministic order (node, then SOG sample, then ROT sample), with
+    no leaves if some level has no feasible maneuver.
     """
-    levels: list[_Level] = []
     t_level = state.time
+    full_grid = TimeGrid.from_span(state.time, params.horizon, dt)
+    n_first = TimeGrid.from_span(state.time, params.step_times[0], dt).n
+    # each edge's path from the root so far: channel rows, levels sharing
+    # their boundary sample (the later level's value wins), and samples;
+    # the root's one-sample rows vanish under the first level
+    rows = {name: np.zeros((1, 1)) for name in _CHANNELS}
+    sample_path = np.zeros((1, 0, 2), dtype=int)
 
-    # per-node scalars of the previous level (the root to begin with)
-    node_u_d = np.array([float(desired_vel0[0])])
-    node_chi_d = np.array([float(desired_vel0[1])])
-    node_u_bar = np.array([float(state.vel.sog)])
-    node_chi_bar = np.array([float(state.pose.course)])
-    node_north = np.array([float(state.pose.north)])
-    node_east = np.array([float(state.pose.east)])
+    # the nodes of the previous level (the root to begin with): desired
+    # sog/course and predicted sog/course/north/east
+    u_d = np.array([float(desired_vel0[0])])
+    chi_d = np.array([float(desired_vel0[1])])
+    u_bar = np.array([float(state.vel.sog)])
+    chi_bar = np.array([float(state.pose.course)])
+    north = np.array([float(state.pose.north)])
+    east = np.array([float(state.pose.east)])
 
     for level_idx in range(params.levels):
         step = params.step_params(level_idx)
@@ -205,117 +175,58 @@ def generate_tree(
         decay_s = np.exp(-t_rel / error_model.tc_sog)
         decay_c = np.exp(-t_rel / error_model.tc_course)
 
-        level = _Level(grid)
-        for node in range(len(node_u_d)):
-            if level_idx == 0:
-                node_vel = Velocity2(max(node_u_bar[node], 0.0), float(state.vel.rot))
-                node_tau = tau0
-            else:
-                node_vel = Velocity2(max(node_u_bar[node], 0.0), 0.0)
-                node_tau = np.clip(
-                    inverse_model(model, node_vel), model.tau_min, model.tau_max
-                )
-            box = possible_accelerations(model, node_vel, node_tau, step.t_ramp)
-
-            desired_acc = None
-            if guidance_hook is not None:
-                node_state = VesselState(
-                    pose=Pose(node_north[node], node_east[node], wrap_angle(node_chi_bar[node])),
-                    vel=node_vel,
-                    time=t_level,
-                )
-                desired_acc = guidance_hook(
-                    node_state, (node_u_d[node], node_chi_d[node]), step
-                )
-            if desired_acc is not None:
-                du, dr = desired_acc
-                if step.n_sog == 1:
-                    du = 0.0
-                if step.n_course == 1:
-                    dr = 0.0
-                desired_acc = (du, dr)
-            sog_samples, rot_samples = sample_accelerations(
-                box, step.n_sog, step.n_course, desired_acc
+        # below the root nodes sit at the end of a maneuver: zero ROT,
+        # steady-state actuator input
+        node_sog = np.maximum(u_bar, 0.0)
+        if level_idx == 0:
+            node_rot, node_tau = float(state.vel.rot), tau0
+        else:
+            node_rot = 0.0
+            node_tau = np.clip(
+                np.stack(model.damping(node_sog, 0.0), axis=-1), model.tau_min, model.tau_max
             )
+        desired_acc = None
+        if guidance_hook is not None:
+            desired_acc = guidance_hook(t_level, north, east, chi_bar, (u_d, chi_d), step)
+        sog_samples, rot_samples = sample_accelerations(
+            possible_accelerations(model, node_sog, node_rot, node_tau, step.t_ramp),
+            step.n_sog, step.n_course, desired_acc,
+        )
+        feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * cum_s[-1])
+        node, i_sog, i_rot = np.nonzero(
+            np.broadcast_to(feasible[:, :, None], feasible.shape + (step.n_course,))
+        )
+        if len(node) == 0:  # no feasible maneuver: no leaves
+            rows = {name: np.empty((0, full_grid.n)) for name in _CHANNELS}
+            sample_path = np.empty((0, params.levels, 2), dtype=int)
+            break
 
-            feas = np.flatnonzero(
-                terminal_sog_feasible(model, node_u_d[node] + sog_samples * cum_s[-1])
-            )
-            if len(feas) == 0:
-                continue
-            a_u = sog_samples[feas][:, None]
-            a_r = rot_samples[:, None]
-            n_s, n_r = len(feas), len(rot_samples)
-
-            sog = node_u_d[node] + a_u * cum_s
-            sog_bar = (node_u_bar[node] - node_u_d[node]) * decay_s + sog
-            course = node_chi_d[node] + a_r * cum2_c
-            err_c = wrap_angle(node_chi_bar[node] - node_chi_d[node])
-            course_bar = err_c * decay_c + course
-            vel_n = sog_bar[:, None, :] * np.cos(course_bar)[None, :, :]
-            vel_e = sog_bar[:, None, :] * np.sin(course_bar)[None, :, :]
-            north = node_north[node] + cumtrapz(vel_n, dt)
-            east = node_east[node] + cumtrapz(vel_e, dt)
-
-            n_t = grid.n
-            rep = lambda arr: np.repeat(arr, n_r, axis=0)  # (n_s, t) -> (n_s*n_r, t)
-            tile = lambda arr: np.tile(arr, (n_s, 1))  # (n_r, t) -> (n_s*n_r, t)
-            level.add_node_block(
-                parent_idx=node,
-                i_sog=np.repeat(feas, n_r),
-                i_rot=np.tile(np.arange(n_r), n_s),
-                blocks={
-                    "sog": rep(sog),
-                    "sog_acc": rep(a_u * unit_s),
-                    "pred_sog": rep(sog_bar),
-                    "rot": tile(a_r * cum_c),
-                    "rot_acc": tile(a_r * unit_c),
-                    "course": tile(course),
-                    "pred_course": tile(course_bar),
-                    "pred_north": north.reshape(n_s * n_r, n_t),
-                    "pred_east": east.reshape(n_s * n_r, n_t),
-                },
-            )
-
-        if not level.seal():
-            return _assemble_candidates(params, [], state.time, dt)
-        levels.append(level)
-        node_u_d = level.terminal("sog")
-        node_chi_d = level.terminal("course")
-        node_u_bar = level.terminal("pred_sog")
-        node_chi_bar = level.terminal("pred_course")
-        node_north = level.terminal("pred_north")
-        node_east = level.terminal("pred_east")
+        a_u = sog_samples[node, i_sog][:, None]
+        a_r = rot_samples[node, i_rot][:, None]
+        sog = u_d[node, None] + a_u * cum_s
+        sog_bar = (u_bar - u_d)[node, None] * decay_s + sog
+        course = chi_d[node, None] + a_r * cum2_c
+        course_bar = wrap_angle(chi_bar - chi_d)[node, None] * decay_c + course
+        channels = {
+            "sog": sog,
+            "rot": a_r * cum_c,
+            "course": course,
+            "sog_acc": a_u * unit_s,
+            "rot_acc": a_r * unit_c,
+            "pred_north": north[node, None] + cumtrapz(sog_bar * np.cos(course_bar), dt),
+            "pred_east": east[node, None] + cumtrapz(sog_bar * np.sin(course_bar), dt),
+            "pred_course": course_bar,
+        }
+        rows = {
+            name: np.concatenate([rows[name][node, :-1], channel], axis=1)
+            for name, channel in channels.items()
+        }
+        sample_path = np.concatenate(
+            [sample_path[node], np.stack([i_sog, i_rot], axis=1)[:, None]], axis=1
+        )
+        u_d, chi_d = sog[:, -1], course[:, -1]
+        u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
+        north, east = channels["pred_north"][:, -1], channels["pred_east"][:, -1]
         t_level += step.t_total
 
-    return _assemble_candidates(params, levels, state.time, dt)
-
-
-def _assemble_candidates(
-    params: TreeParams, levels: list[_Level], t0: float, dt: float
-) -> CandidateSet:
-    """Join each leaf's edges into full-horizon rows; no levels, no leaves."""
-    full_grid = TimeGrid.from_span(t0, params.horizon, dt)
-    n_leaves = levels[-1].count if levels else 0
-
-    # edge index of each leaf's path at every level, leaves in level order
-    path_idx = [np.arange(n_leaves)]
-    for level in reversed(levels[1:]):
-        path_idx.append(level.parent[path_idx[-1]])
-    path_idx.reverse()
-
-    full = {name: np.empty((n_leaves, full_grid.n)) for name in _CHANNELS if name != "pred_sog"}
-    sample_path = np.empty((n_leaves, params.levels, 2), dtype=int)
-    offset = 0
-    for k, (level, idx) in enumerate(zip(levels, path_idx)):
-        n_t = level.grid.n
-        for name, arr in full.items():
-            arr[:, offset : offset + n_t] = level.channels[name][idx]
-        sample_path[:, k] = level.samples[idx]
-        offset += n_t - 1  # levels share their boundary sample
-    return CandidateSet(
-        grid=full_grid,
-        n_first=TimeGrid.from_span(t0, params.step_times[0], dt).n,
-        sample_path=sample_path,
-        **full,
-    )
+    return CandidateSet(full_grid, n_first, sample_path=sample_path, **rows)

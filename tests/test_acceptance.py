@@ -11,7 +11,7 @@ import pytest
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios
-from colavmpc.core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
+from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, desired_acceleration
 from colavmpc.objective import (
     ObjectiveWeights,
@@ -483,11 +483,11 @@ def test_c08_noise_robustness():
 
 
 def test_c09_colregs_classification_fixture():
-    own = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.0), 0.0)
+    own = (0.0, 0.0, 0.0, 5.0)  # north, east, course, sog
 
     def obstacle(bearing_deg, course, sog, dist=500.0):
         b = math.radians(bearing_deg)
-        return ((dist * math.cos(b), dist * math.sin(b)), sog, course)
+        return dist * math.cos(b), dist * math.sin(b), sog, course
 
     fixture = [
         (obstacle(0.0, math.pi, 2.5), "head_on"),
@@ -508,9 +508,9 @@ def test_c09_colregs_classification_fixture():
         (obstacle(30.0, math.radians(55.0), 1.0), "overtaking"),
     ]
     wrong = [
-        (obs, expected, classify_situation(own, obs))
+        (obs, expected, classify_situation(*own, *obs))
         for obs, expected in fixture
-        if classify_situation(own, obs) != expected
+        if classify_situation(*own, *obs) != expected
     ]
     _report(9, not wrong, "16-case COLREGs classification fixture", f"{16 - len(wrong)}/16")
     assert not wrong, wrong

@@ -1,19 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, cumtrapz, wrap_angle
+from colavmpc.core import TimeGrid, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
 
 PARAMS = LosParams(lookahead=500.0, along_track_gain=0.005, epsilon=0.05, u_max_los=18.0)
 STEP = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
-
-
-def _state(north, east, course, sog=5.0, time=0.0):
-    return VesselState(Pose(north, east, course), Velocity2(sog, 0.0), time)
 
 
 def test_line_trajectory_geometry():
@@ -44,7 +41,7 @@ def test_waypoint_degenerate_segments_filtered():
 
 def test_on_path_equilibrium():
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, chi_d = los_targets(line, _state(50.0, 0.0, 0.0, time=10.0), 10.0, PARAMS)
+    u_d, chi_d = los_targets(line, 50.0, 0.0, 0.0, 10.0, PARAMS)
     assert chi_d == pytest.approx(0.0, abs=1e-12)
     assert u_d == pytest.approx(5.0, abs=1e-12)
 
@@ -52,14 +49,13 @@ def test_on_path_equilibrium():
 def test_cross_track_equal_to_lookahead():
     # vessel a full lookahead to starboard: course target is path - pi/4
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    state = _state(0.0, PARAMS.lookahead, 0.0)
-    _, chi_d = los_targets(line, state, 0.0, PARAMS)
+    _, chi_d = los_targets(line, 0.0, PARAMS.lookahead, 0.0, 0.0, PARAMS)
     assert chi_d == pytest.approx(-math.pi / 4, abs=1e-12)
 
 
 def test_perpendicular_guard():
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, chi_d = los_targets(line, _state(0.0, 0.0, math.pi / 2), 0.0, PARAMS)
+    u_d, chi_d = los_targets(line, 0.0, 0.0, math.pi / 2, 0.0, PARAMS)
     assert math.isfinite(u_d) and math.isfinite(chi_d)
     assert 0.0 <= u_d <= PARAMS.u_max_los
     assert u_d == pytest.approx(min(5.0 / PARAMS.epsilon, PARAMS.u_max_los))
@@ -67,16 +63,31 @@ def test_perpendicular_guard():
 
 def test_ahead_of_schedule_slows_down():
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, _ = los_targets(line, _state(200.0, 0.0, 0.0), 0.0, PARAMS)  # 200 m ahead
+    u_d, _ = los_targets(line, 200.0, 0.0, 0.0, 0.0, PARAMS)  # 200 m ahead
     assert u_d == pytest.approx(5.0 - 0.005 * 200.0, abs=1e-12)
 
 
 def test_speed_target_saturated():
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, _ = los_targets(line, _state(-1e5, 0.0, 0.0), 0.0, PARAMS)
+    u_d, _ = los_targets(line, -1e5, 0.0, 0.0, 0.0, PARAMS)
     assert u_d == PARAMS.u_max_los
-    u_d, _ = los_targets(line, _state(1e5, 0.0, 0.0), 0.0, PARAMS)
+    u_d, _ = los_targets(line, 1e5, 0.0, 0.0, 0.0, PARAMS)
     assert u_d == 0.0
+
+
+def test_targets_elementwise_over_arrays():
+    # one call over node arrays equals one call per node
+    track = DesiredTrajectory.waypoints([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
+    north = np.array([10.0, 150.0, -30.0, 80.0])
+    east = np.array([-20.0, 60.0, 5.0, 600.0])
+    course = np.array([0.1, 2.0, -3.0, 1.5])
+    u_d, chi_d = los_targets(track, north, east, course, 30.0, PARAMS)
+    du, dr = desired_acceleration((u_d, chi_d), (np.full(4, 5.0), course), STEP)
+    assert u_d.shape == chi_d.shape == du.shape == dr.shape == (4,)
+    for i in range(4):
+        u_i, chi_i = los_targets(track, north[i], east[i], course[i], 30.0, PARAMS)
+        assert (u_d[i], chi_d[i]) == (u_i, chi_i)
+        assert (du[i], dr[i]) == desired_acceleration((u_i, chi_i), (5.0, course[i]), STEP)
 
 
 def test_desired_acceleration_examples():

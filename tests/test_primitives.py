@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, cumtrapz
 from colavmpc.primitives import (
-    AccelBox,
     ErrorModel,
     StepParams,
     course_profile_unit,
@@ -42,19 +41,19 @@ def test_sat_examples():
     # the actuator input reachable within one ramp is clamped to the limits
     # from above and below, and passes through unclamped inside them
     x0 = Velocity2(10.0, 0.0)
-    box = possible_accelerations(MODEL, x0, np.asarray(MODEL.tau_max), 1.0)
-    assert (box.sog_max, box.rot_max) == pytest.approx(_rates(x0, MODEL.tau_max), abs=1e-12)
-    box = possible_accelerations(MODEL, x0, np.asarray(MODEL.tau_min), 1.0)
-    assert (box.sog_min, box.rot_min) == pytest.approx(_rates(x0, MODEL.tau_min), abs=1e-12)
-    box = possible_accelerations(MODEL, x0, np.array([0.5, 0.0]), 0.5)
-    assert (box.sog_max, box.rot_max) == pytest.approx(_rates(x0, (0.75, 0.25)), abs=1e-12)
-    assert (box.sog_min, box.rot_min) == pytest.approx(_rates(x0, (0.25, -0.25)), abs=1e-12)
+    _, sog_max, _, rot_max = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)
+    assert (sog_max, rot_max) == pytest.approx(_rates(x0, MODEL.tau_max), abs=1e-12)
+    sog_min, _, rot_min, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_min, 1.0)
+    assert (sog_min, rot_min) == pytest.approx(_rates(x0, MODEL.tau_min), abs=1e-12)
+    sog_min, sog_max, rot_min, rot_max = possible_accelerations(MODEL, 10.0, 0.0, [0.5, 0.0], 0.5)
+    assert (sog_max, rot_max) == pytest.approx(_rates(x0, (0.75, 0.25)), abs=1e-12)
+    assert (sog_min, rot_min) == pytest.approx(_rates(x0, (0.25, -0.25)), abs=1e-12)
 
 
 def test_sat_shape_mismatch():
     # an actuator input that is not one value per actuator is rejected
     with pytest.raises(ValueError):
-        possible_accelerations(MODEL, Velocity2(5.0, 0.0), np.full(3, 0.5), 1.0)
+        possible_accelerations(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0)
 
 
 def test_step_params_invariants():
@@ -67,11 +66,11 @@ def test_step_params_invariants():
 
 
 def test_possible_accelerations_saturated_upper_edge():
-    # already at full throttle: the box's upper edge is the max-throttle rate
+    # already at full throttle: the upper edge is the max-throttle rate
     x0 = Velocity2(10.0, 0.0)
-    box = possible_accelerations(MODEL, x0, np.asarray(MODEL.tau_max), 1.0)
+    _, sog_max, _, _ = possible_accelerations(MODEL, x0.sog, x0.rot, MODEL.tau_max, 1.0)
     du_max, _ = MODEL.rates(x0.sog, x0.rot, MODEL.tau_max[0], MODEL.tau_max[1])
-    assert box.sog_max == pytest.approx(float(du_max), abs=1e-12)
+    assert sog_max == pytest.approx(float(du_max), abs=1e-12)
 
 
 def test_possible_accelerations_symmetric_iff_limits_symmetric():
@@ -79,48 +78,72 @@ def test_possible_accelerations_symmetric_iff_limits_symmetric():
     tau0 = np.array([0.5, 0.0])
     d1, d2 = MODEL.d_u1, MODEL.d_u2
     sog0 = (-d1 + math.sqrt(d1**2 + 4 * d2 * tau0[0])) / (2 * d2)
-    box = possible_accelerations(MODEL, Velocity2(sog0, 0.0), tau0, 0.5)
-    assert box.sog_max + box.sog_min == pytest.approx(0.0, abs=1e-12)
-    assert box.rot_max + box.rot_min == pytest.approx(0.0, abs=1e-12)
+    sog_min, sog_max, rot_min, rot_max = possible_accelerations(MODEL, sog0, 0.0, tau0, 0.5)
+    assert sog_max + sog_min == pytest.approx(0.0, abs=1e-12)
+    assert rot_max + rot_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_possible_accelerations_top_speed_pinned():
-    box = possible_accelerations(MODEL, Velocity2(18.0, 0.0), np.array([1.0, 0.0]), 1.0)
-    assert abs(box.sog_max) < 1e-6
+    _, sog_max, _, _ = possible_accelerations(MODEL, 18.0, 0.0, [1.0, 0.0], 1.0)
+    assert abs(sog_max) < 1e-6
+
+
+BOUNDS = (-1.0, 1.0, -1.0, 1.0)
 
 
 def test_sample_uniform_grid():
-    box = AccelBox(-1.0, 1.0, -1.0, 1.0)
-    sog, rot = sample_accelerations(box, 5, 5)
+    sog, rot = sample_accelerations(BOUNDS, 5, 5)
     np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
     np.testing.assert_allclose(rot, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
 
 
 def test_sample_desired_substitution():
-    box = AccelBox(-1.0, 1.0, -1.0, 1.0)
-    sog, _ = sample_accelerations(box, 5, 1, desired=(0.4, None))
+    sog, _ = sample_accelerations(BOUNDS, 5, 1, desired=(0.4, None))
     # 0.5 is nearer to 0.4 than 0 is, so it gets replaced
     np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.4, 1.0], atol=1e-15)
 
 
 def test_sample_desired_outside_box_ignored():
-    box = AccelBox(-1.0, 1.0, -1.0, 1.0)
-    sog, rot = sample_accelerations(box, 5, 3, desired=(2.0, -1.5))
+    sog, rot = sample_accelerations(BOUNDS, 5, 3, desired=(2.0, -1.5))
     np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
     np.testing.assert_allclose(rot, [-1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_sample_tie_breaks_low_index():
-    box = AccelBox(-1.0, 1.0, -1.0, 1.0)
-    sog, _ = sample_accelerations(box, 3, 1, desired=(0.5, None))
+    sog, _ = sample_accelerations(BOUNDS, 3, 1, desired=(0.5, None))
     # 0.5 is equidistant from samples 0.0 and 1.0; the lower index moves
     np.testing.assert_allclose(sog, [-1.0, 0.5, 1.0], atol=1e-15)
 
 
 def test_sample_single_prefers_zero():
-    sog, rot = sample_accelerations(AccelBox(-1.0, 1.0, 0.2, 0.6), 1, 1)
+    sog, rot = sample_accelerations((-1.0, 1.0, 0.2, 0.6), 1, 1)
     assert sog[0] == 0.0
     assert rot[0] == 0.2  # nearest endpoint when 0 unreachable
+
+
+def test_sample_single_ignores_desired():
+    # a single-sample channel stays the constant-hold sample
+    sog, rot = sample_accelerations(BOUNDS, 1, 1, desired=(0.4, -0.3))
+    assert sog.tolist() == [0.0]
+    assert rot.tolist() == [0.0]
+
+
+def test_sample_rows_match_per_node_calls():
+    # per-node ranges and desired values sample row by row, exactly as
+    # one call per node does
+    bounds = tuple(np.array(pair) for pair in ([-1.0, -0.2], [1.0, 0.6], [-0.1, -0.3], [0.1, 0.2]))
+    desired = (np.array([0.4, 0.7]), np.array([-0.05, 0.1]))
+    sog, rot = sample_accelerations(bounds, 5, 3, desired)
+    assert sog.shape == (2, 5) and rot.shape == (2, 3)
+    for node in range(2):
+        one = sample_accelerations(
+            tuple(b[node] for b in bounds), 5, 3, tuple(d[node] for d in desired)
+        )
+        np.testing.assert_array_equal(sog[node], one[0])
+        np.testing.assert_array_equal(rot[node], one[1])
+    assert sog[0, 3] == 0.4  # substituted
+    np.testing.assert_array_equal(sog[1], np.linspace(-0.2, 0.6, 5))  # 0.7 is out of range
+    assert rot[1, 2] == 0.1  # replaces the upper edge 0.2, the sample nearest to it
 
 
 def test_sog_primitive_mid_ramp_and_area():

@@ -22,12 +22,14 @@ GEOM = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100
 
 
 def _own(course=0.0, sog=5.0):
-    return VesselState(Pose(0.0, 0.0, course), Velocity2(sog, 0.0), 0.0)
+    """Ownship (north, east, course, sog) at the origin."""
+    return 0.0, 0.0, course, sog
 
 
 def _obstacle_at(bearing_deg, course, sog, dist=500.0):
+    """Obstacle (north, east, sog, course) at a bearing from the origin."""
     b = math.radians(bearing_deg)
-    return ((dist * math.cos(b), dist * math.sin(b)), sog, course)
+    return dist * math.cos(b), dist * math.sin(b), sog, course
 
 
 # 4 situations x 4 bearings, all converging, ownship north-bound at 5 m/s
@@ -57,19 +59,33 @@ FIXTURE = [
 
 @pytest.mark.parametrize("obstacle,expected", FIXTURE)
 def test_classification_fixture(obstacle, expected):
-    assert classify_situation(_own(), obstacle) == expected
+    assert classify_situation(*_own(), *obstacle) == expected
 
 
 def test_classification_requires_motion_and_convergence():
-    assert classify_situation(_own(), _obstacle_at(0.0, math.pi, 0.1)) == "none"
-    assert classify_situation(_own(sog=0.1), _obstacle_at(0.0, math.pi, 2.5)) == "none"
+    assert classify_situation(*_own(), *_obstacle_at(0.0, math.pi, 0.1)) == "none"
+    assert classify_situation(*_own(sog=0.1), *_obstacle_at(0.0, math.pi, 2.5)) == "none"
     # diverging: obstacle ahead sailing away faster
-    assert classify_situation(_own(), _obstacle_at(0.0, 0.0, 8.0)) == "none"
+    assert classify_situation(*_own(), *_obstacle_at(0.0, 0.0, 8.0)) == "none"
 
 
 def test_classification_overtaken():
     # faster vessel approaching from our abaft sector
-    assert classify_situation(_own(), _obstacle_at(170.0, 0.0, 9.0)) == "overtaken"
+    assert classify_situation(*_own(), *_obstacle_at(170.0, 0.0, 9.0)) == "overtaken"
+
+
+def test_classification_over_arrays():
+    # one call over stacked geometries labels each element as the scalar
+    # call does; coincident positions are unlabelled
+    obstacles = [obstacle for obstacle, _ in FIXTURE] + [(0.0, 0.0, 2.5, math.pi)]
+    expected = [label for _, label in FIXTURE] + ["none"]
+    n = len(obstacles)
+    obs_north, obs_east, obs_sog, obs_course = (np.array(col) for col in zip(*obstacles))
+    labels = classify_situation(
+        np.zeros(n), np.zeros(n), np.zeros(n), np.full(n, 5.0),
+        obs_north, obs_east, obs_sog, obs_course,
+    )
+    assert labels.tolist() == expected
 
 
 def _synthetic_log(east_offset=214.0, obstacle_course=0.0, n=481, dt=0.5):
@@ -139,6 +155,18 @@ def test_metrics_incursion_nesting_and_monotonicity():
     assert grown.margin_time >= base.margin_time
     assert grown.safety_time >= base.safety_time
     assert grown.collision_time >= base.collision_time
+
+
+def test_metrics_situation_is_first_label():
+    # unlabelled while the obstacle lies still, head-on once it heads
+    # south, crossing after it turns west: the first label wins
+    log = _synthetic_log(east_offset=0.0)
+    ser = log.obstacles["target"]
+    ser.true_north[:] = 600.0
+    ser.true_sog[100:] = 2.5
+    ser.true_course[100:] = math.pi
+    ser.true_course[200:] = -math.pi / 2
+    assert compute_metrics(log, GEOM).obstacles["target"].situation == "head_on"
 
 
 def test_metrics_no_incursions_when_far():

@@ -29,9 +29,9 @@ def _tau0(state):
 
 
 def _los_hook(dtraj, los):
-    def hook(node_state, node_desired, step):
-        targets = los_targets(dtraj, node_state, node_state.time, los)
-        return desired_acceleration(targets, node_desired, step)
+    def hook(t, north, east, course, desired, step):
+        targets = los_targets(dtraj, north, east, course, t, los)
+        return desired_acceleration(targets, desired, step)
 
     return hook
 
@@ -133,8 +133,8 @@ def test_level0_matches_single_step_primitives():
     state = _state(sog=5.0)
     tau0 = _tau0(state)
     cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), tau0, None, DT)
-    box = possible_accelerations(MODEL, state.vel, tau0, 1.0)
-    sog_s, rot_s = sample_accelerations(box, 5, 5)
+    bounds = possible_accelerations(MODEL, state.vel.sog, state.vel.rot, tau0, 1.0)
+    sog_s, rot_s = sample_accelerations(bounds, 5, 5)
     grid = TimeGrid.from_span(0.0, 5.0, DT)
     trajs = oracles.integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0), params.step_params(0), grid)
     assert len(cands) == len(trajs)
@@ -150,7 +150,7 @@ def test_guidance_seeded_candidate_hits_targets():
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.3, 5.5)
     los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
     state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
-    targets = los_targets(dtraj, state, 0.0, los)
+    targets = los_targets(dtraj, state.pose.north, state.pose.east, state.pose.course, 0.0, los)
     cands = generate_tree(
         TABLE_PARAMS, MODEL, EM, state, (5.0, 0.1), _tau0(state), _los_hook(dtraj, los), DT
     )
@@ -160,6 +160,58 @@ def test_guidance_seeded_candidate_hits_targets():
         np.abs(wrap_angle(end_course - targets[1])) < 1e-9
     )
     assert np.any(hit)
+
+
+def test_guidance_seeded_child_hits_targets_below_root():
+    # every level-1 node whose LOS course target, evaluated at the node's
+    # predicted state at the end of level 0, lies within its children's
+    # course range has a child whose level-1 maneuver ends exactly on it.
+    # The path turns between t = 0 and the level-1 start, and the vessel
+    # starts off its desired course, so the target depends on the level
+    # time and on the node's own desired course
+    dtraj = DesiredTrajectory.waypoints([[0.0, -40.0], [20.0, -40.0], [1000.0, 300.0]], 5.5)
+    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
+    state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
+    cands = generate_tree(
+        TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), _los_hook(dtraj, los), DT
+    )
+    node_end = cands.n_first - 1
+    child_end = node_end + int(round(TABLE_PARAMS.step_times[1] / DT))
+    nodes = {}
+    for leaf, path in enumerate(cands.sample_path.tolist()):
+        nodes.setdefault(tuple(path[0]), []).append(leaf)
+    assert len(nodes) == 25
+    reachable = 0
+    for leaves in nodes.values():
+        node = leaves[0]
+        _, chi_los = los_targets(
+            dtraj, cands.pred_north[node, node_end], cands.pred_east[node, node_end],
+            cands.pred_course[node, node_end], TABLE_PARAMS.step_times[0], los,
+        )
+        # course changes relative to the node's desired course
+        node_course = cands.course[node, node_end]
+        changes = cands.course[leaves, child_end] - node_course
+        target = wrap_angle(chi_los - node_course)
+        if changes.min() - 1e-9 <= target <= changes.max() + 1e-9:
+            reachable += 1
+            assert np.abs(changes - target).min() < 1e-9
+    assert reachable >= 10
+
+
+def test_guidance_hook_called_once_per_level():
+    dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
+    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
+    los_hook = _los_hook(dtraj, los)
+    calls = []
+
+    def hook(t, north, east, course, desired, step):
+        calls.append((t, len(north)))
+        return los_hook(t, north, east, course, desired, step)
+
+    state = _state()
+    cands = generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), _tau0(state), hook, DT)
+    assert len(cands) == 225
+    assert calls == [(0.0, 1), (5.0, 25), (25.0, 75)]
 
 
 def test_select_prefers_guidance_seeded_candidate_without_obstacles():
@@ -178,7 +230,7 @@ def test_select_prefers_guidance_seeded_candidate_without_obstacles():
     table = select(cands, dtraj, [], geom, weights, prev, 0.5)
     # on-path start: the winner is the hold-course candidate seeded by the
     # guidance hook, with zero align and zero transitional cost
-    targets = los_targets(dtraj, state, 0.0, los)
+    targets = los_targets(dtraj, state.pose.north, state.pose.east, state.pose.course, 0.0, los)
     best, end = table.selected, cands.n_first - 1
     assert abs(cands.sog[best, end] - targets[0]) < 1e-9
     assert abs(wrap_angle(cands.course[best, end] - targets[1])) < 1e-9
@@ -206,6 +258,12 @@ def test_empty_tree_when_all_level0_infeasible():
     )
     assert len(cands) == 0
     assert not cands
+
+
+def test_tree_rejects_tau0_outside_limits():
+    state = _state()
+    with pytest.raises(ValueError, match="outside actuator limits"):
+        generate_tree(TABLE_PARAMS, MODEL, EM, state, (5.0, 0.0), np.array([1.5, 0.0]), None, DT)
 
 
 def test_prediction_feedback_decays_initial_error():

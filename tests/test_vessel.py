@@ -53,9 +53,9 @@ def test_damping_decelerates():
 def test_dynamics_rejects_out_of_range_tau():
     # the planner refuses to expand from an actuator input outside the limits
     with pytest.raises(ValueError):
-        possible_accelerations(MODEL, Velocity2(5.0, 0.0), (0.0, 0.0), 1.0)
+        possible_accelerations(MODEL, 5.0, 0.0, (0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
-        possible_accelerations(MODEL, Velocity2(5.0, 0.0), (1.2, 0.0), 1.0)
+        possible_accelerations(MODEL, 5.0, 0.0, (1.2, 0.0), 1.0)
 
 
 def test_inverse_model_at_rest():
