@@ -60,6 +60,19 @@ class PenaltyGeometry:
         else:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
 
+    @property
+    def reach(self) -> float:
+        """Distance at and beyond which the penalty is exactly 0.
+
+        For the elliptical shape this is the longest semi-axis of the
+        margin region, widened by 1e-12 relative: near that axis's
+        bearing the computed boundary radius can round a few ulps past
+        it, where the penalty is still (barely) above 0.
+        """
+        if self.kind == "circular":
+            return self.radii[2]
+        return max(self.a[2], self.b[2] + self.d_colregs) * (1.0 + 1e-12)
+
     @staticmethod
     def circular(radii, gamma1: float) -> "PenaltyGeometry":
         return PenaltyGeometry(kind="circular", gamma1=gamma1, radii=tuple(radii))
@@ -113,9 +126,21 @@ class ObstaclePrediction:
         return np.interp(times, ts, self.north), np.interp(times, ts, self.east)
 
 
-def _ellipse_radius(a, b, beta):
+def _ellipse_radius(a, b, cos_b, sin_b):
     """Polar radius of an axis-aligned ellipse (major a along beta=0)."""
-    return a * b / np.sqrt((b * np.cos(beta)) ** 2 + (a * np.sin(beta)) ** 2)
+    return a * b / np.sqrt((b * cos_b) ** 2 + (a * sin_b) ** 2)
+
+
+def _sector_radius(geom: PenaltyGeometry, k: int, beta, cos_b, sin_b):
+    """Elliptical region k's boundary: one ellipse per point, with the
+    axes of its sector. The major axis is a fore (-pi/2 <= beta < pi/2)
+    and b aft; the minor axis is b + d_colregs to starboard (beta >= 0)
+    and b to port; aft-port the boundary is the circle of radius b."""
+    a, b = geom.a[k], geom.b[k]
+    fore = (beta >= -np.pi / 2) & (beta < np.pi / 2)
+    major = np.where(fore, a, b)
+    minor = np.where(beta >= 0.0, b + geom.d_colregs, b)
+    return np.where(beta < -np.pi / 2, b, _ellipse_radius(major, minor, cos_b, sin_b))
 
 
 def region_radius(geom: PenaltyGeometry, k: int, beta):
@@ -125,18 +150,8 @@ def region_radius(geom: PenaltyGeometry, k: int, beta):
     beta = np.asarray(beta, dtype=float)
     if geom.kind == "circular":
         out = np.full(beta.shape, geom.radii[k])
-        return float(out) if out.ndim == 0 else out
-    a, b = geom.a[k], geom.b[k]
-    c = b + geom.d_colregs
-    out = np.where(
-        beta < -np.pi / 2,
-        b,
-        np.where(
-            beta < 0.0,
-            _ellipse_radius(a, b, beta),
-            np.where(beta < np.pi / 2, _ellipse_radius(a, c, beta), _ellipse_radius(b, c, beta)),
-        ),
-    )
+    else:
+        out = _sector_radius(geom, k, beta, np.cos(beta), np.sin(beta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,7 +167,7 @@ def _outer_penalty(d, d0, d1, d2, gamma1):
     )
 
 
-def _inner_penalty(geom: PenaltyGeometry, d, beta, d0):
+def _inner_penalty(geom: PenaltyGeometry, d, beta, cos_b, sin_b, d0):
     """Extra cost inside the COLREGs collision region.
 
     The core boundary D0* is the plain fore ellipse / aft circle; the
@@ -160,9 +175,9 @@ def _inner_penalty(geom: PenaltyGeometry, d, beta, d0):
     boundary, measured along the body y-axis at fixed body x.
     """
     a0, b0 = geom.a[0], geom.b[0]
-    d0_star = np.where(np.abs(beta) < np.pi / 2, _ellipse_radius(a0, b0, beta), b0)
-    x_body = d * np.cos(beta)
-    y_body = d * np.sin(beta)
+    d0_star = np.where(np.abs(beta) < np.pi / 2, _ellipse_radius(a0, b0, cos_b, sin_b), b0)
+    x_body = d * cos_b
+    y_body = d * sin_b
     y_boundary = np.where(
         x_body >= 0.0,
         b0 * np.sqrt(np.clip(1.0 - (np.minimum(x_body, a0) / a0) ** 2, 0.0, None)),
@@ -174,7 +189,10 @@ def _inner_penalty(geom: PenaltyGeometry, d, beta, d0):
 
 
 def penalty(geom: PenaltyGeometry, d, beta):
-    """Penalty value at distance d and relative bearing beta; arrays ok."""
+    """Penalty value at distance d and relative bearing beta; arrays ok.
+
+    It is exactly 0 wherever d >= geom.reach.
+    """
     d = np.asarray(d, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if np.any(d < 0.0):
@@ -183,10 +201,11 @@ def penalty(geom: PenaltyGeometry, d, beta):
         d0, d1, d2 = geom.radii
         out = _outer_penalty(d, d0, d1, d2, geom.gamma1)
     else:
-        d0 = region_radius(geom, 0, beta)
-        d1 = region_radius(geom, 1, beta)
-        d2 = region_radius(geom, 2, beta)
-        out = _outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(geom, d, beta, d0)
+        cos_b, sin_b = np.cos(beta), np.sin(beta)
+        d0, d1, d2 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
+        out = _outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
+            geom, d, beta, cos_b, sin_b, d0
+        )
     return float(out) if out.ndim == 0 else out
 
 
@@ -255,12 +274,18 @@ def select(
     )
     align = _trapz(align_err, grid.dt)
 
+    # The penalty is evaluated only where d < reach and is exactly 0
+    # elsewhere; the full-grid integral keeps the dense summation order.
     avoid = np.zeros(len(candidates))
     for obs in obstacles:
         obs_n, obs_e = obs.at(times)
         d = np.hypot(cand_n - obs_n, cand_e - obs_e)
-        beta = relative_bearing(cand_n, cand_e, obs_n, obs_e, obs.course)
-        avoid += obs.weight * _trapz(penalty(geom, d, beta), grid.dt)
+        rows, cols = np.nonzero(d < geom.reach)
+        own_n, own_e = cand_n[rows, cols], cand_e[rows, cols]
+        beta = relative_bearing(own_n, own_e, obs_n[cols], obs_e[cols], obs.course)
+        values = np.zeros(d.shape)
+        values[rows, cols] = penalty(geom, d[rows, cols], beta)
+        avoid += obs.weight * _trapz(values, grid.dt)
 
     if previous_first is None:
         tran = np.zeros(len(candidates))

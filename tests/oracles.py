@@ -3,8 +3,11 @@
 The library grows and scores all candidates of a tree as stacked
 arrays. These scalar versions do the same job for one candidate at a
 time, with plain loops and one trajectory per call, and are what the
-tests compare the stacked results against.
+tests compare the stacked results against. `py_region`/`py_penalty`
+are the penalty geometry in plain `math` arithmetic, one point at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -89,3 +92,57 @@ def integrate_primitives(model, sog_accs, rot_accs, initial, p, grid: TimeGrid) 
                 )
             )
     return out
+
+
+def py_region(geom, k, b):
+    """Boundary distance of region k at relative bearing b; geom is a dict
+    with the PenaltyGeometry fields (kind, gamma1, radii or a, b, d_colregs)."""
+    if geom["kind"] == "circular":
+        return geom["radii"][k]
+    a_k = geom["a"][k]
+    b_k = geom["b"][k]
+    c_k = b_k + geom["d_colregs"]
+    def ell(a, bb):
+        return a * bb / math.sqrt((bb * math.cos(b)) ** 2 + (a * math.sin(b)) ** 2)
+    if b < -math.pi / 2:
+        return b_k
+    if b < 0.0:
+        return ell(a_k, b_k)
+    if b < math.pi / 2:
+        return ell(a_k, c_k)
+    return ell(b_k, c_k)
+
+
+def py_penalty(geom, d, b):
+    """Penalty at distance d and relative bearing b, outer ramp plus the
+    elliptical geometry's inner core term."""
+    g1 = geom["gamma1"]
+    d0, d1, d2 = (py_region(geom, k, b) for k in range(3))
+    if d < d0:
+        outer = 1.0
+    elif d < d1:
+        outer = 1.0 + (g1 - 1.0) / (d1 - d0) * (d - d0)
+    elif d < d2:
+        outer = g1 - g1 / (d2 - d1) * (d - d1)
+    else:
+        outer = 0.0
+    if geom["kind"] == "circular":
+        return outer
+    a0, b0 = geom["a"][0], geom["b"][0]
+    if abs(b) < math.pi / 2:
+        d0_star = a0 * b0 / math.sqrt((b0 * math.cos(b)) ** 2 + (a0 * math.sin(b)) ** 2)
+    else:
+        d0_star = b0
+    if d < d0_star:
+        inner = 1.0
+    elif d < d0:
+        x = d * math.cos(b)
+        y = d * math.sin(b)
+        if x >= 0.0:
+            y_bnd = b0 * math.sqrt(max(1.0 - (min(x, a0) / a0) ** 2, 0.0))
+        else:
+            y_bnd = math.sqrt(max(b0 * b0 - x * x, 0.0))
+        inner = min(max(1.0 - max(y - y_bnd, 0.0) / geom["d_colregs"], 0.0), 1.0)
+    else:
+        inner = 0.0
+    return outer + inner

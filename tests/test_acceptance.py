@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
@@ -234,56 +235,6 @@ def _py_trapz(ys, dt):
     return sum((ys[i] + ys[i + 1]) * dt / 2 for i in range(len(ys) - 1))
 
 
-def _py_region(geom, k, b):
-    if geom["kind"] == "circular":
-        return geom["radii"][k]
-    a_k = geom["a"][k]
-    b_k = geom["b"][k]
-    c_k = b_k + geom["d_colregs"]
-    def ell(a, bb):
-        return a * bb / math.sqrt((bb * math.cos(b)) ** 2 + (a * math.sin(b)) ** 2)
-    if b < -math.pi / 2:
-        return b_k
-    if b < 0.0:
-        return ell(a_k, b_k)
-    if b < math.pi / 2:
-        return ell(a_k, c_k)
-    return ell(b_k, c_k)
-
-
-def _py_penalty(geom, d, b):
-    g1 = geom["gamma1"]
-    d0, d1, d2 = (_py_region(geom, k, b) for k in range(3))
-    if d < d0:
-        outer = 1.0
-    elif d < d1:
-        outer = 1.0 + (g1 - 1.0) / (d1 - d0) * (d - d0)
-    elif d < d2:
-        outer = g1 - g1 / (d2 - d1) * (d - d1)
-    else:
-        outer = 0.0
-    if geom["kind"] == "circular":
-        return outer
-    a0, b0 = geom["a"][0], geom["b"][0]
-    if abs(b) < math.pi / 2:
-        d0_star = a0 * b0 / math.sqrt((b0 * math.cos(b)) ** 2 + (a0 * math.sin(b)) ** 2)
-    else:
-        d0_star = b0
-    if d < d0_star:
-        inner = 1.0
-    elif d < d0:
-        x = d * math.cos(b)
-        y = d * math.sin(b)
-        if x >= 0.0:
-            y_bnd = b0 * math.sqrt(max(1.0 - (min(x, a0) / a0) ** 2, 0.0))
-        else:
-            y_bnd = math.sqrt(max(b0 * b0 - x * x, 0.0))
-        inner = min(max(1.0 - max(y - y_bnd, 0.0) / geom["d_colregs"], 0.0), 1.0)
-    else:
-        inner = 0.0
-    return outer + inner
-
-
 def _py_select(inst):
     times = inst["times"]
     dt = times[1] - times[0]
@@ -307,7 +258,7 @@ def _py_select(inst):
                 bearing = _py_wrap(
                     math.atan2(cand["east"][i] - oe, cand["north"][i] - on) - obs["course"]
                 )
-                pen.append(_py_penalty(inst["geom"], dist, bearing))
+                pen.append(oracles.py_penalty(inst["geom"], dist, bearing))
             avoid += _py_trapz(pen, dt)
         ft = inst["first_times"]
         fdt = ft[1] - ft[0]

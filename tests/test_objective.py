@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from colavmpc.core import TimeGrid, VelocityTrajectory
+from colavmpc import objective
+from colavmpc.core import TimeGrid, VelocityTrajectory, wrap_angle
 from colavmpc.guidance import DesiredTrajectory
 from colavmpc.objective import (
     CostTable,
     ObjectiveWeights,
     ObstaclePrediction,
     PenaltyGeometry,
-    _inner_penalty,
     _outer_penalty,
     penalty,
     penalty_field,
@@ -121,6 +122,46 @@ def test_total_penalty_continuous_at_inner_core():
         lo = penalty(GEOM_ELL, d_star - 1e-9, beta)
         hi = penalty(GEOM_ELL, d_star + 1e-9, beta)
         assert abs(hi - lo) < 1e-8
+
+
+SECTOR_EDGES = np.array([-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
+
+
+def test_penalty_matches_python_oracle():
+    betas = np.concatenate([
+        np.linspace(-math.pi, math.pi, 181),
+        SECTOR_EDGES,
+        np.nextafter(SECTOR_EDGES, -np.inf),
+        np.nextafter(SECTOR_EDGES, np.inf),
+    ])
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        spec = dataclasses.asdict(geom)
+        for k in range(3):
+            expected = [oracles.py_region(spec, k, b) for b in betas]
+            np.testing.assert_allclose(region_radius(geom, k, betas), expected, rtol=1e-12, atol=0.0)
+        d, beta = [], []
+        for b in betas:
+            radii = [oracles.py_region(spec, k, b) for k in range(3)]
+            # inside the core, across its ramp, and straddling each region boundary
+            dists = [0.0, 0.25 * radii[0], 0.5 * radii[0], 0.95 * radii[0]]
+            dists += [r * f for r in radii for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+            d += dists
+            beta += [b] * len(dists)
+        expected = [oracles.py_penalty(spec, di, bi) for di, bi in zip(d, beta)]
+        np.testing.assert_allclose(penalty(geom, np.array(d), np.array(beta)), expected, rtol=0.0, atol=1e-12)
+
+
+def test_reach_bounds_the_penalty():
+    assert GEOM_CIRC.reach == 125.0
+    assert 250.0 < GEOM_ELL.reach < 250.0 * (1.0 + 1e-11)
+    betas = np.concatenate([np.linspace(-math.pi, math.pi, 36001), np.linspace(-1e-6, 1e-6, 2001)])
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        assert np.all(region_radius(geom, 2, betas) <= geom.reach)
+        assert np.all(penalty(geom, np.full(betas.shape, geom.reach), betas) == 0.0)
+    # why reach sits above the longest semi-axis: near bearing 0 the
+    # margin boundary rounds past 250 m, so the penalty at 250 m is not 0
+    assert region_radius(GEOM_ELL, 2, 2e-8) > 250.0
+    assert penalty(GEOM_ELL, 250.0, 2e-8) > 0.0
 
 
 # candidates on a 25 s horizon evaluated at the 0.5 s grid they live on,
@@ -295,6 +336,77 @@ def test_evaluate_costs_matches_scalar_terms():
         assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, [obs], GEOM_ELL)
     scores = oracles.tran_cost([_vel_const(5.0, c) for _, c in specs], prev)
     np.testing.assert_array_equal(table.tran, scores)
+
+
+def _track(north, east, course):
+    """Obstacle prediction on GRID through the given positions (scalars hold)."""
+    t = GRID.times()
+    return ObstaclePrediction(
+        grid=GRID, north=np.broadcast_to(north, t.shape), east=np.broadcast_to(east, t.shape),
+        course=course, sog=0.0,
+    )
+
+
+def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
+    t = GRID.times()
+    calls = []
+
+    def counting(geom, d, beta):
+        calls.append(np.array(d))
+        return penalty(geom, d, beta)
+
+    monkeypatch.setattr(objective, "penalty", counting)
+    far = _static_prediction(0.0, 10_000.0)
+    # static at the origin; candidate 0 runs north through d == reach at t = 10 s
+    straddling = _track(0.0, 0.0, 0.3)
+    # eastbound, 3 m off the straight candidate at t = 12 s
+    crossing = _track(60.0, 8.0 * (t - 12.0) + 3.0, math.pi / 2)
+    obstacles = [far, straddling, crossing]
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        through_reach = (geom.reach + 5.0 * (t - 10.0), 0.0, 0.0, 5.0, 0.0)
+        cands = _set(through_reach, _line(0.0), _line(30.0, 0.05), _line(-45.0, -0.1))
+        assert np.hypot(cands.pred_north[0, 20], cands.pred_east[0, 20]) == geom.reach
+
+        calls.clear()
+        table = _select(cands, obstacles, geom=geom)
+        assert len(calls) == len(obstacles)
+        assert calls[0].size == 0
+        assert all(np.all(d < geom.reach) for d in calls)
+        assert np.all(table.avoid > 0.0)
+        for i in range(len(cands)):
+            north, east = cands.pred_north[i], cands.pred_east[i]
+            assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, obstacles, geom)
+
+        calls.clear()
+        assert np.all(_select(cands, [far], geom=geom).avoid == 0.0)
+        assert len(calls) == 1
+
+
+def test_coincident_obstacle(monkeypatch):
+    # the obstacle passes through the straight candidate's point at t = 12 s
+    t = GRID.times()
+    course = 2.5
+    obs = _track(60.0 + 8.0 * (t - 12.0) * math.cos(course), 8.0 * (t - 12.0) * math.sin(course), course)
+    cands = _set(_line())
+    assert np.hypot(cands.pred_north[0, 24] - obs.north[24], cands.pred_east[0, 24] - obs.east[24]) == 0.0
+    beta = relative_bearing(cands.pred_north[0, 24], cands.pred_east[0, 24], obs.north[24], obs.east[24], course)
+    assert beta == wrap_angle(-course)
+
+    at_zero = []
+
+    def recording(geom, d, b):
+        out = penalty(geom, d, b)
+        at_zero.extend(out[d == 0.0])
+        return out
+
+    monkeypatch.setattr(objective, "penalty", recording)
+    for geom, core in ((GEOM_ELL, 2.0), (GEOM_CIRC, 1.0)):
+        at_zero.clear()
+        table = _select(cands, [obs], geom=geom)
+        assert np.all(np.isfinite(table.avoid))
+        assert table.avoid[0] == oracles.avoid_cost(GRID, cands.pred_north[0], cands.pred_east[0], [obs], geom)
+        assert at_zero == [core]
+        assert penalty(geom, 0.0, beta) == core
 
 
 def test_penalty_field_circular_symmetry():
