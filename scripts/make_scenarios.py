@@ -13,7 +13,7 @@ def main():
     out_dir.mkdir(exist_ok=True)
     for name in scenarios.SCENARIO_NAMES:
         data = scenarios.build_config_dict(name)
-        cfgm.from_dict(data)  # round-trip validation before writing
+        cfgm.from_dict(data)  # validate before writing
         path = out_dir / f"{name}.json"
         path.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {path}")

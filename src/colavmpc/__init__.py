@@ -11,7 +11,7 @@ from .core import (
 )
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
 from .primitives import ErrorModel, StepParams
-from .tree import CandidateSet, TreeParams, generate_tree, input_blocking_check
+from .tree import CandidateSet, TreeParams, generate_tree
 from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 from .objective import (
     ObjectiveWeights,
@@ -59,7 +59,6 @@ __all__ = [
     "default_model",
     "desired_acceleration",
     "generate_tree",
-    "input_blocking_check",
     "load_scenario",
     "los_targets",
     "observe",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,17 @@ def _load_config(args) -> cfg_mod.ScenarioConfig:
     return scenarios.load_scenario(
         args.scenario, noise_override=args.noise, seed_override=args.seed
     )
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _summary_text(config, log, metrics) -> str:
@@ -84,8 +96,7 @@ def cmd_solve(args) -> int:
         state.vel.sog, state.pose.course,
     )
     candidates, table = sim.plan_step(
-        config, config.desired.build(), 0.0, state, commanded,
-        inverse_model(config.vessel, state.vel), estimates,
+        config, 0.0, state, commanded, inverse_model(config.vessel, state.vel), estimates
     )
     if table is None:
         print("fail-safe: no feasible candidates, holding previous desired velocity")
@@ -139,8 +150,8 @@ def main(argv=None) -> int:
     p_raster = sub.add_parser("raster", help="rasterize the penalty field to CSV")
     _add_config_args(p_raster, out_required=True)
     p_raster.add_argument("--course", type=float, default=0.0, help="obstacle course [rad]")
-    p_raster.add_argument("--half-extent", type=float, default=400.0, help="half size [m]")
-    p_raster.add_argument("--cell", type=float, default=5.0, help="cell size [m]")
+    p_raster.add_argument("--half-extent", type=_positive_float, default=400.0, help="half size [m]")
+    p_raster.add_argument("--cell", type=_positive_float, default=5.0, help="cell size [m]")
     p_raster.set_defaults(func=cmd_raster)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -90,13 +90,12 @@ class ObjectiveWeights:
     w_avoid: float
     w_tran: float
     w_course: float
-    w_pos: float = 1.0
 
     def __post_init__(self):
         if min(self.w_align, self.w_avoid, self.w_tran) < 0.0:
             raise ValueError("term weights must be >= 0")
-        if self.w_course <= 0.0 or self.w_pos <= 0.0:
-            raise ValueError("w_course and w_pos must be > 0")
+        if self.w_course <= 0.0:
+            raise ValueError("w_course must be > 0")
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,6 @@ class ObstaclePrediction:
     north: np.ndarray
     east: np.ndarray
     course: float
-    sog: float
-    weight: float = 1.0
 
     def __post_init__(self):
         for name in ("north", "east"):
@@ -269,7 +266,7 @@ def select(
 
     ref_n, ref_e = dtraj.position(times)
     ref_chi = dtraj.course(times)
-    align_err = weights.w_pos * np.hypot(cand_n - ref_n, cand_e - ref_e) + (
+    align_err = np.hypot(cand_n - ref_n, cand_e - ref_e) + (
         weights.w_course * np.abs(wrap_angle(cand_chi - ref_chi))
     )
     align = _trapz(align_err, grid.dt)
@@ -285,7 +282,7 @@ def select(
         beta = relative_bearing(own_n, own_e, obs_n[cols], obs_e[cols], obs.course)
         values = np.zeros(d.shape)
         values[rows, cols] = penalty(geom, d[rows, cols], beta)
-        avoid += obs.weight * _trapz(values, grid.dt)
+        avoid += _trapz(values, grid.dt)
 
     if previous_first is None:
         tran = np.zeros(len(candidates))

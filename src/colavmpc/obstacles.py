@@ -123,9 +123,7 @@ def observe(
     )
 
 
-def predict_obstacle(
-    est: ObstacleEstimate, grid: TimeGrid, weight: float = 1.0
-) -> ObstaclePrediction:
+def predict_obstacle(est: ObstacleEstimate, grid: TimeGrid) -> ObstaclePrediction:
     """Constant-velocity extrapolation of an estimate onto a grid."""
     if grid.t0 < est.timestamp - 1e-9:
         raise ValueError("prediction grid starts before the estimate timestamp")
@@ -135,6 +133,4 @@ def predict_obstacle(
         north=est.north + est.sog * math.cos(est.course) * dt_rel,
         east=est.east + est.sog * math.sin(est.course) * dt_rel,
         course=est.course,
-        sog=est.sog,
-        weight=weight,
     )

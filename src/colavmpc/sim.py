@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .core import TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
-from .guidance import DesiredTrajectory, desired_acceleration, los_targets
+from .guidance import desired_acceleration, los_targets
 from .objective import CostTable, region_radius, relative_bearing, select
 from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
 from .tree import CandidateSet, generate_tree
@@ -167,14 +167,13 @@ def _hold_trajectory(traj: VelocityTrajectory, until: float) -> VelocityTrajecto
 
 def plan_step(
     config: ScenarioConfig,
-    dtraj: DesiredTrajectory,
     t: float,
     state: VesselState,
     commanded: VelocityTrajectory,
     tau,
     estimates: list[ObstacleEstimate],
 ) -> tuple[CandidateSet, CostTable | None]:
-    """One planner call at time t.
+    """One planner call at time t, against the config's desired trajectory.
 
     Grows the tree from the commanded reference's value at t, with the
     actuator input tau clipped to its limits and LOS guidance seeding
@@ -191,7 +190,7 @@ def plan_step(
     tau0 = np.clip(tau, model.tau_min, model.tau_max)
 
     def hook(t_level, north, east, course, desired, step):
-        targets = los_targets(dtraj, north, east, course, t_level, config.los)
+        targets = los_targets(config.desired, north, east, course, t_level, config.los)
         return desired_acceleration(targets, desired, step)
 
     candidates = generate_tree(
@@ -205,7 +204,7 @@ def plan_step(
     pred_grid = TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
     predictions = [predict_obstacle(est, pred_grid) for est in estimates]
     table = select(
-        candidates, dtraj, predictions, config.geometry, config.weights,
+        candidates, config.desired, predictions, config.geometry, config.weights,
         previous_first, config.eval_dt,
     )
     return candidates, table
@@ -215,7 +214,6 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     """Simulate the scenario; deterministic for a given config and seed."""
     model = config.vessel
     gains = config.make_gains()
-    dtraj = config.desired.build()
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
@@ -258,7 +256,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
 
         if step_idx % planner_every == 0 and step_idx < n_steps:
             candidates, table = plan_step(
-                config, dtraj, t, state, commanded, tau_applied,
+                config, t, state, commanded, tau_applied,
                 [estimates[script.id] for script in config.obstacles],
             )
             if table is None:

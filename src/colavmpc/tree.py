@@ -75,15 +75,6 @@ class TreeParams:
         )
 
 
-def input_blocking_check(params: TreeParams, sample_period: float) -> bool:
-    """True iff every level's step time is an integer multiple of the period."""
-    for t in params.step_times:
-        ratio = t / sample_period
-        if abs(ratio - round(ratio)) > 1e-9:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Every root-to-leaf path of one tree, one row per leaf.

@@ -182,13 +182,7 @@ def control_law(
     return np.clip(tau, model.tau_min, model.tau_max)
 
 
-def step_plant(
-    model: VesselModel,
-    state: VesselState,
-    tau,
-    dt: float,
-    disturbance=(0.0, 0.0),
-) -> VesselState:
+def step_plant(model: VesselModel, state: VesselState, tau, dt: float) -> VesselState:
     """Explicit Euler step of the velocity dynamics and kinematics.
 
     All derivatives are evaluated at the incoming state; sog is clamped
@@ -199,10 +193,8 @@ def step_plant(
         raise ValueError("dt must be > 0")
     tau = np.asarray(tau, dtype=float)
     du, dr = model.rates(state.vel.sog, state.vel.rot, tau[0], tau[1])
-    du = float(du) + float(disturbance[0])
-    dr = float(dr) + float(disturbance[1])
-    sog = max(state.vel.sog + dt * du, 0.0)
-    rot = state.vel.rot + dt * dr
+    sog = max(state.vel.sog + dt * float(du), 0.0)
+    rot = state.vel.rot + dt * float(dr)
     north = state.pose.north + dt * np.cos(state.pose.course) * state.vel.sog
     east = state.pose.east + dt * np.sin(state.pose.course) * state.vel.sog
     course = wrap_angle(state.pose.course + dt * state.vel.rot)

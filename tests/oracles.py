@@ -20,14 +20,14 @@ def _trapz(values, dt):
     return np.trapezoid(values, dx=dt, axis=-1)
 
 
-def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course, w_pos=1.0) -> float:
+def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course) -> float:
     """Time integral of weighted position and course error vs the reference."""
     times = grid.times()
     ref_n, ref_e = dtraj.position(times)
     ref_course = dtraj.course(times)
     err_pos = np.hypot(north - ref_n, east - ref_e)
     err_course = np.abs(wrap_angle(course - ref_course))
-    return float(_trapz(w_pos * err_pos + w_course * err_course, grid.dt))
+    return float(_trapz(err_pos + w_course * err_course, grid.dt))
 
 
 def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
@@ -38,7 +38,7 @@ def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
         obs_n, obs_e = obs.at(times)
         d = np.hypot(north - obs_n, east - obs_e)
         beta = relative_bearing(north, east, obs_n, obs_e, obs.course)
-        total += obs.weight * float(_trapz(penalty(geom, d, beta), grid.dt))
+        total += float(_trapz(penalty(geom, d, beta), grid.dt))
     return total
 
 

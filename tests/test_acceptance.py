@@ -199,7 +199,6 @@ def test_c05_tree_shape_and_solve_time():
     cfg = scenarios.build_scenario("head_on")
     state = cfg.ownship
     tau = inverse_model(cfg.vessel, state.vel)
-    dtraj = cfg.desired.build()
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, cfg.planner_period, cfg.integration_dt), 5.0, 0.0
     )
@@ -208,7 +207,7 @@ def test_c05_tree_shape_and_solve_time():
     estimates = [observe(s, cfg.noise, 0.0, rng) for s in cfg.obstacles]
 
     t_start = time.perf_counter()
-    cands, table = plan_step(cfg, dtraj, 0.0, state, commanded, tau, estimates)
+    cands, table = plan_step(cfg, 0.0, state, commanded, tau, estimates)
     elapsed = time.perf_counter() - t_start
 
     shapes_ok = (
@@ -324,7 +323,7 @@ def _random_instance(rng):
                 grid=grid,
                 north=n0 + sog * math.cos(course) * t,
                 east=e0 + sog * math.sin(course) * t,
-                course=course, sog=sog,
+                course=course,
             )
         )
     if rng.random() < 0.5:

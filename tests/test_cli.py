@@ -216,8 +216,13 @@ def _del_path(data, path):
         del target[path[-1]]
 
 
+def _key_path(path):
+    """The config key path of a leaf, as error messages spell it."""
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
-def test_validate_rejects_every_single_field_corruption(name, tmp_path):
+def test_validate_rejects_every_single_field_corruption(name, tmp_path, capsys):
     original = json.loads(scenarios.scenario_text(name))
     cfg_path = tmp_path / "corrupt.json"
     for path, value in list(_leaf_paths(original)):
@@ -226,12 +231,51 @@ def test_validate_rejects_every_single_field_corruption(name, tmp_path):
         _set_path(data, path, bogus)
         cfg_path.write_text(json.dumps(data))
         assert main(["validate", "--config", str(cfg_path)]) == 1, f"corrupted {path} accepted"
+        assert f"{_key_path(path)}: " in capsys.readouterr().err, f"corrupted {path} not named"
     # renaming any top-level or section key must be rejected too
     for key in list(original):
         data = json.loads(json.dumps(original))
         data[f"{key}_renamed"] = data.pop(key)
         cfg_path.write_text(json.dumps(data))
         assert main(["validate", "--config", str(cfg_path)]) == 1, f"renamed {key} accepted"
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
+def test_validate_names_each_missing_key_once(name, tmp_path, capsys):
+    original = json.loads(scenarios.scenario_text(name))
+    cfg_path = tmp_path / "missing.json"
+    # optional keys, and the key whose absence switches its section to
+    # explicit values
+    optional = {("guidance", "epsilon"), ("ownship", "rot")}
+    reported = {("noise", "preset"): "config.noise.pos_std"}
+    for path, _ in list(_leaf_paths(original)):
+        data = json.loads(json.dumps(original))
+        _del_path(data, path)
+        cfg_path.write_text(json.dumps(data))
+        code = main(["validate", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        if path in optional:
+            assert code == 0 and captured.out == f"OK: {name}\n", f"deleting {path} rejected"
+            continue
+        key = reported.get(path, _key_path(path))
+        assert code == 1, f"deleting {path} accepted"
+        assert captured.err == f"error: {key}: missing required key\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--cell", "0"), ("--cell", "nan"), ("--cell", "-5"), ("--cell", "inf"),
+     ("--half-extent", "-10"), ("--half-extent", "0"), ("--half-extent", "nan"),
+     ("--cell", "wide")],
+)
+def test_raster_rejects_bad_flags(flag, value, tmp_path, capsys):
+    cfg_path, _ = _small_config(tmp_path)
+    out = tmp_path / "raster"
+    with pytest.raises(SystemExit) as exc:
+        main(["raster", "--config", str(cfg_path), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(capsys):

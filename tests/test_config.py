@@ -1,22 +1,27 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.config import ConfigError
+from colavmpc.guidance import LosParams
 from colavmpc.obstacles import NOISE_PRESETS
+from colavmpc.vessel import default_gains
 
 
-def test_round_trip_all_shipped_scenarios():
+def test_packaged_scenario_files_match_builders():
+    # --scenario and the golden fixture read the packaged files; the bench
+    # and the scripts build the same dicts in code
     for name in scenarios.SCENARIO_NAMES:
-        cfg = scenarios.build_scenario(name)
-        again = cfgm.from_dict(cfgm.to_dict(cfg))
-        assert cfgm.to_dict(cfg) == cfgm.to_dict(again)
+        data = scenarios.build_config_dict(name)
+        assert json.loads(scenarios.scenario_text(name)) == data
+        assert cfgm.from_dict(data).name == name
 
 
-def test_round_trip_waypoints_and_custom_noise():
+def test_waypoints_and_custom_noise():
     data = scenarios.build_config_dict("head_on")
     data["desired"] = {
         "kind": "waypoints",
@@ -25,20 +30,25 @@ def test_round_trip_waypoints_and_custom_noise():
     }
     data["noise"] = {"pos_std": 5.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5, "seed": 3}
     cfg = cfgm.from_dict(data)
-    assert cfg.desired.kind == "waypoints"
+    # the desired track is the waypoint polyline, traversed at 4 m/s
+    assert cfg.desired.position(0.0) == (0.0, 0.0)
+    assert cfg.desired.course(0.0) == pytest.approx(math.atan2(50.0, 300.0))
+    assert cfg.desired.speed(0.0) == 4.0
+    end = math.hypot(300.0, 50.0) / 4.0
+    assert np.allclose(cfg.desired.position(end), (300.0, 50.0))
     assert cfg.noise.seed == 3
     assert cfg.noise_preset is None
-    again = cfgm.from_dict(cfgm.to_dict(cfg))
-    assert cfgm.to_dict(cfg) == cfgm.to_dict(again)
 
 
-def test_obstacle_events_round_trip():
+def test_obstacle_events_parsed():
     data = scenarios.build_config_dict("crossing_starboard")
     data["obstacles"][0]["events"] = [{"t": 60.0, "course": -2.3}, {"t": 90.0, "sog": 1.0}]
     cfg = cfgm.from_dict(data)
     assert cfg.obstacles[0].events[0].course == -2.3
     assert cfg.obstacles[0].events[1].sog == 1.0
-    assert cfgm.to_dict(cfg)["obstacles"][0]["events"] == data["obstacles"][0]["events"]
+    assert cfg.obstacles[0].events[0].sog is None
+    assert cfg.obstacles[0].events[1].course is None
+    assert [ev.t for ev in cfg.obstacles[0].events] == [60.0, 90.0]
 
 
 def test_noise_preset_lookup_and_override():
@@ -80,6 +90,98 @@ def test_invariant_violations_name_the_key(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         cfgm.from_dict(data)
     assert fragment in str(err.value)
+
+
+def _planner(step_times):
+    data = scenarios.build_config_dict("head_on")
+    levels = len(step_times)
+    data["planner"].update(step_times=list(step_times), n_sog=[1] * levels, n_course=[3] * levels)
+    return data
+
+
+def test_step_times_must_be_multiples_of_the_period():
+    assert cfgm.from_dict(_planner((5.0, 20.0, 30.0))).tree.step_times == (5.0, 20.0, 30.0)
+    assert cfgm.from_dict(_planner((5.0,))).tree.levels == 1
+    with pytest.raises(ConfigError, match="step_times") as err:
+        cfgm.from_dict(_planner((5.0, 12.0, 30.0)))
+    assert "period" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "eval_dt,fragment",
+    [
+        (0.0, "eval_dt must be > 0"),
+        (-0.5, "eval_dt must be > 0"),
+        (0.25, "planner.eval_dt: must be an integer multiple of integration_dt"),
+        (2.0, "planner.period: must be an integer multiple of eval_dt"),
+    ],
+)
+def test_eval_dt_rules(eval_dt, fragment):
+    data = scenarios.build_config_dict("head_on")
+    data["planner"]["eval_dt"] = eval_dt
+    with pytest.raises(ConfigError, match=fragment):
+        cfgm.from_dict(data)
+
+
+def _number_leaves(node, path=()):
+    """Key paths of every float in a config dict."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _number_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _number_leaves(value, path + (i,))
+    elif isinstance(node, float):
+        yield path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(bad):
+    # json.loads accepts NaN and Infinity; every number field refuses them
+    original = scenarios.build_config_dict("crossing_starboard")
+    paths = list(_number_leaves(original))
+    assert len(paths) > 30
+    for path in paths:
+        data = json.loads(json.dumps(original))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        with pytest.raises(ConfigError) as err:
+            cfgm.from_dict(data)
+        name = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert str(err.value) == f"{name}: expected a finite number"
+
+
+def test_library_errors_name_their_section_once():
+    data = scenarios.build_config_dict("head_on")
+    data["guidance"]["lookahead"] = -1.0
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "guidance: lookahead and along_track_gain must be > 0"
+    del data["guidance"]["lookahead"]
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "config.guidance.lookahead: missing required key"
+
+
+def test_default_gains_and_guidance_come_from_their_owners():
+    cfg = cfgm.from_dict(scenarios.build_config_dict("head_on"))
+    default = default_gains()
+    gains = cfg.make_gains()
+    np.testing.assert_array_equal(gains.kp, default.kp)
+    np.testing.assert_array_equal(gains.ki, default.ki)
+    assert gains.integral_limit == default.integral_limit
+    # each call is a fresh controller: running one leaves the next at zero
+    gains.integral[:] = 1.0
+    assert not cfg.make_gains().integral.any()
+    data = scenarios.build_config_dict("head_on")
+    del data["guidance"]["epsilon"]
+    data["gains"] = {"kp": [0.5, 2.0, 0.8], "ki": [0.04, 0.01]}
+    cfg = cfgm.from_dict(data)
+    assert cfg.los.epsilon == LosParams.epsilon
+    assert cfg.make_gains().integral_limit == default.integral_limit
+    np.testing.assert_array_equal(cfg.make_gains().kp, [[0.5, 0.0, 0.0], [0.0, 2.0, 0.8]])
 
 
 def test_duplicate_obstacle_ids_rejected():

@@ -206,7 +206,7 @@ def test_align_cost_zero_on_reference():
 
 
 def test_align_cost_lateral_offset():
-    # 10 m constant offset over 25 s at w_pos=1
+    # 10 m constant offset over 25 s
     assert _select(_set(_line(offset_e=10.0))).align[0] == pytest.approx(250.0, abs=1e-9)
 
 
@@ -224,7 +224,6 @@ def _static_prediction(north, east, course=0.0, t_end=25.0, dt=0.5):
         north=np.full(grid.n, north),
         east=np.full(grid.n, east),
         course=course,
-        sog=0.0,
     )
 
 
@@ -343,7 +342,7 @@ def _track(north, east, course):
     t = GRID.times()
     return ObstaclePrediction(
         grid=GRID, north=np.broadcast_to(north, t.shape), east=np.broadcast_to(east, t.shape),
-        course=course, sog=0.0,
+        course=course,
     )
 
 

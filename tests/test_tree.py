@@ -7,7 +7,7 @@ from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 import oracles
 from colavmpc.primitives import ErrorModel, possible_accelerations, sample_accelerations
-from colavmpc.tree import TreeParams, generate_tree, input_blocking_check
+from colavmpc.tree import TreeParams, generate_tree
 from colavmpc.vessel import default_model, inverse_model
 
 MODEL = default_model()
@@ -41,12 +41,6 @@ def test_tree_params_validation():
         TreeParams((5.0, 20.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
     with pytest.raises(ValueError):
         TreeParams((3.0,), (1,), (1,), 1.0, 5.0, 5.0)  # step below maneuver time
-
-
-def test_input_blocking_check():
-    assert input_blocking_check(TreeParams((5.0, 20.0, 30.0), (1, 1, 1), (1, 1, 1), 1.0, 5.0, 5.0), 5.0)
-    assert not input_blocking_check(TreeParams((5.0, 12.0, 30.0), (1, 1, 1), (1, 1, 1), 1.0, 5.0, 5.0), 5.0)
-    assert input_blocking_check(TreeParams((5.0,), (1, ), (1,), 1.0, 5.0, 5.0), 5.0)
 
 
 def test_table_configuration_shape():

@@ -162,9 +162,12 @@ def test_step_plant_halving_error_is_second_order():
 
 
 def test_step_plant_clamps_sog():
-    state = _state(sog=0.05)
-    nxt = step_plant(MODEL, state, (MODEL.tau_min[0], 0.0), 5.0, disturbance=(-10.0, 0.0))
-    assert nxt.vel.sog == 0.0
+    # at the throttle floor from 10 m/s, one 60 s Euler step overshoots below 0
+    state = _state(sog=10.0)
+    tau = (MODEL.tau_min[0], 0.0)
+    du, _ = MODEL.rates(state.vel.sog, state.vel.rot, *tau)
+    assert state.vel.sog + 60.0 * du < 0.0
+    assert step_plant(MODEL, state, tau, 60.0).vel.sog == 0.0
 
 
 def test_energy_like_boundedness():
