@@ -237,32 +237,18 @@ def select(
     geom: PenaltyGeometry,
     weights: ObjectiveWeights,
     previous_first: VelocityTrajectory | None,
-    eval_dt: float,
 ) -> CostTable:
     """Per-candidate cost breakdown and the index of the weighted minimum.
 
-    Every term integrates on the evaluation grid, which takes every
-    (eval_dt / dt)-th point of the candidates' integration grid. With no
+    Every term integrates on the candidates' evaluation grid. With no
     previous reference the transitional term is zero. Ties break toward
     the lowest index.
     """
     if not candidates:
         raise ValueError("empty candidate set")
-    src = candidates.grid
-    ratio = eval_dt / src.dt
-    stride = int(round(ratio))
-    if (
-        abs(ratio - stride) > 1e-9
-        or stride < 1
-        or (src.n - 1) % stride != 0
-        or (candidates.n_first - 1) % stride != 0
-    ):
-        raise ValueError("eval_dt must be an integer multiple of the trajectory dt")
-    grid = TimeGrid(src.t0, eval_dt, (src.n - 1) // stride + 1)
+    grid = candidates.grid
     times = grid.times()
-    cand_n = candidates.pred_north[:, ::stride]
-    cand_e = candidates.pred_east[:, ::stride]
-    cand_chi = candidates.pred_course[:, ::stride]
+    cand_n, cand_e, cand_chi = candidates.pred_north, candidates.pred_east, candidates.pred_course
 
     ref_n, ref_e = dtraj.position(times)
     ref_chi = dtraj.course(times)
@@ -287,7 +273,7 @@ def select(
     if previous_first is None:
         tran = np.zeros(len(candidates))
     else:
-        fgrid = TimeGrid(src.t0, eval_dt, (candidates.n_first - 1) // stride + 1)
+        fgrid = candidates.first_grid
         prev = previous_first
         if (
             abs(prev.grid.t0 - fgrid.t0) > 1e-9
@@ -295,9 +281,8 @@ def select(
             or abs(prev.grid.dt - fgrid.dt) > 1e-9
         ):
             prev = resample(previous_first, fgrid)
-        first = slice(0, candidates.n_first, stride)
-        dev_sog = _trapz(np.abs(candidates.sog[:, first] - prev.sog), fgrid.dt)
-        dev_chi = _trapz(np.abs(wrap_angle(candidates.course[:, first] - prev.course)), fgrid.dt)
+        dev_sog = _trapz(np.abs(candidates.first_sog - prev.sog), fgrid.dt)
+        dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev.course)), fgrid.dt)
         keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
         tran = np.where(keep, 0.0, 1.0)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran

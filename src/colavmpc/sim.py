@@ -194,7 +194,8 @@ def plan_step(
         return desired_acceleration(targets, desired, step)
 
     candidates = generate_tree(
-        config.tree, model, config.error_model, state, desired_vel0, tau0, hook, dt
+        config.tree, model, config.error_model, state, desired_vel0, tau0, hook, dt,
+        config.eval_dt,
     )
     if not candidates:
         return candidates, None
@@ -205,7 +206,7 @@ def plan_step(
     predictions = [predict_obstacle(est, pred_grid) for est in estimates]
     table = select(
         candidates, config.desired, predictions, config.geometry, config.weights,
-        previous_first, config.eval_dt,
+        previous_first,
     )
     return candidates, table
 
@@ -268,14 +269,14 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
             else:
                 k = selected_id = table.selected
                 commanded = candidates.trajectory(k)
-                end = candidates.n_first - 1
+                first_sog, first_course = candidates.first_sog[k], candidates.first_course[k]
                 planner_rows.append(
                     (
                         t, k, len(candidates),
                         float(table.align[k]), float(table.avoid[k]),
                         float(table.tran[k]), float(table.total[k]), False,
-                        float(abs(candidates.course[k, end] - candidates.course[k, 0])),
-                        float(candidates.sog[k, end] - candidates.sog[k, 0]),
+                        float(abs(first_course[-1] - first_course[0])),
+                        float(first_sog[-1] - first_sog[0]),
                     )
                 )
 

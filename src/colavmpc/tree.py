@@ -32,11 +32,6 @@ from .primitives import (
 )
 from .vessel import VesselModel
 
-# the CandidateSet channels: desired reference, then the
-# feedback-corrected prediction
-_CHANNELS = ("sog", "rot", "course", "sog_acc", "rot_acc", "pred_north", "pred_east", "pred_course")
-
-
 @dataclass(frozen=True)
 class TreeParams:
     """Per-level step times and sample counts; shared maneuver timing."""
@@ -75,44 +70,100 @@ class TreeParams:
         )
 
 
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """One tree level's unit maneuver profiles on its integration grid.
+
+    Every maneuver of a level is affine in its sampled accelerations
+    (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
+    rot = a_r * cum_c, sog_acc = a_u * unit_s, rot_acc = a_r * unit_c.
+    """
+
+    grid: TimeGrid
+    step: StepParams
+    unit_s: np.ndarray
+    unit_c: np.ndarray
+    cum_s: np.ndarray
+    cum_c: np.ndarray
+    cum2_c: np.ndarray
+
+    @staticmethod
+    def build(t0: float, step: StepParams, dt: float) -> "Level":
+        grid = TimeGrid.from_span(t0, step.t_total, dt)
+        t_rel = grid.times() - t0
+        unit_s = sog_profile_unit(t_rel, step)
+        unit_c = course_profile_unit(t_rel, step)
+        cum_c = cumtrapz(unit_c, dt)
+        return Level(grid, step, unit_s, unit_c, cumtrapz(unit_s, dt), cum_c, cumtrapz(cum_c, dt))
+
+    def reference(self, u_d, chi_d, a_u, a_r):
+        """Desired (sog, course) of the maneuvers started from (u_d, chi_d)."""
+        return u_d + a_u * self.cum_s, chi_d + a_r * self.cum2_c
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Every root-to-leaf path of one tree, one row per leaf.
 
-    The channel arrays are (n_leaves, grid.n) on the integration grid:
-    the desired reference (sog, rot, course, sog_acc, rot_acc) and the
-    feedback-corrected prediction (pred_north, pred_east, pred_course).
-    sample_path[leaf, level] is the (sog, rot) sample index the path
-    takes at that level. The first maneuver spans the first n_first grid
-    points. A tree with no feasible level-0 maneuver has no leaves and
-    is falsy.
+    grid is the evaluation grid. pred_north, pred_east and pred_course,
+    (n_leaves, grid.n), are the feedback-corrected prediction on it;
+    first_sog and first_course, (n_leaves, first_grid.n), the desired
+    reference over the first maneuver. sample_path[leaf, level] is the
+    (sog, rot) sample index the path takes at that level and
+    accelerations[leaf, level] the sampled (sog, rot) accelerations.
+    levels and desired0, the root's desired (sog, course), rebuild one
+    candidate's reference on the integration grid. A tree with no
+    feasible level-0 maneuver has no leaves and is falsy.
     """
 
     grid: TimeGrid
-    n_first: int
-    sog: np.ndarray
-    rot: np.ndarray
-    course: np.ndarray
-    sog_acc: np.ndarray
-    rot_acc: np.ndarray
     pred_north: np.ndarray
     pred_east: np.ndarray
     pred_course: np.ndarray
+    first_sog: np.ndarray
+    first_course: np.ndarray
     sample_path: np.ndarray
+    accelerations: np.ndarray
+    levels: tuple[Level, ...]
+    desired0: tuple[float, float]
 
     def __len__(self) -> int:
         return len(self.sample_path)
 
+    @property
+    def first_grid(self) -> TimeGrid:
+        """The evaluation grid over the first maneuver."""
+        return TimeGrid(self.grid.t0, self.grid.dt, self.first_sog.shape[1])
+
     def trajectory(self, leaf: int) -> VelocityTrajectory:
-        """The desired reference of one candidate over the whole horizon."""
-        return VelocityTrajectory(
-            grid=self.grid,
-            sog=self.sog[leaf],
-            rot=self.rot[leaf],
-            course=self.course[leaf],
-            sog_acc=self.sog_acc[leaf],
-            rot_acc=self.rot_acc[leaf],
-        )
+        """The desired reference of one candidate over the whole horizon,
+        on the integration grid."""
+        u_d, chi_d = self.desired0
+        parts = []
+        for level, (a_u, a_r) in zip(self.levels, self.accelerations[leaf]):
+            sog, course = level.reference(u_d, chi_d, a_u, a_r)
+            parts.append((sog, a_r * level.cum_c, course, a_u * level.unit_s, a_r * level.unit_c))
+            u_d, chi_d = sog[-1], course[-1]
+        # levels share their boundary sample; the later level's value wins
+        channels = [
+            np.concatenate([part[c][:-1] for part in parts[:-1]] + [parts[-1][c]]) for c in range(5)
+        ]
+        dt = self.levels[0].grid.dt
+        return VelocityTrajectory(TimeGrid(self.grid.t0, dt, len(channels[0])), *channels)
+
+
+def _gather(blocks: list[np.ndarray], ancestors: list[np.ndarray]) -> np.ndarray:
+    """Leaf rows from per-level blocks of edge rows: ancestors[k] is each
+    leaf's edge at level k. Levels share their boundary sample; the
+    later level's value wins."""
+    out = np.empty((len(ancestors[-1]), sum(b.shape[1] - 1 for b in blocks) + 1))
+    col = 0
+    for block, rows in zip(blocks, ancestors):
+        out[:, col : col + block.shape[1]] = block[rows]
+        col += block.shape[1] - 1
+    return out
 
 
 def generate_tree(
@@ -124,6 +175,7 @@ def generate_tree(
     tau0,
     guidance_hook,
     dt: float,
+    eval_dt: float,
 ) -> CandidateSet:
     """Breadth-first expansion to the configured depth, one level at a time.
 
@@ -132,37 +184,40 @@ def generate_tree(
     for all nodes of a level at once: t is the level's start time,
     north/east/course the nodes' predicted poses and desired their
     (sog, course) reference values, all (n_nodes,) arrays. tau0 must
-    lie within the actuator limits. Returns the candidates in
-    deterministic order (node, then SOG sample, then ROT sample), with
-    no leaves if some level has no feasible maneuver.
+    lie within the actuator limits. Channels integrate on the dt grid
+    and are kept on the eval_dt grid, which must take every k-th point
+    of every level. Returns the candidates in deterministic order
+    (node, then SOG sample, then ROT sample), with no leaves if some
+    level has no feasible maneuver.
     """
+    levels = []
     t_level = state.time
-    full_grid = TimeGrid.from_span(state.time, params.horizon, dt)
-    n_first = TimeGrid.from_span(state.time, params.step_times[0], dt).n
-    # each edge's path from the root so far: channel rows, levels sharing
-    # their boundary sample (the later level's value wins), and samples;
-    # the root's one-sample rows vanish under the first level
-    rows = {name: np.zeros((1, 1)) for name in _CHANNELS}
-    sample_path = np.zeros((1, 0, 2), dtype=int)
+    for level_idx in range(params.levels):
+        step = params.step_params(level_idx)
+        levels.append(Level.build(t_level, step, dt))
+        t_level += step.t_total
+    ratio = eval_dt / dt
+    stride = int(round(ratio))
+    if abs(ratio - stride) > 1e-9 or stride < 1 or any((lv.grid.n - 1) % stride for lv in levels):
+        raise ValueError("eval_dt must be an integer multiple of dt dividing every step time")
+    grid = TimeGrid(state.time, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
+    desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
 
     # the nodes of the previous level (the root to begin with): desired
     # sog/course and predicted sog/course/north/east
-    u_d = np.array([float(desired_vel0[0])])
-    chi_d = np.array([float(desired_vel0[1])])
+    u_d = np.array([desired0[0]])
+    chi_d = np.array([desired0[1]])
     u_bar = np.array([float(state.vel.sog)])
     chi_bar = np.array([float(state.pose.course)])
     north = np.array([float(state.pose.north)])
     east = np.array([float(state.pose.east)])
+    # per level, each edge's parent node and samples, and its prediction
+    # on the evaluation grid
+    parents, samples, accels, blocks = [], [], [], {"north": [], "east": [], "course": []}
 
-    for level_idx in range(params.levels):
-        step = params.step_params(level_idx)
-        grid = TimeGrid.from_span(t_level, step.t_total, dt)
-        t_rel = grid.times() - t_level
-        unit_s = sog_profile_unit(t_rel, step)
-        unit_c = course_profile_unit(t_rel, step)
-        cum_s = cumtrapz(unit_s, dt)
-        cum_c = cumtrapz(unit_c, dt)
-        cum2_c = cumtrapz(cum_c, dt)
+    for level_idx, level in enumerate(levels):
+        step = level.step
+        t_rel = level.grid.times() - level.grid.t0
         decay_s = np.exp(-t_rel / error_model.tc_sog)
         decay_c = np.exp(-t_rel / error_model.tc_course)
 
@@ -178,46 +233,56 @@ def generate_tree(
             )
         desired_acc = None
         if guidance_hook is not None:
-            desired_acc = guidance_hook(t_level, north, east, chi_bar, (u_d, chi_d), step)
+            desired_acc = guidance_hook(level.grid.t0, north, east, chi_bar, (u_d, chi_d), step)
         sog_samples, rot_samples = sample_accelerations(
             possible_accelerations(model, node_sog, node_rot, node_tau, step.t_ramp),
             step.n_sog, step.n_course, desired_acc,
         )
-        feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * cum_s[-1])
+        feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
         node, i_sog, i_rot = np.nonzero(
             np.broadcast_to(feasible[:, :, None], feasible.shape + (step.n_course,))
         )
         if len(node) == 0:  # no feasible maneuver: no leaves
-            rows = {name: np.empty((0, full_grid.n)) for name in _CHANNELS}
-            sample_path = np.empty((0, params.levels, 2), dtype=int)
-            break
+            n_first = (levels[0].grid.n - 1) // stride + 1
+            none = np.empty((0, grid.n))
+            return CandidateSet(
+                grid, none, none, none, np.empty((0, n_first)), np.empty((0, n_first)),
+                np.empty((0, params.levels, 2), dtype=int), np.empty((0, params.levels, 2)),
+                tuple(levels), desired0,
+            )
 
-        a_u = sog_samples[node, i_sog][:, None]
-        a_r = rot_samples[node, i_rot][:, None]
-        sog = u_d[node, None] + a_u * cum_s
+        a_u = sog_samples[node, i_sog]
+        a_r = rot_samples[node, i_rot]
+        sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
         sog_bar = (u_bar - u_d)[node, None] * decay_s + sog
-        course = chi_d[node, None] + a_r * cum2_c
         course_bar = wrap_angle(chi_bar - chi_d)[node, None] * decay_c + course
-        channels = {
-            "sog": sog,
-            "rot": a_r * cum_c,
-            "course": course,
-            "sog_acc": a_u * unit_s,
-            "rot_acc": a_r * unit_c,
-            "pred_north": north[node, None] + cumtrapz(sog_bar * np.cos(course_bar), dt),
-            "pred_east": east[node, None] + cumtrapz(sog_bar * np.sin(course_bar), dt),
-            "pred_course": course_bar,
-        }
-        rows = {
-            name: np.concatenate([rows[name][node, :-1], channel], axis=1)
-            for name, channel in channels.items()
-        }
-        sample_path = np.concatenate(
-            [sample_path[node], np.stack([i_sog, i_rot], axis=1)[:, None]], axis=1
-        )
+        pred_north = north[node, None] + cumtrapz(sog_bar * np.cos(course_bar), dt)
+        pred_east = east[node, None] + cumtrapz(sog_bar * np.sin(course_bar), dt)
+        if level_idx == 0:
+            first_sog = np.ascontiguousarray(sog[:, ::stride])
+            first_course = np.ascontiguousarray(course[:, ::stride])
+        parents.append(node)
+        samples.append(np.stack([i_sog, i_rot], axis=1))
+        accels.append(np.stack([a_u, a_r], axis=1))
+        for name, pred in (("north", pred_north), ("east", pred_east), ("course", course_bar)):
+            blocks[name].append(np.ascontiguousarray(pred[:, ::stride]))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
-        north, east = channels["pred_north"][:, -1], channels["pred_east"][:, -1]
-        t_level += step.t_total
+        north, east = pred_north[:, -1], pred_east[:, -1]
 
-    return CandidateSet(full_grid, n_first, sample_path=sample_path, **rows)
+    # each leaf's ancestor edge at every level, from the leaves up
+    ancestors = [np.arange(len(parents[-1]))]
+    for parent in parents[:0:-1]:
+        ancestors.insert(0, parent[ancestors[0]])
+    return CandidateSet(
+        grid=grid,
+        pred_north=_gather(blocks["north"], ancestors),
+        pred_east=_gather(blocks["east"], ancestors),
+        pred_course=_gather(blocks["course"], ancestors),
+        first_sog=first_sog[ancestors[0]],
+        first_course=first_course[ancestors[0]],
+        sample_path=np.stack([s[rows] for s, rows in zip(samples, ancestors)], axis=1),
+        accelerations=np.stack([a[rows] for a, rows in zip(accels, ancestors)], axis=1),
+        levels=tuple(levels),
+        desired0=desired0,
+    )

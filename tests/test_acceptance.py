@@ -291,7 +291,8 @@ def _random_instance(rng):
     course_ref = rng.uniform(-math.pi, math.pi)
     dtraj = DesiredTrajectory.line(rng.uniform(-50, 50), rng.uniform(-50, 50), course_ref, rng.uniform(2.0, 8.0))
     cands = []
-    rows = {name: np.zeros((n_cand, n_eval)) for name in ("north", "east", "course", "sog", "ref_course")}
+    rows = {name: np.zeros((n_cand, n_eval)) for name in ("north", "east", "course")}
+    rows.update({name: np.zeros((n_cand, n_first)) for name in ("sog", "ref_course")})
     for i in range(n_cand):
         north = np.cumsum(rng.uniform(-3, 4, n_eval)) + rng.uniform(-100, 100)
         east = np.cumsum(rng.uniform(-3, 4, n_eval)) + rng.uniform(-100, 100)
@@ -300,8 +301,8 @@ def _random_instance(rng):
         f_course = rng.uniform(-math.pi, math.pi, n_first)
         rows["north"][i], rows["east"][i], rows["course"][i] = north, east, course
         # the reference beyond the first maneuver is never scored
-        rows["sog"][i, :n_first] = f_sog
-        rows["ref_course"][i, :n_first] = f_course
+        rows["sog"][i] = f_sog
+        rows["ref_course"][i] = f_course
         cands.append({
             "north": north.tolist(), "east": east.tolist(), "course": course.tolist(),
             "f_sog": f_sog.tolist(), "f_course": f_course.tolist(),
@@ -363,12 +364,12 @@ def _random_instance(rng):
         "ref_chi": [dtraj.course(float(t)) for t in times],
         "prev_sog": prev_sog.tolist(), "prev_course": prev_course.tolist(),
     }
-    zeros = np.zeros((n_cand, n_eval))
     cand_set = CandidateSet(
-        grid=grid, n_first=n_first,
-        sog=rows["sog"], rot=zeros, course=rows["ref_course"], sog_acc=zeros, rot_acc=zeros,
+        grid=grid,
         pred_north=rows["north"], pred_east=rows["east"], pred_course=rows["course"],
+        first_sog=rows["sog"], first_course=rows["ref_course"],
         sample_path=np.zeros((n_cand, 1, 2), dtype=int),
+        accelerations=np.zeros((n_cand, 1, 2)), levels=(), desired0=(0.0, 0.0),
     )
     return inst, cand_set, dtraj, obs_preds, geom, weights, prev
 
@@ -378,7 +379,7 @@ def test_c06_brute_force_argmin_oracle():
     mismatches = 0
     for _ in range(200):
         inst, cand_set, dtraj, obs_preds, geom, weights, prev = _random_instance(rng)
-        table = select(cand_set, dtraj, obs_preds, geom, weights, prev, 0.5)
+        table = select(cand_set, dtraj, obs_preds, geom, weights, prev)
         if table.selected != _py_select(inst):
             mismatches += 1
     ok = mismatches == 0

@@ -164,11 +164,10 @@ def test_reach_bounds_the_penalty():
     assert penalty(GEOM_ELL, 250.0, 2e-8) > 0.0
 
 
-# candidates on a 25 s horizon evaluated at the 0.5 s grid they live on,
-# with a 5 s first maneuver
+# candidates on a 25 s horizon evaluated on a 0.5 s grid, with a 5 s
+# first maneuver
 GRID = TimeGrid.from_span(0.0, 25.0, 0.5)
 N_FIRST = 11
-EVAL_DT = 0.5
 LINE = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
 
 
@@ -188,17 +187,17 @@ def _set(*cands) -> CandidateSet:
         arr = np.array([np.broadcast_to(c[k], (GRID.n,)) for c in cands], dtype=float)
         return arr.reshape(len(cands), GRID.n)
 
-    zeros = np.zeros((len(cands), GRID.n))
     return CandidateSet(
-        grid=GRID, n_first=N_FIRST,
-        sog=rows(3), rot=zeros, course=rows(4), sog_acc=zeros, rot_acc=zeros,
+        grid=GRID,
         pred_north=rows(0), pred_east=rows(1), pred_course=rows(2),
+        first_sog=rows(3)[:, :N_FIRST], first_course=rows(4)[:, :N_FIRST],
         sample_path=np.zeros((len(cands), 1, 2), dtype=int),
+        accelerations=np.zeros((len(cands), 1, 2)), levels=(), desired0=(0.0, 0.0),
     )
 
 
 def _select(cands, obstacles=(), geom=GEOM_CIRC, weights=WEIGHTS, prev=None):
-    return select(cands, LINE, list(obstacles), geom, weights, prev, EVAL_DT)
+    return select(cands, LINE, list(obstacles), geom, weights, prev)
 
 
 def test_align_cost_zero_on_reference():

@@ -25,11 +25,13 @@ GRID = TimeGrid.from_span(0.0, 5.0, 0.1)
 
 def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None, dt=0.1):
     """Candidates of a one-level tree from a vessel at (sog, course, rot),
-    seeded from the desired (sog, course), by default the actual one."""
+    seeded from the desired (sog, course), by default the actual one, and
+    evaluated on their integration grid: the first maneuver is the whole
+    tree, so first_sog/first_course are the full desired reference."""
     state = VesselState(Pose(0.0, 0.0, course), Velocity2(sog, rot), 0.0)
     tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0)
-    return generate_tree(params, MODEL, EM, state, desired or (sog, course), tau0, None, dt)
+    return generate_tree(params, MODEL, EM, state, desired or (sog, course), tau0, None, dt, dt)
 
 
 def _rates(x0, tau):
@@ -168,9 +170,10 @@ def test_course_primitive_zero_integral_and_peak():
 def test_integrate_primitives_identity_maneuver():
     cands = _one_level(5.0, 1, 1, sog=5.0, course=0.7)
     assert len(cands) == 1
-    assert np.all(cands.sog == 5.0)
-    assert np.all(cands.rot == 0.0)
-    assert np.all(cands.course == 0.7)
+    traj = cands.trajectory(0)
+    assert np.all(traj.sog == 5.0)
+    assert np.all(traj.rot == 0.0)
+    assert np.all(traj.course == 0.7)
 
 
 def test_integrate_primitives_cross_product_count():
@@ -185,7 +188,7 @@ def test_integrate_primitives_filters_overspeed():
     # speed samples would end above u_max and are dropped
     cands = _one_level(5.0, 3, 1, sog=10.0, desired=(MODEL.u_max - 0.5, 0.0))
     assert 0 < len(cands) < 3
-    assert np.all(cands.sog[:, -1] <= MODEL.u_max + 1e-9)
+    assert np.all(cands.first_sog[:, -1] <= MODEL.u_max + 1e-9)
     assert 2 not in cands.sample_path[:, 0, 0]
 
 
@@ -201,15 +204,16 @@ def test_integrate_primitives_requires_zero_rot():
     state = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.05), 0.0)
     tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
-    cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), tau0, None, 0.1)
+    cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), tau0, None, 0.1, 0.5)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
-    assert np.all(cands.rot[:, starts] == 0.0)
+    assert all(np.all(cands.trajectory(leaf).rot[starts] == 0.0) for leaf in range(len(cands)))
 
 
 def test_maneuvers_start_and_end_at_zero_rot():
     cands = _one_level(5.0, 1, 5)
-    assert np.all(cands.rot[:, 0] == 0.0)
-    assert np.all(np.abs(cands.rot[:, -1]) < 1e-12)
+    rot = np.array([cands.trajectory(leaf).rot for leaf in range(len(cands))])
+    assert np.all(rot[:, 0] == 0.0)
+    assert np.all(np.abs(rot[:, -1]) < 1e-12)
 
 
 @given(
@@ -237,10 +241,10 @@ def test_acceleration_slew_bounded_by_ramp_slope(kr, extra_u, extra_c, a_u, a_r)
 def test_predict_zero_error_passthrough():
     # the vessel is on its reference: the prediction is the reference
     cands = _one_level(5.0, 5, 5, sog=5.0, course=0.1)
-    np.testing.assert_array_equal(cands.pred_course, cands.course)
+    np.testing.assert_array_equal(cands.pred_course, cands.first_course)
     dt = cands.grid.dt
-    north = cumtrapz(cands.sog * np.cos(cands.course), dt)
-    east = cumtrapz(cands.sog * np.sin(cands.course), dt)
+    north = cumtrapz(cands.first_sog * np.cos(cands.first_course), dt)
+    east = cumtrapz(cands.first_sog * np.sin(cands.first_course), dt)
     np.testing.assert_allclose(cands.pred_north, north, atol=1e-12)
     np.testing.assert_allclose(cands.pred_east, east, atol=1e-12)
 
@@ -250,7 +254,7 @@ def test_predict_exponential_decay_value():
     # error is down to 0.1/e after 5 s
     cands = _one_level(10.0, 1, 1, sog=5.0, course=0.1, desired=(5.0, 0.0))
     idx = int(round(5.0 / cands.grid.dt))
-    assert cands.pred_course[0, idx] - cands.course[0, idx] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-12)
+    assert cands.pred_course[0, idx] - cands.first_course[0, idx] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-12)
     # 1 m/s of speed error shows as the distance gained over a vessel on
     # its reference, the integral of exp(-t/5) over 5 s
     fast = _one_level(10.0, 1, 1, sog=6.0, course=0.0, desired=(5.0, 0.0))
@@ -261,7 +265,7 @@ def test_predict_exponential_decay_value():
 
 def test_predict_decays_to_reference():
     cands = _one_level(60.0, 1, 1, sog=5.0, course=0.2, desired=(5.0, 0.0), dt=0.5)
-    assert abs(cands.pred_course[0, -1] - cands.course[0, -1]) < 1e-5
+    assert abs(cands.pred_course[0, -1] - cands.first_course[0, -1]) < 1e-5
 
 
 def test_rollout_straight_lines():

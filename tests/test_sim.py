@@ -279,7 +279,8 @@ def test_prediction_matches_closed_loop_plant():
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
     state = VesselState(Pose(0.0, 0.0, 0.1), Velocity2(5.5, 0.0), 0.0)
     tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
-    cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, (5.0, 0.0), tau0, None, 0.1)
+    # evaluated on the integration grid, so pred_* has a point per plant step
+    cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, (5.0, 0.0), tau0, None, 0.1, 0.1)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
