@@ -354,7 +354,6 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
         ownship = VesselState(
             pose=Pose(own.number("north"), own.number("east"), own.number("course")),
             vel=Velocity2(own.number("sog"), own.number("rot", required=False, default=0.0)),
-            time=0.0,
         )
     own.finish()
 

@@ -59,7 +59,6 @@ class Velocity2:
 class VesselState:
     pose: Pose
     vel: Velocity2
-    time: float = 0.0
 
 
 @dataclass(frozen=True)

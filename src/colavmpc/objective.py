@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, VelocityTrajectory, resample, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, wrap_angle
 from .guidance import DesiredTrajectory
 from .tree import CandidateSet
 
@@ -113,14 +113,6 @@ class ObstaclePrediction:
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have length grid.n")
             object.__setattr__(self, name, arr)
-
-    def at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions at arbitrary times (linear interp is exact here)."""
-        ts = self.grid.times()
-        tol = 1e-9
-        if np.min(times) < ts[0] - tol or np.max(times) > ts[-1] + tol:
-            raise ValueError("obstacle prediction does not cover the horizon")
-        return np.interp(times, ts, self.north), np.interp(times, ts, self.east)
 
 
 def _ellipse_radius(a, b, cos_b, sin_b):
@@ -240,9 +232,10 @@ def select(
 ) -> CostTable:
     """Per-candidate cost breakdown and the index of the weighted minimum.
 
-    Every term integrates on the candidates' evaluation grid. With no
-    previous reference the transitional term is zero. Ties break toward
-    the lowest index.
+    Every term integrates on the candidates' evaluation grid, which must
+    be the grid of every obstacle prediction and, over the first
+    maneuver, of the previous reference. With no previous reference the
+    transitional term is zero. Ties break toward the lowest index.
     """
     if not candidates:
         raise ValueError("empty candidate set")
@@ -261,7 +254,9 @@ def select(
     # elsewhere; the full-grid integral keeps the dense summation order.
     avoid = np.zeros(len(candidates))
     for obs in obstacles:
-        obs_n, obs_e = obs.at(times)
+        if obs.grid != grid:
+            raise ValueError(f"obstacle prediction grid {obs.grid} is not the evaluation grid {grid}")
+        obs_n, obs_e = obs.north, obs.east
         d = np.hypot(cand_n - obs_n, cand_e - obs_e)
         rows, cols = np.nonzero(d < geom.reach)
         own_n, own_e = cand_n[rows, cols], cand_e[rows, cols]
@@ -275,12 +270,8 @@ def select(
     else:
         fgrid = candidates.first_grid
         prev = previous_first
-        if (
-            abs(prev.grid.t0 - fgrid.t0) > 1e-9
-            or prev.grid.n != fgrid.n
-            or abs(prev.grid.dt - fgrid.dt) > 1e-9
-        ):
-            prev = resample(previous_first, fgrid)
+        if prev.grid != fgrid:
+            raise ValueError(f"previous reference grid {prev.grid} is not the first maneuver's {fgrid}")
         dev_sog = _trapz(np.abs(candidates.first_sog - prev.sog), fgrid.dt)
         dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev.course)), fgrid.dt)
         keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)

@@ -194,16 +194,13 @@ def plan_step(
         return desired_acceleration(targets, desired, step)
 
     candidates = generate_tree(
-        config.tree, model, config.error_model, state, desired_vel0, tau0, hook, dt,
+        config.tree, model, config.error_model, state, t, desired_vel0, tau0, hook, dt,
         config.eval_dt,
     )
     if not candidates:
         return candidates, None
-    previous_first = resample(
-        commanded, TimeGrid.from_span(t, config.tree.step_times[0], config.eval_dt)
-    )
-    pred_grid = TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
-    predictions = [predict_obstacle(est, pred_grid) for est in estimates]
+    predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
+    previous_first = resample(commanded, candidates.first_grid)
     table = select(
         candidates, config.desired, predictions, config.geometry, config.weights,
         previous_first,

@@ -171,13 +171,15 @@ def generate_tree(
     model: VesselModel,
     error_model: ErrorModel,
     state: VesselState,
+    t: float,
     desired_vel0: tuple[float, float],
     tau0,
     guidance_hook,
     dt: float,
     eval_dt: float,
 ) -> CandidateSet:
-    """Breadth-first expansion to the configured depth, one level at a time.
+    """Breadth-first expansion from the state at time t to the configured
+    depth, one level at a time.
 
     guidance_hook(t, north, east, course, desired, step) -> (sog_acc,
     rot_acc), or None, supplies the desired-acceleration substitution
@@ -191,7 +193,7 @@ def generate_tree(
     level has no feasible maneuver.
     """
     levels = []
-    t_level = state.time
+    t_level = t
     for level_idx in range(params.levels):
         step = params.step_params(level_idx)
         levels.append(Level.build(t_level, step, dt))
@@ -200,7 +202,7 @@ def generate_tree(
     stride = int(round(ratio))
     if abs(ratio - stride) > 1e-9 or stride < 1 or any((lv.grid.n - 1) % stride for lv in levels):
         raise ValueError("eval_dt must be an integer multiple of dt dividing every step time")
-    grid = TimeGrid(state.time, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
+    grid = TimeGrid(t, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
     desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
 
     # the nodes of the previous level (the root to begin with): desired

@@ -201,5 +201,4 @@ def step_plant(model: VesselModel, state: VesselState, tau, dt: float) -> Vessel
     return VesselState(
         pose=Pose(float(north), float(east), float(course)),
         vel=Velocity2(float(sog), float(rot)),
-        time=state.time + dt,
     )

@@ -31,13 +31,13 @@ def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course) -> float:
 
 
 def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
-    """Penalty integral summed over obstacles along one predicted path."""
-    times = grid.times()
+    """Penalty integral summed over obstacles along one predicted path;
+    every obstacle is predicted on the path's grid."""
     total = 0.0
     for obs in obstacles:
-        obs_n, obs_e = obs.at(times)
-        d = np.hypot(north - obs_n, east - obs_e)
-        beta = relative_bearing(north, east, obs_n, obs_e, obs.course)
+        assert obs.grid == grid
+        d = np.hypot(north - obs.north, east - obs.east)
+        beta = relative_bearing(north, east, obs.north, obs.east, obs.course)
         total += float(_trapz(penalty(geom, d, beta), grid.dt))
     return total
 

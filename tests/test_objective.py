@@ -245,6 +245,19 @@ def test_avoid_cost_prediction_must_cover_horizon():
         _select(_set(_line()), [_static_prediction(0.0, 1000.0, t_end=10.0)])
 
 
+def test_select_requires_the_evaluation_grid():
+    # predictions and the previous reference must sit on the candidates'
+    # grid exactly: a grid shifted by 1e-12 s or with another dt is an error
+    cands = _set(_line())
+    for grid in (TimeGrid(GRID.t0 + 1e-12, GRID.dt, GRID.n), TimeGrid.from_span(0.0, 25.0, 0.25)):
+        obs = ObstaclePrediction(grid=grid, north=np.zeros(grid.n), east=np.full(grid.n, 1e4), course=0.0)
+        with pytest.raises(ValueError, match="not the evaluation grid"):
+            _select(cands, [obs])
+    for grid in (TimeGrid(1e-12, 0.5, N_FIRST), TimeGrid.from_span(0.0, 5.0, 0.25)):
+        with pytest.raises(ValueError, match="not the first maneuver"):
+            _select(cands, prev=VelocityTrajectory.constant(grid, 5.0, 0.0))
+
+
 def test_relative_bearing_convention():
     # ownship dead ahead of a north-bound obstacle: bearing 0
     assert relative_bearing(100.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(0.0)

@@ -28,10 +28,10 @@ def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None
     seeded from the desired (sog, course), by default the actual one, and
     evaluated on their integration grid: the first maneuver is the whole
     tree, so first_sog/first_course are the full desired reference."""
-    state = VesselState(Pose(0.0, 0.0, course), Velocity2(sog, rot), 0.0)
+    state = VesselState(Pose(0.0, 0.0, course), Velocity2(sog, rot))
     tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0)
-    return generate_tree(params, MODEL, EM, state, desired or (sog, course), tau0, None, dt, dt)
+    return generate_tree(params, MODEL, EM, state, 0.0, desired or (sog, course), tau0, None, dt, dt)
 
 
 def _rates(x0, tau):
@@ -201,10 +201,10 @@ def test_integrate_primitives_all_infeasible():
 def test_integrate_primitives_requires_zero_rot():
     # maneuvers start at zero desired ROT at every level, even from a
     # vessel that is turning
-    state = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.05), 0.0)
+    state = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.05))
     tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
-    cands = generate_tree(params, MODEL, EM, state, (5.0, 0.0), tau0, None, 0.1, 0.5)
+    cands = generate_tree(params, MODEL, EM, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.5)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
     assert all(np.all(cands.trajectory(leaf).rot[starts] == 0.0) for leaf in range(len(cands)))
 

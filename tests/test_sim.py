@@ -5,7 +5,7 @@ import pytest
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios
-from colavmpc.core import Pose, Velocity2, VesselState
+from colavmpc.core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
     Metrics,
@@ -14,6 +14,7 @@ from colavmpc.sim import (
     RunLog,
     classify_situation,
     compute_metrics,
+    plan_step,
     run,
     runlog_to_csv,
 )
@@ -277,10 +278,10 @@ def test_prediction_matches_closed_loop_plant():
 
     model = default_model()
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
-    state = VesselState(Pose(0.0, 0.0, 0.1), Velocity2(5.5, 0.0), 0.0)
+    state = VesselState(Pose(0.0, 0.0, 0.1), Velocity2(5.5, 0.0))
     tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
     # evaluated on the integration grid, so pred_* has a point per plant step
-    cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, (5.0, 0.0), tau0, None, 0.1, 0.1)
+    cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
@@ -303,6 +304,32 @@ def test_prediction_matches_closed_loop_plant():
             )
             assert pos_err < 10.0
             assert course_err < math.radians(3.0)
+
+
+def test_plan_step_plans_on_its_own_clock():
+    # 350 plant steps of 0.1 s sum to a time that differs from 350 * 0.1 in
+    # the last bits; the state carries no clock, and the candidates'
+    # evaluation grid starts exactly at the planner's t
+    from colavmpc.obstacles import observe
+    from colavmpc.vessel import inverse_model, step_plant
+
+    config = scenarios.build_scenario("head_on")
+    dt, n = config.integration_dt, 350
+    state = config.ownship
+    tau = inverse_model(config.vessel, state.vel)
+    for _ in range(n):
+        state = step_plant(config.vessel, state, tau, dt)
+    t = n * dt
+    commanded = VelocityTrajectory.constant(
+        TimeGrid.from_span(0.0, t + config.planner_period, dt), state.vel.sog, state.pose.course
+    )
+    rng = np.random.default_rng(0)
+    estimates = [observe(s, config.noise, t, rng) for s in config.obstacles]
+    candidates, table = plan_step(config, t, state, commanded, tau, estimates)
+    assert table is not None
+    assert candidates.grid == TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
+    assert candidates.grid.t0 == t and candidates.first_grid.t0 == t
+    assert candidates.trajectory(table.selected).grid.t0 == t
 
 
 def test_commanded_reference_continuous_across_replans():

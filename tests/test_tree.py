@@ -21,18 +21,18 @@ TABLE_PARAMS = TreeParams(
 )
 
 
-def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0, time=0.0):
-    return VesselState(Pose(north, east, course), Velocity2(sog, rot), time)
+def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0):
+    return VesselState(Pose(north, east, course), Velocity2(sog, rot))
 
 
 def _tau0(state):
     return np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
 
 
-def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None):
-    """Candidates grown from state, seeded from the desired (sog, course)."""
+def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None, t=0.0):
+    """Candidates grown from state at time t, seeded from the desired (sog, course)."""
     tau0 = _tau0(state) if tau0 is None else tau0
-    return generate_tree(params, MODEL, EM, state, desired, tau0, hook, DT, EVAL_DT)
+    return generate_tree(params, MODEL, EM, state, t, desired, tau0, hook, DT, EVAL_DT)
 
 
 def _los_hook(dtraj, los):

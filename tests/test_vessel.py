@@ -124,8 +124,8 @@ def test_control_law_saturates(sog, rot, chi, sog_d, rot_d, chi_d):
     assert np.all(tau <= np.asarray(MODEL.tau_max) + 1e-12)
 
 
-def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0, time=0.0):
-    return VesselState(Pose(north, east, course), Velocity2(sog, rot), time)
+def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0):
+    return VesselState(Pose(north, east, course), Velocity2(sog, rot))
 
 
 def test_step_plant_straight_line():
