@@ -16,6 +16,18 @@ from colavmpc import config as cfgm
 from colavmpc import scenarios, sim
 
 
+def sweep(scenario: str, seeds: int, weight: float) -> tuple[list[sim.Metrics], list[sim.Metrics]]:
+    """Metrics of seeds 0..seeds-1 under radar noise, with the transitional
+    weight w_tran = weight and with w_tran = 0, in that order per seed."""
+    runs = ([], [])
+    for seed in range(seeds):
+        for w_tran, out in zip((weight, 0.0), runs):
+            data = scenarios.build_config_dict(scenario, seed=seed, noise="radar")
+            data["weights"]["tran"] = w_tran
+            out.append(sim.run(cfgm.from_dict(data))[1])
+    return runs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", choices=scenarios.SCENARIO_NAMES, default="head_on")
@@ -23,23 +35,16 @@ def main():
     parser.add_argument("--weight", type=float, default=4200.0)
     args = parser.parse_args()
 
-    results = {args.weight: [], 0.0: []}
-    min_distances = []
-    for seed in range(args.seeds):
-        for w_tran in (args.weight, 0.0):
-            data = scenarios.build_config_dict(args.scenario, seed=seed, noise="radar")
-            data["weights"]["tran"] = w_tran
-            _, metrics = sim.run(cfgm.from_dict(data))
-            results[w_tran].append(metrics.switch_count)
-            min_distances.append(metrics.obstacles["target"].min_distance)
-
+    runs = sweep(args.scenario, args.seeds, args.weight)
     print(f"scenario: {args.scenario}, radar noise, {args.seeds} seeds")
-    for w_tran, counts in results.items():
+    for w_tran, metrics in zip((args.weight, 0.0), runs):
+        counts = [m.switch_count for m in metrics]
         print(
             f"  w_tran = {w_tran:>7.1f}: switches median {np.median(counts):.1f} "
             f"mean {np.mean(counts):.1f} max {max(counts)}"
         )
-    print(f"  min distance over all runs: {min(min_distances):.1f} m")
+    distances = [m.obstacles["target"].min_distance for metrics in runs for m in metrics]
+    print(f"  min distance over all runs: {min(distances):.1f} m")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ def _add_config_args(p: argparse.ArgumentParser, out_required: bool):
         "--scenario", choices=scenarios.SCENARIO_NAMES, help="shipped scenario name"
     )
     p.add_argument("--out", type=Path, required=out_required, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument(
         "--noise", choices=sorted(NOISE_PRESETS), default=None,
         help="override the noise preset",
@@ -39,6 +39,13 @@ def _load_config(args) -> cfg_mod.ScenarioConfig:
     return scenarios.load_scenario(
         args.scenario, noise_override=args.noise, seed_override=args.seed
     )
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer >= 0, in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _positive_float(text: str) -> float:

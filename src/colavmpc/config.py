@@ -41,9 +41,16 @@ class _Reader:
         self._data = dict(data)
         self._path = path
 
-    def _number(self, value, key) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._path}.{key}: expected a number")
+    _EXPECTED = {
+        float: "a number", int: "an integer", str: "a string", list: "a list", dict: "an object"
+    }
+
+    def _check(self, value, kind, key):
+        """The value as kind; a bool is neither a number nor an integer."""
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{self._path}.{key}: expected {self._EXPECTED[kind]}")
+        if kind is not float:
+            return value
         if not math.isfinite(value):
             raise ConfigError(f"{self._path}.{key}: expected a finite number")
         return float(value)
@@ -53,52 +60,28 @@ class _Reader:
             if required:
                 raise ConfigError(f"{self._path}.{key}: missing required key")
             return default
-        value = self._data.pop(key)
-        if kind is float:
-            return self._number(value, key)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{self._path}.{key}: expected an integer")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{self._path}.{key}: expected a string")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{self._path}.{key}: expected a list")
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{self._path}.{key}: expected an object")
-            return value
-        raise AssertionError(kind)
+        return self._check(self._data.pop(key), kind, key)
 
     def number(self, key, required=True, default=None):
         return self._get(key, float, required, default)
 
-    def integer(self, key, required=True, default=None):
-        return self._get(key, int, required, default)
+    def integer(self, key, required=True):
+        return self._get(key, int, required, None)
+
+    def seed(self, key, required=True):
+        """A random generator seed: an integer >= 0."""
+        value = self._get(key, int, required, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"{self._path}.{key}: must be >= 0")
+        return value
 
     def string(self, key, required=True, default=None):
         return self._get(key, str, required, default)
 
-    def number_list(self, key, required=True, default=None):
-        raw = self._get(key, list, required, default)
-        if raw is default:
-            return default
-        return [self._number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
-
-    def integer_list(self, key, required=True, default=None):
-        raw = self._get(key, list, required, default)
-        if raw is default:
-            return default
-        out = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"{self._path}.{key}[{i}]: expected an integer")
-            out.append(v)
-        return out
+    def list_of(self, key, kind):
+        """A required list whose items are all of kind (float or int)."""
+        raw = self._get(key, list, True, None)
+        return [self._check(v, kind, f"{key}[{i}]") for i, v in enumerate(raw)]
 
     def section(self, key, required=True):
         raw = self._get(key, dict, required, None)
@@ -192,10 +175,10 @@ def _parse_vessel(r: _Reader | None) -> VesselModel:
             d_r1=r.number("d_r1"),
             d_r2=r.number("d_r2"),
             d_ru=r.number("d_ru"),
-            tau_min=tuple(r.number_list("tau_min")),
-            tau_max=tuple(r.number_list("tau_max")),
-            tau_rate_min=tuple(r.number_list("tau_rate_min")),
-            tau_rate_max=tuple(r.number_list("tau_rate_max")),
+            tau_min=tuple(r.list_of("tau_min", float)),
+            tau_max=tuple(r.list_of("tau_max", float)),
+            tau_rate_min=tuple(r.list_of("tau_rate_min", float)),
+            tau_rate_max=tuple(r.list_of("tau_rate_max", float)),
             u_max=r.number("u_max"),
             u_min=r.number("u_min"),
         )
@@ -213,13 +196,13 @@ def _parse_geometry(r: _Reader) -> PenaltyGeometry:
     gamma1 = r.number("gamma1")
     with _section("penalty"):
         if kind == "circular":
-            radii = r.number_list("radii")
+            radii = r.list_of("radii", float)
             r.invariant(len(radii) == 3, "radii needs 3 entries")
             r.finish()
             return PenaltyGeometry.circular(radii, gamma1)
         if kind == "elliptical_colregs":
-            a = r.number_list("a")
-            b = r.number_list("b")
+            a = r.list_of("a", float)
+            b = r.list_of("b", float)
             d_colregs = r.number("d_colregs")
             r.invariant(len(a) == 3 and len(b) == 3, "a and b need 3 entries")
             r.finish()
@@ -230,8 +213,8 @@ def _parse_geometry(r: _Reader) -> PenaltyGeometry:
 def _parse_gains(r: _Reader | None) -> ControllerGains:
     if r is None:
         return default_gains()
-    kp = r.number_list("kp")
-    ki = r.number_list("ki")
+    kp = r.list_of("kp", float)
+    ki = r.list_of("ki", float)
     limit = r.number("integral_limit", required=False, default=ControllerGains.integral_limit)
     r.invariant(len(kp) == 3, "kp needs entries (sog, rot, course)")
     r.invariant(len(ki) == 2, "ki needs entries (sog, course)")
@@ -273,7 +256,7 @@ def _parse_noise(r: _Reader | None, preset_override: str | None):
                 course_std=r.number("course_std"),
                 latency=r.number("latency"),
                 period=r.number("period"),
-                seed=r.integer("seed", required=False),
+                seed=r.seed("seed", required=False),
             )
     elif preset in NOISE_PRESETS:
         noise = NOISE_PRESETS[preset]
@@ -294,7 +277,7 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
     name = top.string("name")
-    seed = top.integer("seed")
+    seed = top.seed("seed")
     duration = top.number("duration")
     integration_dt = top.number("integration_dt")
     top.invariant(duration > 0.0, "duration must be > 0")
@@ -305,9 +288,9 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     eval_dt = pl.number("eval_dt")
     with _section("planner"):
         tree = TreeParams(
-            step_times=tuple(pl.number_list("step_times")),
-            n_sog=tuple(pl.integer_list("n_sog")),
-            n_course=tuple(pl.integer_list("n_course")),
+            step_times=tuple(pl.list_of("step_times", float)),
+            n_sog=tuple(pl.list_of("n_sog", int)),
+            n_course=tuple(pl.list_of("n_course", int)),
             t_ramp=pl.number("t_ramp"),
             t_sog=pl.number("t_sog"),
             t_course=pl.number("t_course"),
@@ -392,6 +375,8 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     noise, preset_name = _parse_noise(top.section("noise", required=False), noise_override)
     top.finish()
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"seed override: must be >= 0, got {seed_override}")
         seed = seed_override
         if noise.seed is not None:
             noise = replace(noise, seed=seed_override)

@@ -86,8 +86,8 @@ class DesiredTrajectory:
 class LosParams:
     lookahead: float
     along_track_gain: float
+    u_max_los: float
     epsilon: float = 0.05
-    u_max_los: float = 18.0
 
     def __post_init__(self):
         if self.lookahead <= 0.0 or self.along_track_gain <= 0.0:

@@ -255,12 +255,11 @@ def select(
     avoid = np.zeros(len(candidates))
     for obs in obstacles:
         if obs.grid != grid:
-            raise ValueError(f"obstacle prediction grid {obs.grid} is not the evaluation grid {grid}")
-        obs_n, obs_e = obs.north, obs.east
-        d = np.hypot(cand_n - obs_n, cand_e - obs_e)
+            raise ValueError(f"prediction grid {obs.grid} is not the evaluation grid {grid}")
+        d = np.hypot(cand_n - obs.north, cand_e - obs.east)
         rows, cols = np.nonzero(d < geom.reach)
         own_n, own_e = cand_n[rows, cols], cand_e[rows, cols]
-        beta = relative_bearing(own_n, own_e, obs_n[cols], obs_e[cols], obs.course)
+        beta = relative_bearing(own_n, own_e, obs.north[cols], obs.east[cols], obs.course)
         values = np.zeros(d.shape)
         values[rows, cols] = penalty(geom, d[rows, cols], beta)
         avoid += _trapz(values, grid.dt)
@@ -268,10 +267,9 @@ def select(
     if previous_first is None:
         tran = np.zeros(len(candidates))
     else:
-        fgrid = candidates.first_grid
-        prev = previous_first
+        prev, fgrid = previous_first, candidates.first_grid
         if prev.grid != fgrid:
-            raise ValueError(f"previous reference grid {prev.grid} is not the first maneuver's {fgrid}")
+            raise ValueError(f"previous grid {prev.grid} is not the first maneuver's {fgrid}")
         dev_sog = _trapz(np.abs(candidates.first_sog - prev.sog), fgrid.dt)
         dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev.course)), fgrid.dt)
         keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)

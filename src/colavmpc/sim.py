@@ -336,18 +336,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         seed=config.tracker_seed,
         dt=dt,
         t=dt * np.arange(n_rows),
-        own_north=cols["own_north"],
-        own_east=cols["own_east"],
-        own_course=cols["own_course"],
-        own_sog=cols["own_sog"],
-        own_rot=cols["own_rot"],
-        tau_m=cols["tau_m"],
-        tau_delta=cols["tau_delta"],
-        ref_sog=cols["ref_sog"],
-        ref_rot=cols["ref_rot"],
-        ref_course=cols["ref_course"],
-        ref_sog_acc=cols["ref_sog_acc"],
-        ref_rot_acc=cols["ref_rot_acc"],
+        **cols,
         selected=selected_col,
         obstacles=obs_series,
         planner=planner,

@@ -2,16 +2,18 @@
 
 Chains single-step maneuver generation into candidate trajectories of B
 maneuvers. Nodes carry vessel states, edges carry sub-trajectories;
-every root-to-leaf path flattens into one row of a struct-of-arrays
-CandidateSet. Desired channels integrate from the parent edge's
-terminal desired values (so the commanded reference stays continuous),
-while prediction feedback re-seeds from the parent edge's terminal
-predicted state.
+every root-to-leaf path becomes one row of a struct-of-arrays
+CandidateSet on the evaluation grid. Desired channels integrate from
+the parent edge's terminal desired values (so the commanded reference
+stays continuous), while prediction feedback re-seeds from the parent
+edge's terminal predicted state.
 
 Expansion is vectorized per level: with the acceleration profiles fixed
 per level, every channel is an affine function of the sampled
 acceleration, so all of a level's (node, sample) edges broadcast
-straight onto the level grid at once.
+straight onto the level grid at once. Each level keeps its edges'
+parent nodes and predictions; the leaf rows are gathered once at the
+end, and one candidate's full-resolution reference is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .primitives import (
     terminal_sog_feasible,
 )
 from .vessel import VesselModel
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -68,8 +71,6 @@ class TreeParams:
             n_sog=self.n_sog[level],
             n_course=self.n_course[level],
         )
-
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,26 +145,18 @@ class CandidateSet:
         parts = []
         for level, (a_u, a_r) in zip(self.levels, self.accelerations[leaf]):
             sog, course = level.reference(u_d, chi_d, a_u, a_r)
-            parts.append((sog, a_r * level.cum_c, course, a_u * level.unit_s, a_r * level.unit_c))
+            rot, sog_acc, rot_acc = a_r * level.cum_c, a_u * level.unit_s, a_r * level.unit_c
+            parts.append(np.stack([sog, rot, course, sog_acc, rot_acc]))
             u_d, chi_d = sog[-1], course[-1]
-        # levels share their boundary sample; the later level's value wins
-        channels = [
-            np.concatenate([part[c][:-1] for part in parts[:-1]] + [parts[-1][c]]) for c in range(5)
-        ]
-        dt = self.levels[0].grid.dt
-        return VelocityTrajectory(TimeGrid(self.grid.t0, dt, len(channels[0])), *channels)
+        channels = _join(parts)
+        grid = TimeGrid(self.grid.t0, self.levels[0].grid.dt, channels.shape[1])
+        return VelocityTrajectory(grid, *channels)
 
 
-def _gather(blocks: list[np.ndarray], ancestors: list[np.ndarray]) -> np.ndarray:
-    """Leaf rows from per-level blocks of edge rows: ancestors[k] is each
-    leaf's edge at level k. Levels share their boundary sample; the
-    later level's value wins."""
-    out = np.empty((len(ancestors[-1]), sum(b.shape[1] - 1 for b in blocks) + 1))
-    col = 0
-    for block, rows in zip(blocks, ancestors):
-        out[:, col : col + block.shape[1]] = block[rows]
-        col += block.shape[1] - 1
-    return out
+def _join(blocks: list[np.ndarray]) -> np.ndarray:
+    """Per-level blocks joined along the last axis. Levels share their
+    boundary sample; the later level's value wins."""
+    return np.concatenate([block[..., :-1] for block in blocks] + [blocks[-1][..., -1:]], axis=-1)
 
 
 def generate_tree(
@@ -190,7 +183,7 @@ def generate_tree(
     and are kept on the eval_dt grid, which must take every k-th point
     of every level. Returns the candidates in deterministic order
     (node, then SOG sample, then ROT sample), with no leaves if some
-    level has no feasible maneuver.
+    level has no feasible maneuver; the hook then sees zero nodes.
     """
     levels = []
     t_level = t
@@ -207,15 +200,12 @@ def generate_tree(
 
     # the nodes of the previous level (the root to begin with): desired
     # sog/course and predicted sog/course/north/east
-    u_d = np.array([desired0[0]])
-    chi_d = np.array([desired0[1]])
-    u_bar = np.array([float(state.vel.sog)])
-    chi_bar = np.array([float(state.pose.course)])
-    north = np.array([float(state.pose.north)])
-    east = np.array([float(state.pose.east)])
-    # per level, each edge's parent node and samples, and its prediction
-    # on the evaluation grid
-    parents, samples, accels, blocks = [], [], [], {"north": [], "east": [], "course": []}
+    u_d, chi_d = np.array([desired0[0]]), np.array([desired0[1]])
+    u_bar, chi_bar = np.array([float(state.vel.sog)]), np.array([float(state.pose.course)])
+    north, east = np.array([float(state.pose.north)]), np.array([float(state.pose.east)])
+    # per level: each edge's parent node, its (sog, rot) samples and
+    # accelerations, and its prediction on the evaluation grid
+    parents, samples, accels, preds = [], [], [], []
 
     for level_idx, level in enumerate(levels):
         step = level.step
@@ -244,15 +234,8 @@ def generate_tree(
         node, i_sog, i_rot = np.nonzero(
             np.broadcast_to(feasible[:, :, None], feasible.shape + (step.n_course,))
         )
-        if len(node) == 0:  # no feasible maneuver: no leaves
-            n_first = (levels[0].grid.n - 1) // stride + 1
-            none = np.empty((0, grid.n))
-            return CandidateSet(
-                grid, none, none, none, np.empty((0, n_first)), np.empty((0, n_first)),
-                np.empty((0, params.levels, 2), dtype=int), np.empty((0, params.levels, 2)),
-                tuple(levels), desired0,
-            )
-
+        # a level with no feasible maneuver leaves no nodes: the levels
+        # below run on zero-row arrays, down to a set with no leaves
         a_u = sog_samples[node, i_sog]
         a_r = rot_samples[node, i_rot]
         sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
@@ -261,13 +244,11 @@ def generate_tree(
         pred_north = north[node, None] + cumtrapz(sog_bar * np.cos(course_bar), dt)
         pred_east = east[node, None] + cumtrapz(sog_bar * np.sin(course_bar), dt)
         if level_idx == 0:
-            first_sog = np.ascontiguousarray(sog[:, ::stride])
-            first_course = np.ascontiguousarray(course[:, ::stride])
+            first_sog, first_course = sog[:, ::stride], course[:, ::stride]
         parents.append(node)
         samples.append(np.stack([i_sog, i_rot], axis=1))
         accels.append(np.stack([a_u, a_r], axis=1))
-        for name, pred in (("north", pred_north), ("east", pred_east), ("course", course_bar)):
-            blocks[name].append(np.ascontiguousarray(pred[:, ::stride]))
+        preds.append(np.stack([p[:, ::stride] for p in (pred_north, pred_east, course_bar)]))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         north, east = pred_north[:, -1], pred_east[:, -1]
@@ -276,11 +257,12 @@ def generate_tree(
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
+    pred = _join([np.take(p, rows, axis=1) for p, rows in zip(preds, ancestors)])
     return CandidateSet(
         grid=grid,
-        pred_north=_gather(blocks["north"], ancestors),
-        pred_east=_gather(blocks["east"], ancestors),
-        pred_course=_gather(blocks["course"], ancestors),
+        pred_north=pred[0],
+        pred_east=pred[1],
+        pred_course=pred[2],
         first_sog=first_sog[ancestors[0]],
         first_course=first_course[ancestors[0]],
         sample_path=np.stack([s[rows] for s, rows in zip(samples, ancestors)], axis=1),

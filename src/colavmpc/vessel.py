@@ -137,9 +137,6 @@ class ControllerGains:
             raise ValueError("ki must be two positive diagonal entries")
         self.integral = np.asarray(self.integral, dtype=float).copy()
 
-    def reset(self):
-        self.integral[:] = 0.0
-
 
 def default_gains() -> ControllerGains:
     # tuned so a 20 deg course step at 5 m/s settles below 1 deg in < 10 s
@@ -198,7 +195,5 @@ def step_plant(model: VesselModel, state: VesselState, tau, dt: float) -> Vessel
     north = state.pose.north + dt * np.cos(state.pose.course) * state.vel.sog
     east = state.pose.east + dt * np.sin(state.pose.course) * state.vel.sog
     course = wrap_angle(state.pose.course + dt * state.vel.rot)
-    return VesselState(
-        pose=Pose(float(north), float(east), float(course)),
-        vel=Velocity2(float(sog), float(rot)),
-    )
+    pose = Pose(float(north), float(east), float(course))
+    return VesselState(pose, Velocity2(float(sog), float(rot)))

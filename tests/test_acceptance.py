@@ -5,12 +5,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, desired_acceleration
@@ -407,21 +407,18 @@ def test_c07_scenario_regressions():
     assert not failures, failures
 
 
-def test_c08_noise_robustness():
+def test_c08_noise_robustness(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import noise_study
+
     t_start = time.perf_counter()
-    switches = {0.0: [], 4200.0: []}
-    collisions = 0
-    for seed in range(20):
-        for w_tran in (4200.0, 0.0):
-            data = scenarios.build_config_dict("head_on", seed=seed, noise="radar")
-            data["weights"]["tran"] = w_tran
-            log, metrics = run(cfgm.from_dict(data))
-            switches[w_tran].append(metrics.switch_count)
-            if metrics.obstacles["target"].collision_time > 0.0:
-                collisions += 1
+    with_tran, without_tran = noise_study.sweep("head_on", 20, 4200.0)
+    collisions = sum(
+        m.obstacles["target"].collision_time > 0.0 for m in with_tran + without_tran
+    )
     elapsed = time.perf_counter() - t_start
-    med_with = float(np.median(switches[4200.0]))
-    med_without = float(np.median(switches[0.0]))
+    med_with = float(np.median([m.switch_count for m in with_tran]))
+    med_without = float(np.median([m.switch_count for m in without_tran]))
     ok = med_with <= med_without and collisions == 0 and elapsed < 300.0
     _report(
         8, ok, "transitional cost suppresses noise-induced replanning",

@@ -278,6 +278,24 @@ def test_raster_rejects_bad_flags(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_and_run_reject_negative_seeds(tmp_path, capsys):
+    cfg_path, _ = _small_config(tmp_path, seed=-1)
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-3", "x", "1.5"])
+def test_seed_flag_rejects_non_seeds(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "head_on", "--seed", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected an integer >= 0, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/path.json"]) == 1
     assert "error" in capsys.readouterr().err

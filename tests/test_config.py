@@ -67,6 +67,25 @@ def test_seed_override():
     assert cfgm.from_dict(data, seed_override=42).seed == 42
 
 
+def test_negative_seeds_rejected():
+    # numpy's generators take no negative seed: each is a config error
+    # naming its key, not a crash once the run starts
+    data = scenarios.build_config_dict("head_on", seed=-1)
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "config.seed: must be >= 0"
+    data = scenarios.build_config_dict("head_on")
+    data["noise"] = {"pos_std": 1.0, "sog_std": 0.1, "course_std": 0.01, "latency": 0.0,
+                     "period": 2.5, "seed": -7}
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "config.noise.seed: must be >= 0"
+    data["noise"]["seed"] = 0
+    assert cfgm.from_dict(data).tracker_seed == 0
+    with pytest.raises(ConfigError, match="seed override: must be >= 0"):
+        cfgm.from_dict(data, seed_override=-3)
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -180,6 +199,7 @@ def test_default_gains_and_guidance_come_from_their_owners():
     data["gains"] = {"kp": [0.5, 2.0, 0.8], "ki": [0.04, 0.01]}
     cfg = cfgm.from_dict(data)
     assert cfg.los.epsilon == LosParams.epsilon
+    assert cfg.los.u_max_los == cfg.vessel.u_max
     assert cfg.make_gains().integral_limit == default.integral_limit
     np.testing.assert_array_equal(cfg.make_gains().kp, [[0.5, 0.0, 0.0], [0.0, 2.0, 0.8]])
 

@@ -10,6 +10,12 @@ from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration
 from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
 
 PARAMS = LosParams(lookahead=500.0, along_track_gain=0.005, epsilon=0.05, u_max_los=18.0)
+
+
+def test_los_params_need_a_speed_cap():
+    # the cap is the vessel's top speed, which only the config knows
+    with pytest.raises(TypeError):
+        LosParams(lookahead=500.0, along_track_gain=0.005)
 STEP = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
 
 

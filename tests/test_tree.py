@@ -293,6 +293,9 @@ def test_empty_tree_when_all_level0_infeasible():
     cands = _grow(state, (50.0, 0.0), tau0=np.array([1.0, 0.0]))
     assert len(cands) == 0
     assert not cands
+    assert cands.pred_north.shape == (0, cands.grid.n)
+    assert cands.first_sog.shape == (0, cands.first_grid.n)
+    assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
 
 
 def test_tree_rejects_tau0_outside_limits():
