@@ -12,12 +12,13 @@ import time
 from pathlib import Path
 
 from colavmpc import scenarios, sim
+from colavmpc.cli import _seed
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--noise", choices=("none", "ais", "radar"), default="none")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 

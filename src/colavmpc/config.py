@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .core import Pose, Velocity2, VesselState
 from .guidance import DesiredTrajectory, LosParams
 from .objective import ObjectiveWeights, PenaltyGeometry
@@ -129,7 +127,7 @@ def _require_multiple(key: str, value: float, unit: float, unit_name: str):
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A parsed scenario. Configs compare by identity: the desired
-    trajectory and the controller gains hold arrays."""
+    trajectory holds arrays."""
 
     name: str
     seed: int
@@ -143,7 +141,7 @@ class ScenarioConfig:
     weights: ObjectiveWeights
     geometry: PenaltyGeometry
     vessel: VesselModel
-    gains: ControllerGains  # a template: make_gains() hands out fresh copies
+    gains: ControllerGains
     ownship: VesselState
     desired: DesiredTrajectory
     obstacles: tuple[ObstacleScript, ...]
@@ -155,10 +153,6 @@ class ScenarioConfig:
         """Seed of the synthetic tracker: the noise section's own seed if
         it sets one, else the scenario seed."""
         return self.seed if self.noise.seed is None else self.noise.seed
-
-    def make_gains(self) -> ControllerGains:
-        """A fresh controller with the configured gains and zero integral state."""
-        return replace(self.gains, integral=np.zeros(2))
 
 
 def _parse_vessel(r: _Reader | None) -> VesselModel:
@@ -221,10 +215,7 @@ def _parse_gains(r: _Reader | None) -> ControllerGains:
     r.invariant(all(v > 0 for v in kp + ki), "gains must be > 0")
     r.invariant(limit > 0, "integral_limit must be > 0")
     r.finish()
-    kp_sog, kp_rot, kp_course = kp
-    return ControllerGains(
-        kp=[[kp_sog, 0.0, 0.0], [0.0, kp_rot, kp_course]], ki=ki, integral_limit=limit
-    )
+    return ControllerGains(*kp, *ki, integral_limit=limit)
 
 
 def _parse_desired(r: _Reader) -> DesiredTrajectory:

@@ -78,28 +78,37 @@ class ObstacleEstimate:
     timestamp: float
 
 
-def ground_truth(script: ObstacleScript, t: float) -> tuple[float, float, float, float]:
-    """True (north, east, sog, course) at time t >= 0."""
-    if t < 0.0:
+def ground_truth(script: ObstacleScript, t):
+    """True (north, east, sog, course) at time t >= 0.
+
+    t is a float, or an array whose shape the four results then take.
+    An event applies from its own time on. Each script segment is one
+    pass over its times with the segment's scalar sog * cos(course) and
+    sog * sin(course), so an array call matches the scalar calls bit
+    for bit.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0.0):
         raise ValueError("t must be >= 0")
-    north, east = script.north, script.east
-    sog, course = script.sog, script.course
-    t_prev = 0.0
-    for ev in script.events:
-        if ev.t > t:
-            break
-        dt = ev.t - t_prev
-        north += sog * math.cos(course) * dt
-        east += sog * math.sin(course) * dt
-        t_prev = ev.t
-        if ev.sog is not None:
-            sog = ev.sog
-        if ev.course is not None:
-            course = ev.course
-    dt = t - t_prev
-    north += sog * math.cos(course) * dt
-    east += sog * math.sin(course) * dt
-    return north, east, sog, wrap_angle(course)
+    flat = times.ravel()
+    out = np.full((4, flat.size), math.nan)  # a NaN time lies in no segment
+    t0, north, east, sog, course = 0.0, script.north, script.east, script.sog, script.course
+    for ev in (*script.events, None):
+        t1 = math.inf if ev is None else ev.t
+        v_north, v_east = sog * math.cos(course), sog * math.sin(course)
+        at = (flat >= t0) & (flat < t1)
+        dt = flat[at] - t0
+        out[0, at] = north + v_north * dt
+        out[1, at] = east + v_east * dt
+        out[2, at] = sog
+        out[3, at] = wrap_angle(course)
+        if ev is not None:
+            north, east = north + v_north * (t1 - t0), east + v_east * (t1 - t0)
+            t0 = t1
+            sog = sog if ev.sog is None else ev.sog
+            course = course if ev.course is None else ev.course
+    out = out.reshape((4,) + times.shape)
+    return tuple(out.tolist() if times.ndim == 0 else out)
 
 
 def observe(

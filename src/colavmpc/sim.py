@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
+from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
 from .guidance import desired_acceleration, los_targets
 from .objective import CostTable, region_radius, relative_bearing, select
 from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
@@ -209,54 +210,56 @@ def plan_step(
 
 
 def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
-    """Simulate the scenario; deterministic for a given config and seed."""
+    """Simulate the scenario; deterministic for a given config and seed.
+
+    The controller and plant step on plain floats: the plant state is
+    (north, east, course, sog, rot), and each planner call slices the
+    period's reference rows once from the committed trajectory. The
+    ground truth and the held tracker estimates are logged after the
+    loop.
+    """
     model = config.vessel
-    gains = config.make_gains()
+    gains = config.gains
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
     horizon = config.tree.horizon
     rng = np.random.default_rng(config.tracker_seed)
 
-    state = config.ownship
-    tau_applied = inverse_model(model, state.vel)
+    own = config.ownship
+    state = (own.pose.north, own.pose.east, own.pose.course, own.vel.sog, own.vel.rot)
+    tau = tuple(inverse_model(model, own.vel).tolist())
+    integral = (0.0, 0.0)
     commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.planner_period, dt),
-        state.vel.sog,
-        state.pose.course,
+        TimeGrid.from_span(0.0, config.planner_period, dt), own.vel.sog, own.pose.course
     )
     selected_id = -1
-    estimates = {}
     next_obs_t = 0.0
 
     n_rows = n_steps + 1
-    cols = {
-        name: np.zeros(n_rows)
-        for name in (
-            "own_north", "own_east", "own_course", "own_sog", "own_rot",
-            "tau_m", "tau_delta",
-            "ref_sog", "ref_rot", "ref_course", "ref_sog_acc", "ref_rot_acc",
-        )
-    }
+    ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
+    ref = np.zeros((len(ref_names), n_rows))
     selected_col = np.zeros(n_rows, dtype=int)
-    obs_series = {
-        s.id: ObstacleSeries(*(np.zeros(n_rows) for _ in range(9))) for s in config.obstacles
-    }
+    # the tracker's updates: the step of each and its estimates; a step
+    # logs the last update at or before it
+    update_steps, update_estimates = [], []
+    plant_names = (
+        "own_north", "own_east", "own_course", "own_sog", "own_rot", "tau_m", "tau_delta"
+    )
+    plant_rows = array("d")  # every step's plant state and command, flat
     planner_rows = []
 
-    for step_idx in range(n_steps + 1):
+    for step_idx in range(n_rows):
         t = step_idx * dt
 
         while t >= next_obs_t - 1e-9:
-            for script in config.obstacles:
-                estimates[script.id] = observe(script, config.noise, t, rng)
+            update_steps.append(step_idx)
+            update_estimates.append([observe(s, config.noise, t, rng) for s in config.obstacles])
             next_obs_t += config.noise.period
 
         if step_idx % planner_every == 0 and step_idx < n_steps:
-            candidates, table = plan_step(
-                config, t, state, commanded, tau_applied,
-                [estimates[script.id] for script in config.obstacles],
-            )
+            vessel = VesselState(Pose(*state[:3]), Velocity2(*state[3:]))
+            candidates, table = plan_step(config, t, vessel, commanded, tau, update_estimates[-1])
             if table is None:
                 commanded = _hold_trajectory(commanded, t + horizon)
                 selected_id = -1
@@ -277,46 +280,23 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
                     )
                 )
 
-        offset = int(round((t - commanded.grid.t0) / dt))
-        offset = min(offset, commanded.grid.n - 1)
-        cols["own_north"][step_idx] = state.pose.north
-        cols["own_east"][step_idx] = state.pose.east
-        cols["own_course"][step_idx] = state.pose.course
-        cols["own_sog"][step_idx] = state.vel.sog
-        cols["own_rot"][step_idx] = state.vel.rot
-        cols["ref_sog"][step_idx] = commanded.sog[offset]
-        cols["ref_rot"][step_idx] = commanded.rot[offset]
-        cols["ref_course"][step_idx] = commanded.course[offset]
-        cols["ref_sog_acc"][step_idx] = commanded.sog_acc[offset]
-        cols["ref_rot_acc"][step_idx] = commanded.rot_acc[offset]
-        selected_col[step_idx] = selected_id
-        for script in config.obstacles:
-            ser = obs_series[script.id]
-            tn, te, tsog, tcourse = ground_truth(script, t)
-            est = estimates[script.id]
-            ser.true_north[step_idx] = tn
-            ser.true_east[step_idx] = te
-            ser.true_sog[step_idx] = tsog
-            ser.true_course[step_idx] = tcourse
-            ser.est_north[step_idx] = est.north
-            ser.est_east[step_idx] = est.east
-            ser.est_sog[step_idx] = est.sog
-            ser.est_course[step_idx] = est.course
-            ser.est_time[step_idx] = est.timestamp
+        if step_idx % planner_every == 0:
+            # this period's rows of the reference, held past the
+            # commanded trajectory's end
+            start, stop = step_idx, min(step_idx + planner_every, n_rows)
+            offset = int(round((t - commanded.grid.t0) / dt))
+            rows = np.minimum(np.arange(offset, offset + stop - start), commanded.grid.n - 1)
+            for channel, name in zip(ref, ref_names):
+                channel[start:stop] = getattr(commanded, name)[rows]
+            selected_col[start:stop] = selected_id
+            period_ref = ref[:, start:stop].T.tolist()
 
-        if step_idx == n_steps:
-            cols["tau_m"][step_idx] = tau_applied[0]
-            cols["tau_delta"][step_idx] = tau_applied[1]
+        if step_idx == n_steps:  # the last row holds the last command
+            plant_rows.extend(state + tau)
             break
-
-        x_d = Velocity2(max(float(commanded.sog[offset]), 0.0), float(commanded.rot[offset]))
-        chi_d = float(commanded.course[offset])
-        xdot_d = (float(commanded.sog_acc[offset]), float(commanded.rot_acc[offset]))
-        tau = control_law(model, gains, state.vel, state.pose.course, x_d, chi_d, xdot_d, dt)
-        cols["tau_m"][step_idx] = tau[0]
-        cols["tau_delta"][step_idx] = tau[1]
+        tau, integral = control_law(model, gains, state, period_ref[step_idx - start], integral, dt)
+        plant_rows.extend(state + tau)
         state = step_plant(model, state, tau, dt)
-        tau_applied = tau
 
     pl = np.array(planner_rows, dtype=float) if planner_rows else np.zeros((0, 10))
     planner = PlannerSeries(
@@ -331,14 +311,21 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         course_change=pl[:, 8],
         sog_change=pl[:, 9],
     )
+    t = dt * np.arange(n_rows)
+    held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
+    obstacles = {}
+    for script, estimates in zip(config.obstacles, zip(*update_estimates)):
+        est = np.array([(e.north, e.east, e.sog, e.course, e.timestamp) for e in estimates])
+        obstacles[script.id] = ObstacleSeries(*ground_truth(script, t), *est[held].T)
     log = RunLog(
         name=config.name,
         seed=config.tracker_seed,
         dt=dt,
-        t=dt * np.arange(n_rows),
-        **cols,
+        t=t,
+        **dict(zip(plant_names, np.frombuffer(plant_rows).reshape(n_rows, len(plant_names)).T)),
+        **{f"ref_{name}": channel for name, channel in zip(ref_names, ref)},
         selected=selected_col,
-        obstacles=obs_series,
+        obstacles=obstacles,
         planner=planner,
     )
     return log, compute_metrics(log, config.geometry)

@@ -16,11 +16,12 @@ turn rate of 0.25 rad/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Velocity2, VesselState, Pose, wrap_angle
+from .core import Velocity2, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -53,25 +54,20 @@ class VesselModel:
             raise ValueError("speed envelope requires 0 <= u_min < u_max")
 
     def mass(self, sog):
-        """Diagonal of M(x) as (m_sog, m_rot); accepts arrays."""
-        sog = np.asarray(sog, dtype=float)
+        """Diagonal of M(x) as (m_sog, m_rot); for floats or arrays."""
         return self.m_u0 + self.m_u1 * sog, self.m_r0 + self.m_r1 * sog
 
     def damping(self, sog, rot):
-        """sigma(x) as (sigma_sog, sigma_rot); accepts arrays."""
-        sog = np.asarray(sog, dtype=float)
-        rot = np.asarray(rot, dtype=float)
-        sigma_sog = self.d_u1 * sog + self.d_u2 * sog * np.abs(sog)
-        sigma_rot = self.d_r1 * rot + self.d_r2 * rot * np.abs(rot) + self.d_ru * sog * rot
+        """sigma(x) as (sigma_sog, sigma_rot); for floats or arrays."""
+        sigma_sog = self.d_u1 * sog + self.d_u2 * sog * abs(sog)
+        sigma_rot = self.d_r1 * rot + self.d_r2 * rot * abs(rot) + self.d_ru * sog * rot
         return sigma_sog, sigma_rot
 
     def rates(self, sog, rot, tau_m, tau_d):
-        """xdot = M(x)^-1 (tau - sigma(x)); accepts arrays, no tau check."""
+        """xdot = M(x)^-1 (tau - sigma(x)); for floats or arrays, no tau check."""
         m_sog, m_rot = self.mass(sog)
         s_sog, s_rot = self.damping(sog, rot)
-        return (np.asarray(tau_m, dtype=float) - s_sog) / m_sog, (
-            np.asarray(tau_d, dtype=float) - s_rot
-        ) / m_rot
+        return (tau_m - s_sog) / m_sog, (tau_d - s_rot) / m_rot
 
 
 def default_model() -> VesselModel:
@@ -113,87 +109,86 @@ def inverse_model(model: VesselModel, x_ss: Velocity2) -> np.ndarray:
     return np.array([float(s_sog), float(s_rot)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerGains:
     """Feedforward-feedback speed/course controller gains.
 
-    kp maps the error vector (sog_err, rot_err, course_err) to an
-    acceleration correction (applied through M(x)); ki integrates
-    (sog_err, course_err) directly into normalized actuator units.
-    The integral contribution is clamped to +-integral_limit.
+    The proportional gains turn the sog error, and the rot and course
+    errors, into acceleration corrections (applied through M(x)); the
+    integral gains integrate the sog and course errors directly into
+    normalized actuator units, each contribution clamped to
+    +-integral_limit.
     """
 
-    kp: np.ndarray
-    ki: np.ndarray
+    kp_sog: float
+    kp_rot: float
+    kp_course: float
+    ki_sog: float
+    ki_course: float
     integral_limit: float = 0.3
-    integral: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        self.kp = np.asarray(self.kp, dtype=float)
-        self.ki = np.asarray(self.ki, dtype=float)
-        if self.kp.shape != (2, 3):
-            raise ValueError("kp must be a 2x3 matrix")
-        if self.ki.shape != (2,) or np.any(self.ki <= 0):
-            raise ValueError("ki must be two positive diagonal entries")
-        self.integral = np.asarray(self.integral, dtype=float).copy()
+        if self.ki_sog <= 0 or self.ki_course <= 0:
+            raise ValueError("integral gains must be > 0")
 
 
 def default_gains() -> ControllerGains:
     # tuned so a 20 deg course step at 5 m/s settles below 1 deg in < 10 s
-    return ControllerGains(
-        kp=np.array([[0.6, 0.0, 0.0], [0.0, 2.2, 1.0]]),
-        ki=np.array([0.05, 0.02]),
-    )
+    return ControllerGains(kp_sog=0.6, kp_rot=2.2, kp_course=1.0, ki_sog=0.05, ki_course=0.02)
 
 
-def control_law(
-    model: VesselModel,
-    gains: ControllerGains,
-    x: Velocity2,
-    chi: float,
-    x_d: Velocity2,
-    chi_d: float,
-    xdot_d,
-    dt: float,
-):
+def control_law(model: VesselModel, gains: ControllerGains, state, ref, integral, dt: float):
     """Feedforward + PI feedback actuator command, saturated to the limits.
 
-    Advances the controller's integral state by dt.
+    state is the plant's (north, east, course, sog, rot), ref the desired
+    (sog, rot, course, sog_acc, rot_acc), whose sog counts as 0 below 0,
+    and integral the controller's (sog, course) error integral. Returns
+    the command (tau_m, tau_delta) and the integral advanced by dt.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    err = np.array(
-        [x.sog - x_d.sog, x.rot - x_d.rot, wrap_angle(chi - chi_d)]
+    _, _, course, sog, rot = state
+    sog_d, rot_d, course_d, sog_acc_d, rot_acc_d = ref
+    sog_d = max(sog_d, 0.0)
+    err_sog = sog - sog_d
+    err_rot = rot - rot_d
+    err_course = wrap_angle(course - course_d)
+    bound_sog = gains.integral_limit / gains.ki_sog
+    bound_course = gains.integral_limit / gains.ki_course
+    i_sog = min(max(integral[0] + err_sog * dt, -bound_sog), bound_sog)
+    i_course = min(max(integral[1] + err_course * dt, -bound_course), bound_course)
+
+    m_sog, m_rot = model.mass(sog)
+    s_sog, s_rot = model.damping(sog_d, rot_d)
+    tau_m = m_sog * sog_acc_d + s_sog - m_sog * (gains.kp_sog * err_sog) - gains.ki_sog * i_sog
+    tau_d = (
+        m_rot * rot_acc_d + s_rot
+        - m_rot * (gains.kp_rot * err_rot + gains.kp_course * err_course)
+        - gains.ki_course * i_course
     )
-    gains.integral += err[[0, 2]] * dt
-    bound = gains.integral_limit / gains.ki
-    np.clip(gains.integral, -bound, bound, out=gains.integral)
-
-    m_sog, m_rot = model.mass(x.sog)
-    m_diag = np.array([float(m_sog), float(m_rot)])
-    s_sog, s_rot = model.damping(x_d.sog, x_d.rot)
-    feedforward = m_diag * np.asarray(xdot_d, dtype=float) + np.array(
-        [float(s_sog), float(s_rot)]
+    tau = (
+        min(max(tau_m, model.tau_min[0]), model.tau_max[0]),
+        min(max(tau_d, model.tau_min[1]), model.tau_max[1]),
     )
-    tau = feedforward - m_diag * (gains.kp @ err) - gains.ki * gains.integral
-    return np.clip(tau, model.tau_min, model.tau_max)
+    return tau, (i_sog, i_course)
 
 
-def step_plant(model: VesselModel, state: VesselState, tau, dt: float) -> VesselState:
+def step_plant(model: VesselModel, state, tau, dt: float):
     """Explicit Euler step of the velocity dynamics and kinematics.
 
-    All derivatives are evaluated at the incoming state; sog is clamped
-    at zero. The actuator input is applied as given (the plant has no
-    say in actuation limits).
+    state is (north, east, course, sog, rot). All derivatives are
+    evaluated at the incoming state; sog is clamped at zero and course
+    wrapped to [-pi, pi). The actuator input (tau_m, tau_delta) is
+    applied as given (the plant has no say in actuation limits).
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    tau = np.asarray(tau, dtype=float)
-    du, dr = model.rates(state.vel.sog, state.vel.rot, tau[0], tau[1])
-    sog = max(state.vel.sog + dt * float(du), 0.0)
-    rot = state.vel.rot + dt * float(dr)
-    north = state.pose.north + dt * np.cos(state.pose.course) * state.vel.sog
-    east = state.pose.east + dt * np.sin(state.pose.course) * state.vel.sog
-    course = wrap_angle(state.pose.course + dt * state.vel.rot)
-    pose = Pose(float(north), float(east), float(course))
-    return VesselState(pose, Velocity2(float(sog), float(rot)))
+    north, east, course, sog, rot = state
+    du, dr = model.rates(sog, rot, tau[0], tau[1])
+    return (
+        north + dt * math.cos(course) * sog,
+        east + dt * math.sin(course) * sog,
+        wrap_angle(course + dt * rot),
+        max(sog + dt * du, 0.0),
+        rot + dt * dr,
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +300,14 @@ def test_seed_flag_rejects_non_seeds(value, tmp_path, capsys):
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/path.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_scenarios_script_rejects_negative_seed(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import run_scenarios
+
+    monkeypatch.setattr("sys.argv", ["run_scenarios.py", "--seed", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        run_scenarios.main()
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err

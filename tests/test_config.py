@@ -187,21 +187,16 @@ def test_library_errors_name_their_section_once():
 def test_default_gains_and_guidance_come_from_their_owners():
     cfg = cfgm.from_dict(scenarios.build_config_dict("head_on"))
     default = default_gains()
-    gains = cfg.make_gains()
-    np.testing.assert_array_equal(gains.kp, default.kp)
-    np.testing.assert_array_equal(gains.ki, default.ki)
-    assert gains.integral_limit == default.integral_limit
-    # each call is a fresh controller: running one leaves the next at zero
-    gains.integral[:] = 1.0
-    assert not cfg.make_gains().integral.any()
+    assert cfg.gains == default
     data = scenarios.build_config_dict("head_on")
     del data["guidance"]["epsilon"]
     data["gains"] = {"kp": [0.5, 2.0, 0.8], "ki": [0.04, 0.01]}
     cfg = cfgm.from_dict(data)
     assert cfg.los.epsilon == LosParams.epsilon
     assert cfg.los.u_max_los == cfg.vessel.u_max
-    assert cfg.make_gains().integral_limit == default.integral_limit
-    np.testing.assert_array_equal(cfg.make_gains().kp, [[0.5, 0.0, 0.0], [0.0, 2.0, 0.8]])
+    assert cfg.gains.integral_limit == default.integral_limit
+    assert (cfg.gains.kp_sog, cfg.gains.kp_rot, cfg.gains.kp_course) == (0.5, 2.0, 0.8)
+    assert (cfg.gains.ki_sog, cfg.gains.ki_course) == (0.04, 0.01)
 
 
 def test_duplicate_obstacle_ids_rejected():

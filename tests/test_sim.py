@@ -271,7 +271,6 @@ def test_run_scripted_course_change():
 def test_prediction_matches_closed_loop_plant():
     # the planner's feedback-corrected prediction should stay close to what
     # the controller + plant actually do, else the avoidance geometry lies
-    from colavmpc.core import Velocity2 as V2
     from colavmpc.primitives import ErrorModel
     from colavmpc.tree import TreeParams, generate_tree
     from colavmpc.vessel import control_law, default_gains, default_model, inverse_model, step_plant
@@ -285,22 +284,22 @@ def test_prediction_matches_closed_loop_plant():
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
-        s = state
+        s = (0.0, 0.0, 0.1, 5.5, 0.0)
+        integral = (0.0, 0.0)
         dt = 0.1
         for k in range(desired.grid.n - 1):
-            x_d = V2(max(desired.sog[k], 0.0), desired.rot[k])
-            tau = control_law(
-                model, gains, s.vel, s.pose.course, x_d, desired.course[k],
-                (desired.sog_acc[k], desired.rot_acc[k]), dt,
+            ref = (
+                desired.sog[k], desired.rot[k], desired.course[k],
+                desired.sog_acc[k], desired.rot_acc[k],
             )
+            tau, integral = control_law(model, gains, s, ref, integral, dt)
             s = step_plant(model, s, tau, dt)
+            north, east, course, _, _ = s
             pos_err = math.hypot(
-                s.pose.north - cands.pred_north[pick, k + 1],
-                s.pose.east - cands.pred_east[pick, k + 1],
+                north - cands.pred_north[pick, k + 1], east - cands.pred_east[pick, k + 1]
             )
             course_err = abs(
-                (s.pose.course - cands.pred_course[pick, k + 1] + math.pi) % (2 * math.pi)
-                - math.pi
+                (course - cands.pred_course[pick, k + 1] + math.pi) % (2 * math.pi) - math.pi
             )
             assert pos_err < 10.0
             assert course_err < math.radians(3.0)
@@ -315,10 +314,12 @@ def test_plan_step_plans_on_its_own_clock():
 
     config = scenarios.build_scenario("head_on")
     dt, n = config.integration_dt, 350
-    state = config.ownship
-    tau = inverse_model(config.vessel, state.vel)
+    own = config.ownship
+    plant = (own.pose.north, own.pose.east, own.pose.course, own.vel.sog, own.vel.rot)
+    tau = inverse_model(config.vessel, own.vel)
     for _ in range(n):
-        state = step_plant(config.vessel, state, tau, dt)
+        plant = step_plant(config.vessel, plant, tau, dt)
+    state = VesselState(Pose(*plant[:3]), Velocity2(*plant[3:]))
     t = n * dt
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, t + config.planner_period, dt), state.vel.sog, state.pose.course
@@ -339,3 +340,154 @@ def test_commanded_reference_continuous_across_replans():
     dsog = np.abs(np.diff(log.ref_sog))
     assert np.max(dcourse) < 0.3 * log.dt + 1e-9  # bounded by max rot
     assert np.max(dsog) < 1.0 * log.dt + 1e-9
+
+
+def test_ground_truth_log_follows_script_events():
+    # a course change between steps, a speed change exactly on step 300,
+    # and two events at one time, the later one applied last
+    from colavmpc.obstacles import ground_truth
+
+    d = scenarios.build_config_dict("crossing_starboard")
+    d["duration"] = 60.0
+    d["obstacles"][0]["events"] = [
+        {"t": 12.34, "course": -2.0},
+        {"t": 30.0, "sog": 4.0},
+        {"t": 45.0, "course": 2.5},
+        {"t": 45.0, "course": -3.0, "sog": 1.5},
+    ]
+    config = cfgm.from_dict(d)
+    log, _ = run(config)
+    (script,) = config.obstacles
+    ser = log.obstacles["target"]
+    for k in range(len(log.t)):
+        expected = ground_truth(script, k * log.dt)
+        logged = (ser.true_north[k], ser.true_east[k], ser.true_sog[k], ser.true_course[k])
+        assert logged == expected, k
+    # an event applies from its own time on
+    assert 300 * log.dt == 30.0 and 450 * log.dt == 45.0
+    assert (ser.true_sog[299], ser.true_sog[300]) == (2.5, 4.0)
+    assert ser.true_course[123] == -math.pi / 2 and ser.true_course[124] == -2.0
+    assert (ser.true_sog[449], ser.true_course[449]) == (4.0, -2.0)
+    assert (ser.true_sog[450], ser.true_course[450]) == (1.5, -3.0)
+    # continuous position across every event
+    step = np.hypot(np.diff(ser.true_north), np.diff(ser.true_east))
+    assert step.max() <= 4.0 * log.dt + 1e-9
+
+
+def _recorded_observe(monkeypatch):
+    """Wrap sim.observe; return the list of (t, estimate) of every call."""
+    from colavmpc import sim
+
+    real = sim.observe
+    calls = []
+
+    def observe(script, noise, t, rng):
+        est = real(script, noise, t, rng)
+        calls.append((t, est))
+        return est
+
+    monkeypatch.setattr(sim, "observe", observe)
+    return calls
+
+
+def _assert_estimates_held(log, calls):
+    """Every step logs the last tracker update at or before it."""
+    for obs_id, ser in log.obstacles.items():
+        mine = [(t, e) for t, e in calls if e.id == obs_id]
+        for k, t in enumerate(log.t):
+            _, est = [c for c in mine if c[0] <= t][-1]
+            logged = (ser.est_north[k], ser.est_east[k], ser.est_sog[k], ser.est_course[k])
+            assert logged == (est.north, est.east, est.sog, est.course), (obs_id, k)
+            assert ser.est_time[k] == est.timestamp
+
+
+@pytest.mark.parametrize("period", [0.35, 0.04])
+def test_logged_estimates_hold_the_last_update(monkeypatch, period):
+    # 0.35 s is no multiple of the 0.1 s step; 0.04 s puts two or three
+    # updates into one step, and the step logs the last of them
+    d = scenarios.build_config_dict("head_on")
+    d["duration"] = 12.0
+    d["obstacles"].append(
+        {"id": "ferry", "north": 900.0, "east": 450.0, "sog": 2.5, "course": -math.pi / 2}
+    )
+    d["noise"] = {
+        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.2, "latency": 0.0, "period": period,
+    }
+    calls = _recorded_observe(monkeypatch)
+    log, _ = run(cfgm.from_dict(d))
+    updates_per_step = len(calls) / len(log.obstacles) / len(log.t)
+    assert (updates_per_step > 2.0) if period < 0.1 else (updates_per_step < 1.0)
+    _assert_estimates_held(log, calls)
+
+
+def _reject_from_call(monkeypatch, first_rejected):
+    """Make tree.terminal_sog_feasible reject every sample from its
+    first_rejected-th call on."""
+    from colavmpc import tree
+
+    real = tree.terminal_sog_feasible
+    calls = []
+
+    def feasible(model, sog_terminal):
+        calls.append(1)
+        mask = real(model, sog_terminal)
+        return mask if len(calls) < first_rejected else np.zeros_like(mask)
+
+    monkeypatch.setattr(tree, "terminal_sog_feasible", feasible)
+
+
+def test_plan_step_holds_when_a_level_below_the_root_empties(monkeypatch):
+    config = scenarios.build_scenario("head_on")
+    state = config.ownship
+    from colavmpc.obstacles import observe
+    from colavmpc.vessel import inverse_model
+
+    commanded = VelocityTrajectory.constant(
+        TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
+        state.vel.sog, state.pose.course,
+    )
+    estimates = [observe(s, config.noise, 0.0, np.random.default_rng(0)) for s in config.obstacles]
+    _reject_from_call(monkeypatch, 2)
+    candidates, table = plan_step(
+        config, 0.0, state, commanded, inverse_model(config.vessel, state.vel), estimates
+    )
+    assert table is None
+    assert not candidates
+
+
+def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
+    # the first tree grows; from the second on, level 1 (then level 0)
+    # rejects everything, so every later call holds the first winner,
+    # past its 55 s horizon at its final values
+    d = scenarios.build_config_dict("head_on")
+    d["duration"] = 70.0
+    d["noise"] = {
+        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.2, "latency": 0.0, "period": 0.35,
+    }
+    from colavmpc import sim
+
+    real_plan_step = sim.plan_step
+    plans = []
+
+    def recorded_plan_step(*args):
+        plans.append(real_plan_step(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
+    calls = _recorded_observe(monkeypatch)
+    _reject_from_call(monkeypatch, 5)
+    log, metrics = run(cfgm.from_dict(d))
+
+    assert metrics.planner_calls == 14
+    assert list(log.planner.failsafe) == [False] + [True] * 13
+    assert all(table is None and not cands for cands, table in plans[1:])
+    candidates, table = plans[0]
+    winner = candidates.trajectory(table.selected)
+    assert np.all(log.selected[:50] == table.selected) and np.all(log.selected[50:] == -1)
+    n = winner.grid.n
+    for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
+        held = getattr(log, f"ref_{name}")
+        np.testing.assert_array_equal(held[:n], getattr(winner, name))
+        final = getattr(winner, name)[-1] if name in ("sog", "course") else 0.0
+        assert np.all(held[n:] == final), name
+    _assert_estimates_held(log, calls)

@@ -7,6 +7,7 @@ from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 import oracles
 from colavmpc.primitives import ErrorModel, possible_accelerations, sample_accelerations
+from colavmpc import tree as tree_mod
 from colavmpc.tree import TreeParams, generate_tree
 from colavmpc.vessel import default_model, inverse_model
 
@@ -295,6 +296,41 @@ def test_empty_tree_when_all_level0_infeasible():
     assert not cands
     assert cands.pred_north.shape == (0, cands.grid.n)
     assert cands.first_sog.shape == (0, cands.first_grid.n)
+    assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("first_rejected", [2, 3])
+def test_empty_tree_when_a_level_below_the_root_is_infeasible(monkeypatch, first_rejected):
+    # every sample is rejected from level 1 (2nd call) or level 2 (3rd call) on
+    nodes = []
+
+    def hook(t, north, east, course, desired, step):
+        assert len(north) == len(east) == len(course) == len(desired[0])
+        nodes.append(len(north))
+        return None
+
+    full = _grow(_state(), (5.0, 0.0), hook)
+    full_nodes, nodes[:] = list(nodes), []
+    assert len(full) > 0 and min(full_nodes) > 0
+    real = tree_mod.terminal_sog_feasible
+    calls = []
+
+    def feasible(model, sog_terminal):
+        calls.append(1)
+        mask = real(model, sog_terminal)
+        return mask if len(calls) < first_rejected else np.zeros_like(mask)
+
+    monkeypatch.setattr(tree_mod, "terminal_sog_feasible", feasible)
+    cands = _grow(_state(), (5.0, 0.0), hook)
+    assert len(calls) == 3
+    # the levels below the emptied one see zero nodes
+    assert nodes == full_nodes[:first_rejected] + [0] * (3 - first_rejected)
+    assert len(cands) == 0
+    assert not cands
+    assert cands.grid == full.grid and cands.first_grid == full.first_grid
+    for arr in (cands.pred_north, cands.pred_east, cands.pred_course):
+        assert arr.shape == (0, cands.grid.n)
+    assert cands.first_sog.shape == cands.first_course.shape == (0, cands.first_grid.n)
     assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colavmpc.core import Pose, Velocity2, VesselState
+from colavmpc.core import Velocity2
 from colavmpc.vessel import (
     ControllerGains,
     control_law,
@@ -78,31 +79,41 @@ def test_inverse_round_trip(sog, rot):
     assert abs(du) < 1e-12 and abs(dr) < 1e-12
 
 
+def _ref(sog=5.0, rot=0.0, course=0.0, sog_acc=0.0, rot_acc=0.0):
+    """A desired (sog, rot, course, sog_acc, rot_acc) for the controller."""
+    return (sog, rot, course, sog_acc, rot_acc)
+
+
+def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0):
+    """A plant state (north, east, course, sog, rot)."""
+    return (north, east, course, sog, rot)
+
+
+NO_INTEGRAL = (0.0, 0.0)
+
+
 def test_control_law_pure_feedforward():
-    gains = default_gains()
-    x_d = Velocity2(5.0, 0.0)
-    tau = control_law(MODEL, gains, x_d, 0.3, x_d, 0.3, (0.0, 0.0), 0.1)
-    expected = inverse_model(MODEL, x_d)
+    tau, _ = control_law(
+        MODEL, default_gains(), _state(course=0.3), _ref(course=0.3), NO_INTEGRAL, 0.1
+    )
+    expected = inverse_model(MODEL, Velocity2(5.0, 0.0))
     np.testing.assert_allclose(tau, expected, atol=1e-9)
 
 
 def test_control_law_proportional_sign():
-    gains = default_gains()
-    x_d = Velocity2(5.0, 0.0)
-    feedforward = inverse_model(MODEL, x_d)
-    tau = control_law(MODEL, gains, Velocity2(6.0, 0.0), 0.0, x_d, 0.0, (0.0, 0.0), 0.1)
+    feedforward = inverse_model(MODEL, Velocity2(5.0, 0.0))
+    tau, _ = control_law(MODEL, default_gains(), _state(sog=6.0), _ref(), NO_INTEGRAL, 0.1)
     assert tau[0] < feedforward[0]
 
 
 def test_control_law_wrap_invariance():
     two_pi = 2 * math.pi
-    base = control_law(
-        MODEL, default_gains(), Velocity2(5.0, 0.0), 0.1, Velocity2(5.0, 0.0), -0.1,
-        (0.0, 0.0), 0.1,
+    base, _ = control_law(
+        MODEL, default_gains(), _state(course=0.1), _ref(course=-0.1), NO_INTEGRAL, 0.1
     )
-    shifted = control_law(
-        MODEL, default_gains(), Velocity2(5.0, 0.0), 0.1 + two_pi, Velocity2(5.0, 0.0),
-        -0.1 - two_pi, (0.0, 0.0), 0.1,
+    shifted, _ = control_law(
+        MODEL, default_gains(), _state(course=0.1 + two_pi), _ref(course=-0.1 - two_pi),
+        NO_INTEGRAL, 0.1,
     )
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
@@ -116,32 +127,37 @@ def test_control_law_wrap_invariance():
     st.floats(min_value=-math.pi, max_value=math.pi),
 )
 def test_control_law_saturates(sog, rot, chi, sog_d, rot_d, chi_d):
-    tau = control_law(
-        MODEL, default_gains(), Velocity2(sog, rot), chi, Velocity2(sog_d, rot_d), chi_d,
-        (0.0, 0.0), 0.1,
+    tau, _ = control_law(
+        MODEL, default_gains(), _state(course=chi, sog=sog, rot=rot), _ref(sog_d, rot_d, chi_d),
+        NO_INTEGRAL, 0.1,
     )
-    assert np.all(tau >= np.asarray(MODEL.tau_min) - 1e-12)
-    assert np.all(tau <= np.asarray(MODEL.tau_max) + 1e-12)
+    assert np.all(np.asarray(tau) >= np.asarray(MODEL.tau_min) - 1e-12)
+    assert np.all(np.asarray(tau) <= np.asarray(MODEL.tau_max) + 1e-12)
 
 
-def _state(north=0.0, east=0.0, course=0.0, sog=5.0, rot=0.0):
-    return VesselState(Pose(north, east, course), Velocity2(sog, rot))
+def test_control_law_clamps_the_integral():
+    gains = default_gains()
+    integral = NO_INTEGRAL
+    # a persistent error saturates each integral at integral_limit / ki
+    for _ in range(1000):
+        _, integral = control_law(MODEL, gains, _state(sog=9.0, course=1.0), _ref(), integral, 0.1)
+    assert integral == (
+        gains.integral_limit / gains.ki_sog, gains.integral_limit / gains.ki_course
+    )
 
 
 def test_step_plant_straight_line():
-    state = _state()
-    tau = inverse_model(MODEL, state.vel)
-    nxt = step_plant(MODEL, state, tau, 1.0)
-    assert nxt.pose.north == pytest.approx(5.0, abs=1e-9)
-    assert nxt.pose.east == pytest.approx(0.0, abs=1e-12)
-    assert nxt.vel.sog == pytest.approx(5.0, abs=1e-9)
+    tau = inverse_model(MODEL, Velocity2(5.0, 0.0))
+    north, east, _, sog, _ = step_plant(MODEL, _state(), tau, 1.0)
+    assert north == pytest.approx(5.0, abs=1e-9)
+    assert east == pytest.approx(0.0, abs=1e-12)
+    assert sog == pytest.approx(5.0, abs=1e-9)
 
 
 def test_step_plant_euler_kinematics():
-    state = _state(rot=0.1)
-    tau = inverse_model(MODEL, state.vel)
-    nxt = step_plant(MODEL, state, tau, 0.1)
-    assert nxt.pose.course == pytest.approx(0.01, abs=1e-12)
+    tau = inverse_model(MODEL, Velocity2(5.0, 0.1))
+    _, _, course, _, _ = step_plant(MODEL, _state(rot=0.1), tau, 0.1)
+    assert course == pytest.approx(0.01, abs=1e-12)
 
 
 def test_step_plant_halving_error_is_second_order():
@@ -153,9 +169,7 @@ def test_step_plant_halving_error_is_second_order():
     def gap(dt):
         one = step_plant(MODEL, state, tau, dt)
         half = step_plant(MODEL, step_plant(MODEL, state, tau, dt / 2), tau, dt / 2)
-        return np.hypot(one.pose.north - half.pose.north, one.pose.east - half.pose.east) + abs(
-            one.vel.sog - half.vel.sog
-        )
+        return np.hypot(one[0] - half[0], one[1] - half[1]) + abs(one[3] - half[3])
 
     ratio = gap(0.2) / gap(0.1)
     assert 3.0 < ratio < 5.0
@@ -165,31 +179,37 @@ def test_step_plant_clamps_sog():
     # at the throttle floor from 10 m/s, one 60 s Euler step overshoots below 0
     state = _state(sog=10.0)
     tau = (MODEL.tau_min[0], 0.0)
-    du, _ = MODEL.rates(state.vel.sog, state.vel.rot, *tau)
-    assert state.vel.sog + 60.0 * du < 0.0
-    assert step_plant(MODEL, state, tau, 60.0).vel.sog == 0.0
+    du, _ = MODEL.rates(10.0, 0.0, *tau)
+    assert 10.0 + 60.0 * du < 0.0
+    assert step_plant(MODEL, state, tau, 60.0)[3] == 0.0
+
+
+def test_step_plant_steps_floats():
+    north, east, course, sog, rot = step_plant(MODEL, _state(rot=0.1), (0.4, 0.2), 0.1)
+    assert all(type(v) is float for v in (north, east, course, sog, rot))
+    assert -math.pi <= course < math.pi
 
 
 def test_energy_like_boundedness():
     # engine off: speed never increases
     state = _state(sog=5.0)
-    sogs = [state.vel.sog]
+    sogs = [state[3]]
     for _ in range(300):
         state = step_plant(MODEL, state, (0.0, 0.0), 0.1)
-        sogs.append(state.vel.sog)
+        sogs.append(state[3])
     assert np.all(np.diff(sogs) <= 1e-12)
 
 
 def test_course_step_settles_within_20s():
     gains = default_gains()
     state = _state()
+    integral = NO_INTEGRAL
     chi_d = math.radians(20.0)
-    x_d = Velocity2(5.0, 0.0)
     errs = []
     for _ in range(200):
-        tau = control_law(MODEL, gains, state.vel, state.pose.course, x_d, chi_d, (0.0, 0.0), 0.1)
+        tau, integral = control_law(MODEL, gains, state, _ref(course=chi_d), integral, 0.1)
         state = step_plant(MODEL, state, tau, 0.1)
-        errs.append(abs((state.pose.course - chi_d + math.pi) % (2 * math.pi) - math.pi))
+        errs.append(abs((state[2] - chi_d + math.pi) % (2 * math.pi) - math.pi))
     errs = np.degrees(np.array(errs))
     settle = next(i for i in range(len(errs)) if np.all(errs[i:] < 1.0))
     assert (settle + 1) * 0.1 < 20.0
@@ -197,6 +217,15 @@ def test_course_step_settles_within_20s():
 
 def test_gains_validation():
     with pytest.raises(ValueError):
-        ControllerGains(kp=np.zeros((2, 2)), ki=np.array([0.1, 0.1]))
+        ControllerGains(0.6, 2.2, 1.0, 0.1, -0.1)
     with pytest.raises(ValueError):
-        ControllerGains(kp=np.zeros((2, 3)), ki=np.array([0.1, -0.1]))
+        ControllerGains(0.6, 2.2, 1.0, 0.0, 0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default_gains().kp_sog = 1.0
+
+
+def test_control_law_reads_negative_desired_sog_as_zero():
+    gains = default_gains()
+    below, _ = control_law(MODEL, gains, _state(sog=1.0), _ref(sog=-0.5), NO_INTEGRAL, 0.1)
+    at_zero, _ = control_law(MODEL, gains, _state(sog=1.0), _ref(sog=0.0), NO_INTEGRAL, 0.1)
+    assert below == at_zero
