@@ -1,14 +1,6 @@
 """Sample-based MPC collision avoidance planner and scenario simulator."""
 
-from .core import (
-    Pose,
-    TimeGrid,
-    Velocity2,
-    VelocityTrajectory,
-    VesselState,
-    resample,
-    wrap_angle,
-)
+from .core import TimeGrid, VelocityTrajectory, VesselState, wrap_angle
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
 from .primitives import ErrorModel, StepParams
 from .tree import CandidateSet, TreeParams, generate_tree
@@ -42,14 +34,12 @@ __all__ = [
     "ObstaclePrediction",
     "ObstacleScript",
     "PenaltyGeometry",
-    "Pose",
     "RunLog",
     "SCENARIO_NAMES",
     "ScenarioConfig",
     "StepParams",
     "TimeGrid",
     "TreeParams",
-    "Velocity2",
     "VelocityTrajectory",
     "VesselState",
     "build_scenario",
@@ -66,7 +56,6 @@ __all__ = [
     "plan_step",
     "predict_obstacle",
     "region_radius",
-    "resample",
     "run",
     "select",
     "wrap_angle",

@@ -16,7 +16,6 @@ from .config import ConfigError
 from .core import TimeGrid, VelocityTrajectory
 from .objective import penalty_field
 from .obstacles import NOISE_PRESETS, observe
-from .vessel import inverse_model
 
 
 def _add_config_args(p: argparse.ArgumentParser, out_required: bool):
@@ -100,10 +99,10 @@ def cmd_solve(args) -> int:
     estimates = [observe(s, config.noise, 0.0, rng) for s in config.obstacles]
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
-        state.vel.sog, state.pose.course,
+        state.sog, state.course,
     )
     candidates, table = sim.plan_step(
-        config, 0.0, state, commanded, inverse_model(config.vessel, state.vel), estimates
+        config, 0.0, state, commanded, config.vessel.damping(state.sog, state.rot), estimates
     )
     if table is None:
         print("fail-safe: no feasible candidates, holding previous desired velocity")

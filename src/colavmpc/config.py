@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import Pose, Velocity2, VesselState
+from .core import VesselState, wrap_angle
 from .guidance import DesiredTrajectory, LosParams
 from .objective import ObjectiveWeights, PenaltyGeometry
 from .obstacles import NOISE_PRESETS, EstimateNoise, ObstacleScript, ScriptEvent
@@ -324,11 +324,11 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     gains = _parse_gains(top.section("gains", required=False))
 
     own = top.section("ownship")
-    with _section("ownship"):
-        ownship = VesselState(
-            pose=Pose(own.number("north"), own.number("east"), own.number("course")),
-            vel=Velocity2(own.number("sog"), own.number("rot", required=False, default=0.0)),
-        )
+    ownship = VesselState(
+        own.number("north"), own.number("east"), wrap_angle(own.number("course")),
+        own.number("sog"), own.number("rot", required=False, default=0.0),
+    )
+    own.invariant(ownship.sog >= 0.0, f"sog must be >= 0, got {ownship.sog}")
     own.finish()
 
     desired = _parse_desired(top.section("desired"))

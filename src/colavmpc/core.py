@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,48 +18,35 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a):
-    """Map an angle (scalar or array, radians) to [-pi, pi)."""
+    """Map an angle (scalar or array, radians) to [-pi, pi).
+
+    Just below an odd multiple of -pi, the remainder rounds up to 2*pi;
+    that result is -pi, not +pi.
+    """
     if isinstance(a, (float, int)):
         if not math.isfinite(a):
             raise ValueError("wrap_angle requires finite input")
-        return (a + math.pi) % TWO_PI - math.pi
+        wrapped = (a + math.pi) % TWO_PI - math.pi
+        return -math.pi if wrapped == math.pi else wrapped
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("wrap_angle requires finite input")
     wrapped = np.mod(a + math.pi, TWO_PI) - math.pi
+    wrapped = np.where(wrapped == math.pi, -math.pi, wrapped)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose: position in meters, course normalized to [-pi, pi)."""
+class VesselState(NamedTuple):
+    """The plant's state: position (m), course (rad, in [-pi, pi)),
+    speed over ground (m/s, >= 0) and rate of turn (rad/s)."""
 
     north: float
     east: float
     course: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "course", wrap_angle(self.course))
-
-
-@dataclass(frozen=True)
-class Velocity2:
-    """Speed over ground (m/s, >= 0) and rate of turn (rad/s)."""
-
     sog: float
     rot: float
-
-    def __post_init__(self):
-        if self.sog < 0.0:
-            raise ValueError(f"sog must be >= 0, got {self.sog}")
-
-
-@dataclass(frozen=True)
-class VesselState:
-    pose: Pose
-    vel: Velocity2
 
 
 @dataclass(frozen=True)
@@ -131,6 +119,29 @@ class VelocityTrajectory:
             rot_acc=zeros,
         )
 
+    def window(self, t: float, n: int, stride=1) -> np.ndarray:
+        """The (sog, rot, course, sog_acc, rot_acc) channels at t,
+        t + stride * dt, ..., n points, as a (5, n) array.
+
+        t must be a point of the grid and stride a whole number of steps.
+        Past the last point the trajectory holds: sog and course keep
+        their final values, and rot, sog_acc and rot_acc are 0.
+        """
+        steps = (t - self.grid.t0) / self.grid.dt
+        start, step = round(steps), round(stride)
+        if start < 0 or step < 1 or abs(steps - start) > 1e-9 or abs(stride - step) > 1e-9:
+            raise ValueError(
+                f"t={t} in steps of {stride} is not on the grid from {self.grid.t0} "
+                f"in steps of {self.grid.dt}"
+            )
+        rows = start + step * np.arange(n)
+        past = rows >= self.grid.n
+        rows[past] = self.grid.n - 1
+        channels = (self.sog, self.rot, self.course, self.sog_acc, self.rot_acc)
+        out = np.array([channel[rows] for channel in channels])
+        out[np.ix_((1, 3, 4), past)] = 0.0
+        return out
+
 
 def cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoidal integral along the last axis, starting at 0."""
@@ -138,28 +149,3 @@ def cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     out = np.zeros_like(y)
     np.cumsum(0.5 * dt * (y[..., 1:] + y[..., :-1]), axis=-1, out=out[..., 1:])
     return out
-
-
-def resample(traj: VelocityTrajectory, grid: TimeGrid) -> VelocityTrajectory:
-    """Linearly interpolate a velocity trajectory onto a target grid.
-
-    The target grid must lie within the source span. Course is
-    interpolated directly (channels are stored unwrapped).
-    """
-    src = traj.grid
-    tol = 1e-9
-    if grid.t0 < src.t0 - tol or grid.t_end > src.t_end + tol:
-        raise ValueError(
-            f"target grid [{grid.t0}, {grid.t_end}] outside source span "
-            f"[{src.t0}, {src.t_end}]"
-        )
-    ts = src.times()
-    tq = np.clip(grid.times(), src.t0, src.t_end)
-    return VelocityTrajectory(
-        grid=grid,
-        sog=np.interp(tq, ts, traj.sog),
-        rot=np.interp(tq, ts, traj.rot),
-        course=np.interp(tq, ts, traj.course),
-        sog_acc=np.interp(tq, ts, traj.sog_acc),
-        rot_acc=np.interp(tq, ts, traj.rot_acc),
-    )

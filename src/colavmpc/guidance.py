@@ -18,7 +18,7 @@ from .primitives import StepParams
 
 
 class DesiredTrajectory:
-    """Planar C1 trajectory traversed at constant speed.
+    """Planar C1 trajectory traversed at the constant `speed` (m/s).
 
     Either an infinite straight line from a start point, or a
     piecewise-linear waypoint track (extrapolated along its last
@@ -46,7 +46,7 @@ class DesiredTrajectory:
         self._seg_len = np.hypot(seg[:, 0], seg[:, 1])
         self._seg_course = np.arctan2(seg[:, 1], seg[:, 0])
         self._cum_len = np.concatenate([[0.0], np.cumsum(self._seg_len)])
-        self.speed_value = float(speed)
+        self.speed = float(speed)
 
     @staticmethod
     def line(north: float, east: float, course: float, speed: float) -> "DesiredTrajectory":
@@ -62,7 +62,7 @@ class DesiredTrajectory:
 
     def position(self, t):
         """Desired position at time(s) t as (north, east) arrays."""
-        arc = self.speed_value * np.asarray(t, dtype=float)
+        arc = self.speed * np.asarray(t, dtype=float)
         idx = self._segment_index(arc)
         frac = arc - self._cum_len[idx]
         course = self._seg_course[idx]
@@ -72,14 +72,11 @@ class DesiredTrajectory:
 
     def course(self, t):
         """Path tangent course at time(s) t."""
-        arc = self.speed_value * np.asarray(t, dtype=float)
+        arc = self.speed * np.asarray(t, dtype=float)
         out = self._seg_course[self._segment_index(arc)]
         if out.ndim == 0:
             return float(out)
         return out
-
-    def speed(self, t) -> float:
-        return self.speed_value
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ def los_targets(dtraj: DesiredTrajectory, north, east, course, t: float, p: LosP
     """
     pd_n, pd_e = dtraj.position(t)
     chi_path = dtraj.course(t)
-    u_t = dtraj.speed(t)
     dn = north - pd_n
     de = east - pd_e
     along = np.cos(chi_path) * dn + np.sin(chi_path) * de
@@ -117,7 +113,7 @@ def los_targets(dtraj: DesiredTrajectory, north, east, course, t: float, p: LosP
     chi_d = wrap_angle(chi_path + np.arctan(-cross / p.lookahead))
     c = np.cos(wrap_angle(course - chi_path))
     denom = np.where(np.abs(c) > p.epsilon, c, p.epsilon)
-    u_d = (u_t - p.along_track_gain * along) / denom
+    u_d = (dtraj.speed - p.along_track_gain * along) / denom
     return np.clip(u_d, 0.0, p.u_max_los), chi_d
 
 

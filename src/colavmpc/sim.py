@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState, resample, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, VesselState, wrap_angle
 from .guidance import desired_acceleration, los_targets
 from .objective import CostTable, region_radius, relative_bearing, select
 from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
 from .tree import CandidateSet, generate_tree
-from .vessel import control_law, inverse_model, step_plant
+from .vessel import control_law, step_plant
 
 SPEED_FLOOR = 0.2  # m/s, below this a vessel is not "moving" for COLREGs
 HEAD_ON_COURSE_MARGIN = math.radians(6.0)
@@ -149,23 +149,6 @@ def classify_situation(
     return labels if labels.ndim else str(labels)
 
 
-def _hold_trajectory(traj: VelocityTrajectory, until: float) -> VelocityTrajectory:
-    """Extend a trajectory past its end by holding the final values."""
-    if traj.grid.t_end >= until - 1e-9:
-        return traj
-    extra = int(math.ceil((until - traj.grid.t_end) / traj.grid.dt - 1e-9))
-    grid = TimeGrid(traj.grid.t0, traj.grid.dt, traj.grid.n + extra)
-    pad = lambda arr, v: np.concatenate([arr, np.full(extra, v)])
-    return VelocityTrajectory(
-        grid=grid,
-        sog=pad(traj.sog, traj.sog[-1]),
-        rot=pad(traj.rot, 0.0),
-        course=pad(traj.course, traj.course[-1]),
-        sog_acc=pad(traj.sog_acc, 0.0),
-        rot_acc=pad(traj.rot_acc, 0.0),
-    )
-
-
 def plan_step(
     config: ScenarioConfig,
     t: float,
@@ -176,18 +159,19 @@ def plan_step(
 ) -> tuple[CandidateSet, CostTable | None]:
     """One planner call at time t, against the config's desired trajectory.
 
-    Grows the tree from the commanded reference's value at t, with the
-    actuator input tau clipped to its limits and LOS guidance seeding
-    one sample per node, for a whole tree level per call. Scores the
-    candidates against constant-velocity predictions of the obstacle
-    estimates, charging the transitional cost against the commanded
-    first maneuver. The winner is table.selected; table is None when no
-    maneuver is feasible (the fail-safe hold).
+    Grows the tree from the vessel state (north, east, course, sog, rot)
+    and the commanded reference's value at t, with the actuator input
+    tau clipped to its limits and LOS guidance seeding one sample per
+    node, for a whole tree level per call. Scores the candidates against
+    constant-velocity predictions of the obstacle estimates, charging
+    the transitional cost against the commanded reference over the
+    first maneuver, which holds past its end (VelocityTrajectory.window).
+    The winner is table.selected; table is None when no maneuver is
+    feasible (the fail-safe hold).
     """
     model = config.vessel
     dt = config.integration_dt
-    offset = int(round((t - commanded.grid.t0) / dt))
-    desired_vel0 = (float(commanded.sog[offset]), float(commanded.course[offset]))
+    sog0, _, course0, _, _ = commanded.window(t, 1)[:, 0]
     tau0 = np.clip(tau, model.tau_min, model.tau_max)
 
     def hook(t_level, north, east, course, desired, step):
@@ -195,13 +179,16 @@ def plan_step(
         return desired_acceleration(targets, desired, step)
 
     candidates = generate_tree(
-        config.tree, model, config.error_model, state, t, desired_vel0, tau0, hook, dt,
+        config.tree, model, config.error_model, state, t, (sog0, course0), tau0, hook, dt,
         config.eval_dt,
     )
     if not candidates:
         return candidates, None
     predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
-    previous_first = resample(commanded, candidates.first_grid)
+    first_grid = candidates.first_grid
+    previous_first = VelocityTrajectory(
+        first_grid, *commanded.window(t, first_grid.n, config.eval_dt / dt)
+    )
     table = select(
         candidates, config.desired, predictions, config.geometry, config.weights,
         previous_first,
@@ -213,25 +200,23 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     """Simulate the scenario; deterministic for a given config and seed.
 
     The controller and plant step on plain floats: the plant state is
-    (north, east, course, sog, rot), and each planner call slices the
-    period's reference rows once from the committed trajectory. The
-    ground truth and the held tracker estimates are logged after the
-    loop.
+    (north, east, course, sog, rot), the planner's state too, and each
+    planner period reads its reference rows once from the committed
+    trajectory, held past its end. The ground truth and the held
+    tracker estimates are logged after the loop.
     """
     model = config.vessel
     gains = config.gains
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
-    horizon = config.tree.horizon
     rng = np.random.default_rng(config.tracker_seed)
 
-    own = config.ownship
-    state = (own.pose.north, own.pose.east, own.pose.course, own.vel.sog, own.vel.rot)
-    tau = tuple(inverse_model(model, own.vel).tolist())
+    state = config.ownship
+    tau = model.damping(state.sog, state.rot)
     integral = (0.0, 0.0)
     commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.planner_period, dt), own.vel.sog, own.pose.course
+        TimeGrid.from_span(0.0, config.planner_period, dt), state.sog, state.course
     )
     selected_id = -1
     next_obs_t = 0.0
@@ -258,10 +243,8 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
             next_obs_t += config.noise.period
 
         if step_idx % planner_every == 0 and step_idx < n_steps:
-            vessel = VesselState(Pose(*state[:3]), Velocity2(*state[3:]))
-            candidates, table = plan_step(config, t, vessel, commanded, tau, update_estimates[-1])
-            if table is None:
-                commanded = _hold_trajectory(commanded, t + horizon)
+            candidates, table = plan_step(config, t, state, commanded, tau, update_estimates[-1])
+            if table is None:  # hold the committed reference
                 selected_id = -1
                 planner_rows.append(
                     (t, -1, 0, math.nan, math.nan, math.nan, math.nan, True, 0.0, 0.0)
@@ -281,13 +264,8 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
                 )
 
         if step_idx % planner_every == 0:
-            # this period's rows of the reference, held past the
-            # commanded trajectory's end
             start, stop = step_idx, min(step_idx + planner_every, n_rows)
-            offset = int(round((t - commanded.grid.t0) / dt))
-            rows = np.minimum(np.arange(offset, offset + stop - start), commanded.grid.n - 1)
-            for channel, name in zip(ref, ref_names):
-                channel[start:stop] = getattr(commanded, name)[rows]
+            ref[:, start:stop] = commanded.window(t, stop - start)
             selected_col[start:stop] = selected_id
             period_ref = ref[:, start:stop].T.tolist()
 

@@ -171,8 +171,8 @@ def generate_tree(
     dt: float,
     eval_dt: float,
 ) -> CandidateSet:
-    """Breadth-first expansion from the state at time t to the configured
-    depth, one level at a time.
+    """Breadth-first expansion from the state (north, east, course, sog,
+    rot) at time t to the configured depth, one level at a time.
 
     guidance_hook(t, north, east, course, desired, step) -> (sog_acc,
     rot_acc), or None, supplies the desired-acceleration substitution
@@ -201,8 +201,9 @@ def generate_tree(
     # the nodes of the previous level (the root to begin with): desired
     # sog/course and predicted sog/course/north/east
     u_d, chi_d = np.array([desired0[0]]), np.array([desired0[1]])
-    u_bar, chi_bar = np.array([float(state.vel.sog)]), np.array([float(state.pose.course)])
-    north, east = np.array([float(state.pose.north)]), np.array([float(state.pose.east)])
+    north0, east0, course0, sog0, rot0 = state
+    u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
+    north, east = np.array([float(north0)]), np.array([float(east0)])
     # per level: each edge's parent node, its (sog, rot) samples and
     # accelerations, and its prediction on the evaluation grid
     parents, samples, accels, preds = [], [], [], []
@@ -217,7 +218,7 @@ def generate_tree(
         # steady-state actuator input
         node_sog = np.maximum(u_bar, 0.0)
         if level_idx == 0:
-            node_rot, node_tau = float(state.vel.rot), tau0
+            node_rot, node_tau = float(rot0), tau0
         else:
             node_rot = 0.0
             node_tau = np.clip(

@@ -1,4 +1,4 @@
-"""2DOF control-oriented vessel model, its inverse, and the speed/course controller.
+"""2DOF control-oriented vessel model and the speed/course controller.
 
 The model is M(x) xdot + sigma(x) = tau with x = (sog, rot) and a
 normalized actuator input tau = (tau_m, tau_delta). Inertia and damping
@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Velocity2, wrap_angle
+from .core import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,6 @@ def default_model() -> VesselModel:
         u_max=u_max,
         u_min=u_min,
     )
-
-
-def inverse_model(model: VesselModel, x_ss: Velocity2) -> np.ndarray:
-    """Steady-state actuator input tau = sigma(x_ss); may lie outside limits."""
-    s_sog, s_rot = model.damping(x_ss.sog, x_ss.rot)
-    return np.array([float(s_sog), float(s_rot)])
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,18 @@
 The library grows and scores all candidates of a tree as stacked
 arrays. These scalar versions do the same job for one candidate at a
 time, with plain loops and one trajectory per call, and are what the
-tests compare the stacked results against. `py_region`/`py_penalty`
-are the penalty geometry in plain `math` arithmetic, one point at a time.
+tests compare the stacked results against. `resample` reads a
+trajectory at any times inside its span by linear interpolation, where
+the library reads only grid points (`VelocityTrajectory.window`).
+`py_region`/`py_penalty` are the penalty geometry in plain `math`
+arithmetic, one point at a time.
 """
 
 import math
 
 import numpy as np
 
-from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, resample, wrap_angle
+from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.objective import TRAN_TOL, penalty, relative_bearing
 from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
 
@@ -40,6 +43,31 @@ def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
         beta = relative_bearing(north, east, obs.north, obs.east, obs.course)
         total += float(_trapz(penalty(geom, d, beta), grid.dt))
     return total
+
+
+def resample(traj: VelocityTrajectory, grid: TimeGrid) -> VelocityTrajectory:
+    """Linearly interpolate a velocity trajectory onto a target grid.
+
+    The target grid must lie within the source span. Course is
+    interpolated directly (channels are stored unwrapped).
+    """
+    src = traj.grid
+    tol = 1e-9
+    if grid.t0 < src.t0 - tol or grid.t_end > src.t_end + tol:
+        raise ValueError(
+            f"target grid [{grid.t0}, {grid.t_end}] outside source span "
+            f"[{src.t0}, {src.t_end}]"
+        )
+    ts = src.times()
+    tq = np.clip(grid.times(), src.t0, src.t_end)
+    return VelocityTrajectory(
+        grid=grid,
+        sog=np.interp(tq, ts, traj.sog),
+        rot=np.interp(tq, ts, traj.rot),
+        course=np.interp(tq, ts, traj.course),
+        sog_acc=np.interp(tq, ts, traj.sog_acc),
+        rot_acc=np.interp(tq, ts, traj.rot_acc),
+    )
 
 
 def tran_deviation(first: VelocityTrajectory, previous_first: VelocityTrajectory) -> tuple[float, float]:

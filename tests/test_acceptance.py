@@ -27,7 +27,6 @@ from colavmpc.obstacles import observe
 from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
 from colavmpc.sim import classify_situation, plan_step, run, runlog_to_csv
 from colavmpc.tree import CandidateSet
-from colavmpc.vessel import inverse_model
 
 GEOM_T2 = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
 
@@ -198,7 +197,7 @@ def test_c04_table_spot_values():
 def test_c05_tree_shape_and_solve_time():
     cfg = scenarios.build_scenario("head_on")
     state = cfg.ownship
-    tau = inverse_model(cfg.vessel, state.vel)
+    tau = cfg.vessel.damping(state.sog, state.rot)
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, cfg.planner_period, cfg.integration_dt), 5.0, 0.0
     )

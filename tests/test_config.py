@@ -7,6 +7,7 @@ import pytest
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.config import ConfigError
+from colavmpc.core import VesselState, wrap_angle
 from colavmpc.guidance import LosParams
 from colavmpc.obstacles import NOISE_PRESETS
 from colavmpc.vessel import default_gains
@@ -33,11 +34,20 @@ def test_waypoints_and_custom_noise():
     # the desired track is the waypoint polyline, traversed at 4 m/s
     assert cfg.desired.position(0.0) == (0.0, 0.0)
     assert cfg.desired.course(0.0) == pytest.approx(math.atan2(50.0, 300.0))
-    assert cfg.desired.speed(0.0) == 4.0
+    assert cfg.desired.speed == 4.0
     end = math.hypot(300.0, 50.0) / 4.0
     assert np.allclose(cfg.desired.position(end), (300.0, 50.0))
     assert cfg.noise.seed == 3
     assert cfg.noise_preset is None
+
+
+def test_ownship_is_a_vessel_state_with_a_wrapped_course():
+    data = scenarios.build_config_dict("head_on")
+    data["ownship"].update(north=10.0, east=-20.0, course=3 * math.pi / 2, sog=4.0)
+    del data["ownship"]["rot"]
+    own = cfgm.from_dict(data).ownship
+    assert own == VesselState(10.0, -20.0, wrap_angle(3 * math.pi / 2), 4.0, 0.0)
+    assert own.course == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
 def test_obstacle_events_parsed():

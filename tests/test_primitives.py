@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colavmpc.core import Pose, TimeGrid, Velocity2, VesselState, cumtrapz
+from colavmpc.core import TimeGrid, VesselState, cumtrapz
 from colavmpc.primitives import (
     ErrorModel,
     StepParams,
@@ -15,7 +15,7 @@ from colavmpc.primitives import (
     sog_profile_unit,
 )
 from colavmpc.tree import TreeParams, generate_tree
-from colavmpc.vessel import default_model, inverse_model
+from colavmpc.vessel import default_model
 
 MODEL = default_model()
 EM = ErrorModel(5.0, 5.0)
@@ -28,28 +28,27 @@ def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None
     seeded from the desired (sog, course), by default the actual one, and
     evaluated on their integration grid: the first maneuver is the whole
     tree, so first_sog/first_course are the full desired reference."""
-    state = VesselState(Pose(0.0, 0.0, course), Velocity2(sog, rot))
-    tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
+    state = VesselState(0.0, 0.0, course, sog, rot)
+    tau0 = np.clip(MODEL.damping(sog, rot), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0)
     return generate_tree(params, MODEL, EM, state, 0.0, desired or (sog, course), tau0, None, dt, dt)
 
 
-def _rates(x0, tau):
-    du, dr = MODEL.rates(x0.sog, x0.rot, tau[0], tau[1])
+def _rates(sog, rot, tau):
+    du, dr = MODEL.rates(sog, rot, tau[0], tau[1])
     return float(du), float(dr)
 
 
 def test_sat_examples():
     # the actuator input reachable within one ramp is clamped to the limits
     # from above and below, and passes through unclamped inside them
-    x0 = Velocity2(10.0, 0.0)
     _, sog_max, _, rot_max = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)
-    assert (sog_max, rot_max) == pytest.approx(_rates(x0, MODEL.tau_max), abs=1e-12)
+    assert (sog_max, rot_max) == pytest.approx(_rates(10.0, 0.0, MODEL.tau_max), abs=1e-12)
     sog_min, _, rot_min, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_min, 1.0)
-    assert (sog_min, rot_min) == pytest.approx(_rates(x0, MODEL.tau_min), abs=1e-12)
+    assert (sog_min, rot_min) == pytest.approx(_rates(10.0, 0.0, MODEL.tau_min), abs=1e-12)
     sog_min, sog_max, rot_min, rot_max = possible_accelerations(MODEL, 10.0, 0.0, [0.5, 0.0], 0.5)
-    assert (sog_max, rot_max) == pytest.approx(_rates(x0, (0.75, 0.25)), abs=1e-12)
-    assert (sog_min, rot_min) == pytest.approx(_rates(x0, (0.25, -0.25)), abs=1e-12)
+    assert (sog_max, rot_max) == pytest.approx(_rates(10.0, 0.0, (0.75, 0.25)), abs=1e-12)
+    assert (sog_min, rot_min) == pytest.approx(_rates(10.0, 0.0, (0.25, -0.25)), abs=1e-12)
 
 
 def test_sat_shape_mismatch():
@@ -69,9 +68,8 @@ def test_step_params_invariants():
 
 def test_possible_accelerations_saturated_upper_edge():
     # already at full throttle: the upper edge is the max-throttle rate
-    x0 = Velocity2(10.0, 0.0)
-    _, sog_max, _, _ = possible_accelerations(MODEL, x0.sog, x0.rot, MODEL.tau_max, 1.0)
-    du_max, _ = MODEL.rates(x0.sog, x0.rot, MODEL.tau_max[0], MODEL.tau_max[1])
+    _, sog_max, _, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)
+    du_max, _ = MODEL.rates(10.0, 0.0, MODEL.tau_max[0], MODEL.tau_max[1])
     assert sog_max == pytest.approx(float(du_max), abs=1e-12)
 
 
@@ -201,8 +199,8 @@ def test_integrate_primitives_all_infeasible():
 def test_integrate_primitives_requires_zero_rot():
     # maneuvers start at zero desired ROT at every level, even from a
     # vessel that is turning
-    state = VesselState(Pose(0.0, 0.0, 0.0), Velocity2(5.0, 0.05))
-    tau0 = np.clip(inverse_model(MODEL, state.vel), MODEL.tau_min, MODEL.tau_max)
+    state = VesselState(0.0, 0.0, 0.0, 5.0, 0.05)
+    tau0 = np.clip(MODEL.damping(5.0, 0.05), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
     cands = generate_tree(params, MODEL, EM, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.5)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid

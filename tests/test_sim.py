@@ -5,7 +5,7 @@ import pytest
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios
-from colavmpc.core import Pose, TimeGrid, Velocity2, VelocityTrajectory, VesselState
+from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
     Metrics,
@@ -273,18 +273,18 @@ def test_prediction_matches_closed_loop_plant():
     # the controller + plant actually do, else the avoidance geometry lies
     from colavmpc.primitives import ErrorModel
     from colavmpc.tree import TreeParams, generate_tree
-    from colavmpc.vessel import control_law, default_gains, default_model, inverse_model, step_plant
+    from colavmpc.vessel import control_law, default_gains, default_model, step_plant
 
     model = default_model()
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
-    state = VesselState(Pose(0.0, 0.0, 0.1), Velocity2(5.5, 0.0))
-    tau0 = np.clip(inverse_model(model, state.vel), model.tau_min, model.tau_max)
+    state = VesselState(0.0, 0.0, 0.1, 5.5, 0.0)
+    tau0 = np.clip(model.damping(5.5, 0.0), model.tau_min, model.tau_max)
     # evaluated on the integration grid, so pred_* has a point per plant step
     cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
-        s = (0.0, 0.0, 0.1, 5.5, 0.0)
+        s = state
         integral = (0.0, 0.0)
         dt = 0.1
         for k in range(desired.grid.n - 1):
@@ -310,19 +310,17 @@ def test_plan_step_plans_on_its_own_clock():
     # the last bits; the state carries no clock, and the candidates'
     # evaluation grid starts exactly at the planner's t
     from colavmpc.obstacles import observe
-    from colavmpc.vessel import inverse_model, step_plant
+    from colavmpc.vessel import step_plant
 
     config = scenarios.build_scenario("head_on")
     dt, n = config.integration_dt, 350
-    own = config.ownship
-    plant = (own.pose.north, own.pose.east, own.pose.course, own.vel.sog, own.vel.rot)
-    tau = inverse_model(config.vessel, own.vel)
+    state = config.ownship
+    tau = config.vessel.damping(state.sog, state.rot)
     for _ in range(n):
-        plant = step_plant(config.vessel, plant, tau, dt)
-    state = VesselState(Pose(*plant[:3]), Velocity2(*plant[3:]))
+        state = VesselState(*step_plant(config.vessel, state, tau, dt))
     t = n * dt
     commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, t + config.planner_period, dt), state.vel.sog, state.pose.course
+        TimeGrid.from_span(0.0, t + config.planner_period, dt), state.sog, state.course
     )
     rng = np.random.default_rng(0)
     estimates = [observe(s, config.noise, t, rng) for s in config.obstacles]
@@ -440,16 +438,15 @@ def test_plan_step_holds_when_a_level_below_the_root_empties(monkeypatch):
     config = scenarios.build_scenario("head_on")
     state = config.ownship
     from colavmpc.obstacles import observe
-    from colavmpc.vessel import inverse_model
 
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
-        state.vel.sog, state.pose.course,
+        state.sog, state.course,
     )
     estimates = [observe(s, config.noise, 0.0, np.random.default_rng(0)) for s in config.obstacles]
     _reject_from_call(monkeypatch, 2)
     candidates, table = plan_step(
-        config, 0.0, state, commanded, inverse_model(config.vessel, state.vel), estimates
+        config, 0.0, state, commanded, config.vessel.damping(state.sog, state.rot), estimates
     )
     assert table is None
     assert not candidates
@@ -491,3 +488,81 @@ def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
         final = getattr(winner, name)[-1] if name in ("sog", "course") else 0.0
         assert np.all(held[n:] == final), name
     _assert_estimates_held(log, calls)
+
+
+def test_run_recovers_after_a_failsafe_streak_past_the_horizon(monkeypatch):
+    # the first tree grows; every tree from 5 s to 65 s is rejected, a
+    # 65 s hold that outlasts the first winner's 55 s horizon; from 70 s
+    # on the trees grow again, from the held reference
+    from colavmpc import sim, tree
+
+    d = scenarios.build_config_dict("head_on")
+    d["duration"] = 80.0
+    real_plan_step, real_feasible = sim.plan_step, tree.terminal_sog_feasible
+    plans = []
+    rejecting = False
+
+    def feasible(model, sog_terminal):
+        mask = real_feasible(model, sog_terminal)
+        return np.zeros_like(mask) if rejecting else mask
+
+    def recorded_plan_step(config, t, *args):
+        nonlocal rejecting
+        rejecting = 2.5 < t < 67.5
+        plans.append(real_plan_step(config, t, *args))
+        return plans[-1]
+
+    monkeypatch.setattr(tree, "terminal_sog_feasible", feasible)
+    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
+    log, _ = run(cfgm.from_dict(d))
+
+    assert list(log.planner.failsafe) == [False] + [True] * 13 + [False] * 2
+    first, first_table = plans[0]
+    winner = first.trajectory(first_table.selected)
+    held = (winner.sog[-1], winner.course[-1])
+    # the first new winner starts from the held sog and course
+    recovered, table = plans[14]
+    assert recovered.desired0 == held
+    new = recovered.trajectory(table.selected)
+    assert (new.sog[0], new.course[0]) == held
+    # through the hold, from past the first winner's end to the
+    # recovery at 70 s, sog and course hold and the rest is 0
+    end, k = winner.grid.n, 700
+    assert log.t[k] == 70.0 and np.all(log.selected[end:k] == -1)
+    assert np.all(log.ref_sog[end:k] == held[0]) and np.all(log.ref_course[end:k] == held[1])
+    for name in ("rot", "sog_acc", "rot_acc"):
+        assert np.all(getattr(log, f"ref_{name}")[end:k] == 0.0), name
+    # and the reference stays continuous into the new winner
+    assert (log.ref_sog[k], log.ref_course[k]) == held
+    assert np.max(np.abs(np.diff(log.ref_course))) < 0.3 * log.dt + 1e-9
+    assert np.max(np.abs(np.diff(log.ref_sog))) < 1.0 * log.dt + 1e-9
+
+
+def test_plan_step_reads_the_committed_reference_at_its_grid_points(monkeypatch):
+    # the tree starts from the committed reference at t, and the
+    # transitional cost compares against it on the first maneuver's
+    # evaluation grid; both reads equal interpolating it there, exactly
+    import oracles
+    from colavmpc import sim
+
+    real_plan_step, real_select = sim.plan_step, sim.select
+    committed, compared = [], []
+
+    def recorded_plan_step(config, t, state, commanded, *args):
+        committed.append(commanded)
+        return real_plan_step(config, t, state, commanded, *args)
+
+    def recorded_select(candidates, *args):
+        compared.append((candidates, args[-1]))
+        return real_select(candidates, *args)
+
+    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
+    monkeypatch.setattr(sim, "select", recorded_select)
+    _, metrics = run(scenarios.build_scenario("head_on", seed=0, noise="radar"))
+    assert metrics.failsafe_count == 0 and len(compared) == len(committed) == 40
+    for commanded, (candidates, previous_first) in zip(committed, compared):
+        expected = oracles.resample(commanded, candidates.first_grid)
+        assert previous_first.grid == expected.grid
+        for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
+            np.testing.assert_array_equal(getattr(previous_first, name), getattr(expected, name))
+        assert candidates.desired0 == (expected.sog[0], expected.course[0])

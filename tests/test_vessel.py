@@ -6,48 +6,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colavmpc.core import Velocity2
-from colavmpc.vessel import (
-    ControllerGains,
-    control_law,
-    default_gains,
-    default_model,
-    inverse_model,
-    step_plant,
-)
+from colavmpc.vessel import ControllerGains, control_law, default_gains, default_model, step_plant
 from colavmpc.primitives import possible_accelerations
 
 MODEL = default_model()
 
 
-def _rates(x, tau):
+def _rates(sog, rot, tau):
     """Velocity rates (sog_dot, rot_dot) as floats."""
-    du, dr = MODEL.rates(x.sog, x.rot, tau[0], tau[1])
+    du, dr = MODEL.rates(sog, rot, tau[0], tau[1])
     return float(du), float(dr)
 
 
 def test_equilibrium_by_construction():
-    x = Velocity2(7.0, 0.05)
-    tau = inverse_model(MODEL, x)
-    du, dr = _rates(x, tau)
+    # the steady-state actuator input is the damping
+    du, dr = _rates(7.0, 0.05, MODEL.damping(7.0, 0.05))
     assert du == pytest.approx(0.0, abs=1e-12)
     assert dr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_max_throttle_holds_top_speed():
-    du, dr = _rates(Velocity2(MODEL.u_max, 0.0), (MODEL.tau_max[0], 0.0))
+    du, dr = _rates(MODEL.u_max, 0.0, (MODEL.tau_max[0], 0.0))
     assert abs(du) < 1e-6
     assert abs(dr) < 1e-12
 
 
 def test_throttle_floor_holds_min_speed():
-    tau = inverse_model(MODEL, Velocity2(MODEL.u_min, 0.0))
+    tau = MODEL.damping(MODEL.u_min, 0.0)
     assert tau[0] == pytest.approx(MODEL.tau_min[0], abs=1e-9)
 
 
 def test_damping_decelerates():
     # throttle at the floor is far below the 5 m/s equilibrium
-    du, _ = _rates(Velocity2(5.0, 0.0), (MODEL.tau_min[0], 0.0))
+    du, _ = _rates(5.0, 0.0, (MODEL.tau_min[0], 0.0))
     assert du < 0.0
 
 
@@ -60,12 +51,12 @@ def test_dynamics_rejects_out_of_range_tau():
 
 
 def test_inverse_model_at_rest():
-    tau = inverse_model(MODEL, Velocity2(0.0, 0.0))
+    tau = MODEL.damping(0.0, 0.0)
     np.testing.assert_allclose(tau, [0.0, 0.0], atol=1e-15)
 
 
 def test_inverse_model_top_speed():
-    tau = inverse_model(MODEL, Velocity2(MODEL.u_max, 0.0))
+    tau = MODEL.damping(MODEL.u_max, 0.0)
     assert tau[0] == pytest.approx(MODEL.tau_max[0], abs=1e-6)
 
 
@@ -74,8 +65,7 @@ def test_inverse_model_top_speed():
     st.floats(min_value=-0.1, max_value=0.1),
 )
 def test_inverse_round_trip(sog, rot):
-    x = Velocity2(sog, rot)
-    du, dr = _rates(x, inverse_model(MODEL, x))
+    du, dr = _rates(sog, rot, MODEL.damping(sog, rot))
     assert abs(du) < 1e-12 and abs(dr) < 1e-12
 
 
@@ -96,12 +86,12 @@ def test_control_law_pure_feedforward():
     tau, _ = control_law(
         MODEL, default_gains(), _state(course=0.3), _ref(course=0.3), NO_INTEGRAL, 0.1
     )
-    expected = inverse_model(MODEL, Velocity2(5.0, 0.0))
+    expected = MODEL.damping(5.0, 0.0)
     np.testing.assert_allclose(tau, expected, atol=1e-9)
 
 
 def test_control_law_proportional_sign():
-    feedforward = inverse_model(MODEL, Velocity2(5.0, 0.0))
+    feedforward = MODEL.damping(5.0, 0.0)
     tau, _ = control_law(MODEL, default_gains(), _state(sog=6.0), _ref(), NO_INTEGRAL, 0.1)
     assert tau[0] < feedforward[0]
 
@@ -147,7 +137,7 @@ def test_control_law_clamps_the_integral():
 
 
 def test_step_plant_straight_line():
-    tau = inverse_model(MODEL, Velocity2(5.0, 0.0))
+    tau = MODEL.damping(5.0, 0.0)
     north, east, _, sog, _ = step_plant(MODEL, _state(), tau, 1.0)
     assert north == pytest.approx(5.0, abs=1e-9)
     assert east == pytest.approx(0.0, abs=1e-12)
@@ -155,7 +145,7 @@ def test_step_plant_straight_line():
 
 
 def test_step_plant_euler_kinematics():
-    tau = inverse_model(MODEL, Velocity2(5.0, 0.1))
+    tau = MODEL.damping(5.0, 0.1)
     _, _, course, _, _ = step_plant(MODEL, _state(rot=0.1), tau, 0.1)
     assert course == pytest.approx(0.01, abs=1e-12)
 
