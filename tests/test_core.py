@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -98,6 +99,23 @@ def test_window_reads_grid_points():
     # t is a planner clock: 2.0 + 3 * 0.1 is 2.3000000000000003
     np.testing.assert_array_equal(traj.window(2.0 + 3 * 0.1, 4), channels[:, 3:7])
     assert traj.window(2.9, 1).shape == (5, 1)
+
+
+def test_resample_identity():
+    # reading the whole grid back is the interpolating oracle on the
+    # trajectory's own grid: every channel exactly as stored
+    traj = _ramp_trajectory()
+    out = traj.window(traj.grid.t0, traj.grid.n)
+    np.testing.assert_array_equal(out, _channels(traj))
+    np.testing.assert_array_equal(out, _channels(oracles.resample(traj, traj.grid)))
+
+
+def test_resample_reproduces_source_points():
+    traj = _ramp_trajectory()
+    sub = TimeGrid(2.2, 0.1, 6)  # source points 2..7
+    out = traj.window(sub.t0, sub.n)
+    np.testing.assert_array_equal(out, _channels(traj)[:, 2:8])
+    np.testing.assert_allclose(out, _channels(oracles.resample(traj, sub)), rtol=0.0, atol=1e-12)
 
 
 def test_window_strided():
