@@ -7,17 +7,17 @@ With --out, per-scenario logs/metrics land in DIR/<scenario>/.
 """
 
 import argparse
-import json
 import time
 from pathlib import Path
 
 from colavmpc import scenarios, sim
-from colavmpc.cli import _seed
+from colavmpc.cli import _seed, write_outputs
+from colavmpc.obstacles import NOISE_PRESETS
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--noise", choices=("none", "ais", "radar"), default="none")
+    parser.add_argument("--noise", choices=sorted(NOISE_PRESETS), default="none")
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
@@ -39,13 +39,7 @@ def main():
             f"{m.min_distance:>12.1f} {metrics.switch_count:>9d} {wall:>9.1f}"
         )
         if args.out is not None:
-            out = args.out / name
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "trajectory.csv").write_text(sim.runlog_to_csv(log))
-            (out / "planner.csv").write_text(sim.planner_to_csv(log))
-            (out / "metrics.json").write_text(
-                json.dumps(sim.metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
-            )
+            write_outputs(args.out / name, log, metrics)
 
 
 if __name__ == "__main__":

@@ -76,18 +76,23 @@ def _summary_text(config, log, metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args)
-    log, metrics = sim.run(config)
-    out = args.out
+def write_outputs(out: Path, log: sim.RunLog, metrics: sim.Metrics):
+    """Write one run's trajectory.csv, planner.csv and metrics.json into
+    the directory out, creating it."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_text(sim.runlog_to_csv(log))
     (out / "planner.csv").write_text(sim.planner_to_csv(log))
     (out / "metrics.json").write_text(
         json.dumps(sim.metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
     )
+
+
+def cmd_run(args) -> int:
+    config = _load_config(args)
+    log, metrics = sim.run(config)
+    write_outputs(args.out, log, metrics)
     summary = _summary_text(config, log, metrics)
-    (out / "summary.txt").write_text(summary)
+    (args.out / "summary.txt").write_text(summary)
     print(summary, end="")
     return 0
 

@@ -273,6 +273,7 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     integration_dt = top.number("integration_dt")
     top.invariant(duration > 0.0, "duration must be > 0")
     top.invariant(integration_dt > 0.0, "integration_dt must be > 0")
+    _require_multiple("duration", duration, integration_dt, "integration_dt")
 
     pl = top.section("planner")
     planner_period = pl.number("period")

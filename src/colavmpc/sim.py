@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,78 +34,104 @@ OBSERVABLE_COURSE = math.radians(15.0)
 OBSERVABLE_SOG = 1.0
 
 
+def _out(name: str, dtype=None):
+    """A log field written to the outputs under name. dtype is the type
+    of its array where sim.run builds it from the loop's rows."""
+    return field(metadata={"out": name, "dtype": dtype})
+
+
+def _outputs(record) -> list[tuple[str, object]]:
+    """(written name, value) of each field of record that declares one,
+    in field order."""
+    return [
+        (f.metadata["out"], getattr(record, f.name)) for f in fields(record) if "out" in f.metadata
+    ]
+
+
 @dataclass
 class ObstacleSeries:
-    true_north: np.ndarray
-    true_east: np.ndarray
-    true_sog: np.ndarray
-    true_course: np.ndarray
-    est_north: np.ndarray
-    est_east: np.ndarray
-    est_sog: np.ndarray
-    est_course: np.ndarray
-    est_time: np.ndarray
+    """One obstacle's series; trajectory.csv prefixes its columns with
+    obs_<id>_."""
+
+    true_north: np.ndarray = _out("true_north_m")
+    true_east: np.ndarray = _out("true_east_m")
+    true_sog: np.ndarray = _out("true_sog_mps")
+    true_course: np.ndarray = _out("true_course_rad")
+    est_north: np.ndarray = _out("est_north_m")
+    est_east: np.ndarray = _out("est_east_m")
+    est_sog: np.ndarray = _out("est_sog_mps")
+    est_course: np.ndarray = _out("est_course_rad")
+    est_time: np.ndarray = _out("est_time_s")
 
 
 @dataclass
 class PlannerSeries:
-    t: np.ndarray
-    candidate: np.ndarray
-    n_candidates: np.ndarray
-    align: np.ndarray
-    avoid: np.ndarray
-    tran: np.ndarray
-    total: np.ndarray
-    failsafe: np.ndarray
-    course_change: np.ndarray
-    sog_change: np.ndarray
+    """One row per planner call, as planner.csv writes it."""
+
+    t: np.ndarray = _out("t_s", float)
+    candidate: np.ndarray = _out("candidate", int)
+    n_candidates: np.ndarray = _out("n_candidates", int)
+    align: np.ndarray = _out("align", float)
+    avoid: np.ndarray = _out("avoid", float)
+    tran: np.ndarray = _out("tran", float)
+    total: np.ndarray = _out("total", float)
+    failsafe: np.ndarray = _out("failsafe", bool)
+    course_change: np.ndarray = _out("course_change_rad", float)
+    sog_change: np.ndarray = _out("sog_change_mps", float)
 
 
 @dataclass
 class RunLog:
+    """One row per integration step, as trajectory.csv writes it, then
+    each obstacle's series; the planner's rows go to planner.csv."""
+
     name: str
     seed: int
     dt: float
-    t: np.ndarray
-    own_north: np.ndarray
-    own_east: np.ndarray
-    own_course: np.ndarray
-    own_sog: np.ndarray
-    own_rot: np.ndarray
-    tau_m: np.ndarray
-    tau_delta: np.ndarray
-    ref_sog: np.ndarray
-    ref_rot: np.ndarray
-    ref_course: np.ndarray
-    ref_sog_acc: np.ndarray
-    ref_rot_acc: np.ndarray
-    selected: np.ndarray
+    t: np.ndarray = _out("t_s")
+    own_north: np.ndarray = _out("own_north_m")
+    own_east: np.ndarray = _out("own_east_m")
+    own_course: np.ndarray = _out("own_course_rad")
+    own_sog: np.ndarray = _out("own_sog_mps")
+    own_rot: np.ndarray = _out("own_rot_radps")
+    tau_m: np.ndarray = _out("tau_m")
+    tau_delta: np.ndarray = _out("tau_delta")
+    ref_sog: np.ndarray = _out("ref_sog_mps")
+    ref_rot: np.ndarray = _out("ref_rot_radps")
+    ref_course: np.ndarray = _out("ref_course_rad")
+    ref_sog_acc: np.ndarray = _out("ref_sog_acc_mps2")
+    ref_rot_acc: np.ndarray = _out("ref_rot_acc_radps2")
+    selected: np.ndarray = _out("selected_candidate")
     obstacles: dict[str, ObstacleSeries]
     planner: PlannerSeries
 
 
 @dataclass
 class ObstacleMetrics:
-    min_distance: float
-    min_clearance: float  # min over time of distance minus the collision boundary
-    margin_time: float
-    safety_time: float
-    collision_time: float
-    situation: str
-    passing_side: str
-    passed_ahead: bool
-    compliance: str
+    min_distance: float = _out("min_distance_m")
+    # min over time of distance minus the collision boundary
+    min_clearance: float = _out("min_clearance_m")
+    margin_time: float = _out("margin_time_s")
+    safety_time: float = _out("safety_time_s")
+    collision_time: float = _out("collision_time_s")
+    situation: str = _out("situation")
+    passing_side: str = _out("passing_side")
+    passed_ahead: bool = _out("passed_ahead")
+    compliance: str = _out("compliance")
 
 
 @dataclass
 class Metrics:
-    obstacles: dict[str, ObstacleMetrics]
-    switch_count: int
-    failsafe_count: int
-    max_course_change: float
-    max_sog_change: float
-    observable_maneuvers: int
-    planner_calls: int
+    """Run-level counters and each obstacle's metrics, as metrics.json
+    writes them."""
+
+    switch_count: int = _out("switch_count")
+    failsafe_count: int = _out("failsafe_count")
+    planner_calls: int = _out("planner_calls")
+    max_course_change: float = _out("max_course_change_rad")
+    max_sog_change: float = _out("max_sog_change_mps")
+    observable_maneuvers: int = _out("observable_maneuvers")
+    obstacles: dict[str, ObstacleMetrics] = _out("obstacles")
 
 
 def classify_situation(
@@ -228,9 +254,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     # the tracker's updates: the step of each and its estimates; a step
     # logs the last update at or before it
     update_steps, update_estimates = [], []
-    plant_names = (
-        "own_north", "own_east", "own_course", "own_sog", "own_rot", "tau_m", "tau_delta"
-    )
+    plant_names = [f"own_{name}" for name in VesselState._fields] + ["tau_m", "tau_delta"]
     plant_rows = array("d")  # every step's plant state and command, flat
     planner_rows = []
 
@@ -246,22 +270,20 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
             candidates, table = plan_step(config, t, state, commanded, tau, update_estimates[-1])
             if table is None:  # hold the committed reference
                 selected_id = -1
-                planner_rows.append(
-                    (t, -1, 0, math.nan, math.nan, math.nan, math.nan, True, 0.0, 0.0)
-                )
+                planner_rows.append(dict(
+                    t=t, candidate=-1, n_candidates=0, align=math.nan, avoid=math.nan,
+                    tran=math.nan, total=math.nan, failsafe=True, course_change=0.0, sog_change=0.0,
+                ))
             else:
                 k = selected_id = table.selected
                 commanded = candidates.trajectory(k)
                 first_sog, first_course = candidates.first_sog[k], candidates.first_course[k]
-                planner_rows.append(
-                    (
-                        t, k, len(candidates),
-                        float(table.align[k]), float(table.avoid[k]),
-                        float(table.tran[k]), float(table.total[k]), False,
-                        float(abs(first_course[-1] - first_course[0])),
-                        float(first_sog[-1] - first_sog[0]),
-                    )
-                )
+                planner_rows.append(dict(
+                    t=t, candidate=k, n_candidates=len(candidates), align=table.align[k],
+                    avoid=table.avoid[k], tran=table.tran[k], total=table.total[k], failsafe=False,
+                    course_change=abs(first_course[-1] - first_course[0]),
+                    sog_change=first_sog[-1] - first_sog[0],
+                ))
 
         if step_idx % planner_every == 0:
             start, stop = step_idx, min(step_idx + planner_every, n_rows)
@@ -276,19 +298,10 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         plant_rows.extend(state + tau)
         state = step_plant(model, state, tau, dt)
 
-    pl = np.array(planner_rows, dtype=float) if planner_rows else np.zeros((0, 10))
-    planner = PlannerSeries(
-        t=pl[:, 0],
-        candidate=pl[:, 1].astype(int),
-        n_candidates=pl[:, 2].astype(int),
-        align=pl[:, 3],
-        avoid=pl[:, 4],
-        tran=pl[:, 5],
-        total=pl[:, 6],
-        failsafe=pl[:, 7].astype(bool),
-        course_change=pl[:, 8],
-        sog_change=pl[:, 9],
-    )
+    planner = PlannerSeries(**{
+        f.name: np.array([row[f.name] for row in planner_rows], dtype=f.metadata["dtype"])
+        for f in fields(PlannerSeries)
+    })
     t = dt * np.arange(n_rows)
     held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
     obstacles = {}
@@ -385,77 +398,38 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
 
 
 def runlog_to_csv(log: RunLog) -> str:
-    """Fixed-schema CSV, one row per integration step, unit-suffixed headers."""
-    headers = [
-        "t_s", "own_north_m", "own_east_m", "own_course_rad", "own_sog_mps",
-        "own_rot_radps", "tau_m", "tau_delta", "ref_sog_mps", "ref_rot_radps",
-        "ref_course_rad", "ref_sog_acc_mps2", "ref_rot_acc_radps2", "selected_candidate",
-    ]
-    columns = [
-        log.t, log.own_north, log.own_east, log.own_course, log.own_sog,
-        log.own_rot, log.tau_m, log.tau_delta, log.ref_sog, log.ref_rot,
-        log.ref_course, log.ref_sog_acc, log.ref_rot_acc, log.selected,
-    ]
+    """Fixed-schema CSV, one row per integration step, unit-suffixed
+    headers: the log's columns, then each obstacle's by sorted id."""
+    columns = _outputs(log)
     for obs_id in sorted(log.obstacles):
-        ser = log.obstacles[obs_id]
-        for suffix, arr in (
-            ("true_north_m", ser.true_north), ("true_east_m", ser.true_east),
-            ("true_sog_mps", ser.true_sog), ("true_course_rad", ser.true_course),
-            ("est_north_m", ser.est_north), ("est_east_m", ser.est_east),
-            ("est_sog_mps", ser.est_sog), ("est_course_rad", ser.est_course),
-            ("est_time_s", ser.est_time),
-        ):
-            headers.append(f"obs_{obs_id}_{suffix}")
-            columns.append(arr)
-    return _csv(headers, columns)
+        columns += [(f"obs_{obs_id}_{name}", col) for name, col in _outputs(log.obstacles[obs_id])]
+    return _csv(columns)
 
 
 def planner_to_csv(log: RunLog) -> str:
-    headers = [
-        "t_s", "candidate", "n_candidates", "align", "avoid", "tran", "total",
-        "failsafe", "course_change_rad", "sog_change_mps",
-    ]
-    pl = log.planner
-    columns = [
-        pl.t, pl.candidate, pl.n_candidates, pl.align, pl.avoid, pl.tran, pl.total,
-        pl.failsafe, pl.course_change, pl.sog_change,
-    ]
-    return _csv(headers, columns)
+    return _csv(_outputs(log.planner))
 
 
-def _csv(headers: list[str], columns: list[np.ndarray]) -> str:
-    """Header line, then one line per row: integer and boolean columns
-    as integers, float columns with 12 significant digits."""
-    template = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in columns) + "\n"
+def _csv(columns: list[tuple[str, np.ndarray]]) -> str:
+    """Header line of the names, then one line per row: integer and
+    boolean columns as integers, float columns with 12 significant
+    digits."""
+    names, arrays = zip(*columns)
+    template = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in arrays) + "\n"
     buf = io.StringIO()
-    buf.write(",".join(headers) + "\n")
+    buf.write(",".join(names) + "\n")
     # row by row: turning every cell into a Python float at once
     # (tolist) or np.savetxt raised the peak memory of long runs
-    for row in np.column_stack(columns):
+    for row in np.column_stack(arrays):
         buf.write(template % tuple(row))
     return buf.getvalue()
 
 
 def metrics_to_dict(metrics: Metrics) -> dict:
+    """metrics.json's content: each field under its written name, each
+    obstacle's metrics likewise under its id."""
     return {
-        "switch_count": metrics.switch_count,
-        "failsafe_count": metrics.failsafe_count,
-        "planner_calls": metrics.planner_calls,
-        "max_course_change_rad": metrics.max_course_change,
-        "max_sog_change_mps": metrics.max_sog_change,
-        "observable_maneuvers": metrics.observable_maneuvers,
-        "obstacles": {
-            obs_id: {
-                "min_distance_m": m.min_distance,
-                "min_clearance_m": m.min_clearance,
-                "margin_time_s": m.margin_time,
-                "safety_time_s": m.safety_time,
-                "collision_time_s": m.collision_time,
-                "situation": m.situation,
-                "passing_side": m.passing_side,
-                "passed_ahead": m.passed_ahead,
-                "compliance": m.compliance,
-            }
-            for obs_id, m in metrics.obstacles.items()
-        },
+        name: {obs_id: dict(_outputs(m)) for obs_id, m in value.items()}
+        if isinstance(value, dict) else value
+        for name, value in _outputs(metrics)
     }

@@ -109,6 +109,8 @@ def test_negative_seeds_rejected():
         (lambda d: d["ownship"].__setitem__("sog", -2.0), "ownship"),
         (lambda d: d["desired"].__setitem__("kind", "spiral"), "kind"),
         (lambda d: d.__setitem__("duration", -5.0), "duration"),
+        (lambda d: d.__setitem__("duration", 12.34), "duration: must be an integer multiple"),
+        (lambda d: d.__setitem__("duration", 0.04), "duration: must be an integer multiple"),
         (lambda d: d["obstacles"][0].__setitem__("sog", -1.0), "obstacles"),
         (lambda d: d["noise"].__setitem__("preset", "sonar"), "preset"),
     ],
