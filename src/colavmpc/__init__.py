@@ -2,8 +2,8 @@
 
 from .core import TimeGrid, VelocityTrajectory, VesselState, wrap_angle
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
-from .primitives import ErrorModel, StepParams
-from .tree import CandidateSet, TreeParams, generate_tree
+from .primitives import TreeParams
+from .tree import CandidateSet, generate_tree
 from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 from .objective import (
     ObjectiveWeights,
@@ -25,7 +25,6 @@ __all__ = [
     "ConfigError",
     "ControllerGains",
     "DesiredTrajectory",
-    "ErrorModel",
     "EstimateNoise",
     "LosParams",
     "Metrics",
@@ -37,7 +36,6 @@ __all__ = [
     "RunLog",
     "SCENARIO_NAMES",
     "ScenarioConfig",
-    "StepParams",
     "TimeGrid",
     "TreeParams",
     "VelocityTrajectory",

@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
 def cmd_solve(args) -> int:
     config = _load_config(args)
     state = config.ownship
-    rng = np.random.default_rng(config.tracker_seed)
+    rng = np.random.default_rng(config.seed)
     estimates = [observe(s, config.noise, 0.0, rng) for s in config.obstacles]
     commanded = VelocityTrajectory.constant(
         TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),

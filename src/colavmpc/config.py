@@ -12,18 +12,17 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import VesselState, wrap_angle
 from .guidance import DesiredTrajectory, LosParams
 from .objective import ObjectiveWeights, PenaltyGeometry
 from .obstacles import NOISE_PRESETS, EstimateNoise, ObstacleScript, ScriptEvent
-from .primitives import ErrorModel
-from .tree import TreeParams
+from .primitives import TreeParams
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -133,10 +132,8 @@ class ScenarioConfig:
     seed: int
     duration: float
     integration_dt: float
-    planner_period: float
     eval_dt: float
     tree: TreeParams
-    error_model: ErrorModel
     los: LosParams
     weights: ObjectiveWeights
     geometry: PenaltyGeometry
@@ -149,10 +146,9 @@ class ScenarioConfig:
     noise_preset: str | None = None
 
     @property
-    def tracker_seed(self) -> int:
-        """Seed of the synthetic tracker: the noise section's own seed if
-        it sets one, else the scenario seed."""
-        return self.seed if self.noise.seed is None else self.noise.seed
+    def planner_period(self) -> float:
+        """The replan period: the first step time."""
+        return self.tree.step_times[0]
 
 
 def _parse_vessel(r: _Reader | None) -> VesselModel:
@@ -247,7 +243,6 @@ def _parse_noise(r: _Reader | None, preset_override: str | None):
                 course_std=r.number("course_std"),
                 latency=r.number("latency"),
                 period=r.number("period"),
-                seed=r.seed("seed", required=False),
             )
     elif preset in NOISE_PRESETS:
         noise = NOISE_PRESETS[preset]
@@ -276,7 +271,6 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     _require_multiple("duration", duration, integration_dt, "integration_dt")
 
     pl = top.section("planner")
-    planner_period = pl.number("period")
     eval_dt = pl.number("eval_dt")
     with _section("planner"):
         tree = TreeParams(
@@ -286,18 +280,16 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             t_ramp=pl.number("t_ramp"),
             t_sog=pl.number("t_sog"),
             t_course=pl.number("t_course"),
+            tc_sog=pl.number("tc_sog"),
+            tc_course=pl.number("tc_course"),
         )
-        error_model = ErrorModel(tc_sog=pl.number("tc_sog"), tc_course=pl.number("tc_course"))
     pl.finish()
     pl.invariant(eval_dt > 0.0, "eval_dt must be > 0")
-    if abs(planner_period - tree.step_times[0]) > 1e-9:
-        raise ConfigError("planner.period: must equal the first step time")
-    _require_multiple("planner.period", planner_period, integration_dt, "integration_dt")
     _require_multiple("planner.eval_dt", eval_dt, integration_dt, "integration_dt")
-    _require_multiple("planner.period", planner_period, eval_dt, "eval_dt")
     for t in tree.step_times:
         _require_multiple("planner.step_times", t, eval_dt, "eval_dt")
-        _require_multiple("planner.step_times", t, planner_period, "the period")
+        _require_multiple("planner.step_times", t, tree.step_times[0], "the first step time")
+    _require_multiple("duration", duration, tree.step_times[0], "the first step time")
 
     vessel = _parse_vessel(top.section("vessel", required=False))
 
@@ -370,18 +362,14 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
         if seed_override < 0:
             raise ConfigError(f"seed override: must be >= 0, got {seed_override}")
         seed = seed_override
-        if noise.seed is not None:
-            noise = replace(noise, seed=seed_override)
 
     return ScenarioConfig(
         name=name,
         seed=seed,
         duration=duration,
         integration_dt=integration_dt,
-        planner_period=planner_period,
         eval_dt=eval_dt,
         tree=tree,
-        error_model=error_model,
         los=los,
         weights=weights,
         geometry=geometry,

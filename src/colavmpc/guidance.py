@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import wrap_angle
-from .primitives import StepParams
+from .primitives import TreeParams
 
 
 class DesiredTrajectory:
@@ -117,7 +117,7 @@ def los_targets(dtraj: DesiredTrajectory, north, east, course, t: float, p: LosP
     return np.clip(u_d, 0.0, p.u_max_los), chi_d
 
 
-def desired_acceleration(targets, current_desired, p: StepParams):
+def desired_acceleration(targets, current_desired, p: TreeParams):
     """Accelerations whose primitives end exactly at the LOS targets.
 
     Inverts the maneuver net-change identities: a SOG primitive changes

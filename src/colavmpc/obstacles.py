@@ -50,7 +50,6 @@ class EstimateNoise:
     course_std: float = 0.0
     latency: float = 0.0
     period: float = 2.5
-    seed: int | None = None
 
     def __post_init__(self):
         if min(self.pos_std, self.sog_std, self.course_std, self.latency) < 0.0:

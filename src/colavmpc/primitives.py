@@ -24,39 +24,46 @@ from .vessel import VesselModel
 
 
 @dataclass(frozen=True)
-class StepParams:
-    """Timing and sample counts for one maneuver step."""
+class TreeParams:
+    """The maneuver tree's settings: per level a step time and (sog,
+    course) sample counts; the maneuver timing all levels share; and
+    the first-order closed-loop error time constants of the prediction
+    (seconds)."""
 
-    t_total: float
+    step_times: tuple[float, ...]
+    n_sog: tuple[int, ...]
+    n_course: tuple[int, ...]
     t_ramp: float
     t_sog: float
     t_course: float
-    n_sog: int
-    n_course: int
+    tc_sog: float
+    tc_course: float
 
     def __post_init__(self):
+        if not (len(self.step_times) == len(self.n_sog) == len(self.n_course)):
+            raise ValueError("per-level sequences must share length")
+        if len(self.step_times) < 1:
+            raise ValueError("at least one level required")
         if self.t_ramp <= 0.0:
             raise ValueError("t_ramp must be > 0")
         if self.t_sog < 2.0 * self.t_ramp:
             raise ValueError("t_sog must be >= 2 * t_ramp")
         if self.t_course < 4.0 * self.t_ramp:
             raise ValueError("t_course must be >= 4 * t_ramp")
-        if self.t_total < max(self.t_sog, self.t_course):
-            raise ValueError("t_total must cover both maneuver lengths")
-        if self.n_sog < 1 or self.n_course < 1:
+        if min(self.step_times) < max(self.t_sog, self.t_course):
+            raise ValueError("every step time must cover both maneuver lengths")
+        if min(self.n_sog + self.n_course) < 1:
             raise ValueError("sample counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """First-order closed-loop error time constants (seconds)."""
-
-    tc_sog: float
-    tc_course: float
-
-    def __post_init__(self):
         if self.tc_sog <= 0.0 or self.tc_course <= 0.0:
             raise ValueError("time constants must be > 0")
+
+    @property
+    def levels(self) -> int:
+        return len(self.step_times)
+
+    @property
+    def horizon(self) -> float:
+        return float(sum(self.step_times))
 
 
 def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
@@ -119,13 +126,13 @@ def sample_accelerations(
     return sog, rot
 
 
-def sog_profile_unit(t_rel: np.ndarray, p: StepParams) -> np.ndarray:
+def sog_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """SOG acceleration trapezoid with unit plateau on relative times."""
     t = np.asarray(t_rel, dtype=float)
     return np.clip(np.minimum(t / p.t_ramp, (p.t_sog - t) / p.t_ramp), 0.0, 1.0)
 
 
-def course_profile_unit(t_rel: np.ndarray, p: StepParams) -> np.ndarray:
+def course_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """Antisymmetric double pulse with unit peaks on relative times."""
     t = np.asarray(t_rel, dtype=float)
     up = np.clip(np.minimum(t / p.t_ramp, (2.0 * p.t_ramp - t) / p.t_ramp), 0.0, 1.0)

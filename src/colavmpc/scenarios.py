@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 
-from .config import ScenarioConfig, from_dict
+from .config import SCHEMA_VERSION, ScenarioConfig, from_dict
 
 SCENARIO_NAMES = ("head_on", "crossing_starboard", "overtaking", "crossing_port")
 
@@ -48,13 +48,12 @@ def build_config_dict(name: str, seed: int = 0, noise: str = "none") -> dict:
     else:
         raise ValueError(f"unknown scenario {name!r}")
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "name": name,
         "seed": seed,
         "duration": duration,
         "integration_dt": 0.1,
         "planner": {
-            "period": 5.0,
             "eval_dt": 0.5,
             "step_times": [5.0, 20.0, 30.0],
             "n_sog": [5, 1, 1],

@@ -200,13 +200,12 @@ def plan_step(
     sog0, _, course0, _, _ = commanded.window(t, 1)[:, 0]
     tau0 = np.clip(tau, model.tau_min, model.tau_max)
 
-    def hook(t_level, north, east, course, desired, step):
+    def hook(t_level, north, east, course, desired):
         targets = los_targets(config.desired, north, east, course, t_level, config.los)
-        return desired_acceleration(targets, desired, step)
+        return desired_acceleration(targets, desired, config.tree)
 
     candidates = generate_tree(
-        config.tree, model, config.error_model, state, t, (sog0, course0), tau0, hook, dt,
-        config.eval_dt,
+        config.tree, model, state, t, (sog0, course0), tau0, hook, dt, config.eval_dt
     )
     if not candidates:
         return candidates, None
@@ -236,7 +235,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
-    rng = np.random.default_rng(config.tracker_seed)
+    rng = np.random.default_rng(config.seed)
 
     state = config.ownship
     tau = model.damping(state.sog, state.rot)
@@ -310,7 +309,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         obstacles[script.id] = ObstacleSeries(*ground_truth(script, t), *est[held].T)
     log = RunLog(
         name=config.name,
-        seed=config.tracker_seed,
+        seed=config.seed,
         dt=dt,
         t=t,
         **dict(zip(plant_names, np.frombuffer(plant_rows).reshape(n_rows, len(plant_names)).T)),

@@ -24,8 +24,7 @@ import numpy as np
 
 from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
 from .primitives import (
-    ErrorModel,
-    StepParams,
+    TreeParams,
     course_profile_unit,
     possible_accelerations,
     sample_accelerations,
@@ -35,47 +34,10 @@ from .primitives import (
 from .vessel import VesselModel
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Per-level step times and sample counts; shared maneuver timing."""
-
-    step_times: tuple[float, ...]
-    n_sog: tuple[int, ...]
-    n_course: tuple[int, ...]
-    t_ramp: float
-    t_sog: float
-    t_course: float
-
-    def __post_init__(self):
-        if not (len(self.step_times) == len(self.n_sog) == len(self.n_course)):
-            raise ValueError("per-level sequences must share length")
-        if len(self.step_times) < 1:
-            raise ValueError("at least one level required")
-        for level in range(self.levels):
-            self.step_params(level)  # validates invariants
-
-    @property
-    def levels(self) -> int:
-        return len(self.step_times)
-
-    @property
-    def horizon(self) -> float:
-        return float(sum(self.step_times))
-
-    def step_params(self, level: int) -> StepParams:
-        return StepParams(
-            t_total=self.step_times[level],
-            t_ramp=self.t_ramp,
-            t_sog=self.t_sog,
-            t_course=self.t_course,
-            n_sog=self.n_sog[level],
-            n_course=self.n_course[level],
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Level:
-    """One tree level's unit maneuver profiles on its integration grid.
+    """One tree level's sample counts and unit maneuver profiles on its
+    integration grid.
 
     Every maneuver of a level is affine in its sampled accelerations
     (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
@@ -83,7 +45,8 @@ class Level:
     """
 
     grid: TimeGrid
-    step: StepParams
+    n_sog: int
+    n_course: int
     unit_s: np.ndarray
     unit_c: np.ndarray
     cum_s: np.ndarray
@@ -91,13 +54,16 @@ class Level:
     cum2_c: np.ndarray
 
     @staticmethod
-    def build(t0: float, step: StepParams, dt: float) -> "Level":
-        grid = TimeGrid.from_span(t0, step.t_total, dt)
+    def build(params: TreeParams, index: int, t0: float, dt: float) -> "Level":
+        grid = TimeGrid.from_span(t0, params.step_times[index], dt)
         t_rel = grid.times() - t0
-        unit_s = sog_profile_unit(t_rel, step)
-        unit_c = course_profile_unit(t_rel, step)
+        unit_s = sog_profile_unit(t_rel, params)
+        unit_c = course_profile_unit(t_rel, params)
         cum_c = cumtrapz(unit_c, dt)
-        return Level(grid, step, unit_s, unit_c, cumtrapz(unit_s, dt), cum_c, cumtrapz(cum_c, dt))
+        return Level(
+            grid, params.n_sog[index], params.n_course[index], unit_s, unit_c,
+            cumtrapz(unit_s, dt), cum_c, cumtrapz(cum_c, dt),
+        )
 
     def reference(self, u_d, chi_d, a_u, a_r):
         """Desired (sog, course) of the maneuvers started from (u_d, chi_d)."""
@@ -162,7 +128,6 @@ def _join(blocks: list[np.ndarray]) -> np.ndarray:
 def generate_tree(
     params: TreeParams,
     model: VesselModel,
-    error_model: ErrorModel,
     state: VesselState,
     t: float,
     desired_vel0: tuple[float, float],
@@ -174,9 +139,9 @@ def generate_tree(
     """Breadth-first expansion from the state (north, east, course, sog,
     rot) at time t to the configured depth, one level at a time.
 
-    guidance_hook(t, north, east, course, desired, step) -> (sog_acc,
-    rot_acc), or None, supplies the desired-acceleration substitution
-    for all nodes of a level at once: t is the level's start time,
+    guidance_hook(t, north, east, course, desired) -> (sog_acc, rot_acc),
+    or None, supplies the desired-acceleration substitution for all
+    nodes of a level at once: t is the level's start time,
     north/east/course the nodes' predicted poses and desired their
     (sog, course) reference values, all (n_nodes,) arrays. tau0 must
     lie within the actuator limits. Channels integrate on the dt grid
@@ -187,10 +152,9 @@ def generate_tree(
     """
     levels = []
     t_level = t
-    for level_idx in range(params.levels):
-        step = params.step_params(level_idx)
-        levels.append(Level.build(t_level, step, dt))
-        t_level += step.t_total
+    for level_idx, step_time in enumerate(params.step_times):
+        levels.append(Level.build(params, level_idx, t_level, dt))
+        t_level += step_time
     ratio = eval_dt / dt
     stride = int(round(ratio))
     if abs(ratio - stride) > 1e-9 or stride < 1 or any((lv.grid.n - 1) % stride for lv in levels):
@@ -209,10 +173,9 @@ def generate_tree(
     parents, samples, accels, preds = [], [], [], []
 
     for level_idx, level in enumerate(levels):
-        step = level.step
         t_rel = level.grid.times() - level.grid.t0
-        decay_s = np.exp(-t_rel / error_model.tc_sog)
-        decay_c = np.exp(-t_rel / error_model.tc_course)
+        decay_s = np.exp(-t_rel / params.tc_sog)
+        decay_c = np.exp(-t_rel / params.tc_course)
 
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
@@ -226,14 +189,14 @@ def generate_tree(
             )
         desired_acc = None
         if guidance_hook is not None:
-            desired_acc = guidance_hook(level.grid.t0, north, east, chi_bar, (u_d, chi_d), step)
+            desired_acc = guidance_hook(level.grid.t0, north, east, chi_bar, (u_d, chi_d))
         sog_samples, rot_samples = sample_accelerations(
-            possible_accelerations(model, node_sog, node_rot, node_tau, step.t_ramp),
-            step.n_sog, step.n_course, desired_acc,
+            possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
+            level.n_sog, level.n_course, desired_acc,
         )
         feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
         node, i_sog, i_rot = np.nonzero(
-            np.broadcast_to(feasible[:, :, None], feasible.shape + (step.n_course,))
+            np.broadcast_to(feasible[:, :, None], feasible.shape + (level.n_course,))
         )
         # a level with no feasible maneuver leaves no nodes: the levels
         # below run on zero-row arrays, down to a set with no leaves

@@ -24,7 +24,7 @@ from colavmpc.objective import (
     select,
 )
 from colavmpc.obstacles import observe
-from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
+from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
 from colavmpc.sim import classify_situation, plan_step, run, runlog_to_csv
 from colavmpc.tree import CandidateSet
 
@@ -59,7 +59,7 @@ def test_c01_primitive_identities():
             t_total = max(t_sog, t_course) + rng.uniform(0.0, 1.0)
         a_u = rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0])
         a_r = rng.uniform(0.005, 0.2) * rng.choice([-1.0, 1.0])
-        p = StepParams(t_total, t_ramp, t_sog, t_course, 1, 1)
+        p = TreeParams((t_total,), (1,), (1,), t_ramp, t_sog, t_course, tc_sog=5.0, tc_course=5.0)
         n = int(math.ceil(t_total / dt - 1e-9))
         grid = TimeGrid(0.0, dt, n + 1)
         t_rel = grid.times()
@@ -100,7 +100,7 @@ def test_c02_guidance_round_trip():
         t_sog = 2 * t_ramp + dt * rng.integers(0, 41)
         t_course = 4 * t_ramp + dt * rng.integers(0, 41)
         t_total = max(t_sog, t_course)
-        p = StepParams(t_total, t_ramp, t_sog, t_course, 5, 5)
+        p = TreeParams((t_total,), (5,), (5,), t_ramp, t_sog, t_course, tc_sog=5.0, tc_course=5.0)
         u0 = rng.uniform(0.0, 18.0)
         chi0 = rng.uniform(-10.0, 10.0)
         u_los = rng.uniform(0.0, 18.0)

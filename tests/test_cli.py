@@ -7,17 +7,17 @@ import pytest
 
 from colavmpc import scenarios
 from colavmpc.cli import main
+from colavmpc.config import SCHEMA_VERSION
 
 
 def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog=5.0):
     data = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "name": name,
         "seed": seed,
         "duration": 20.0,
         "integration_dt": 0.1,
         "planner": {
-            "period": 5.0,
             "eval_dt": 0.5,
             "step_times": [5.0, 10.0],
             "n_sog": [3, 1],
@@ -83,12 +83,12 @@ def test_run_shipped_scenario_smoke(tmp_path):
     assert metrics["obstacles"]["target"]["collision_time_s"] == 0.0
 
 
-def test_seed_override_reaches_explicit_noise_seed(tmp_path):
-    # a noise section with its own seed: --seed replaces it, and the
-    # summary reports the seed the tracker actually used
-    cfg_path, data = _small_config(tmp_path, seed=0)
+def test_seed_override_reaches_the_tracker(tmp_path):
+    # explicit noise draws from the one scenario seed: --seed replaces it,
+    # and the summary reports the seed the tracker used
+    cfg_path, data = _small_config(tmp_path, seed=3)
     data["noise"] = {
-        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.26, "latency": 2.5, "period": 2.5, "seed": 3,
+        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.26, "latency": 2.5, "period": 2.5,
     }
     cfg_path.write_text(json.dumps(data))
     runs = {}

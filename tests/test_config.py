@@ -29,7 +29,7 @@ def test_waypoints_and_custom_noise():
         "speed": 4.0,
         "points": [{"north": 0.0, "east": 0.0}, {"north": 300.0, "east": 50.0}],
     }
-    data["noise"] = {"pos_std": 5.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5, "seed": 3}
+    data["noise"] = {"pos_std": 5.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5}
     cfg = cfgm.from_dict(data)
     # the desired track is the waypoint polyline, traversed at 4 m/s
     assert cfg.desired.position(0.0) == (0.0, 0.0)
@@ -37,7 +37,7 @@ def test_waypoints_and_custom_noise():
     assert cfg.desired.speed == 4.0
     end = math.hypot(300.0, 50.0) / 4.0
     assert np.allclose(cfg.desired.position(end), (300.0, 50.0))
-    assert cfg.noise.seed == 3
+    assert cfg.noise.period == 2.5
     assert cfg.noise_preset is None
 
 
@@ -85,13 +85,14 @@ def test_negative_seeds_rejected():
         cfgm.from_dict(data)
     assert str(err.value) == "config.seed: must be >= 0"
     data = scenarios.build_config_dict("head_on")
+    assert cfgm.from_dict(data).seed == 0
+    # the tracker draws from the scenario seed; noise takes none of its own
     data["noise"] = {"pos_std": 1.0, "sog_std": 0.1, "course_std": 0.01, "latency": 0.0,
-                     "period": 2.5, "seed": -7}
+                     "period": 2.5, "seed": 7}
     with pytest.raises(ConfigError) as err:
         cfgm.from_dict(data)
-    assert str(err.value) == "config.noise.seed: must be >= 0"
-    data["noise"]["seed"] = 0
-    assert cfgm.from_dict(data).tracker_seed == 0
+    assert str(err.value) == "config.noise.seed: unknown key"
+    del data["noise"]["seed"]
     with pytest.raises(ConfigError, match="seed override: must be >= 0"):
         cfgm.from_dict(data, seed_override=-3)
 
@@ -99,8 +100,7 @@ def test_negative_seeds_rejected():
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
-        (lambda d: d.__setitem__("schema_version", 2), "schema_version"),
-        (lambda d: d["planner"].__setitem__("period", 7.0), "period"),
+        (lambda d: d.__setitem__("schema_version", 1), "schema_version"),
         (lambda d: d["planner"].__setitem__("step_times", [5.0, 20.0, 30.5]), "step_times"),
         (lambda d: d["planner"].__setitem__("t_ramp", 3.0), "planner"),
         (lambda d: d["penalty"].__setitem__("gamma1", 1.2), "gamma1"),
@@ -135,7 +135,32 @@ def test_step_times_must_be_multiples_of_the_period():
     assert cfgm.from_dict(_planner((5.0,))).tree.levels == 1
     with pytest.raises(ConfigError, match="step_times") as err:
         cfgm.from_dict(_planner((5.0, 12.0, 30.0)))
-    assert "period" in str(err.value)
+    assert "first step time" in str(err.value)
+
+
+def test_planner_period_is_the_first_step_time():
+    cfg = cfgm.from_dict(_planner((10.0, 20.0, 30.0)))
+    assert cfg.planner_period == cfg.tree.step_times[0] == 10.0
+    data = scenarios.build_config_dict("head_on")
+    data["planner"]["period"] = 5.0
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "config.planner.period: unknown key"
+
+
+def test_duration_is_a_whole_number_of_replan_periods():
+    # sim.run plans at every period start before the last step, so a
+    # partial last period would make one more call than duration / period
+    data = scenarios.build_config_dict("head_on")
+    data["duration"] = 202.0
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "duration: must be an integer multiple of the first step time"
+    # the integration grid is checked first
+    data["duration"] = 202.05
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == "duration: must be an integer multiple of integration_dt"
 
 
 @pytest.mark.parametrize(
@@ -144,7 +169,7 @@ def test_step_times_must_be_multiples_of_the_period():
         (0.0, "eval_dt must be > 0"),
         (-0.5, "eval_dt must be > 0"),
         (0.25, "planner.eval_dt: must be an integer multiple of integration_dt"),
-        (2.0, "planner.period: must be an integer multiple of eval_dt"),
+        (2.0, "planner.step_times: must be an integer multiple of eval_dt"),
     ],
 )
 def test_eval_dt_rules(eval_dt, fragment):

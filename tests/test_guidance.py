@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from colavmpc.core import TimeGrid, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
-from colavmpc.primitives import StepParams, course_profile_unit, sog_profile_unit
+from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
 
 PARAMS = LosParams(lookahead=500.0, along_track_gain=0.005, epsilon=0.05, u_max_los=18.0)
 
@@ -16,7 +16,7 @@ def test_los_params_need_a_speed_cap():
     # the cap is the vessel's top speed, which only the config knows
     with pytest.raises(TypeError):
         LosParams(lookahead=500.0, along_track_gain=0.005)
-STEP = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
+STEP = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0)
 
 
 def test_line_trajectory_geometry():
@@ -124,8 +124,9 @@ def test_round_trip_reproduces_targets(u0, chi0, u_los, chi_los, kr, eu, ec):
     t_ramp = kr * dt
     t_sog = 2 * t_ramp + eu * dt
     t_course = 4 * t_ramp + ec * dt
-    p = StepParams(max(t_sog, t_course), t_ramp, t_sog, t_course, 5, 5)
-    t_rel = TimeGrid.from_span(0.0, p.t_total, dt).times()
+    t_total = max(t_sog, t_course)
+    p = TreeParams((t_total,), (5,), (5,), t_ramp, t_sog, t_course, tc_sog=5.0, tc_course=5.0)
+    t_rel = TimeGrid.from_span(0.0, t_total, dt).times()
     du, dr = desired_acceleration((u_los, chi_los), (u0, chi0), p)
     sog = u0 + cumtrapz(du * sog_profile_unit(t_rel, p), dt)
     rot = cumtrapz(dr * course_profile_unit(t_rel, p), dt)

@@ -7,19 +7,17 @@ from hypothesis import strategies as st
 
 from colavmpc.core import TimeGrid, VesselState, cumtrapz
 from colavmpc.primitives import (
-    ErrorModel,
-    StepParams,
+    TreeParams,
     course_profile_unit,
     possible_accelerations,
     sample_accelerations,
     sog_profile_unit,
 )
-from colavmpc.tree import TreeParams, generate_tree
+from colavmpc.tree import generate_tree
 from colavmpc.vessel import default_model
 
 MODEL = default_model()
-EM = ErrorModel(5.0, 5.0)
-P = StepParams(t_total=5.0, t_ramp=1.0, t_sog=5.0, t_course=5.0, n_sog=5, n_course=5)
+P = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0)
 GRID = TimeGrid.from_span(0.0, 5.0, 0.1)
 
 
@@ -30,8 +28,8 @@ def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None
     tree, so first_sog/first_course are the full desired reference."""
     state = VesselState(0.0, 0.0, course, sog, rot)
     tau0 = np.clip(MODEL.damping(sog, rot), MODEL.tau_min, MODEL.tau_max)
-    params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0)
-    return generate_tree(params, MODEL, EM, state, 0.0, desired or (sog, course), tau0, None, dt, dt)
+    params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0, 5.0, 5.0)
+    return generate_tree(params, MODEL, state, 0.0, desired or (sog, course), tau0, None, dt, dt)
 
 
 def _rates(sog, rot, tau):
@@ -57,13 +55,31 @@ def test_sat_shape_mismatch():
         possible_accelerations(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0)
 
 
-def test_step_params_invariants():
-    with pytest.raises(ValueError):
-        StepParams(5.0, 1.0, 1.5, 5.0, 1, 1)  # t_sog < 2 t_ramp
-    with pytest.raises(ValueError):
-        StepParams(5.0, 1.0, 5.0, 3.0, 1, 1)  # t_course < 4 t_ramp
-    with pytest.raises(ValueError):
-        StepParams(4.0, 1.0, 5.0, 5.0, 1, 1)  # t_total < maneuvers
+def test_tree_params_invariants():
+    # every rule on the tree's settings, each raised with its own message
+    base = dict(
+        step_times=(5.0, 20.0), n_sog=(5, 1), n_course=(5, 3), t_ramp=1.0, t_sog=5.0,
+        t_course=5.0, tc_sog=5.0, tc_course=5.0,
+    )
+    assert TreeParams(**base).levels == 2
+    cases = [
+        (dict(n_sog=(5,)), "per-level sequences must share length"),
+        (dict(step_times=(), n_sog=(), n_course=()), "at least one level required"),
+        (dict(t_ramp=0.0), "t_ramp must be > 0"),
+        (dict(t_sog=1.5), r"t_sog must be >= 2 \* t_ramp"),
+        (dict(t_course=3.0), r"t_course must be >= 4 \* t_ramp"),
+        (dict(step_times=(4.0, 20.0)), "every step time must cover both maneuver lengths"),
+        # a level below the root shorter than t_sog, though longer than t_course
+        (dict(step_times=(6.0, 5.5), t_sog=6.0, t_course=4.0), "every step time must cover"),
+        (dict(n_sog=(5, 0)), "sample counts must be >= 1"),
+        (dict(n_course=(0, 3)), "sample counts must be >= 1"),
+        (dict(tc_sog=0.0), "time constants must be > 0"),
+        (dict(tc_course=-1.0), "time constants must be > 0"),
+        (dict(tc_course=0.0), "time constants must be > 0"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TreeParams(**{**base, **changes})
 
 
 def test_possible_accelerations_saturated_upper_edge():
@@ -201,8 +217,8 @@ def test_integrate_primitives_requires_zero_rot():
     # vessel that is turning
     state = VesselState(0.0, 0.0, 0.0, 5.0, 0.05)
     tau0 = np.clip(MODEL.damping(5.0, 0.05), MODEL.tau_min, MODEL.tau_max)
-    params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
-    cands = generate_tree(params, MODEL, EM, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.5)
+    params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
+    cands = generate_tree(params, MODEL, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.5)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
     assert all(np.all(cands.trajectory(leaf).rot[starts] == 0.0) for leaf in range(len(cands)))
 
@@ -228,7 +244,7 @@ def test_acceleration_slew_bounded_by_ramp_slope(kr, extra_u, extra_c, a_u, a_r)
     t_sog = 2 * t_ramp + extra_u * dt
     t_course = 4 * t_ramp + extra_c * dt
     t_total = max(t_sog, t_course)
-    p = StepParams(t_total, t_ramp, t_sog, t_course, 1, 1)
+    p = TreeParams((t_total,), (1,), (1,), t_ramp, t_sog, t_course, tc_sog=5.0, tc_course=5.0)
     t_rel = TimeGrid.from_span(0.0, t_total, dt).times()
     sog_acc = a_u * sog_profile_unit(t_rel, p)
     rot_acc = a_r * course_profile_unit(t_rel, p)

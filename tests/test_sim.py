@@ -271,16 +271,15 @@ def test_run_scripted_course_change():
 def test_prediction_matches_closed_loop_plant():
     # the planner's feedback-corrected prediction should stay close to what
     # the controller + plant actually do, else the avoidance geometry lies
-    from colavmpc.primitives import ErrorModel
     from colavmpc.tree import TreeParams, generate_tree
     from colavmpc.vessel import control_law, default_gains, default_model, step_plant
 
     model = default_model()
-    params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
+    params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
     state = VesselState(0.0, 0.0, 0.1, 5.5, 0.0)
     tau0 = np.clip(model.damping(5.5, 0.0), model.tau_min, model.tau_max)
     # evaluated on the integration grid, so pred_* has a point per plant step
-    cands = generate_tree(params, model, ErrorModel(5.0, 5.0), state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
+    cands = generate_tree(params, model, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
@@ -404,7 +403,7 @@ def test_logged_estimates_hold_the_last_update(monkeypatch, period):
     # 0.35 s is no multiple of the 0.1 s step; 0.04 s puts two or three
     # updates into one step, and the step logs the last of them
     d = scenarios.build_config_dict("head_on")
-    d["duration"] = 12.0
+    d["duration"] = 15.0
     d["obstacles"].append(
         {"id": "ferry", "north": 900.0, "east": 450.0, "sog": 2.5, "course": -math.pi / 2}
     )

@@ -6,19 +6,18 @@ import pytest
 from colavmpc.core import TimeGrid, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 import oracles
-from colavmpc.primitives import ErrorModel, possible_accelerations, sample_accelerations
+from colavmpc.primitives import possible_accelerations, sample_accelerations
 from colavmpc import tree as tree_mod
 from colavmpc.tree import TreeParams, generate_tree
 from colavmpc.vessel import default_model
 
 MODEL = default_model()
-EM = ErrorModel(5.0, 5.0)
 DT = 0.1
 EVAL_DT = 0.5
 
 TABLE_PARAMS = TreeParams(
     step_times=(5.0, 20.0, 30.0), n_sog=(5, 1, 1), n_course=(5, 3, 3),
-    t_ramp=1.0, t_sog=5.0, t_course=5.0,
+    t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0,
 )
 
 
@@ -33,22 +32,22 @@ def _tau0(state):
 def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None, t=0.0):
     """Candidates grown from state at time t, seeded from the desired (sog, course)."""
     tau0 = _tau0(state) if tau0 is None else tau0
-    return generate_tree(params, MODEL, EM, state, t, desired, tau0, hook, DT, EVAL_DT)
+    return generate_tree(params, MODEL, state, t, desired, tau0, hook, DT, EVAL_DT)
 
 
 def _los_hook(dtraj, los):
-    def hook(t, north, east, course, desired, step):
+    def hook(t, north, east, course, desired):
         targets = los_targets(dtraj, north, east, course, t, los)
-        return desired_acceleration(targets, desired, step)
+        return desired_acceleration(targets, desired, TABLE_PARAMS)
 
     return hook
 
 
 def test_tree_params_validation():
     with pytest.raises(ValueError):
-        TreeParams((5.0, 20.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
+        TreeParams((5.0, 20.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
     with pytest.raises(ValueError):
-        TreeParams((3.0,), (1,), (1,), 1.0, 5.0, 5.0)  # step below maneuver time
+        TreeParams((3.0,), (1,), (1,), 1.0, 5.0, 5.0, 5.0, 5.0)  # step below maneuver time
 
 
 def test_table_configuration_shape():
@@ -70,7 +69,7 @@ def test_table_configuration_shape():
 
 
 def test_three_level_span_25s():
-    params = TreeParams((5.0, 10.0, 10.0), (1, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0)
+    params = TreeParams((5.0, 10.0, 10.0), (1, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
     state = _state()
     cands = _grow(state, (5.0, 0.0), params=params)
     assert len(cands) == 45
@@ -78,7 +77,7 @@ def test_three_level_span_25s():
 
 
 def test_degenerate_tree_continues_current_velocity():
-    params = TreeParams((5.0,), (1,), (1,), 1.0, 5.0, 5.0)
+    params = TreeParams((5.0,), (1,), (1,), 1.0, 5.0, 5.0, 5.0, 5.0)
     state = _state(course=0.4, sog=6.0)
     cands = _grow(state, (6.0, 0.4), params=params)
     assert len(cands) == 1
@@ -112,7 +111,7 @@ def test_first_maneuver_matches_full_prefix():
     # first_course are its trajectory on the evaluation grid
     state = _state()
     cands = _grow(state, (5.0, 0.0))
-    first_params = TreeParams((5.0,), (5,), (5,), 1.0, 5.0, 5.0)
+    first_params = TreeParams((5.0,), (5,), (5,), 1.0, 5.0, 5.0, 5.0, 5.0)
     firsts = _grow(state, (5.0, 0.0), params=first_params)
     assert firsts.grid == cands.first_grid
     stride = int(round(EVAL_DT / DT))
@@ -147,7 +146,7 @@ def test_leaf_rows_follow_their_ancestors():
     for k in (1, 2):
         cut = _grow(state, (5.0, 0.1), hook, params=TreeParams(
             TABLE_PARAMS.step_times[:k], TABLE_PARAMS.n_sog[:k], TABLE_PARAMS.n_course[:k],
-            1.0, 5.0, 5.0,
+            1.0, 5.0, 5.0, 5.0, 5.0,
         ))
         by_prefix = {tuple(map(tuple, path)): j for j, path in enumerate(cut.sample_path.tolist())}
         end = cut.grid.n - 1
@@ -174,14 +173,14 @@ def test_tree_deterministic():
 
 def test_level0_matches_single_step_primitives():
     # one-level tree channels equal the standalone single-step op
-    params = TreeParams((5.0,), (5,), (5,), 1.0, 5.0, 5.0)
+    params = TreeParams((5.0,), (5,), (5,), 1.0, 5.0, 5.0, 5.0, 5.0)
     state = _state(sog=5.0)
     tau0 = _tau0(state)
     cands = _grow(state, (5.0, 0.0), params=params)
     bounds = possible_accelerations(MODEL, state.sog, state.rot, tau0, 1.0)
     sog_s, rot_s = sample_accelerations(bounds, 5, 5)
     grid = TimeGrid.from_span(0.0, 5.0, DT)
-    trajs = oracles.integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0), params.step_params(0), grid)
+    trajs = oracles.integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0), params, grid)
     assert len(cands) == len(trajs)
     for leaf, traj in enumerate(trajs):
         rebuilt = cands.trajectory(leaf)
@@ -246,9 +245,9 @@ def test_guidance_hook_called_once_per_level():
     los_hook = _los_hook(dtraj, los)
     calls = []
 
-    def hook(t, north, east, course, desired, step):
+    def hook(t, north, east, course, desired):
         calls.append((t, len(north)))
-        return los_hook(t, north, east, course, desired, step)
+        return los_hook(t, north, east, course, desired)
 
     state = _state()
     cands = _grow(state, (5.0, 0.0), hook)
@@ -304,7 +303,7 @@ def test_empty_tree_when_a_level_below_the_root_is_infeasible(monkeypatch, first
     # every sample is rejected from level 1 (2nd call) or level 2 (3rd call) on
     nodes = []
 
-    def hook(t, north, east, course, desired, step):
+    def hook(t, north, east, course, desired):
         assert len(north) == len(east) == len(course) == len(desired[0])
         nodes.append(len(north))
         return None
