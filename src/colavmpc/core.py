@@ -20,8 +20,11 @@ TWO_PI = 2.0 * math.pi
 def wrap_angle(a):
     """Map an angle (scalar or array, radians) to [-pi, pi).
 
-    Just below an odd multiple of -pi, the remainder rounds up to 2*pi;
-    that result is -pi, not +pi.
+    A scalar takes the float remainder of a + pi by 2*pi. An array whose
+    w = a + pi lies in [-2*pi, 4*pi) adds or subtracts 2*pi once, which
+    is the remainder's own arithmetic there (w - 2*pi is exact); other
+    arrays, NaN or inf included, take np.mod. Just below an odd multiple
+    of -pi the remainder rounds up to 2*pi; that result is -pi, not +pi.
     """
     if isinstance(a, (float, int)):
         if not math.isfinite(a):
@@ -29,13 +32,19 @@ def wrap_angle(a):
         wrapped = (a + math.pi) % TWO_PI - math.pi
         return -math.pi if wrapped == math.pi else wrapped
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    w = np.asarray(a + math.pi)
+    if w.size and -TWO_PI <= w.min() and w.max() < 2.0 * TWO_PI:
+        np.subtract(w, TWO_PI, out=w, where=w >= TWO_PI)
+        np.add(w, TWO_PI, out=w, where=w < 0.0)
+    elif not np.all(np.isfinite(a)):
         raise ValueError("wrap_angle requires finite input")
-    wrapped = np.mod(a + math.pi, TWO_PI) - math.pi
-    wrapped = np.where(wrapped == math.pi, -math.pi, wrapped)
-    if wrapped.ndim == 0:
-        return float(wrapped)
-    return wrapped
+    else:
+        np.mod(w, TWO_PI, out=w)
+    w -= math.pi
+    w[w == math.pi] = -math.pi
+    if w.ndim == 0:
+        return float(w)
+    return w
 
 
 class VesselState(NamedTuple):
@@ -146,6 +155,9 @@ class VelocityTrajectory:
 def cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoidal integral along the last axis, starting at 0."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * dt * (y[..., 1:] + y[..., :-1]), axis=-1, out=out[..., 1:])
+    out = np.empty_like(y)
+    out[..., 0] = 0.0
+    step = np.add(y[..., 1:], y[..., :-1], out=out[..., 1:])
+    step *= 0.5 * dt
+    np.cumsum(step, axis=-1, out=step)
     return out

@@ -180,21 +180,31 @@ def _inner_penalty(geom: PenaltyGeometry, d, beta, cos_b, sin_b, d0):
 def penalty(geom: PenaltyGeometry, d, beta):
     """Penalty value at distance d and relative bearing beta; arrays ok.
 
-    It is exactly 0 wherever d >= geom.reach.
+    It is exactly 0 wherever d >= geom.reach. For the elliptical shape
+    the margin radius is computed at every point, the safety and
+    collision radii only inside the margin region and the inner term
+    only inside the collision region; each point keeps the one formula.
     """
-    d = np.asarray(d, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    d, beta = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(beta, dtype=float))
     if np.any(d < 0.0):
         raise ValueError("distance must be >= 0")
     if geom.kind == "circular":
-        d0, d1, d2 = geom.radii
-        out = _outer_penalty(d, d0, d1, d2, geom.gamma1)
+        out = _outer_penalty(d, *geom.radii, geom.gamma1)
+    elif d.size == 0:
+        out = np.zeros(d.shape)
     else:
         cos_b, sin_b = np.cos(beta), np.sin(beta)
-        d0, d1, d2 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
-        out = _outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
-            geom, d, beta, cos_b, sin_b, d0
+        d2 = _sector_radius(geom, 2, beta, cos_b, sin_b)
+        out = np.zeros(d.shape)
+        near = d < d2
+        d, beta, cos_b, sin_b = d[near], beta[near], cos_b[near], sin_b[near]
+        d0, d1 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(2))
+        outer = _outer_penalty(d, d0, d1, d2[near], geom.gamma1)
+        core = d < d0
+        outer[core] += _inner_penalty(
+            geom, d[core], beta[core], cos_b[core], sin_b[core], d0[core]
         )
+        out[near] = outer
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,18 +261,28 @@ def select(
     align = _trapz(align_err, grid.dt)
 
     # The penalty is evaluated only where d < reach and is exactly 0
-    # elsewhere; the full-grid integral keeps the dense summation order.
+    # elsewhere. d is computed only on the columns whose candidate box
+    # comes within reach, widened by 1e-12 relative against rounding;
+    # the full-grid integral keeps the dense summation order.
     avoid = np.zeros(len(candidates))
+    lo_n, hi_n, lo_e, hi_e = cand_n.min(axis=0), cand_n.max(axis=0), cand_e.min(axis=0), cand_e.max(axis=0)
     for obs in obstacles:
         if obs.grid != grid:
             raise ValueError(f"prediction grid {obs.grid} is not the evaluation grid {grid}")
-        d = np.hypot(cand_n - obs.north, cand_e - obs.east)
-        rows, cols = np.nonzero(d < geom.reach)
-        own_n, own_e = cand_n[rows, cols], cand_e[rows, cols]
-        beta = relative_bearing(own_n, own_e, obs.north[cols], obs.east[cols], obs.course)
-        values = np.zeros(d.shape)
-        values[rows, cols] = penalty(geom, d[rows, cols], beta)
-        avoid += _trapz(values, grid.dt)
+        gap_n = np.maximum(np.maximum(lo_n - obs.north, obs.north - hi_n), 0.0)
+        gap_e = np.maximum(np.maximum(lo_e - obs.east, obs.east - hi_e), 0.0)
+        near = np.flatnonzero(np.hypot(gap_n, gap_e) < geom.reach * (1.0 + 1e-12))
+        cols = slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
+        d = np.hypot(cand_n[:, cols] - obs.north[cols], cand_e[:, cols] - obs.east[cols])
+        rows, hit = np.nonzero(d < geom.reach)
+        hit_cols = hit + cols.start
+        own_n, own_e = cand_n[rows, hit_cols], cand_e[rows, hit_cols]
+        beta = relative_bearing(own_n, own_e, obs.north[hit_cols], obs.east[hit_cols], obs.course)
+        values = penalty(geom, d[rows, hit], beta)
+        if rows.size:
+            dense = np.zeros(cand_n.shape)
+            dense[rows, hit_cols] = values
+            avoid += _trapz(dense, grid.dt)
 
     if previous_first is None:
         tran = np.zeros(len(candidates))

@@ -205,8 +205,14 @@ def generate_tree(
         sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
         sog_bar = (u_bar - u_d)[node, None] * decay_s + sog
         course_bar = wrap_angle(chi_bar - chi_d)[node, None] * decay_c + course
-        pred_north = north[node, None] + cumtrapz(sog_bar * np.cos(course_bar), dt)
-        pred_east = east[node, None] + cumtrapz(sog_bar * np.sin(course_bar), dt)
+        # north and east velocity in one buffer, integrated in one pass
+        vel = np.empty((2,) + course_bar.shape)
+        np.cos(course_bar, out=vel[0])
+        np.sin(course_bar, out=vel[1])
+        vel *= sog_bar
+        pred_north, pred_east = cumtrapz(vel, dt)
+        pred_north += north[node, None]
+        pred_east += east[node, None]
         if level_idx == 0:
             first_sog, first_course = sog[:, ::stride], course[:, ::stride]
         parents.append(node)

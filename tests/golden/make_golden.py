@@ -8,9 +8,10 @@ Usage, from the root of a source checkout:
 Runs ``colavmpc run`` for every shipped scenario under the noise presets
 ``none`` and ``radar``, both with seed 0. For each case it writes
 ``<scenario>-<noise>/metrics.json`` and records the sha256 of
-trajectory.csv, planner.csv and metrics.json in ``digests.json``.
-Regenerate only for an intended change of behaviour, and say why in
-that change.
+trajectory.csv, planner.csv and metrics.json in ``digests.json``. The
+numpy and Python versions it ran under go to ``environment.json``, so
+that a digest mismatch elsewhere can name them. Regenerate only for an
+intended change of behaviour, and say why in that change.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from colavmpc import scenarios
 from colavmpc.cli import main
@@ -53,6 +57,8 @@ def regenerate() -> int:
                 (GOLDEN / case / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
                 print(case, file=sys.stderr)
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    environment = {"numpy": np.__version__, "python": platform.python_version()}
+    (GOLDEN / "environment.json").write_text(json.dumps(environment, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -7,15 +7,26 @@ tests compare the stacked results against. `resample` reads a
 trajectory at any times inside its span by linear interpolation, where
 the library reads only grid points (`VelocityTrajectory.window`).
 `py_region`/`py_penalty` are the penalty geometry in plain `math`
-arithmetic, one point at a time.
+arithmetic, one point at a time. `dense_penalty` evaluates every
+penalty formula at every point, and `mod_wrap` wraps angles with
+`np.mod` alone: the library evaluates each formula only where it
+applies and skips `np.mod` where adding or subtracting 2*pi once is
+exact, and must give the same bits as both.
 """
 
 import math
 
 import numpy as np
 
-from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
-from colavmpc.objective import TRAN_TOL, penalty, relative_bearing
+from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
+from colavmpc.objective import (
+    TRAN_TOL,
+    _inner_penalty,
+    _outer_penalty,
+    _sector_radius,
+    penalty,
+    relative_bearing,
+)
 from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
 
 
@@ -174,3 +185,27 @@ def py_penalty(geom, d, b):
     else:
         inner = 0.0
     return outer + inner
+
+
+def mod_wrap(a) -> np.ndarray:
+    """Angles mapped to [-pi, pi) by np.mod of a + pi, with a result of
+    +pi (the remainder rounded up to 2*pi) mapped to -pi."""
+    wrapped = np.mod(np.asarray(a, dtype=float) + math.pi, TWO_PI) - math.pi
+    return np.where(wrapped == math.pi, -math.pi, wrapped)
+
+
+def dense_penalty(geom, d, beta):
+    """Penalty with every region radius and both terms evaluated at
+    every point, then selected per point."""
+    d = np.asarray(d, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if geom.kind == "circular":
+        d0, d1, d2 = geom.radii
+        out = _outer_penalty(d, d0, d1, d2, geom.gamma1)
+    else:
+        cos_b, sin_b = np.cos(beta), np.sin(beta)
+        d0, d1, d2 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
+        out = _outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
+            geom, d, beta, cos_b, sin_b, d0
+        )
+    return float(out) if out.ndim == 0 else out

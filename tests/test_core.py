@@ -36,6 +36,26 @@ def test_wrap_angle_range_and_array():
     assert all(-math.pi <= w < math.pi for w in scalars)
     assert wrap_angle(np.array(near)).tolist() == scalars
 
+    # the add-or-subtract-2pi path gives np.mod's bits: k*pi for
+    # |k| <= 5 and both float neighbours, a = +-3pi and their neighbours
+    # (w = a + pi at the range edges -2pi and 4pi), and -0.0
+    edges = [
+        x
+        for k in list(range(-5, 6)) + [-3, 3]
+        for x in (math.nextafter(k * math.pi, -math.inf), k * math.pi, math.nextafter(k * math.pi, math.inf))
+    ] + [-0.0]
+    for a in edges:
+        expected = oracles.mod_wrap(np.array([a]))
+        assert wrap_angle(np.array([a])).tobytes() == expected.tobytes()
+        assert np.array(wrap_angle(np.array(a))).tobytes() == expected[0].tobytes()
+    # in-range values mixed with out-of-range ones take the np.mod path
+    mixed = np.array(edges + [-20.0, 13.0, 1e6, -1e6])
+    assert wrap_angle(mixed).tobytes() == oracles.mod_wrap(mixed).tobytes()
+    assert wrap_angle(np.array(edges)).tobytes() == oracles.mod_wrap(np.array(edges)).tobytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            wrap_angle(np.array([0.0, 1.0, bad]))
+
 
 def test_wrap_angle_rejects_non_finite():
     with pytest.raises(ValueError):

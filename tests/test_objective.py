@@ -127,28 +127,54 @@ def test_total_penalty_continuous_at_inner_core():
 SECTOR_EDGES = np.array([-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
 
 
+BETAS = np.concatenate([
+    np.linspace(-math.pi, math.pi, 181),
+    SECTOR_EDGES,
+    np.nextafter(SECTOR_EDGES, -np.inf),
+    np.nextafter(SECTOR_EDGES, np.inf),
+])
+
+
+def _straddling_points(geom):
+    """Per bearing of BETAS: inside the core, across its ramp, and
+    straddling each region boundary. Returns (d, beta) arrays."""
+    spec = dataclasses.asdict(geom)
+    d, beta = [], []
+    for b in BETAS:
+        radii = [oracles.py_region(spec, k, b) for k in range(3)]
+        dists = [0.0, 0.25 * radii[0], 0.5 * radii[0], 0.95 * radii[0]]
+        dists += [r * f for r in radii for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        d += dists
+        beta += [b] * len(dists)
+    return np.array(d), np.array(beta)
+
+
 def test_penalty_matches_python_oracle():
-    betas = np.concatenate([
-        np.linspace(-math.pi, math.pi, 181),
-        SECTOR_EDGES,
-        np.nextafter(SECTOR_EDGES, -np.inf),
-        np.nextafter(SECTOR_EDGES, np.inf),
-    ])
     for geom in (GEOM_ELL, GEOM_CIRC):
         spec = dataclasses.asdict(geom)
         for k in range(3):
-            expected = [oracles.py_region(spec, k, b) for b in betas]
-            np.testing.assert_allclose(region_radius(geom, k, betas), expected, rtol=1e-12, atol=0.0)
-        d, beta = [], []
-        for b in betas:
-            radii = [oracles.py_region(spec, k, b) for k in range(3)]
-            # inside the core, across its ramp, and straddling each region boundary
-            dists = [0.0, 0.25 * radii[0], 0.5 * radii[0], 0.95 * radii[0]]
-            dists += [r * f for r in radii for f in (1.0 - 1e-9, 1.0 + 1e-9)]
-            d += dists
-            beta += [b] * len(dists)
+            expected = [oracles.py_region(spec, k, b) for b in BETAS]
+            np.testing.assert_allclose(region_radius(geom, k, BETAS), expected, rtol=1e-12, atol=0.0)
+        d, beta = _straddling_points(geom)
         expected = [oracles.py_penalty(spec, di, bi) for di, bi in zip(d, beta)]
-        np.testing.assert_allclose(penalty(geom, np.array(d), np.array(beta)), expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(penalty(geom, d, beta), expected, rtol=0.0, atol=1e-12)
+
+
+def test_penalty_equals_dense_reference():
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        d, beta = _straddling_points(geom)
+        # a point at and past reach too, where no radius is computed
+        d = np.concatenate([d, [geom.reach, 2.0 * geom.reach]])
+        beta = np.concatenate([beta, [0.0, 1.0]])
+        expected = oracles.dense_penalty(geom, d, beta)
+        assert np.array_equal(penalty(geom, d, beta), expected)
+        assert np.array_equal(penalty(geom, d.reshape(-1, 2), beta.reshape(-1, 2)), expected.reshape(-1, 2))
+        for i in (0, 3, 5, 9, len(d) - 1):
+            assert penalty(geom, float(d[i]), float(beta[i])) == expected[i]
+            at_0d = penalty(geom, np.array(d[i]), np.array(beta[i]))
+            assert type(at_0d) is float and at_0d == expected[i]
+        empty = penalty(geom, np.zeros(0), np.zeros(0))
+        assert empty.shape == (0,) and np.array_equal(empty, oracles.dense_penalty(geom, np.zeros(0), np.zeros(0)))
 
 
 def test_reach_bounds_the_penalty():
@@ -372,11 +398,19 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
     straddling = _track(0.0, 0.0, 0.3)
     # eastbound, 3 m off the straight candidate at t = 12 s
     crossing = _track(60.0, 8.0 * (t - 12.0) + 3.0, math.pi / 2)
-    obstacles = [far, straddling, crossing]
+    # fast eastbound: in reach of the candidates only mid-horizon
+    midway = _track(100.0, 40.0 * (t - 12.5), math.pi / 2)
     for geom in (GEOM_ELL, GEOM_CIRC):
         through_reach = (geom.reach + 5.0 * (t - 10.0), 0.0, 0.0, 5.0, 0.0)
         cands = _set(through_reach, _line(0.0), _line(30.0, 0.05), _line(-45.0, -0.1))
         assert np.hypot(cands.pred_north[0, 20], cands.pred_east[0, 20]) == geom.reach
+        # northbound at 10 m/s from reach south of the candidates' box,
+        # whose gap to the box is exactly reach at t = 0 only
+        chasing = _track(-geom.reach + 10.0 * t, 0.0, 0.0)
+        assert cands.pred_north[:, 0].min() - chasing.north[0] == geom.reach
+        d_mid = np.hypot(cands.pred_north - midway.north, cands.pred_east - midway.east)
+        assert np.all(d_mid[:, [0, -1]] >= geom.reach) and np.any(d_mid < geom.reach)
+        obstacles = [far, straddling, crossing, midway, chasing]
 
         calls.clear()
         table = _select(cands, obstacles, geom=geom)

@@ -12,6 +12,7 @@ from colavmpc.sim import (
     ObstacleSeries,
     PlannerSeries,
     RunLog,
+    _outputs,
     classify_situation,
     compute_metrics,
     plan_step,
@@ -233,6 +234,19 @@ def test_run_two_obstacles():
     for m in metrics.obstacles.values():
         assert m.collision_time == 0.0
         assert m.min_distance > 50.0
+
+
+@pytest.mark.parametrize("noise", ["none", "radar"])
+def test_run_stationary_obstacle_on_the_desired_track(noise):
+    # the head_on target lies still, dead ahead on the desired line
+    d = scenarios.build_config_dict("head_on", seed=0, noise=noise)
+    d["obstacles"][0]["sog"] = 0.0
+    log, metrics = run(cfgm.from_dict(d))
+    series = [log, log.planner, *log.obstacles.values()]
+    for name, values in (item for record in series for item in _outputs(record)):
+        assert np.all(np.isfinite(values)), name
+    assert metrics.failsafe_count == 0
+    assert metrics.obstacles["target"].collision_time == 0.0
 
 
 def test_run_waypoint_track():
