@@ -16,7 +16,7 @@ from .objective import (
 from .obstacles import EstimateNoise, ObstacleEstimate, ObstacleScript, observe, predict_obstacle
 from .config import ConfigError, ScenarioConfig
 from .sim import Metrics, RunLog, classify_situation, compute_metrics, plan_step, run
-from .scenarios import SCENARIO_NAMES, build_scenario, load_scenario
+from .scenarios import SCENARIO_NAMES, build_scenario
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "default_model",
     "desired_acceleration",
     "generate_tree",
-    "load_scenario",
     "los_targets",
     "observe",
     "penalty",

@@ -35,9 +35,7 @@ def _add_config_args(p: argparse.ArgumentParser, out_required: bool):
 def _load_config(args) -> cfg_mod.ScenarioConfig:
     if args.config is not None:
         return cfg_mod.load(args.config, noise_override=args.noise, seed_override=args.seed)
-    return scenarios.load_scenario(
-        args.scenario, noise_override=args.noise, seed_override=args.seed
-    )
+    return scenarios.build_scenario(args.scenario, seed=args.seed, noise=args.noise)
 
 
 def _seed(text: str) -> int:

@@ -155,6 +155,30 @@ def test_solve_matches_first_planner_call_of_run(tmp_path, capsys):
         assert float(starred[0][col]) == pytest.approx(float(row[name]), abs=1e-4)
 
 
+def test_solve_scores_a_target_in_reach(tmp_path, capsys):
+    # the shipped targets start beyond reach, so pull one in to 400 m
+    # and check the avoid term in solve's table against run's first call
+    data = scenarios.build_config_dict("crossing_starboard", seed=3, noise="radar")
+    target = data["obstacles"][0]
+    target["north"] *= 0.4
+    target["east"] *= 0.4
+    cfg_path = tmp_path / "close.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) == 225
+    assert any(float(row[2]) > 0.0 for row in rows)
+    selected = int(lines[-1].split()[-1])
+    (starred,) = [row for row in rows if row[-1] == "*"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, first = (out / "planner.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert int(starred[0]) == selected == int(row["candidate"])
+    assert starred[4] == f"{float(row['total']):.4f}"
+
+
 def test_raster_outputs(tmp_path):
     cfg_path, data = _small_config(tmp_path)
     out = tmp_path / "raster"
@@ -224,7 +248,7 @@ def _key_path(path):
 
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
 def test_validate_rejects_every_single_field_corruption(name, tmp_path, capsys):
-    original = json.loads(scenarios.scenario_text(name))
+    original = scenarios.build_config_dict(name)
     cfg_path = tmp_path / "corrupt.json"
     for path, value in list(_leaf_paths(original)):
         data = json.loads(json.dumps(original))
@@ -243,7 +267,7 @@ def test_validate_rejects_every_single_field_corruption(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
 def test_validate_names_each_missing_key_once(name, tmp_path, capsys):
-    original = json.loads(scenarios.scenario_text(name))
+    original = scenarios.build_config_dict(name)
     cfg_path = tmp_path / "missing.json"
     # optional keys, and the key whose absence switches its section to
     # explicit values

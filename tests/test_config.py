@@ -13,13 +13,28 @@ from colavmpc.obstacles import NOISE_PRESETS
 from colavmpc.vessel import default_gains
 
 
-def test_packaged_scenario_files_match_builders():
-    # --scenario and the golden fixture read the packaged files; the bench
-    # and the scripts build the same dicts in code
+def test_packaged_scenarios_hold_their_encounter_geometry():
+    # the packaged files are the one definition of the shipped encounters:
+    # a 2.5 m/s target 1000 m out, dead ahead or on a collision course
     for name in scenarios.SCENARIO_NAMES:
         data = scenarios.build_config_dict(name)
-        assert json.loads(scenarios.scenario_text(name)) == data
         assert cfgm.from_dict(data).name == name
+        own, (target,) = data["ownship"], data["obstacles"]
+        assert own["sog"] == data["desired"]["speed"] == scenarios.OWN_SOG
+        assert target["sog"] == 2.5
+        if name in ("head_on", "overtaking"):
+            assert (target["north"], target["east"]) == (1000.0, 0.0)
+            assert target["course"] == {"head_on": math.pi, "overtaking": 0.0}[name]
+            continue
+        rel_pos = np.array([target["north"] - own["north"], target["east"] - own["east"]])
+        rel_vel = target["sog"] * np.array([math.cos(target["course"]), math.sin(target["course"])])
+        rel_vel -= own["sog"] * np.array([math.cos(own["course"]), math.sin(own["course"])])
+        assert abs(np.hypot(*rel_pos) - 1000.0) <= 1e-9, name
+        # constant bearing: relative velocity points straight at the ownship
+        cross = rel_pos[0] * rel_vel[1] - rel_pos[1] * rel_vel[0]
+        assert abs(cross) <= 1e-12 * np.hypot(*rel_pos) * np.hypot(*rel_vel), name
+        assert rel_pos @ rel_vel < 0.0, name
+        assert np.sign(target["east"]) == (1.0 if name == "crossing_starboard" else -1.0)
 
 
 def test_waypoints_and_custom_noise():

@@ -1,10 +1,12 @@
 """Closed-loop outputs must match the committed golden fixture byte for byte.
 
 The fixture under tests/golden/ holds, for every shipped scenario under
-the noise presets none and radar (seed 0), metrics.json and the sha256
-of trajectory.csv, planner.csv and metrics.json as written by
-``colavmpc run``, and environment.json the numpy and Python versions
-they were recorded under. tests/golden/make_golden.py regenerates it.
+the noise presets none and radar (seed 0) and for every committed
+``<case>/config.json`` (a multi-obstacle and a waypoint case),
+metrics.json and the sha256 of trajectory.csv, planner.csv and
+metrics.json as written by ``colavmpc run``, and environment.json the
+numpy and Python versions they were recorded under.
+tests/golden/make_golden.py regenerates it.
 """
 
 import contextlib
@@ -25,9 +27,14 @@ RECORDED_NUMPY = json.loads((GOLDEN / "environment.json").read_text())["numpy"]
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_golden_outputs(case, tmp_path):
-    scenario, noise = case.rsplit("-", 1)
+    config = GOLDEN / case / "config.json"
+    if config.is_file():
+        source = ["--config", str(config)]
+    else:
+        scenario, noise = case.rsplit("-", 1)
+        source = ["--scenario", scenario, "--noise", noise, "--seed", "0"]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", "--scenario", scenario, "--noise", noise, "--seed", "0", "--out", str(tmp_path)])
+        code = main(["run", *source, "--out", str(tmp_path)])
     assert code == 0
     versions = f"golden recorded under numpy {RECORDED_NUMPY}; this run uses numpy {np.__version__}"
     assert (tmp_path / "metrics.json").read_text() == (GOLDEN / case / "metrics.json").read_text(), versions
