@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+SMALL_WRAP = 32  # 1-D arrays up to this size wrap in plain floats
 
 
 def wrap_angle(a):
@@ -23,7 +24,9 @@ def wrap_angle(a):
     A scalar takes the float remainder of a + pi by 2*pi. An array whose
     w = a + pi lies in [-2*pi, 4*pi) adds or subtracts 2*pi once, which
     is the remainder's own arithmetic there (w - 2*pi is exact); other
-    arrays, NaN or inf included, take np.mod. Just below an odd multiple
+    arrays, NaN or inf included, take np.mod. A 1-D array of at most
+    SMALL_WRAP elements does the same add-or-subtract in plain floats,
+    element by element, with the same bits. Just below an odd multiple
     of -pi the remainder rounds up to 2*pi; that result is -pi, not +pi.
     """
     if isinstance(a, (float, int)):
@@ -32,6 +35,11 @@ def wrap_angle(a):
         wrapped = (a + math.pi) % TWO_PI - math.pi
         return -math.pi if wrapped == math.pi else wrapped
     a = np.asarray(a, dtype=float)
+    if a.ndim == 1 and a.size <= SMALL_WRAP:
+        w = [x + math.pi for x in a.tolist()]
+        if all(-TWO_PI <= x < 2.0 * TWO_PI for x in w):  # NaN fails: np.mod below raises
+            w = [(x - TWO_PI if x >= TWO_PI else x + TWO_PI if x < 0.0 else x) - math.pi for x in w]
+            return np.array([-math.pi if x == math.pi else x for x in w])
     w = np.asarray(a + math.pi)
     if w.size and -TWO_PI <= w.min() and w.max() < 2.0 * TWO_PI:
         np.subtract(w, TWO_PI, out=w, where=w >= TWO_PI)
@@ -143,12 +151,13 @@ class VelocityTrajectory:
                 f"t={t} in steps of {stride} is not on the grid from {self.grid.t0} "
                 f"in steps of {self.grid.dt}"
             )
+        # the first point past the end, if any: rows from there on hold
+        past = min(n, max(0, -((start - self.grid.n) // step)))
         rows = start + step * np.arange(n)
-        past = rows >= self.grid.n
-        rows[past] = self.grid.n - 1
+        rows[past:] = self.grid.n - 1
         channels = (self.sog, self.rot, self.course, self.sog_acc, self.rot_acc)
-        out = np.array([channel[rows] for channel in channels])
-        out[np.ix_((1, 3, 4), past)] = 0.0
+        out = np.array(channels)[:, rows]
+        out[[1, 3, 4], past:] = 0.0
         return out
 
 
@@ -159,5 +168,5 @@ def cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     out[..., 0] = 0.0
     step = np.add(y[..., 1:], y[..., :-1], out=out[..., 1:])
     step *= 0.5 * dt
-    np.cumsum(step, axis=-1, out=step)
+    step.cumsum(axis=-1, out=step)
     return out

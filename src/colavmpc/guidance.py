@@ -9,6 +9,7 @@ speed target so the vessel catches up or holds back.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,13 @@ class DesiredTrajectory:
         seg = np.diff(self._points, axis=0)
         self._seg_len = np.hypot(seg[:, 0], seg[:, 1])
         self._seg_course = np.arctan2(seg[:, 1], seg[:, 0])
+        self._seg_cos, self._seg_sin = np.cos(self._seg_course), np.sin(self._seg_course)
         self._cum_len = np.concatenate([[0.0], np.cumsum(self._seg_len)])
         self.speed = float(speed)
+        # plain floats for pose(): breakpoints; per segment start, cos, sin, course
+        self._breaks = self._cum_len.tolist()
+        rows = np.column_stack([self._points[:-1], self._seg_cos, self._seg_sin, self._seg_course])
+        self._segments = rows.tolist()
 
     @staticmethod
     def line(north: float, east: float, course: float, speed: float) -> "DesiredTrajectory":
@@ -58,17 +64,25 @@ class DesiredTrajectory:
 
     def _segment_index(self, arc):
         idx = np.searchsorted(self._cum_len, arc, side="right") - 1
-        return np.clip(idx, 0, len(self._seg_len) - 1)
+        return np.minimum(np.maximum(idx, 0), len(self._seg_len) - 1)
 
     def position(self, t):
         """Desired position at time(s) t as (north, east) arrays."""
         arc = self.speed * np.asarray(t, dtype=float)
         idx = self._segment_index(arc)
         frac = arc - self._cum_len[idx]
-        course = self._seg_course[idx]
-        north = self._points[idx, 0] + frac * np.cos(course)
-        east = self._points[idx, 1] + frac * np.sin(course)
+        north = self._points[idx, 0] + frac * self._seg_cos[idx]
+        east = self._points[idx, 1] + frac * self._seg_sin[idx]
         return north, east
+
+    def pose(self, t: float) -> tuple[float, float, float]:
+        """Desired (north, east, course) at one float time t, as plain floats: one
+        bisect over the breakpoints, then position(t)'s and course(t)'s arithmetic and bits."""
+        arc = self.speed * float(t)
+        i = min(max(bisect_right(self._breaks, arc) - 1, 0), len(self._segments) - 1)
+        north, east, cos_c, sin_c, course = self._segments[i]
+        frac = arc - self._breaks[i]
+        return north + frac * cos_c, east + frac * sin_c, course
 
     def course(self, t):
         """Path tangent course at time(s) t."""
@@ -104,17 +118,18 @@ def los_targets(dtraj: DesiredTrajectory, north, east, course, t: float, p: LosP
     saturated to [0, u_max_los]; a small epsilon guards the
     perpendicular singularity.
     """
-    pd_n, pd_e = dtraj.position(t)
-    chi_path = dtraj.course(t)
+    pd_n, pd_e, chi_path = dtraj.pose(t)
     dn = north - pd_n
     de = east - pd_e
-    along = np.cos(chi_path) * dn + np.sin(chi_path) * de
-    cross = -np.sin(chi_path) * dn + np.cos(chi_path) * de
+    cos_p, sin_p = np.cos(chi_path), np.sin(chi_path)
+    along = cos_p * dn + sin_p * de
+    cross = -sin_p * dn + cos_p * de
     chi_d = wrap_angle(chi_path + np.arctan(-cross / p.lookahead))
     c = np.cos(wrap_angle(course - chi_path))
     denom = np.where(np.abs(c) > p.epsilon, c, p.epsilon)
     u_d = (dtraj.speed - p.along_track_gain * along) / denom
-    return np.clip(u_d, 0.0, p.u_max_los), chi_d
+    # np.clip(u_d, 0.0, p.u_max_los) without its wrapper, same bits
+    return np.minimum(p.u_max_los, np.maximum(0.0, u_d)), chi_d
 
 
 def desired_acceleration(targets, current_desired, p: TreeParams):

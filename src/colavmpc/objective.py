@@ -185,8 +185,9 @@ def penalty(geom: PenaltyGeometry, d, beta):
     collision radii only inside the margin region and the inner term
     only inside the collision region; each point keeps the one formula.
     """
-    d, beta = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(beta, dtype=float))
-    if np.any(d < 0.0):
+    d, beta = np.asarray(d, dtype=float), np.asarray(beta, dtype=float)
+    d, beta = (d, beta) if d.shape == beta.shape else np.broadcast_arrays(d, beta)
+    if (d < 0.0).any():
         raise ValueError("distance must be >= 0")
     if geom.kind == "circular":
         out = _outer_penalty(d, *geom.radii, geom.gamma1)
@@ -220,7 +221,8 @@ def relative_bearing(own_north, own_east, obs_north, obs_east, obs_course):
 
 
 def _trapz(values: np.ndarray, dt: float):
-    return np.trapezoid(values, dx=dt, axis=-1)
+    """np.trapezoid(values, dx=dt, axis=-1)'s own expression, without its wrapper."""
+    return (dt * (values[..., 1:] + values[..., :-1]) / 2.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ def select(
         keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
         tran = np.where(keep, 0.0, 1.0)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
-    return CostTable(align=align, avoid=avoid, tran=tran, total=total, selected=int(np.argmin(total)))
+    return CostTable(align=align, avoid=avoid, tran=tran, total=total, selected=int(total.argmin()))
 
 
 def penalty_field(

@@ -77,35 +77,50 @@ class ObstacleEstimate:
     timestamp: float
 
 
-def ground_truth(script: ObstacleScript, t):
-    """True (north, east, sog, course) at time t >= 0.
-
-    t is a float, or an array whose shape the four results then take.
-    An event applies from its own time on. Each script segment is one
-    pass over its times with the segment's scalar sog * cos(course) and
-    sog * sin(course), so an array call matches the scalar calls bit
-    for bit.
-    """
-    times = np.asarray(t, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("t must be >= 0")
-    flat = times.ravel()
-    out = np.full((4, flat.size), math.nan)  # a NaN time lies in no segment
+def _segments(script: ObstacleScript):
+    """Each constant-velocity segment (t0, t1, north, east, v_north, v_east,
+    sog, course) of the script: it holds on [t0, t1) from (north, east)."""
     t0, north, east, sog, course = 0.0, script.north, script.east, script.sog, script.course
     for ev in (*script.events, None):
         t1 = math.inf if ev is None else ev.t
         v_north, v_east = sog * math.cos(course), sog * math.sin(course)
+        yield t0, t1, north, east, v_north, v_east, sog, course
+        if ev is not None:
+            north, east = north + v_north * (t1 - t0), east + v_east * (t1 - t0)
+            t0 = t1
+            sog = sog if ev.sog is None else ev.sog
+            course = course if ev.course is None else ev.course
+
+
+def ground_truth(script: ObstacleScript, t):
+    """True (north, east, sog, course) at time t >= 0.
+
+    t is a float, or an array whose shape the four results then take.
+    An event applies from its own time on. A float t takes one pass in
+    plain floats over the script segments, an array one pass over its
+    times per segment, with the same operations: the two agree bit for
+    bit. A NaN time lies in no segment and gives NaN.
+    """
+    if isinstance(t, (float, int)):
+        if t < 0.0:
+            raise ValueError("t must be >= 0")
+        for t0, t1, north, east, v_north, v_east, sog, course in _segments(script):
+            if t0 <= t < t1:
+                dt = t - t0
+                return north + v_north * dt, east + v_east * dt, float(sog), wrap_angle(course)
+        return (math.nan,) * 4
+    times = np.asarray(t, dtype=float)
+    if (times < 0.0).any():
+        raise ValueError("t must be >= 0")
+    flat = times.ravel()
+    out = np.full((4, flat.size), math.nan)
+    for t0, t1, north, east, v_north, v_east, sog, course in _segments(script):
         at = (flat >= t0) & (flat < t1)
         dt = flat[at] - t0
         out[0, at] = north + v_north * dt
         out[1, at] = east + v_east * dt
         out[2, at] = sog
         out[3, at] = wrap_angle(course)
-        if ev is not None:
-            north, east = north + v_north * (t1 - t0), east + v_east * (t1 - t0)
-            t0 = t1
-            sog = sog if ev.sog is None else ev.sog
-            course = course if ev.course is None else ev.course
     out = out.reshape((4,) + times.shape)
     return tuple(out.tolist() if times.ndim == 0 else out)
 

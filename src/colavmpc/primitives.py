@@ -78,13 +78,14 @@ def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
     hi = np.asarray(model.tau_max)
     if tau0.shape[-1:] != lo.shape:
         raise ValueError(f"tau0 needs one value per actuator, got shape {tau0.shape}")
-    if np.any(tau0 < lo - 1e-9) or np.any(tau0 > hi + 1e-9):
+    if ((tau0 < lo - 1e-9) | (tau0 > hi + 1e-9)).any():
         raise ValueError(f"tau0 {tau0.tolist()} outside actuator limits")
-    tau_hi = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_max), lo, hi)
-    tau_lo = np.clip(tau0 + t_ramp * np.asarray(model.tau_rate_min), lo, hi)
-    du_hi, dr_hi = model.rates(sog, rot, tau_hi[..., 0], tau_hi[..., 1])
-    du_lo, dr_lo = model.rates(sog, rot, tau_lo[..., 0], tau_lo[..., 1])
-    return du_lo, du_hi, dr_lo, dr_hi
+    # the inputs reachable in one ramp, (..., bound, actuator), low bound first
+    ramp = t_ramp * np.array([model.tau_rate_min, model.tau_rate_max])
+    tau = model.saturate(tau0[..., None, :] + ramp)
+    sog, rot = np.asarray(sog)[..., None], np.asarray(rot)[..., None]
+    du, dr = model.rates(sog, rot, tau[..., 0], tau[..., 1])
+    return du[..., 0], du[..., 1], dr[..., 0], dr[..., 1]
 
 
 def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
@@ -93,12 +94,12 @@ def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
     if n == 1:
         # keep constant speed/course representable: 0 if reachable,
         # else the range edge nearest zero; a desired value is ignored
-        return np.clip(0.0, lo, hi)[..., None]
+        return np.minimum(np.maximum(0.0, lo), hi)[..., None]
     samples = lo[..., None] + np.arange(n) * ((hi - lo) / (n - 1))[..., None]
     samples[..., -1] = hi
     if desired is not None:
         desired = np.asarray(desired, dtype=float)
-        nearest = np.argmin(np.abs(samples - desired[..., None]), axis=-1)
+        nearest = np.abs(samples - desired[..., None]).argmin(axis=-1)
         hit = ((lo <= desired) & (desired <= hi))[..., None] & (np.arange(n) == nearest[..., None])
         samples = np.where(hit, desired[..., None], samples)
     return samples
@@ -129,19 +130,17 @@ def sample_accelerations(
 def sog_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """SOG acceleration trapezoid with unit plateau on relative times."""
     t = np.asarray(t_rel, dtype=float)
-    return np.clip(np.minimum(t / p.t_ramp, (p.t_sog - t) / p.t_ramp), 0.0, 1.0)
+    # np.clip(..., 0.0, 1.0) without its wrapper, same bits
+    return np.minimum(1.0, np.maximum(0.0, np.minimum(t / p.t_ramp, (p.t_sog - t) / p.t_ramp)))
 
 
 def course_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """Antisymmetric double pulse with unit peaks on relative times."""
     t = np.asarray(t_rel, dtype=float)
-    up = np.clip(np.minimum(t / p.t_ramp, (2.0 * p.t_ramp - t) / p.t_ramp), 0.0, 1.0)
-    down = np.clip(
-        np.minimum((t - (p.t_course - 2.0 * p.t_ramp)) / p.t_ramp, (p.t_course - t) / p.t_ramp),
-        0.0,
-        1.0,
-    )
-    return up - down
+    # np.clip(..., 0.0, 1.0) without its wrapper, same bits
+    up = np.minimum(t / p.t_ramp, (2.0 * p.t_ramp - t) / p.t_ramp)
+    down = np.minimum((t - (p.t_course - 2.0 * p.t_ramp)) / p.t_ramp, (p.t_course - t) / p.t_ramp)
+    return np.minimum(1.0, np.maximum(0.0, up)) - np.minimum(1.0, np.maximum(0.0, down))
 
 
 def terminal_sog_feasible(model: VesselModel, sog_terminal) -> np.ndarray:

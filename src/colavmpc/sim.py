@@ -198,14 +198,13 @@ def plan_step(
     model = config.vessel
     dt = config.integration_dt
     sog0, _, course0, _, _ = commanded.window(t, 1)[:, 0]
-    tau0 = np.clip(tau, model.tau_min, model.tau_max)
 
     def hook(t_level, north, east, course, desired):
         targets = los_targets(config.desired, north, east, course, t_level, config.los)
         return desired_acceleration(targets, desired, config.tree)
 
     candidates = generate_tree(
-        config.tree, model, state, t, (sog0, course0), tau0, hook, dt, config.eval_dt
+        config.tree, model, state, t, (sog0, course0), model.saturate(tau), hook, dt, config.eval_dt
     )
     if not candidates:
         return candidates, None

@@ -42,6 +42,7 @@ class Level:
     Every maneuver of a level is affine in its sampled accelerations
     (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
     rot = a_r * cum_c, sog_acc = a_u * unit_s, rot_acc = a_r * unit_c.
+    The prediction's error decays: decay_s = exp(-t_rel / tc_sog), decay_c likewise.
     """
 
     grid: TimeGrid
@@ -52,6 +53,8 @@ class Level:
     cum_s: np.ndarray
     cum_c: np.ndarray
     cum2_c: np.ndarray
+    decay_s: np.ndarray
+    decay_c: np.ndarray
 
     @staticmethod
     def build(params: TreeParams, index: int, t0: float, dt: float) -> "Level":
@@ -59,10 +62,11 @@ class Level:
         t_rel = grid.times() - t0
         unit_s = sog_profile_unit(t_rel, params)
         unit_c = course_profile_unit(t_rel, params)
-        cum_c = cumtrapz(unit_c, dt)
+        cum_s, cum_c = cumtrapz(np.array([unit_s, unit_c]), dt)
         return Level(
             grid, params.n_sog[index], params.n_course[index], unit_s, unit_c,
-            cumtrapz(unit_s, dt), cum_c, cumtrapz(cum_c, dt),
+            cum_s, cum_c, cumtrapz(cum_c, dt),
+            np.exp(-t_rel / params.tc_sog), np.exp(-t_rel / params.tc_course),
         )
 
     def reference(self, u_d, chi_d, a_u, a_r):
@@ -163,20 +167,16 @@ def generate_tree(
     desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
 
     # the nodes of the previous level (the root to begin with): desired
-    # sog/course and predicted sog/course/north/east
+    # sog/course, predicted sog/course and predicted (north, east)
     u_d, chi_d = np.array([desired0[0]]), np.array([desired0[1]])
     north0, east0, course0, sog0, rot0 = state
     u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
-    north, east = np.array([float(north0)]), np.array([float(east0)])
-    # per level: each edge's parent node, its (sog, rot) samples and
-    # accelerations, and its prediction on the evaluation grid
-    parents, samples, accels, preds = [], [], [], []
+    position = np.array([[float(north0)], [float(east0)]])
+    # per level: each edge's parent node, (sog, rot) sample indices and
+    # accelerations, and a compact copy of its prediction on the evaluation grid
+    parents, kept = [], []
 
     for level_idx, level in enumerate(levels):
-        t_rel = level.grid.times() - level.grid.t0
-        decay_s = np.exp(-t_rel / params.tc_sog)
-        decay_c = np.exp(-t_rel / params.tc_course)
-
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
         node_sog = np.maximum(u_bar, 0.0)
@@ -184,50 +184,55 @@ def generate_tree(
             node_rot, node_tau = float(rot0), tau0
         else:
             node_rot = 0.0
-            node_tau = np.clip(
-                np.stack(model.damping(node_sog, 0.0), axis=-1), model.tau_min, model.tau_max
-            )
-        desired_acc = None
-        if guidance_hook is not None:
-            desired_acc = guidance_hook(level.grid.t0, north, east, chi_bar, (u_d, chi_d))
+            node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
+        desired_acc = None if guidance_hook is None else guidance_hook(
+            level.grid.t0, *position, chi_bar, (u_d, chi_d)
+        )
         sog_samples, rot_samples = sample_accelerations(
             possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
             level.n_sog, level.n_course, desired_acc,
         )
         feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
-        node, i_sog, i_rot = np.nonzero(
-            np.broadcast_to(feasible[:, :, None], feasible.shape + (level.n_course,))
-        )
+        node, i_sog, i_rot = np.nonzero(feasible[:, :, None].repeat(level.n_course, axis=2))
         # a level with no feasible maneuver leaves no nodes: the levels
         # below run on zero-row arrays, down to a set with no leaves
         a_u = sog_samples[node, i_sog]
         a_r = rot_samples[node, i_rot]
         sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
-        sog_bar = (u_bar - u_d)[node, None] * decay_s + sog
-        course_bar = wrap_angle(chi_bar - chi_d)[node, None] * decay_c + course
+        sog_bar = (u_bar - u_d)[node, None] * level.decay_s + sog
+        course_bar = wrap_angle(chi_bar - chi_d)[node, None] * level.decay_c + course
         # north and east velocity in one buffer, integrated in one pass
         vel = np.empty((2,) + course_bar.shape)
         np.cos(course_bar, out=vel[0])
         np.sin(course_bar, out=vel[1])
         vel *= sog_bar
-        pred_north, pred_east = cumtrapz(vel, dt)
-        pred_north += north[node, None]
-        pred_east += east[node, None]
+        track = cumtrapz(vel, dt)
+        track += position[:, node, None]
         if level_idx == 0:
             first_sog, first_course = sog[:, ::stride], course[:, ::stride]
         parents.append(node)
-        samples.append(np.stack([i_sog, i_rot], axis=1))
-        accels.append(np.stack([a_u, a_r], axis=1))
-        preds.append(np.stack([p[:, ::stride] for p in (pred_north, pred_east, course_bar)]))
+        on_grid = (track[..., ::stride].copy(), course_bar[:, ::stride].copy())
+        kept.append((i_sog, i_rot, a_u, a_r, *on_grid))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
-        north, east = pred_north[:, -1], pred_east[:, -1]
+        position = track[..., -1]
 
     # each leaf's ancestor edge at every level, from the leaves up
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
-    pred = _join([np.take(p, rows, axis=1) for p, rows in zip(preds, ancestors)])
+    # the leaf rows level by level; at a shared boundary the later level wins, as in _join
+    pred = np.empty((3, len(ancestors[0]), grid.n))
+    sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
+    accelerations = np.empty(sample_path.shape)
+    col = 0
+    for k, (rows, (i_sog, i_rot, a_u, a_r, track, course_k)) in enumerate(zip(ancestors, kept)):
+        cols = slice(col, col + course_k.shape[1])
+        pred[:2, :, cols] = track[:, rows]
+        pred[2, :, cols] = course_k[rows]
+        col = cols.stop - 1
+        sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
+        accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
     return CandidateSet(
         grid=grid,
         pred_north=pred[0],
@@ -235,8 +240,8 @@ def generate_tree(
         pred_course=pred[2],
         first_sog=first_sog[ancestors[0]],
         first_course=first_course[ancestors[0]],
-        sample_path=np.stack([s[rows] for s, rows in zip(samples, ancestors)], axis=1),
-        accelerations=np.stack([a[rows] for a, rows in zip(accels, ancestors)], axis=1),
+        sample_path=sample_path,
+        accelerations=accelerations,
         levels=tuple(levels),
         desired0=desired0,
     )

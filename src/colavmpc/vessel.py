@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import wrap_angle
 
 
@@ -60,6 +62,10 @@ class VesselModel:
         sigma_sog = self.d_u1 * sog + self.d_u2 * sog * abs(sog)
         sigma_rot = self.d_r1 * rot + self.d_r2 * rot * abs(rot) + self.d_ru * sog * rot
         return sigma_sog, sigma_rot
+
+    def saturate(self, tau):
+        """tau clipped to the limits along its last axis: np.clip's bits, not its wrapper."""
+        return np.minimum(np.maximum(tau, self.tau_min), self.tau_max)
 
     def rates(self, sog, rot, tau_m, tau_d):
         """xdot = M(x)^-1 (tau - sigma(x)); for floats or arrays, no tau check."""

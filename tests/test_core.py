@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
+from colavmpc.core import SMALL_WRAP, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -55,6 +55,34 @@ def test_wrap_angle_range_and_array():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             wrap_angle(np.array([0.0, 1.0, bad]))
+
+
+def test_wrap_angle_small_arrays_take_the_array_paths_bits():
+    # 1-D arrays up to SMALL_WRAP elements wrap in plain floats; on each
+    # side of that size they give np.mod's bits and those of the array
+    # path, which a 2-D input always takes. The edge set: k*pi for
+    # |k| <= 5 with both float neighbours, +-3pi, -0.0, and values out
+    # of the add-or-subtract range, which fall back to np.mod
+    edges = [
+        x
+        for k in list(range(-5, 6)) + [-3, 3]
+        for x in (math.nextafter(k * math.pi, -math.inf), k * math.pi, math.nextafter(k * math.pi, math.inf))
+    ] + [-0.0, -20.0, 13.0, 1e6]
+    for size in (1, 2, 3, SMALL_WRAP - 1, SMALL_WRAP, SMALL_WRAP + 1):
+        for offset in range(len(edges)):
+            a = np.array([edges[(offset + i) % len(edges)] for i in range(size)])
+            got = wrap_angle(a)
+            assert got.shape == a.shape
+            assert got.tobytes() == oracles.mod_wrap(a).tobytes()
+            assert got.tobytes() == wrap_angle(a[None, :])[0].tobytes()
+    assert wrap_angle(np.array([])).shape == (0,)
+    for bad in (math.nan, math.inf, -math.inf):
+        for size in (1, 2, 3):
+            for at in range(size):
+                a = np.zeros(size)
+                a[at] = bad
+                with pytest.raises(ValueError):
+                    wrap_angle(a)
 
 
 def test_wrap_angle_rejects_non_finite():

@@ -45,6 +45,44 @@ def test_waypoint_degenerate_segments_filtered():
         DesiredTrajectory.waypoints([[1.0, 1.0], [1.0, 1.0]], 5.0)
 
 
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_pose_has_the_bits_of_position_and_course():
+    # at every waypoint breakpoint cum_len[i] / speed, its float
+    # neighbours, 0 and past the end of the track, on a waypoint track
+    # and on a line
+    points = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0], [-30.0, 250.0], [-31.5, 260.25]])
+    cum_len = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
+    cases = [
+        (DesiredTrajectory.waypoints(points, 3.0), cum_len, 3.0),
+        (DesiredTrajectory.line(10.0, -5.0, 0.7, 4.0), [0.0, 1.0], 4.0),
+    ]
+    for dtraj, breaks, speed in cases:
+        times = [0.0, 1e4, 1e7]
+        for arc in breaks:
+            t = arc / speed
+            times += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        for t in times:
+            pose = dtraj.pose(t)
+            assert all(type(x) is float for x in pose)
+            north, east = dtraj.position(np.array([t]))
+            assert _bits(*pose) == _bits(north[0], east[0], dtraj.course(np.array([t]))[0])
+            assert _bits(*pose) == _bits(*dtraj.position(t), dtraj.course(t))
+
+
+def test_speed_target_keeps_np_clips_signed_zero():
+    # exactly one along-track gain's worth ahead and sailing against the
+    # path, the unclipped speed target is 0.0 / -1.0 = -0.0; np.clip to
+    # [0, u_max_los] keeps it, and so does the wrapper-free clip
+    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
+    u_d, _ = los_targets(line, np.array([1000.0, 1000.0]), np.zeros(2), np.array([math.pi, 0.0]), 0.0, PARAMS)
+    assert u_d.tobytes() == np.clip(np.array([-0.0, 0.0]), 0.0, PARAMS.u_max_los).tobytes()
+    u_d, _ = los_targets(line, 1000.0, 0.0, math.pi, 0.0, PARAMS)
+    assert np.asarray(u_d).tobytes() == np.clip(-0.0, 0.0, PARAMS.u_max_los).tobytes()
+
+
 def test_on_path_equilibrium():
     line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
     u_d, chi_d = los_targets(line, 50.0, 0.0, 0.0, 10.0, PARAMS)

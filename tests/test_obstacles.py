@@ -44,6 +44,31 @@ def test_ground_truth_continuous_across_event():
     assert (n, e) == (pytest.approx(75.0), pytest.approx(25.0))
 
 
+@pytest.mark.parametrize("n_events", range(5))
+def test_ground_truth_float_has_the_array_bits(n_events):
+    # a float time takes its own plain-float pass over the segments; it
+    # matches the array pass at t = 0 and at each event time and its
+    # float neighbours, zero-length segments included
+    events = (
+        ScriptEvent(t=12.5, sog=4.0),
+        ScriptEvent(t=30.0, course=2.9),
+        ScriptEvent(t=30.0, sog=0.0),
+        ScriptEvent(t=47.3, sog=1.5, course=-4.0),
+    )[:n_events]
+    script = _script(north=-3.7, east=11.1, course=0.4, events=events)
+    times = [0.0, 0.1, 1e5] + [
+        x for ev in events for x in (math.nextafter(ev.t, -math.inf), ev.t, math.nextafter(ev.t, math.inf))
+    ]
+    batch = np.array(ground_truth(script, np.array(times)))
+    for i, t in enumerate(times):
+        truth = ground_truth(script, t)
+        assert all(type(x) is float for x in truth)
+        assert np.array(truth).tobytes() == batch[:, i].tobytes()
+    assert all(math.isnan(x) for x in ground_truth(script, math.nan))
+    with pytest.raises(ValueError):
+        ground_truth(script, -1e-9)
+
+
 def test_script_validation():
     with pytest.raises(ValueError):
         _script(sog=-1.0)

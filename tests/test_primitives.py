@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,43 @@ def test_sample_rows_match_per_node_calls():
     assert sog[0, 3] == 0.4  # substituted
     np.testing.assert_array_equal(sog[1], np.linspace(-0.2, 0.6, 5))  # 0.7 is out of range
     assert rot[1, 2] == 0.1  # replaces the upper edge 0.2, the sample nearest to it
+
+
+def test_clip_replacements_keep_np_clips_bits():
+    # each np.clip the planner calls without its wrapper gives np.clip's
+    # bytes, signed zeros included, on zero-width ranges and on ranges
+    # with an edge at +-0.0
+    edges = (-1.0, -0.0, 0.0, 1.0)
+    lo, hi = (np.array(side) for side in zip(*[(a, b) for a in edges for b in edges if a <= b]))
+    # a single-sample channel: 0 clipped to the reachable range
+    sog, rot = sample_accelerations((lo, hi, lo, hi), 1, 1)
+    assert sog.tobytes() == rot.tobytes() == np.clip(0.0, lo, hi)[..., None].tobytes()
+    # actuator inputs against the limits, shared and per node
+    values = np.array([[a, b] for a in edges for b in edges])
+    for tau_min, tau_max in [((-1.0, -0.0), (0.0, 1.0)), ((0.0, -1.0), (1.0, -0.0)), ((-0.0, 0.0), (1.0, 1.0))]:
+        model = dataclasses.replace(MODEL, tau_min=tau_min, tau_max=tau_max)
+        for tau in (values, values[:, None, :], values[5]):
+            assert model.saturate(tau).tobytes() == np.clip(tau, tau_min, tau_max).tobytes()
+        # the reachable range: tau0 +- t_ramp * rate lands on +-0.0 and on the limits
+        for tau0 in (np.array([tau_min, tau_max]), np.array(tau_max)):
+            tau0 = np.clip(tau0, tau_min, tau_max)
+            bounds = possible_accelerations(model, np.full(tau0.shape[:-1], 5.0), 0.0, tau0, 2.0)
+            expected = []
+            for rate in (model.tau_rate_min, model.tau_rate_max):
+                tau = np.clip(tau0 + 2.0 * np.asarray(rate), tau_min, tau_max)
+                expected.append(model.rates(5.0, 0.0, tau[..., 0], tau[..., 1]))
+            (du_lo, dr_lo), (du_hi, dr_hi) = expected
+            for got, want in zip(bounds, (du_lo, du_hi, dr_lo, dr_hi)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the unit profiles against [0, 1], at +-0.0 and the ramp and maneuver ends
+    t = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    ramp = P.t_ramp
+    assert sog_profile_unit(t, P).tobytes() == np.clip(
+        np.minimum(t / ramp, (P.t_sog - t) / ramp), 0.0, 1.0
+    ).tobytes()
+    up = np.clip(np.minimum(t / ramp, (2.0 * ramp - t) / ramp), 0.0, 1.0)
+    down = np.clip(np.minimum((t - (P.t_course - 2.0 * ramp)) / ramp, (P.t_course - t) / ramp), 0.0, 1.0)
+    assert course_profile_unit(t, P).tobytes() == (up - down).tobytes()
 
 
 def test_sog_primitive_mid_ramp_and_area():
