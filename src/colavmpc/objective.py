@@ -10,6 +10,7 @@ the OWNSHIP in the obstacle's frame: 0 dead ahead of the obstacle,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,15 @@ class PenaltyGeometry:
             return self.radii[2]
         return max(self.a[2], self.b[2] + self.d_colregs) * (1.0 + 1e-12)
 
+    @property
+    def margin_axes(self) -> tuple[float, float, float, float]:
+        """Fore, aft, starboard and port semi-axes of the margin region in the
+        obstacle's frame, widened by 1e-9 relative against rounding."""
+        if self.kind == "circular":
+            return (self.radii[2] * (1.0 + 1e-9),) * 4
+        a, b = self.a[2], self.b[2]
+        return tuple(r * (1.0 + 1e-9) for r in (a, b, b + self.d_colregs, b))
+
     @staticmethod
     def circular(radii, gamma1: float) -> "PenaltyGeometry":
         return PenaltyGeometry(kind="circular", gamma1=gamma1, radii=tuple(radii))
@@ -100,7 +110,7 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class ObstaclePrediction:
-    """Constant-velocity obstacle track on a grid."""
+    """Constant-velocity obstacle track on a grid; every value finite."""
 
     grid: TimeGrid
     north: np.ndarray
@@ -108,10 +118,14 @@ class ObstaclePrediction:
     course: float
 
     def __post_init__(self):
+        if not math.isfinite(self.course):
+            raise ValueError(f"course must be finite, got {self.course}")
         for name in ("north", "east"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have length grid.n")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
 
@@ -120,16 +134,20 @@ def _ellipse_radius(a, b, cos_b, sin_b):
     return a * b / np.sqrt((b * cos_b) ** 2 + (a * sin_b) ** 2)
 
 
-def _sector_radius(geom: PenaltyGeometry, k: int, beta, cos_b, sin_b):
-    """Elliptical region k's boundary: one ellipse per point, with the
-    axes of its sector. The major axis is a fore (-pi/2 <= beta < pi/2)
-    and b aft; the minor axis is b + d_colregs to starboard (beta >= 0)
-    and b to port; aft-port the boundary is the circle of radius b."""
+def _sectors(beta):
+    """Masks fore (-pi/2 <= beta < pi/2), starboard (beta >= 0), aft-port (beta < -pi/2)."""
+    return (beta >= -np.pi / 2) & (beta < np.pi / 2), beta >= 0.0, beta < -np.pi / 2
+
+
+def _sector_radius(geom: PenaltyGeometry, k: int, sectors, cos_b, sin_b):
+    """Elliptical region k's boundary, one ellipse per point: major axis
+    a fore and b aft, minor axis b + d_colregs to starboard and b to
+    port; aft-port, the circle of radius b."""
+    fore, starboard, aft_port = sectors
     a, b = geom.a[k], geom.b[k]
-    fore = (beta >= -np.pi / 2) & (beta < np.pi / 2)
     major = np.where(fore, a, b)
-    minor = np.where(beta >= 0.0, b + geom.d_colregs, b)
-    return np.where(beta < -np.pi / 2, b, _ellipse_radius(major, minor, cos_b, sin_b))
+    minor = np.where(starboard, b + geom.d_colregs, b)
+    return np.where(aft_port, b, _ellipse_radius(major, minor, cos_b, sin_b))
 
 
 def region_radius(geom: PenaltyGeometry, k: int, beta):
@@ -140,20 +158,21 @@ def region_radius(geom: PenaltyGeometry, k: int, beta):
     if geom.kind == "circular":
         out = np.full(beta.shape, geom.radii[k])
     else:
-        out = _sector_radius(geom, k, beta, np.cos(beta), np.sin(beta))
+        out = _sector_radius(geom, k, _sectors(beta), np.cos(beta), np.sin(beta))
     return float(out) if out.ndim == 0 else out
 
 
 def _outer_penalty(d, d0, d1, d2, gamma1):
-    return np.select(
-        [d < d0, d < d1, d < d2],
-        [
-            np.ones_like(d),
-            1.0 + (gamma1 - 1.0) / (d1 - d0) * (d - d0),
-            gamma1 - gamma1 / (d2 - d1) * (d - d1),
-        ],
-        0.0,
-    )
+    """1 inside d0, linear ramps to gamma1 at d1 and to 0 at d2; each only on its points."""
+    d, d0, d1, d2 = np.broadcast_arrays(d, d0, d1, d2)
+    out = np.zeros(d.shape)
+    core, inside1 = d < d0, d < d1
+    out[core] = 1.0
+    on = inside1 & ~core
+    out[on] = 1.0 + (gamma1 - 1.0) / (d1[on] - d0[on]) * (d[on] - d0[on])
+    on = (d < d2) & ~inside1 & ~core
+    out[on] = gamma1 - gamma1 / (d2[on] - d1[on]) * (d[on] - d1[on])
+    return out
 
 
 def _inner_penalty(geom: PenaltyGeometry, d, beta, cos_b, sin_b, d0):
@@ -181,9 +200,9 @@ def penalty(geom: PenaltyGeometry, d, beta):
     """Penalty value at distance d and relative bearing beta; arrays ok.
 
     It is exactly 0 wherever d >= geom.reach. For the elliptical shape
-    the margin radius is computed at every point, the safety and
-    collision radii only inside the margin region and the inner term
-    only inside the collision region; each point keeps the one formula.
+    the sectors and margin radius are computed at every point, the
+    safety and collision radii only inside the margin region and the
+    inner term only inside the collision region; one formula per point.
     """
     d, beta = np.asarray(d, dtype=float), np.asarray(beta, dtype=float)
     d, beta = (d, beta) if d.shape == beta.shape else np.broadcast_arrays(d, beta)
@@ -194,12 +213,13 @@ def penalty(geom: PenaltyGeometry, d, beta):
     elif d.size == 0:
         out = np.zeros(d.shape)
     else:
-        cos_b, sin_b = np.cos(beta), np.sin(beta)
-        d2 = _sector_radius(geom, 2, beta, cos_b, sin_b)
+        cos_b, sin_b, sectors = np.cos(beta), np.sin(beta), _sectors(beta)
+        d2 = _sector_radius(geom, 2, sectors, cos_b, sin_b)
         out = np.zeros(d.shape)
         near = d < d2
         d, beta, cos_b, sin_b = d[near], beta[near], cos_b[near], sin_b[near]
-        d0, d1 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(2))
+        sectors = tuple(mask[near] for mask in sectors)
+        d0, d1 = (_sector_radius(geom, k, sectors, cos_b, sin_b) for k in range(2))
         outer = _outer_penalty(d, d0, d1, d2[near], geom.gamma1)
         core = d < d0
         outer[core] += _inner_penalty(
@@ -262,28 +282,48 @@ def select(
     )
     align = _trapz(align_err, grid.dt)
 
-    # The penalty is evaluated only where d < reach and is exactly 0
-    # elsewhere. d is computed only on the columns whose candidate box
-    # comes within reach, widened by 1e-12 relative against rounding;
-    # the full-grid integral keeps the dense summation order.
+    # The penalty is evaluated only where d < reach inside the margin
+    # region, and is exactly 0 elsewhere. The region is culled on the
+    # columns whose candidate box comes within reach (widened by 1e-12
+    # relative); the full-grid integral keeps the dense summation order.
     avoid = np.zeros(len(candidates))
     lo_n, hi_n, lo_e, hi_e = cand_n.min(axis=0), cand_n.max(axis=0), cand_e.min(axis=0), cand_e.max(axis=0)
+    fore, aft, starboard, port = geom.margin_axes
     for obs in obstacles:
         if obs.grid != grid:
             raise ValueError(f"prediction grid {obs.grid} is not the evaluation grid {grid}")
         gap_n = np.maximum(np.maximum(lo_n - obs.north, obs.north - hi_n), 0.0)
         gap_e = np.maximum(np.maximum(lo_e - obs.east, obs.east - hi_e), 0.0)
         near = np.flatnonzero(np.hypot(gap_n, gap_e) < geom.reach * (1.0 + 1e-12))
-        cols = slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
-        d = np.hypot(cand_n[:, cols] - obs.north[cols], cand_e[:, cols] - obs.east[cols])
-        rows, hit = np.nonzero(d < geom.reach)
-        hit_cols = hit + cols.start
-        own_n, own_e = cand_n[rows, hit_cols], cand_e[rows, hit_cols]
-        beta = relative_bearing(own_n, own_e, obs.north[hit_cols], obs.east[hit_cols], obs.course)
-        values = penalty(geom, d[rows, hit], beta)
-        if rows.size:
+        if not near.size:
+            penalty(geom, np.zeros(0), np.zeros(0))
+            continue
+        cols = slice(near[0], near[-1] + 1)
+        off_n, off_e = cand_n[:, cols] - obs.north[cols], cand_e[:, cols] - obs.east[cols]
+        # In place on the window: x ahead and y to starboard of the obstacle,
+        # each over its quarter's semi-axis (the smaller quotient, as fore >= aft
+        # and starboard >= port), summed as squares: below 1 inside the region.
+        cos_c, sin_c = math.cos(obs.course), math.sin(obs.course)
+        x, y, tmp = off_n * cos_c, off_e * cos_c, off_e * sin_c
+        x += tmp
+        y -= np.multiply(off_n, sin_c, out=tmp)
+        for v, ahead, behind in ((x, fore, aft), (y, starboard, port)):
+            np.multiply(v, 1.0 / behind, out=tmp)
+            v *= 1.0 / ahead
+            np.minimum(v, tmp, out=v)
+            np.square(v, out=v)
+        x += y
+        inside = x < 1.0
+        kept = np.flatnonzero(inside)
+        off_n, off_e = off_n.ravel()[kept], off_e.ravel()[kept]
+        d = np.hypot(off_n, off_e)
+        in_reach = d < geom.reach
+        beta = relative_bearing(off_n[in_reach], off_e[in_reach], 0.0, 0.0, obs.course)
+        values = np.zeros(kept.size)
+        values[in_reach] = penalty(geom, d[in_reach], beta)
+        if kept.size:
             dense = np.zeros(cand_n.shape)
-            dense[rows, hit_cols] = values
+            dense[:, cols][inside] = values
             avoid += _trapz(dense, grid.dt)
 
     if previous_first is None:

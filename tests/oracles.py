@@ -8,10 +8,11 @@ trajectory at any times inside its span by linear interpolation, where
 the library reads only grid points (`VelocityTrajectory.window`).
 `py_region`/`py_penalty` are the penalty geometry in plain `math`
 arithmetic, one point at a time. `dense_penalty` evaluates every
-penalty formula at every point, and `mod_wrap` wraps angles with
-`np.mod` alone: the library evaluates each formula only where it
-applies and skips `np.mod` where adding or subtracting 2*pi once is
-exact, and must give the same bits as both.
+penalty formula at every point and picks per point with `np.where`
+and `np.select`, and `mod_wrap` wraps angles with `np.mod` alone: the
+library evaluates each formula only where it applies and skips
+`np.mod` where adding or subtracting 2*pi once is exact, and must give
+the same bits as both.
 """
 
 import math
@@ -21,9 +22,8 @@ import numpy as np
 from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.objective import (
     TRAN_TOL,
+    _ellipse_radius,
     _inner_penalty,
-    _outer_penalty,
-    _sector_radius,
     penalty,
     relative_bearing,
 )
@@ -194,6 +194,29 @@ def mod_wrap(a) -> np.ndarray:
     return np.where(wrapped == math.pi, -math.pi, wrapped)
 
 
+def dense_sector_radius(geom, k, beta, cos_b, sin_b):
+    """Elliptical region k's boundary at every point, each sector's
+    ellipse picked per point with np.where."""
+    a, b = geom.a[k], geom.b[k]
+    fore = (beta >= -np.pi / 2) & (beta < np.pi / 2)
+    major = np.where(fore, a, b)
+    minor = np.where(beta >= 0.0, b + geom.d_colregs, b)
+    return np.where(beta < -np.pi / 2, b, _ellipse_radius(major, minor, cos_b, sin_b))
+
+
+def dense_outer_penalty(d, d0, d1, d2, gamma1):
+    """Both linear ramps evaluated at every point, picked per point."""
+    return np.select(
+        [d < d0, d < d1, d < d2],
+        [
+            np.ones_like(d),
+            1.0 + (gamma1 - 1.0) / (d1 - d0) * (d - d0),
+            gamma1 - gamma1 / (d2 - d1) * (d - d1),
+        ],
+        0.0,
+    )
+
+
 def dense_penalty(geom, d, beta):
     """Penalty with every region radius and both terms evaluated at
     every point, then selected per point."""
@@ -201,11 +224,11 @@ def dense_penalty(geom, d, beta):
     beta = np.asarray(beta, dtype=float)
     if geom.kind == "circular":
         d0, d1, d2 = geom.radii
-        out = _outer_penalty(d, d0, d1, d2, geom.gamma1)
+        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1)
     else:
         cos_b, sin_b = np.cos(beta), np.sin(beta)
-        d0, d1, d2 = (_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
-        out = _outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
+        d0, d1, d2 = (dense_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
+        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
             geom, d, beta, cos_b, sin_b, d0
         )
     return float(out) if out.ndim == 0 else out

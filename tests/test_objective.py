@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from colavmpc import objective
@@ -25,6 +27,8 @@ from colavmpc.tree import CandidateSet
 # Table-style defaults used across the suite
 GEOM_ELL = PenaltyGeometry.elliptical(a=(50.0, 150.0, 250.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
 GEOM_CIRC = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
+# starboard margin semi-axis b + d_colregs = 225 beyond the fore one, a = 200
+GEOM_WIDE = PenaltyGeometry.elliptical(a=(50.0, 150.0, 200.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
 WEIGHTS = ObjectiveWeights(w_align=1.0, w_avoid=6000.0, w_tran=4200.0, w_course=100.0)
 
 
@@ -412,6 +416,12 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
         assert np.all(d_mid[:, [0, -1]] >= geom.reach) and np.any(d_mid < geom.reach)
         obstacles = [far, straddling, crossing, midway, chasing]
 
+        # northeast at 8 m/s from ahead of the candidates, which fall
+        # astern on its port quarter and drop out of its margin region
+        # well inside reach
+        quarter = _track(60.0 + 8.0 * t * math.cos(0.3), 40.0 + 8.0 * t * math.sin(0.3), 0.3)
+        obstacles = [far, straddling, crossing, midway, chasing, quarter]
+
         calls.clear()
         table = _select(cands, obstacles, geom=geom)
         assert len(calls) == len(obstacles)
@@ -421,10 +431,106 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
         for i in range(len(cands)):
             north, east = cands.pred_north[i], cands.pred_east[i]
             assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, obstacles, geom)
+        in_reach = [
+            np.count_nonzero(np.hypot(cands.pred_north - o.north, cands.pred_east - o.east) < geom.reach)
+            for o in obstacles
+        ]
+        scored = [d.size for d in calls]
+        if geom.kind == "circular":
+            # the margin region is the disk of radius reach
+            assert scored == in_reach
+        else:
+            assert 0 < scored[-1] < in_reach[-1] and sum(scored) < sum(in_reach)
 
         calls.clear()
         assert np.all(_select(cands, [far], geom=geom).avoid == 0.0)
         assert len(calls) == 1
+
+
+def test_margin_axes():
+    widen = 1.0 + 1e-9
+    assert GEOM_CIRC.margin_axes == (125.0 * widen,) * 4
+    assert GEOM_WIDE.margin_axes == (200.0 * widen, 125.0 * widen, 225.0 * widen, 125.0 * widen)
+
+
+def test_cull_keeps_every_point_that_scores():
+    # each candidate holds still at one bearing of a static obstacle on
+    # a course off the axes: at one ulp inside the margin boundary on
+    # even columns, and 1e-12 relative inside it on odd ones
+    course = 2.3
+    edges = np.array([0.0, math.pi / 2, -math.pi / 2, -math.pi])
+    betas = wrap_angle(np.concatenate([
+        np.linspace(-math.pi, math.pi, 360, endpoint=False),
+        (edges[:, None] + np.linspace(-1e-6, 1e-6, 9)).ravel(),
+    ]))
+    obs = _static_prediction(30.0, -40.0, course=course)
+    even = (np.arange(GRID.n) % 2 == 0)[:, None]
+    for geom in (GEOM_ELL, GEOM_CIRC, GEOM_WIDE):
+        radii = region_radius(geom, 2, betas)
+        r = np.where(even, np.nextafter(radii, 0.0), radii * (1.0 - 1e-12))
+        north, east = 30.0 + r * np.cos(betas + course), -40.0 + r * np.sin(betas + course)
+        cands = _set(*((n, e, 0.0, 5.0, 0.0) for n, e in zip(north.T, east.T)))
+        table = _select(cands, [obs], geom=geom)
+        assert np.all(table.avoid > 0.0)
+        for i in range(len(cands)):
+            assert table.avoid[i] == oracles.avoid_cost(GRID, north[:, i], east[:, i], [obs], geom)
+
+
+@st.composite
+def _geometries(draw):
+    gamma1 = draw(st.floats(0.05, 0.95))
+    fractions = (draw(st.floats(0.05, 0.45)), draw(st.floats(0.55, 0.95)), 1.0)
+    if draw(st.booleans()):
+        radius = draw(st.floats(10.0, 500.0))
+        return PenaltyGeometry.circular([f * radius for f in fractions], gamma1)
+    b = draw(st.floats(10.0, 300.0))
+    a = b * draw(st.floats(1.05, 4.0))
+    return PenaltyGeometry.elliptical(
+        [f * a for f in fractions], [f * b for f in fractions], draw(st.floats(1.0, 400.0)), gamma1
+    )
+
+
+@given(
+    geom=_geometries(),
+    course=st.floats(-10.0, 10.0),
+    origin=st.tuples(st.floats(-5e3, 5e3), st.floats(-5e3, 5e3)),
+    velocity=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    # per candidate: bearing at t = 0, turn rate, and distance as a
+    # fraction of the margin radius at the bearing
+    paths=st.lists(
+        st.tuples(
+            st.floats(-math.pi, math.pi),
+            st.floats(-0.5, 0.5),
+            st.one_of(st.floats(0.0, 1.5), st.sampled_from([1.0 - 1e-12, 1.0 - 1e-15, 1.0])),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(deadline=None)
+def test_cull_equals_dense_avoid_on_random_geometries(geom, course, origin, velocity, paths):
+    t = GRID.times()
+    obs = _track(origin[0] + velocity[0] * t, origin[1] + velocity[1] * t, course)
+    rows = []
+    for beta0, rate, fraction in paths:
+        beta = beta0 + rate * t
+        r = fraction * region_radius(geom, 2, wrap_angle(beta))
+        rows.append((obs.north + r * np.cos(beta + course), obs.east + r * np.sin(beta + course), 0.0, 5.0, 0.0))
+    cands = _set(*rows)
+    table = _select(cands, [obs], geom=geom)
+    for i in range(len(cands)):
+        assert table.avoid[i] == oracles.avoid_cost(GRID, cands.pred_north[i], cands.pred_east[i], [obs], geom)
+
+
+def test_prediction_rejects_non_finite_values():
+    # a NaN course would drop the obstacle from the cull, and a NaN
+    # position would score 0
+    cands = _set(_line())
+    with pytest.raises(ValueError, match="^course must be finite"):
+        _select(cands, [_track(60.0, 0.0, math.nan)])
+    north = np.full(GRID.n, 60.0)
+    north[7] = math.nan
+    with pytest.raises(ValueError, match="^north must be finite"):
+        _select(cands, [_track(north, 0.0, 0.0)])
 
 
 def test_coincident_obstacle(monkeypatch):

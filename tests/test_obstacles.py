@@ -7,6 +7,7 @@ from colavmpc.core import TimeGrid
 from colavmpc.obstacles import (
     NOISE_PRESETS,
     EstimateNoise,
+    ObstacleEstimate,
     ObstacleScript,
     ScriptEvent,
     ground_truth,
@@ -140,6 +141,16 @@ def test_predict_anchored_at_timestamp():
     assert pred.north[0] == pytest.approx(est.north)
     with pytest.raises(ValueError):
         predict_obstacle(est, TimeGrid.from_span(5.0, 10.0, 0.5))
+
+
+@pytest.mark.parametrize("field", ["north", "east", "course"])
+def test_predict_rejects_a_non_finite_estimate(field):
+    # a NaN course would otherwise NaN every predicted position, and a
+    # NaN position would score 0 in the avoid term
+    fields = dict(id="obs", north=5.0, east=6.0, sog=2.0, course=0.3, timestamp=0.0)
+    est = ObstacleEstimate(**{**fields, field: math.nan})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        predict_obstacle(est, TimeGrid.from_span(0.0, 55.0, 0.5))
 
 
 def test_predict_lies_on_ray():
