@@ -11,11 +11,15 @@ for every committed ``<case>/config.json``. Those configs are kept as
 written, so that their cases do not depend on a generator: ``traffic_0``
 (five obstacles, radar noise) is ``bench/workloads.traffic(1)[0]`` and
 ``transit_0`` (waypoints, a 2-level tree) is ``transit(1)[0]``. For each
-case it writes ``<case>/metrics.json`` and records the sha256 of
-trajectory.csv, planner.csv and metrics.json in ``digests.json``. The
-numpy and Python versions it ran under go to ``environment.json``, so
-that a digest mismatch elsewhere can name them. Regenerate only for an
-intended change of behaviour, and say why in that change.
+case it writes ``<case>/metrics.json`` and records in ``digests.json``
+the sha256 of trajectory.csv and metrics.json, and one sha256 for each
+column group of planner.csv (``PLANNER_GROUPS``): the decisions the
+planner took and the costs it scored them with. A change to the
+numerics of the costs that keeps every decision then moves only
+``planner.csv:costs``. The numpy and Python versions it ran under go to
+``environment.json``, so that a digest mismatch elsewhere can name
+them. Regenerate only for an intended change of behaviour, and say why
+in that change.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ from colavmpc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
 NOISES = ("none", "radar")
-OUTPUTS = ("trajectory.csv", "planner.csv", "metrics.json")
+# planner.csv's columns by what they record: what the planner chose, and
+# the costs it chose by; each group's digest covers its header and rows
+PLANNER_GROUPS = {
+    "decisions": ("t_s", "candidate", "n_candidates", "tran", "failsafe", "course_change_rad", "sog_change_mps"),
+    "costs": ("align", "avoid", "total"),
+}
 
 
 def run_args(case: str) -> list[str]:
@@ -46,6 +55,22 @@ def run_args(case: str) -> list[str]:
         return ["--config", str(config)]
     scenario, noise = case.rsplit("-", 1)
     return ["--scenario", scenario, "--noise", noise, "--seed", "0"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def output_digests(out: Path) -> dict[str, str]:
+    """The digests of one ``colavmpc run`` output directory, by name."""
+    digests = {name: _sha256((out / name).read_bytes()) for name in ("trajectory.csv", "metrics.json")}
+    rows = [line.split(",") for line in (out / "planner.csv").read_text().splitlines()]
+    if sorted(rows[0]) != sorted(sum(PLANNER_GROUPS.values(), ())):
+        raise ValueError(f"planner.csv columns {rows[0]} are not the columns of PLANNER_GROUPS")
+    for group, names in PLANNER_GROUPS.items():
+        cols = [rows[0].index(name) for name in names]
+        digests[f"planner.csv:{group}"] = _sha256("".join(",".join(row[c] for c in cols) + "\n" for row in rows).encode())
+    return digests
 
 
 def regenerate() -> int:
@@ -59,9 +84,7 @@ def regenerate() -> int:
                 code = main(["run", *run_args(case), "--out", str(out)])
             if code != 0:
                 raise RuntimeError(f"colavmpc run failed for {case}")
-            digests[case] = {
-                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS
-            }
+            digests[case] = output_digests(out)
             (GOLDEN / case).mkdir(exist_ok=True)
             (GOLDEN / case / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
             print(case, file=sys.stderr)
