@@ -11,9 +11,9 @@ edge's terminal predicted state.
 Expansion is vectorized per level: with the acceleration profiles fixed
 per level, every channel is an affine function of the sampled
 acceleration, so all of a level's (node, sample) edges broadcast
-straight onto the level grid at once. Each level keeps its edges'
-parent nodes and predictions; the leaf rows are gathered once at the
-end, and one candidate's full-resolution reference is rebuilt on demand.
+straight onto the evaluation grid, where the prediction integrates.
+Each level keeps its edges' parents and predictions; the leaf rows are
+gathered last, and one candidate's dt-grid reference is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .vessel import VesselModel
 @dataclass(frozen=True, eq=False)
 class Level:
     """One tree level's sample counts and unit maneuver profiles on its
-    integration grid.
+    integration grid, and the prediction's error decay on its evaluation grid.
 
     Every maneuver of a level is affine in its sampled accelerations
     (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
@@ -57,7 +57,7 @@ class Level:
     decay_c: np.ndarray
 
     @staticmethod
-    def build(params: TreeParams, index: int, t0: float, dt: float) -> "Level":
+    def build(params: TreeParams, index: int, t0: float, dt: float, stride: int) -> "Level":
         grid = TimeGrid.from_span(t0, params.step_times[index], dt)
         t_rel = grid.times() - t0
         unit_s = sog_profile_unit(t_rel, params)
@@ -66,12 +66,12 @@ class Level:
         return Level(
             grid, params.n_sog[index], params.n_course[index], unit_s, unit_c,
             cum_s, cum_c, cumtrapz(cum_c, dt),
-            np.exp(-t_rel / params.tc_sog), np.exp(-t_rel / params.tc_course),
+            np.exp(-t_rel[::stride] / params.tc_sog), np.exp(-t_rel[::stride] / params.tc_course),
         )
 
-    def reference(self, u_d, chi_d, a_u, a_r):
-        """Desired (sog, course) of the maneuvers started from (u_d, chi_d)."""
-        return u_d + a_u * self.cum_s, chi_d + a_r * self.cum2_c
+    def reference(self, u_d, chi_d, a_u, a_r, step=1):
+        """Desired (sog, course) of the maneuvers started from (u_d, chi_d), every step-th point."""
+        return u_d + a_u * self.cum_s[::step], chi_d + a_r * self.cum2_c[::step]
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,22 @@ def generate_tree(
     nodes of a level at once: t is the level's start time,
     north/east/course the nodes' predicted poses and desired their
     (sog, course) reference values, all (n_nodes,) arrays. tau0 must
-    lie within the actuator limits. Channels integrate on the dt grid
-    and are kept on the eval_dt grid, which must take every k-th point
-    of every level. Returns the candidates in deterministic order
-    (node, then SOG sample, then ROT sample), with no leaves if some
-    level has no feasible maneuver; the hook then sees zero nodes.
+    lie within the actuator limits. The prediction integrates on the
+    eval_dt grid, which must take every k-th point of every level's dt
+    grid. Returns the candidates in deterministic order (node, then SOG
+    sample, then ROT sample), with no leaves if some level has no
+    feasible maneuver; the hook then sees zero nodes.
     """
-    levels = []
-    t_level = t
-    for level_idx, step_time in enumerate(params.step_times):
-        levels.append(Level.build(params, level_idx, t_level, dt))
-        t_level += step_time
     ratio = eval_dt / dt
-    stride = int(round(ratio))
-    if abs(ratio - stride) > 1e-9 or stride < 1 or any((lv.grid.n - 1) % stride for lv in levels):
-        raise ValueError("eval_dt must be an integer multiple of dt dividing every step time")
+    stride = int(round(ratio)) if np.isfinite(ratio) else 0
+    if abs(ratio - stride) > 1e-9 or stride < 1:
+        raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt}")
+    levels, t_level = [], t
+    for level_idx, step_time in enumerate(params.step_times):
+        if round(step_time / dt) % stride:
+            raise ValueError(f"eval_dt {eval_dt} must divide every step time, but step time {step_time} is no multiple of it (dt {dt})")
+        levels.append(Level.build(params, level_idx, t_level, dt, stride))
+        t_level += step_time
     grid = TimeGrid(t, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
     desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
 
@@ -173,7 +174,7 @@ def generate_tree(
     u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
     position = np.array([[float(north0)], [float(east0)]])
     # per level: each edge's parent node, (sog, rot) sample indices and
-    # accelerations, and a compact copy of its prediction on the evaluation grid
+    # accelerations, and its prediction on the evaluation grid
     parents, kept = [], []
 
     for level_idx, level in enumerate(levels):
@@ -198,7 +199,7 @@ def generate_tree(
         # below run on zero-row arrays, down to a set with no leaves
         a_u = sog_samples[node, i_sog]
         a_r = rot_samples[node, i_rot]
-        sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
+        sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None], stride)
         sog_bar = (u_bar - u_d)[node, None] * level.decay_s + sog
         course_bar = wrap_angle(chi_bar - chi_d)[node, None] * level.decay_c + course
         # north and east velocity in one buffer, integrated in one pass
@@ -206,13 +207,12 @@ def generate_tree(
         np.cos(course_bar, out=vel[0])
         np.sin(course_bar, out=vel[1])
         vel *= sog_bar
-        track = cumtrapz(vel, dt)
+        track = cumtrapz(vel, eval_dt)
         track += position[:, node, None]
         if level_idx == 0:
-            first_sog, first_course = sog[:, ::stride], course[:, ::stride]
+            first_sog, first_course = sog, course
         parents.append(node)
-        on_grid = (track[..., ::stride].copy(), course_bar[:, ::stride].copy())
-        kept.append((i_sog, i_rot, a_u, a_r, *on_grid))
+        kept.append((i_sog, i_rot, a_u, a_r, track, course_bar))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]

@@ -12,7 +12,10 @@ penalty formula at every point and picks per point with `np.where`
 and `np.select`, and `mod_wrap` wraps angles with `np.mod` alone: the
 library evaluates each formula only where it applies and skips
 `np.mod` where adding or subtracting 2*pi once is exact, and must give
-the same bits as both.
+the same bits as both. `full_resolution_tree` grows the tree with the
+prediction integrated on the integration grid and then thinned to the
+evaluation grid, where the library integrates it on the evaluation
+grid directly.
 """
 
 import math
@@ -27,7 +30,14 @@ from colavmpc.objective import (
     penalty,
     relative_bearing,
 )
-from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
+from colavmpc.primitives import (
+    course_profile_unit,
+    possible_accelerations,
+    sample_accelerations,
+    sog_profile_unit,
+    terminal_sog_feasible,
+)
+from colavmpc.tree import CandidateSet, Level
 
 
 def _trapz(values, dt):
@@ -232,3 +242,70 @@ def dense_penalty(geom, d, beta):
             geom, d, beta, cos_b, sin_b, d0
         )
     return float(out) if out.ndim == 0 else out
+
+
+def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_hook, dt, eval_dt) -> CandidateSet:
+    """tree.generate_tree with every edge's prediction (sog, course, the
+    cos/sin velocity and its integral) computed at every dt point and
+    only then thinned to every stride-th point; same arguments."""
+    stride = int(round(eval_dt / dt))
+    levels, t_level = [], t
+    for level_idx, step_time in enumerate(params.step_times):
+        levels.append(Level.build(params, level_idx, t_level, dt, 1))
+        t_level += step_time
+    grid = TimeGrid(t, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
+    desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
+    u_d, chi_d = np.array([desired0[0]]), np.array([desired0[1]])
+    north0, east0, course0, sog0, rot0 = state
+    u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
+    position = np.array([[float(north0)], [float(east0)]])
+    parents, kept = [], []
+    for level_idx, level in enumerate(levels):
+        node_sog = np.maximum(u_bar, 0.0)
+        if level_idx == 0:
+            node_rot, node_tau = float(rot0), tau0
+        else:
+            node_rot = 0.0
+            node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
+        desired_acc = None if guidance_hook is None else guidance_hook(
+            level.grid.t0, *position, chi_bar, (u_d, chi_d)
+        )
+        sog_samples, rot_samples = sample_accelerations(
+            possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
+            level.n_sog, level.n_course, desired_acc,
+        )
+        feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
+        node, i_sog, i_rot = np.nonzero(feasible[:, :, None].repeat(level.n_course, axis=2))
+        a_u = sog_samples[node, i_sog]
+        a_r = rot_samples[node, i_rot]
+        sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None])
+        sog_bar = (u_bar - u_d)[node, None] * level.decay_s + sog
+        course_bar = wrap_angle(chi_bar - chi_d)[node, None] * level.decay_c + course
+        track = cumtrapz(np.array([sog_bar * np.cos(course_bar), sog_bar * np.sin(course_bar)]), dt)
+        track += position[:, node, None]
+        if level_idx == 0:
+            first_sog, first_course = sog[:, ::stride], course[:, ::stride]
+        parents.append(node)
+        kept.append((i_sog, i_rot, a_u, a_r, track[..., ::stride], course_bar[:, ::stride]))
+        u_d, chi_d = sog[:, -1], course[:, -1]
+        u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
+        position = track[..., -1]
+    ancestors = [np.arange(len(parents[-1]))]
+    for parent in parents[:0:-1]:
+        ancestors.insert(0, parent[ancestors[0]])
+    # the leaf rows level by level; at a shared boundary the later level wins
+    pred = np.empty((3, len(ancestors[0]), grid.n))
+    sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
+    accelerations = np.empty(sample_path.shape)
+    col = 0
+    for k, (rows, (i_sog, i_rot, a_u, a_r, track, course_k)) in enumerate(zip(ancestors, kept)):
+        cols = slice(col, col + course_k.shape[1])
+        pred[:2, :, cols] = track[:, rows]
+        pred[2, :, cols] = course_k[rows]
+        col = cols.stop - 1
+        sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
+        accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
+    return CandidateSet(
+        grid, pred[0], pred[1], pred[2], first_sog[ancestors[0]], first_course[ancestors[0]],
+        sample_path, accelerations, tuple(levels), desired0,
+    )

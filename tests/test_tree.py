@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from colavmpc.core import TimeGrid, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 import oracles
 from colavmpc.primitives import possible_accelerations, sample_accelerations
+from colavmpc import scenarios, sim
 from colavmpc import tree as tree_mod
 from colavmpc.tree import TreeParams, generate_tree
 from colavmpc.vessel import default_model
@@ -348,3 +350,68 @@ def test_prediction_feedback_decays_initial_error():
     assert abs(
         cands.pred_course[0, -1] - cands.trajectory(0).course[-1]
     ) < 0.15 * math.exp(-50.0 / 5.0) + 1e-9
+
+
+def _shipped_calls(monkeypatch, scenario, noise):
+    """The generate_tree arguments of every planner call of one shipped
+    run: real states, and the LOS hook as sim.plan_step wires it."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return generate_tree(*args)
+
+    monkeypatch.setattr(sim, "generate_tree", recording)
+    sim.run(scenarios.build_scenario(scenario, noise=noise))
+    return calls
+
+
+@pytest.mark.parametrize("scenario,noise", [("head_on", "radar"), ("crossing_port", "none")])
+def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle(monkeypatch, scenario, noise):
+    # the prediction integrates on the eval_dt grid. Against the same
+    # prediction integrated on the dt grid and then thinned, it moves by
+    # at most 3.4 cm over the planner calls of the eight shipped runs
+    # (crossing_port, none) and 3.1 cm here (head_on, radar), so 5 cm
+    # leaves a margin of about 1.5x. The desired channels and level 0's
+    # course do not depend on the integration, so they keep their bits
+    calls = _shipped_calls(monkeypatch, scenario, noise)
+    assert len(calls) >= 40
+    worst = 0.0
+    for args in calls:
+        cands, oracle = generate_tree(*args), oracles.full_resolution_tree(*args)
+        np.testing.assert_array_equal(cands.sample_path, oracle.sample_path)
+        np.testing.assert_array_equal(cands.first_sog, oracle.first_sog)
+        np.testing.assert_array_equal(cands.first_course, oracle.first_course)
+        n0 = cands.first_grid.n
+        np.testing.assert_array_equal(cands.pred_course[:, :n0], oracle.pred_course[:, :n0])
+        worst = max(worst, np.max(np.hypot(cands.pred_north - oracle.pred_north, cands.pred_east - oracle.pred_east)))
+    assert 0.0 < worst <= 0.05
+
+
+def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monkeypatch):
+    for *args, dt, _ in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
+        cands, oracle = generate_tree(*args, dt, dt), oracles.full_resolution_tree(*args, dt, dt)
+        assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
+        for name in ("pred_north", "pred_east", "pred_course", "first_sog", "first_course", "sample_path", "accelerations"):
+            np.testing.assert_array_equal(getattr(cands, name), getattr(oracle, name), err_msg=name)
+        for level, full in zip(cands.levels, oracle.levels):
+            np.testing.assert_array_equal(level.decay_s, full.decay_s)
+            np.testing.assert_array_equal(level.decay_c, full.decay_c)
+
+
+@pytest.mark.parametrize(
+    "step_times,eval_dt,message",
+    [
+        ((5.0, 20.0, 30.0), 0.25, "eval_dt 0.25 must be an integer multiple of dt 0.1"),
+        ((5.0, 20.0, 30.0), 0.0, "eval_dt 0.0 must be an integer multiple of dt 0.1"),
+        ((5.0, 20.0, 30.0), math.nan, "eval_dt nan must be an integer multiple of dt 0.1"),
+        ((5.0, 20.0, 30.0), math.inf, "eval_dt inf must be an integer multiple of dt 0.1"),
+        ((5.0, 6.0), 5.0, "eval_dt 5.0 must divide every step time, but step time 6.0 is no multiple of it (dt 0.1)"),
+    ],
+)
+def test_tree_names_the_eval_dt_rule_it_breaks(step_times, eval_dt, message):
+    n = len(step_times)
+    params = TreeParams(step_times, (1,) * n, (3,) * n, 1.0, 5.0, 5.0, 5.0, 5.0)
+    state = _state()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_tree(params, MODEL, state, 0.0, (5.0, 0.0), _tau0(state), None, DT, eval_dt)
