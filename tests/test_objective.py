@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import outer_penalty_at, penalty_at
 from colavmpc import objective
 from colavmpc.core import TimeGrid, VelocityTrajectory, wrap_angle
 from colavmpc.guidance import DesiredTrajectory
@@ -15,7 +16,6 @@ from colavmpc.objective import (
     ObjectiveWeights,
     ObstaclePrediction,
     PenaltyGeometry,
-    _outer_penalty,
     penalty,
     penalty_field,
     region_radius,
@@ -31,6 +31,25 @@ GEOM_CIRC = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
 GEOM_WIDE = PenaltyGeometry.elliptical(a=(50.0, 150.0, 200.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
 WEIGHTS = ObjectiveWeights(w_align=1.0, w_avoid=6000.0, w_tran=4200.0, w_course=100.0)
 
+# The library scores in the obstacle's frame, takes sqrt(dn^2 + de^2) for
+# the align distance and gives each avoid value its trapezoid weight; the
+# oracles use the bearing, hypot and np.trapezoid. The two differ by
+# rounding. Largest differences measured on the fixed inputs below:
+# 3.6e-16 relative where the oracle is >= 1 (an align cost of 953 off by
+# 1.1e-13), and 3.3e-15 absolute where it is below 1. The bounds are about
+# 14x those.
+ATOL, RTOL = 5e-14, 5e-15
+
+
+def _within(value, lo, hi):
+    """lo <= value <= hi, each bound widened by ATOL + RTOL * |bound|."""
+    value, lo, hi = np.asarray(value), np.asarray(lo), np.asarray(hi)
+    return bool(np.all((lo - ATOL - RTOL * np.abs(lo) <= value) & (value <= hi + ATOL + RTOL * np.abs(hi))))
+
+
+def _agrees(value, oracle):
+    return _within(value, oracle, oracle)
+
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
@@ -39,6 +58,23 @@ def test_geometry_validation():
         PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (60.0, 75.0, 125.0), 100.0, 0.1)
     with pytest.raises(ValueError):
         PenaltyGeometry.circular((25.0, 75.0, 125.0), 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_geometry_rejects_non_finite_values(bad):
+    # a NaN d_colregs would cull every point and score every avoid 0; an
+    # infinite axis would make reach infinite
+    a, b, radii = (50.0, 150.0, 250.0), (25.0, 75.0, 125.0), (25.0, 75.0, 125.0)
+    cases = [
+        ("gamma1", lambda: PenaltyGeometry.circular(radii, bad)),
+        ("radii", lambda: PenaltyGeometry.circular((25.0, 75.0, bad), 0.1)),
+        ("a", lambda: PenaltyGeometry.elliptical((50.0, 150.0, bad), b, 100.0, 0.1)),
+        ("b", lambda: PenaltyGeometry.elliptical(a, (bad, 75.0, 125.0), 100.0, 0.1)),
+        ("d_colregs", lambda: PenaltyGeometry.elliptical(a, b, bad, 0.1)),
+    ]
+    for field, build in cases:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
 
 
 def test_region_radius_spot_values():
@@ -70,37 +106,37 @@ def test_region_radius_nesting():
 
 
 def test_circular_penalty_values():
-    assert penalty(GEOM_CIRC, 10.0, 0.0) == 1.0
-    assert penalty(GEOM_CIRC, 75.0, 2.0) == pytest.approx(0.1, abs=1e-12)
-    assert penalty(GEOM_CIRC, 100.0, 0.0) == pytest.approx(0.05, abs=1e-12)
-    assert penalty(GEOM_CIRC, 300.0, 0.0) == 0.0
+    assert penalty_at(GEOM_CIRC, 10.0, 0.0) == 1.0
+    assert penalty_at(GEOM_CIRC, 75.0, 2.0) == pytest.approx(0.1, abs=1e-12)
+    assert penalty_at(GEOM_CIRC, 100.0, 0.0) == pytest.approx(0.05, abs=1e-12)
+    assert penalty_at(GEOM_CIRC, 300.0, 0.0) == 0.0
 
 
 def test_elliptical_penalty_core_is_double():
     beta = 0.3
     d_core = 0.5 * region_radius(GEOM_ELL, 0, beta)
-    assert penalty(GEOM_ELL, d_core, beta) == pytest.approx(2.0, abs=1e-12)
+    assert penalty_at(GEOM_ELL, d_core, beta) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_elliptical_inner_boundary_astern_is_circle():
     b0 = GEOM_ELL.b[0]
-    assert penalty(GEOM_ELL, b0 - 1e-6, -math.pi) == pytest.approx(2.0, abs=1e-5)
-    just_outside = penalty(GEOM_ELL, b0 + 1e-6, -math.pi)
+    assert penalty_at(GEOM_ELL, b0 - 1e-6, -math.pi) == pytest.approx(2.0, abs=1e-5)
+    just_outside = penalty_at(GEOM_ELL, b0 + 1e-6, -math.pi)
     assert just_outside < 1.0 + 1e-5  # inner term gone, only the outer ramp
 
 
 def test_penalty_monotone_in_distance():
     d = np.linspace(0.0, 400.0, 2000)
     for beta in np.linspace(-math.pi, math.pi, 73, endpoint=False):
-        vals = penalty(GEOM_ELL, d, np.full_like(d, beta))
+        vals = penalty_at(GEOM_ELL, d, np.full_like(d, beta))
         assert np.all(np.diff(vals) <= 1e-9)
 
 
 def test_penalty_starboard_bias():
     d = np.linspace(0.0, 400.0, 200)
     for beta in np.linspace(1e-3, math.pi - 1e-3, 90):
-        plus = penalty(GEOM_ELL, d, np.full_like(d, beta))
-        minus = penalty(GEOM_ELL, d, np.full_like(d, -beta))
+        plus = penalty_at(GEOM_ELL, d, np.full_like(d, beta))
+        minus = penalty_at(GEOM_ELL, d, np.full_like(d, -beta))
         assert np.all(plus >= minus - 1e-12)
 
 
@@ -108,8 +144,8 @@ def test_outer_penalty_boundary_continuity():
     for beta in np.linspace(-math.pi, math.pi, 37, endpoint=False):
         for k in range(3):
             dk = region_radius(GEOM_ELL, k, beta)
-            lo = _outer_penalty(np.array([dk - 1e-9]), *(region_radius(GEOM_ELL, j, beta) for j in range(3)), GEOM_ELL.gamma1)
-            hi = _outer_penalty(np.array([dk + 1e-9]), *(region_radius(GEOM_ELL, j, beta) for j in range(3)), GEOM_ELL.gamma1)
+            lo = outer_penalty_at(np.array([dk - 1e-9]), *(region_radius(GEOM_ELL, j, beta) for j in range(3)), GEOM_ELL.gamma1)
+            hi = outer_penalty_at(np.array([dk + 1e-9]), *(region_radius(GEOM_ELL, j, beta) for j in range(3)), GEOM_ELL.gamma1)
             assert abs(hi[0] - lo[0]) < 1e-8
 
 
@@ -123,8 +159,8 @@ def test_total_penalty_continuous_at_inner_core():
                 GEOM_ELL.b[0],
             )
         )
-        lo = penalty(GEOM_ELL, d_star - 1e-9, beta)
-        hi = penalty(GEOM_ELL, d_star + 1e-9, beta)
+        lo = penalty_at(GEOM_ELL, d_star - 1e-9, beta)
+        hi = penalty_at(GEOM_ELL, d_star + 1e-9, beta)
         assert abs(hi - lo) < 1e-8
 
 
@@ -154,14 +190,17 @@ def _straddling_points(geom):
 
 
 def test_penalty_matches_python_oracle():
-    for geom in (GEOM_ELL, GEOM_CIRC):
+    for geom, core in ((GEOM_ELL, 2.0), (GEOM_CIRC, 1.0), (GEOM_WIDE, 2.0)):
         spec = dataclasses.asdict(geom)
         for k in range(3):
             expected = [oracles.py_region(spec, k, b) for b in BETAS]
             np.testing.assert_allclose(region_radius(geom, k, BETAS), expected, rtol=1e-12, atol=0.0)
         d, beta = _straddling_points(geom)
         expected = [oracles.py_penalty(spec, di, bi) for di, bi in zip(d, beta)]
-        np.testing.assert_allclose(penalty(geom, d, beta), expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(penalty_at(geom, d, beta), expected, rtol=0.0, atol=1e-12)
+        # the coincident point scores the core value, with no 0/0
+        for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+            assert penalty(geom, x, y) == core == oracles.py_penalty(spec, 0.0, 0.0)
 
 
 def test_penalty_equals_dense_reference():
@@ -171,27 +210,31 @@ def test_penalty_equals_dense_reference():
         d = np.concatenate([d, [geom.reach, 2.0 * geom.reach]])
         beta = np.concatenate([beta, [0.0, 1.0]])
         expected = oracles.dense_penalty(geom, d, beta)
-        assert np.array_equal(penalty(geom, d, beta), expected)
-        assert np.array_equal(penalty(geom, d.reshape(-1, 2), beta.reshape(-1, 2)), expected.reshape(-1, 2))
+        actual = penalty_at(geom, d, beta)
+        assert _agrees(actual, expected)
+        assert np.array_equal(penalty_at(geom, d.reshape(-1, 2), beta.reshape(-1, 2)), actual.reshape(-1, 2))
         for i in (0, 3, 5, 9, len(d) - 1):
-            assert penalty(geom, float(d[i]), float(beta[i])) == expected[i]
-            at_0d = penalty(geom, np.array(d[i]), np.array(beta[i]))
-            assert type(at_0d) is float and at_0d == expected[i]
-        empty = penalty(geom, np.zeros(0), np.zeros(0))
+            assert penalty_at(geom, float(d[i]), float(beta[i])) == actual[i]
+            at_0d = penalty_at(geom, np.array(d[i]), np.array(beta[i]))
+            assert type(at_0d) is float and at_0d == actual[i]
+        empty = penalty_at(geom, np.zeros(0), np.zeros(0))
         assert empty.shape == (0,) and np.array_equal(empty, oracles.dense_penalty(geom, np.zeros(0), np.zeros(0)))
 
 
 def test_reach_bounds_the_penalty():
-    assert GEOM_CIRC.reach == 125.0
+    assert 125.0 < GEOM_CIRC.reach < 125.0 * (1.0 + 1e-11)
     assert 250.0 < GEOM_ELL.reach < 250.0 * (1.0 + 1e-11)
     betas = np.concatenate([np.linspace(-math.pi, math.pi, 36001), np.linspace(-1e-6, 1e-6, 2001)])
     for geom in (GEOM_ELL, GEOM_CIRC):
         assert np.all(region_radius(geom, 2, betas) <= geom.reach)
-        assert np.all(penalty(geom, np.full(betas.shape, geom.reach), betas) == 0.0)
+        assert np.all(penalty_at(geom, np.full(betas.shape, geom.reach), betas) == 0.0)
     # why reach sits above the longest semi-axis: near bearing 0 the
-    # margin boundary rounds past 250 m, so the penalty at 250 m is not 0
+    # margin boundary rounds past 250 m, and 125 m from the circular
+    # geometry's obstacle the region test rounds inside the margin region,
+    # so the penalty at the semi-axis is not 0
     assert region_radius(GEOM_ELL, 2, 2e-8) > 250.0
-    assert penalty(GEOM_ELL, 250.0, 2e-8) > 0.0
+    x = 125.0 - 3 * np.spacing(125.0)
+    assert math.hypot(x, 3e-6) == 125.0 and penalty(GEOM_CIRC, x, 3e-6) > 0.0
 
 
 # candidates on a 25 s horizon evaluated on a 0.5 s grid, with a 5 s
@@ -373,8 +416,8 @@ def test_evaluate_costs_matches_scalar_terms():
     table = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
     for i in range(len(cands)):
         north, east, course = cands.pred_north[i], cands.pred_east[i], cands.pred_course[i]
-        assert table.align[i] == oracles.align_cost(GRID, north, east, course, LINE, WEIGHTS.w_course)
-        assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, [obs], GEOM_ELL)
+        assert _agrees(table.align[i], oracles.align_cost(GRID, north, east, course, LINE, WEIGHTS.w_course))
+        assert _agrees(table.avoid[i], oracles.avoid_cost(GRID, north, east, [obs], GEOM_ELL))
     scores = oracles.tran_cost([_vel_const(5.0, c) for _, c in specs], prev)
     np.testing.assert_array_equal(table.tran, scores)
 
@@ -392,9 +435,9 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
     t = GRID.times()
     calls = []
 
-    def counting(geom, d, beta):
-        calls.append(np.array(d))
-        return penalty(geom, d, beta)
+    def counting(geom, x, y):
+        calls.append(np.hypot(x, y))
+        return penalty(geom, x, y)
 
     monkeypatch.setattr(objective, "penalty", counting)
     far = _static_prediction(0.0, 10_000.0)
@@ -430,15 +473,19 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
         assert np.all(table.avoid > 0.0)
         for i in range(len(cands)):
             north, east = cands.pred_north[i], cands.pred_east[i]
-            assert table.avoid[i] == oracles.avoid_cost(GRID, north, east, obstacles, geom)
+            assert _agrees(table.avoid[i], oracles.avoid_cost(GRID, north, east, obstacles, geom))
         in_reach = [
             np.count_nonzero(np.hypot(cands.pred_north - o.north, cands.pred_east - o.east) < geom.reach)
             for o in obstacles
         ]
         scored = [d.size for d in calls]
         if geom.kind == "circular":
-            # the margin region is the disk of radius reach
-            assert scored == in_reach
+            # the margin region is the disk of radius radii[2], which reach
+            # widens by 1e-12 relative
+            assert scored == [
+                np.count_nonzero(np.hypot(cands.pred_north - o.north, cands.pred_east - o.east) < geom.radii[2])
+                for o in obstacles
+            ]
         else:
             assert 0 < scored[-1] < in_reach[-1] and sum(scored) < sum(in_reach)
 
@@ -448,9 +495,10 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
 
 
 def test_margin_axes():
-    widen = 1.0 + 1e-9
-    assert GEOM_CIRC.margin_axes == (125.0 * widen,) * 4
-    assert GEOM_WIDE.margin_axes == (200.0 * widen, 125.0 * widen, 225.0 * widen, 125.0 * widen)
+    # fore, aft, starboard, port; select culls with penalty's own region test
+    assert GEOM_CIRC.semi_axes(2) == (125.0,) * 4
+    assert GEOM_WIDE.semi_axes(2) == (200.0, 125.0, 225.0, 125.0)
+    assert GEOM_ELL.semi_axes(0) == (50.0, 25.0, 125.0, 25.0)
 
 
 def test_cull_keeps_every_point_that_scores():
@@ -473,7 +521,7 @@ def test_cull_keeps_every_point_that_scores():
         table = _select(cands, [obs], geom=geom)
         assert np.all(table.avoid > 0.0)
         for i in range(len(cands)):
-            assert table.avoid[i] == oracles.avoid_cost(GRID, north[:, i], east[:, i], [obs], geom)
+            assert _agrees(table.avoid[i], oracles.avoid_cost(GRID, north[:, i], east[:, i], [obs], geom))
 
 
 @st.composite
@@ -518,7 +566,12 @@ def test_cull_equals_dense_avoid_on_random_geometries(geom, course, origin, velo
     cands = _set(*rows)
     table = _select(cands, [obs], geom=geom)
     for i in range(len(cands)):
-        assert table.avoid[i] == oracles.avoid_cost(GRID, cands.pred_north[i], cands.pred_east[i], [obs], geom)
+        north, east = cands.pred_north[i], cands.pred_east[i]
+        # a point on the collision boundary, where the penalty jumps by 1,
+        # rounds to either side in either form: bracket with the oracle at
+        # distances scaled by 1 -+ 1e-12, as the penalty falls with distance
+        hi, lo = (oracles.avoid_cost(GRID, north, east, [obs], geom, scale) for scale in (1.0 - 1e-12, 1.0 + 1e-12))
+        assert _within(table.avoid[i], lo, hi)
 
 
 def test_prediction_rejects_non_finite_values():
@@ -545,9 +598,9 @@ def test_coincident_obstacle(monkeypatch):
 
     at_zero = []
 
-    def recording(geom, d, b):
-        out = penalty(geom, d, b)
-        at_zero.extend(out[d == 0.0])
+    def recording(geom, x, y):
+        out = penalty(geom, x, y)
+        at_zero.extend(out[(x == 0.0) & (y == 0.0)])
         return out
 
     monkeypatch.setattr(objective, "penalty", recording)
@@ -555,9 +608,9 @@ def test_coincident_obstacle(monkeypatch):
         at_zero.clear()
         table = _select(cands, [obs], geom=geom)
         assert np.all(np.isfinite(table.avoid))
-        assert table.avoid[0] == oracles.avoid_cost(GRID, cands.pred_north[0], cands.pred_east[0], [obs], geom)
+        assert _agrees(table.avoid[0], oracles.avoid_cost(GRID, cands.pred_north[0], cands.pred_east[0], [obs], geom))
         assert at_zero == [core]
-        assert penalty(geom, 0.0, beta) == core
+        assert penalty_at(geom, 0.0, beta) == core
 
 
 def test_penalty_field_circular_symmetry():
