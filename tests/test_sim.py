@@ -16,6 +16,7 @@ from colavmpc.sim import (
     classify_situation,
     compute_metrics,
     plan_step,
+    planner_to_csv,
     run,
     runlog_to_csv,
 )
@@ -222,6 +223,21 @@ def test_run_failsafe_holds_and_completes():
     assert metrics.failsafe_count == metrics.planner_calls > 0
     assert np.all(log.selected == -1)
     assert np.all(log.ref_sog == 25.0)  # held reference
+
+
+def test_failsafe_planner_rows_bytes():
+    # no golden case holds; pin the bytes of a fail-safe planner.csv row
+    d = scenarios.build_config_dict("head_on")
+    d["ownship"]["sog"] = 25.0
+    d["obstacles"] = []
+    d["duration"] = 30.0
+    log, _ = run(cfgm.from_dict(d))
+    header, *lines = planner_to_csv(log).splitlines()
+    assert header == (
+        "t_s,candidate,n_candidates,align,avoid,tran,total,failsafe,"
+        "course_change_rad,sog_change_mps"
+    )
+    assert lines == [f"{t:.12g},-1,0,nan,nan,nan,nan,1,0,0" for t in np.arange(6) * 5.0]
 
 
 def test_run_two_obstacles():
