@@ -8,23 +8,21 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfg_mod
 from . import scenarios, sim
 from .config import ConfigError
-from .core import TimeGrid, VelocityTrajectory
 from .objective import penalty_field
-from .obstacles import NOISE_PRESETS, observe
+from .obstacles import NOISE_PRESETS
 
 
-def _add_config_args(p: argparse.ArgumentParser, out_required: bool):
+def _add_config_args(p: argparse.ArgumentParser, with_out: bool):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", type=Path, help="scenario config JSON path")
     src.add_argument(
         "--scenario", choices=scenarios.SCENARIO_NAMES, help="shipped scenario name"
     )
-    p.add_argument("--out", type=Path, required=out_required, help="output directory")
+    if with_out:
+        p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument(
         "--noise", choices=sorted(NOISE_PRESETS), default=None,
@@ -87,6 +85,7 @@ def write_outputs(out: Path, log: sim.RunLog, metrics: sim.Metrics):
 
 def cmd_run(args) -> int:
     config = _load_config(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     log, metrics = sim.run(config)
     write_outputs(args.out, log, metrics)
     summary = _summary_text(config, log, metrics)
@@ -96,22 +95,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args)
-    state = config.ownship
-    rng = np.random.default_rng(config.seed)
-    estimates = [observe(s, config.noise, 0.0, rng) for s in config.obstacles]
-    commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
-        state.sog, state.course,
-    )
-    candidates, table = sim.plan_step(
-        config, 0.0, state, commanded, config.vessel.damping(state.sog, state.rot), estimates
-    )
+    solve = sim.first_solve(_load_config(args))
+    table = solve.table
     if table is None:
         print("fail-safe: no feasible candidates, holding previous desired velocity")
         return 0
     print(f"{'id':>4} {'align':>14} {'avoid':>14} {'tran':>6} {'total':>16} {'samples'}")
-    for i, path in enumerate(candidates.sample_path.tolist()):
+    for i, path in enumerate(solve.candidates.sample_path.tolist()):
         mark = " *" if i == table.selected else ""
         print(
             f"{i:>4} {table.align[i]:>14.4f} {table.avoid[i]:>14.4f} "
@@ -123,10 +113,9 @@ def cmd_solve(args) -> int:
 
 def cmd_raster(args) -> int:
     config = _load_config(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     x, y, value = penalty_field(config.geometry, args.course, args.half_extent, args.cell)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "penalty_field.csv"
+    path = args.out / "penalty_field.csv"
     with path.open("w") as fh:
         fh.write("x_m,y_m,value\n")
         for xi, yi, vi in zip(x, y, value):
@@ -149,31 +138,28 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a scenario and write logs/metrics")
-    _add_config_args(p_run, out_required=True)
+    _add_config_args(p_run, with_out=True)
     p_run.set_defaults(func=cmd_run)
 
     p_solve = sub.add_parser("solve", help="single planner solve with a cost table")
-    _add_config_args(p_solve, out_required=False)
+    _add_config_args(p_solve, with_out=False)
     p_solve.set_defaults(func=cmd_solve)
 
     p_raster = sub.add_parser("raster", help="rasterize the penalty field to CSV")
-    _add_config_args(p_raster, out_required=True)
+    _add_config_args(p_raster, with_out=True)
     p_raster.add_argument("--course", type=float, default=0.0, help="obstacle course [rad]")
     p_raster.add_argument("--half-extent", type=_positive_float, default=400.0, help="half size [m]")
     p_raster.add_argument("--cell", type=_positive_float, default=5.0, help="cell size [m]")
     p_raster.set_defaults(func=cmd_raster)
 
     p_val = sub.add_parser("validate", help="check a scenario config")
-    _add_config_args(p_val, out_required=False)
+    _add_config_args(p_val, with_out=False)
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

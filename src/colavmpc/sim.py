@@ -34,10 +34,9 @@ OBSERVABLE_COURSE = math.radians(15.0)
 OBSERVABLE_SOG = 1.0
 
 
-def _out(name: str, dtype=None):
-    """A log field written to the outputs under name. dtype is the type
-    of its array where sim.run builds it from the loop's rows."""
-    return field(metadata={"out": name, "dtype": dtype})
+def _out(name: str):
+    """A log field written to the outputs under name."""
+    return field(metadata={"out": name})
 
 
 def _outputs(record) -> list[tuple[str, object]]:
@@ -68,16 +67,44 @@ class ObstacleSeries:
 class PlannerSeries:
     """One row per planner call, as planner.csv writes it."""
 
-    t: np.ndarray = _out("t_s", float)
-    candidate: np.ndarray = _out("candidate", int)
-    n_candidates: np.ndarray = _out("n_candidates", int)
-    align: np.ndarray = _out("align", float)
-    avoid: np.ndarray = _out("avoid", float)
-    tran: np.ndarray = _out("tran", float)
-    total: np.ndarray = _out("total", float)
-    failsafe: np.ndarray = _out("failsafe", bool)
-    course_change: np.ndarray = _out("course_change_rad", float)
-    sog_change: np.ndarray = _out("sog_change_mps", float)
+    t: np.ndarray = _out("t_s")
+    candidate: np.ndarray = _out("candidate")
+    n_candidates: np.ndarray = _out("n_candidates")
+    align: np.ndarray = _out("align")
+    avoid: np.ndarray = _out("avoid")
+    tran: np.ndarray = _out("tran")
+    total: np.ndarray = _out("total")
+    failsafe: np.ndarray = _out("failsafe")
+    course_change: np.ndarray = _out("course_change_rad")
+    sog_change: np.ndarray = _out("sog_change_mps")
+
+
+@dataclass(frozen=True)
+class Solve:
+    """One planner call at time t; table is None on a fail-safe hold."""
+
+    t: float
+    candidates: CandidateSet
+    table: CostTable | None
+
+    @property
+    def selected(self) -> int:
+        return -1 if self.table is None else self.table.selected
+
+    def row(self) -> dict:
+        """This call's planner.csv row, by PlannerSeries field."""
+        k, table = self.selected, self.table
+        if table is None:  # no costs, no change
+            return dict(
+                t=self.t, candidate=-1, n_candidates=0, align=math.nan, avoid=math.nan,
+                tran=math.nan, total=math.nan, failsafe=True, course_change=0.0, sog_change=0.0,
+            )
+        sog, course = self.candidates.first_sog[k], self.candidates.first_course[k]
+        return dict(
+            t=self.t, candidate=k, n_candidates=len(self.candidates), align=table.align[k],
+            avoid=table.avoid[k], tran=table.tran[k], total=table.total[k], failsafe=False,
+            course_change=abs(course[-1] - course[0]), sog_change=sog[-1] - sog[0],
+        )
 
 
 @dataclass
@@ -182,7 +209,7 @@ def plan_step(
     commanded: VelocityTrajectory,
     tau,
     estimates: list[ObstacleEstimate],
-) -> tuple[CandidateSet, CostTable | None]:
+) -> Solve:
     """One planner call at time t, against the config's desired trajectory.
 
     Grows the tree from the vessel state (north, east, course, sog, rot)
@@ -192,8 +219,7 @@ def plan_step(
     constant-velocity predictions of the obstacle estimates, charging
     the transitional cost against the commanded reference over the
     first maneuver, which holds past its end (VelocityTrajectory.window).
-    The winner is table.selected; table is None when no maneuver is
-    feasible (the fail-safe hold).
+    The table is None when no maneuver is feasible (the fail-safe hold).
     """
     model = config.vessel
     dt = config.integration_dt
@@ -207,7 +233,7 @@ def plan_step(
         config.tree, model, state, t, (sog0, course0), model.saturate(tau), hook, dt, config.eval_dt
     )
     if not candidates:
-        return candidates, None
+        return Solve(t, candidates, None)
     predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
     first_grid = candidates.first_grid
     previous_first = VelocityTrajectory(
@@ -217,7 +243,27 @@ def plan_step(
         candidates, config.desired, predictions, config.geometry, config.weights,
         previous_first,
     )
-    return candidates, table
+    return Solve(t, candidates, table)
+
+
+def _start(config: ScenarioConfig):
+    """run's start: the ownship at its steady actuator input, the hold
+    reference over one planner period, and the tracker, seeded once."""
+    state = config.ownship
+    tau = config.vessel.damping(state.sog, state.rot)
+    grid = TimeGrid.from_span(0.0, config.planner_period, config.integration_dt)
+    rng = np.random.default_rng(config.seed)
+
+    def track(t: float) -> list[ObstacleEstimate]:
+        return [observe(s, config.noise, t, rng) for s in config.obstacles]
+
+    return state, tau, VelocityTrajectory.constant(grid, state.sog, state.course), track
+
+
+def first_solve(config: ScenarioConfig) -> Solve:
+    """run's first planner call, at t = 0."""
+    state, tau, commanded, track = _start(config)
+    return plan_step(config, 0.0, state, commanded, tau, track(0.0))
 
 
 def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
@@ -234,59 +280,37 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
-    rng = np.random.default_rng(config.seed)
-
-    state = config.ownship
-    tau = model.damping(state.sog, state.rot)
+    state, tau, commanded, track = _start(config)
     integral = (0.0, 0.0)
-    commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.planner_period, dt), state.sog, state.course
-    )
-    selected_id = -1
     next_obs_t = 0.0
 
     n_rows = n_steps + 1
     ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
     ref = np.zeros((len(ref_names), n_rows))
-    selected_col = np.zeros(n_rows, dtype=int)
     # the tracker's updates: the step of each and its estimates; a step
     # logs the last update at or before it
     update_steps, update_estimates = [], []
     plant_names = [f"own_{name}" for name in VesselState._fields] + ["tau_m", "tau_delta"]
     plant_rows = array("d")  # every step's plant state and command, flat
-    planner_rows = []
+    planner_rows = []  # rows, not Solves: each holds its CandidateSet
 
     for step_idx in range(n_rows):
         t = step_idx * dt
 
         while t >= next_obs_t - 1e-9:
             update_steps.append(step_idx)
-            update_estimates.append([observe(s, config.noise, t, rng) for s in config.obstacles])
+            update_estimates.append(track(t))
             next_obs_t += config.noise.period
 
         if step_idx % planner_every == 0 and step_idx < n_steps:
-            candidates, table = plan_step(config, t, state, commanded, tau, update_estimates[-1])
-            if table is None:  # hold the committed reference
-                selected_id = -1
-                planner_rows.append(dict(
-                    t=t, candidate=-1, n_candidates=0, align=math.nan, avoid=math.nan,
-                    tran=math.nan, total=math.nan, failsafe=True, course_change=0.0, sog_change=0.0,
-                ))
-            else:
-                k = selected_id = table.selected
-                commanded = candidates.trajectory(k)
-                first_sog, first_course = candidates.first_sog[k], candidates.first_course[k]
-                planner_rows.append(dict(
-                    t=t, candidate=k, n_candidates=len(candidates), align=table.align[k],
-                    avoid=table.avoid[k], tran=table.tran[k], total=table.total[k], failsafe=False,
-                    course_change=abs(first_course[-1] - first_course[0]),
-                    sog_change=first_sog[-1] - first_sog[0],
-                ))
+            solve = plan_step(config, t, state, commanded, tau, update_estimates[-1])
+            planner_rows.append(solve.row())
+            if solve.table is not None:  # a hold keeps the committed reference
+                commanded = solve.candidates.trajectory(solve.selected)
 
         if step_idx % planner_every == 0:
             start, stop = step_idx, min(step_idx + planner_every, n_rows)
             ref[:, start:stop] = commanded.window(t, stop - start)
-            selected_col[start:stop] = selected_id
             period_ref = ref[:, start:stop].T.tolist()
 
         if step_idx == n_steps:  # the last row holds the last command
@@ -297,8 +321,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         state = step_plant(model, state, tau, dt)
 
     planner = PlannerSeries(**{
-        f.name: np.array([row[f.name] for row in planner_rows], dtype=f.metadata["dtype"])
-        for f in fields(PlannerSeries)
+        f.name: np.array([row[f.name] for row in planner_rows]) for f in fields(PlannerSeries)
     })
     t = dt * np.arange(n_rows)
     held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
@@ -313,7 +336,8 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         t=t,
         **dict(zip(plant_names, np.frombuffer(plant_rows).reshape(n_rows, len(plant_names)).T)),
         **{f"ref_{name}": channel for name, channel in zip(ref_names, ref)},
-        selected=selected_col,
+        # each step logs the winner of the last call at or before it
+        selected=planner.candidate[np.minimum(np.arange(n_rows) // planner_every, len(planner.t) - 1)],
         obstacles=obstacles,
         planner=planner,
     )

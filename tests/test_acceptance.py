@@ -21,9 +21,8 @@ from colavmpc.objective import (
     region_radius,
     select,
 )
-from colavmpc.obstacles import observe
 from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
-from colavmpc.sim import classify_situation, plan_step, run, runlog_to_csv
+from colavmpc.sim import classify_situation, first_solve, run, runlog_to_csv
 from colavmpc.tree import CandidateSet
 
 GEOM_T2 = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
@@ -194,18 +193,10 @@ def test_c04_table_spot_values():
 
 def test_c05_tree_shape_and_solve_time():
     cfg = scenarios.build_scenario("head_on")
-    state = cfg.ownship
-    tau = cfg.vessel.damping(state.sog, state.rot)
-    commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, cfg.planner_period, cfg.integration_dt), 5.0, 0.0
-    )
-
-    rng = np.random.default_rng(0)
-    estimates = [observe(s, cfg.noise, 0.0, rng) for s in cfg.obstacles]
-
     t_start = time.perf_counter()
-    cands, table = plan_step(cfg, 0.0, state, commanded, tau, estimates)
+    solve = first_solve(cfg)
     elapsed = time.perf_counter() - t_start
+    cands, table = solve.candidates, solve.table
 
     shapes_ok = (
         table is not None

@@ -321,6 +321,35 @@ def test_seed_flag_rejects_non_seeds(value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "raster"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_unusable_out_fails_before_any_work(command, below, tmp_path, monkeypatch, capsys):
+    # an existing file as --out, or a path below one, is reported as an
+    # error before the simulation or the field is computed
+    from colavmpc import cli, sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(sim, "run", refuse)
+    monkeypatch.setattr(cli, "penalty_field", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    assert main([command, "--scenario", "head_on", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_solve_and_validate_take_no_out(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "head_on", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/path.json"]) == 1
     assert "error" in capsys.readouterr().err

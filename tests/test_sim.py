@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,12 +17,15 @@ from colavmpc.sim import (
     _outputs,
     classify_situation,
     compute_metrics,
+    first_solve,
     plan_step,
     planner_to_csv,
     run,
     runlog_to_csv,
 )
+from golden.make_golden import GOLDEN
 
+GOLDEN_CASES = sorted(json.loads((GOLDEN / "digests.json").read_text()))
 GEOM = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
 
 
@@ -212,14 +217,18 @@ def test_run_deterministic_with_noise():
     assert runlog_to_csv(log1) == runlog_to_csv(log2)
 
 
-def test_run_failsafe_holds_and_completes():
-    # desired velocity far above the envelope: every solve is infeasible,
-    # the planner holds the initial reference and logs the failsafe
+def _failsafe_config():
+    # desired velocity far above the envelope: every solve is infeasible
     d = scenarios.build_config_dict("head_on")
     d["ownship"]["sog"] = 25.0
     d["obstacles"] = []
     d["duration"] = 30.0
-    log, metrics = run(cfgm.from_dict(d))
+    return cfgm.from_dict(d)
+
+
+def test_run_failsafe_holds_and_completes():
+    # the planner holds the initial reference and logs the failsafe
+    log, metrics = run(_failsafe_config())
     assert metrics.failsafe_count == metrics.planner_calls > 0
     assert np.all(log.selected == -1)
     assert np.all(log.ref_sog == 25.0)  # held reference
@@ -227,17 +236,40 @@ def test_run_failsafe_holds_and_completes():
 
 def test_failsafe_planner_rows_bytes():
     # no golden case holds; pin the bytes of a fail-safe planner.csv row
-    d = scenarios.build_config_dict("head_on")
-    d["ownship"]["sog"] = 25.0
-    d["obstacles"] = []
-    d["duration"] = 30.0
-    log, _ = run(cfgm.from_dict(d))
+    log, _ = run(_failsafe_config())
     header, *lines = planner_to_csv(log).splitlines()
     assert header == (
         "t_s,candidate,n_candidates,align,avoid,tran,total,failsafe,"
         "course_change_rad,sog_change_mps"
     )
     assert lines == [f"{t:.12g},-1,0,nan,nan,nan,nan,1,0,0" for t in np.arange(6) * 5.0]
+
+
+def _golden_config(case):
+    path = GOLDEN / case / "config.json"
+    if path.is_file():
+        return cfgm.load(path)
+    scenario, noise = case.rsplit("-", 1)
+    return scenarios.build_scenario(scenario, seed=0, noise=noise)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_first_solve_is_runs_first_call(case):
+    # one planner period, so run makes exactly the one call
+    config = _golden_config(case)
+    config = dataclasses.replace(config, duration=config.planner_period)
+    log, _ = run(config)
+    assert len(log.planner.t) == 1
+    row = first_solve(config).row()
+    assert row.keys() == {f.name for f in dataclasses.fields(PlannerSeries)}
+    for name, value in row.items():
+        assert value == getattr(log.planner, name)[0], name
+
+
+def test_first_solve_holds_when_nothing_is_feasible():
+    solve = first_solve(_failsafe_config())
+    assert solve.table is None and solve.selected == -1
+    assert solve.row()["failsafe"]
 
 
 def test_run_two_obstacles():
@@ -353,7 +385,8 @@ def test_plan_step_plans_on_its_own_clock():
     )
     rng = np.random.default_rng(0)
     estimates = [observe(s, config.noise, t, rng) for s in config.obstacles]
-    candidates, table = plan_step(config, t, state, commanded, tau, estimates)
+    solve = plan_step(config, t, state, commanded, tau, estimates)
+    candidates, table = solve.candidates, solve.table
     assert table is not None
     assert candidates.grid == TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
     assert candidates.grid.t0 == t and candidates.first_grid.t0 == t
@@ -464,21 +497,10 @@ def _reject_from_call(monkeypatch, first_rejected):
 
 
 def test_plan_step_holds_when_a_level_below_the_root_empties(monkeypatch):
-    config = scenarios.build_scenario("head_on")
-    state = config.ownship
-    from colavmpc.obstacles import observe
-
-    commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, config.planner_period, config.integration_dt),
-        state.sog, state.course,
-    )
-    estimates = [observe(s, config.noise, 0.0, np.random.default_rng(0)) for s in config.obstacles]
     _reject_from_call(monkeypatch, 2)
-    candidates, table = plan_step(
-        config, 0.0, state, commanded, config.vessel.damping(state.sog, state.rot), estimates
-    )
-    assert table is None
-    assert not candidates
+    solve = first_solve(scenarios.build_scenario("head_on"))
+    assert solve.table is None
+    assert not solve.candidates
 
 
 def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
@@ -506,8 +528,8 @@ def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
 
     assert metrics.planner_calls == 14
     assert list(log.planner.failsafe) == [False] + [True] * 13
-    assert all(table is None and not cands for cands, table in plans[1:])
-    candidates, table = plans[0]
+    assert all(plan.table is None and not plan.candidates for plan in plans[1:])
+    candidates, table = plans[0].candidates, plans[0].table
     winner = candidates.trajectory(table.selected)
     assert np.all(log.selected[:50] == table.selected) and np.all(log.selected[50:] == -1)
     n = winner.grid.n
@@ -546,11 +568,11 @@ def test_run_recovers_after_a_failsafe_streak_past_the_horizon(monkeypatch):
     log, _ = run(cfgm.from_dict(d))
 
     assert list(log.planner.failsafe) == [False] + [True] * 13 + [False] * 2
-    first, first_table = plans[0]
+    first, first_table = plans[0].candidates, plans[0].table
     winner = first.trajectory(first_table.selected)
     held = (winner.sog[-1], winner.course[-1])
     # the first new winner starts from the held sog and course
-    recovered, table = plans[14]
+    recovered, table = plans[14].candidates, plans[14].table
     assert recovered.desired0 == held
     new = recovered.trajectory(table.selected)
     assert (new.sog[0], new.course[0]) == held
