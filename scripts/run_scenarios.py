@@ -3,10 +3,13 @@
 
 Usage: python scripts/run_scenarios.py [--noise {none,ais,radar}] [--seed N] [--out DIR]
 
-With --out, per-scenario logs/metrics land in DIR/<scenario>/.
+With --out, per-scenario logs/metrics land in DIR/<scenario>/. DIR is
+created before the first scenario runs; if it cannot be (or a file cannot
+be written), the script prints one "error: ..." line and exits 1.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -15,13 +18,23 @@ from colavmpc.cli import _seed, write_outputs
 from colavmpc.obstacles import NOISE_PRESETS
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--noise", choices=sorted(NOISE_PRESETS), default="none")
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
+    try:
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+        run_all(args.noise, args.seed, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def run_all(noise: str, seed: int, out: Path | None):
     header = (
         f"{'scenario':<20} {'situation':<18} {'compliance':<20} "
         f"{'min dist [m]':>12} {'switches':>9} {'wall [s]':>9}"
@@ -29,7 +42,7 @@ def main():
     print(header)
     print("-" * len(header))
     for name in scenarios.SCENARIO_NAMES:
-        cfg = scenarios.build_scenario(name, seed=args.seed, noise=args.noise)
+        cfg = scenarios.build_scenario(name, seed=seed, noise=noise)
         t0 = time.perf_counter()
         log, metrics = sim.run(cfg)
         wall = time.perf_counter() - t0
@@ -38,9 +51,9 @@ def main():
             f"{name:<20} {m.situation:<18} {m.compliance:<20} "
             f"{m.min_distance:>12.1f} {metrics.switch_count:>9d} {wall:>9.1f}"
         )
-        if args.out is not None:
-            write_outputs(args.out / name, log, metrics)
+        if out is not None:
+            write_outputs(out / name, log, metrics)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

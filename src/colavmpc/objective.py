@@ -276,54 +276,65 @@ def select(
         raise ValueError("empty candidate set")
     grid = candidates.grid
     times = grid.times()
-    cand_n, cand_e, cand_chi = candidates.pred_north, candidates.pred_east, candidates.pred_course
-
-    ref_n, ref_e = dtraj.position(times)
+    ref = np.array(dtraj.position(times))
     ref_chi = dtraj.course(times)
-    dist, err_e = cand_n - ref_n, cand_e - ref_e
-    dist *= dist
-    dist += np.square(err_e, out=err_e)
-    align_err = np.sqrt(dist, out=dist)
-    err_chi = np.abs(wrap_angle(cand_chi - ref_chi))
-    err_chi *= weights.w_course
-    align_err += err_chi
-    align = _trapz(align_err, grid.dt)
-
-    # The penalty is evaluated only inside the margin region, and is
-    # exactly 0 elsewhere. The region is culled on the columns whose
-    # candidate box comes within reach (widened by 1e-12 relative), by
-    # penalty's own region test. Each kept value is summed into its
-    # candidate's avoid with its trapezoid weight, dt and dt/2 on the
-    # grid's first and last column.
-    avoid = np.zeros(len(candidates))
+    # Each edge is scored once, on the columns its level owns, with its
+    # trapezoid weight: dt, or dt/2 on the grid's first and last column.
+    # A leaf's align and avoid are the sums of its ancestors' edge costs.
     step = np.full(grid.n, grid.dt)
     step[[0, -1]] = grid.dt / 2.0
-    lo_n, hi_n, lo_e, hi_e = cand_n.min(axis=0), cand_n.max(axis=0), cand_e.min(axis=0), cand_e.max(axis=0)
     fore, aft, starboard, port = geom.semi_axes(2)
+    # per level: its columns, first edge id (among all levels' edges) and
+    # (north, east); its edges' align, and their (north, east) box per column
+    levels, edge_align, boxes, n_edges, cols = [], [], [], 0, slice(0, 0)
+    for position, course in candidates.edges:
+        cols = slice(cols.stop, cols.stop + course.shape[1])
+        levels.append((cols, n_edges, position))
+        n_edges += len(course)
+        err = position - ref[:, None, cols]
+        err *= err
+        align_err = np.sqrt(np.add(*err, out=err[0]), out=err[0])
+        err_chi = np.abs(wrap_angle(course - ref_chi[cols]))
+        err_chi *= weights.w_course
+        align_err += err_chi
+        edge_align.append(align_err @ step[cols])
+        boxes.append((position.min(axis=1), position.max(axis=1)))
+    lo, hi = np.concatenate(boxes, axis=-1)
+    # The penalty is evaluated only inside the margin region, and is exactly
+    # 0 elsewhere. Each level's edges are culled on the level's columns whose
+    # box comes within reach (widened by 1e-12 relative), by penalty's own
+    # region test; one penalty call scores every obstacle's and level's kept points.
+    hits = []  # per window: its kept points' edge ids, x, y and trapezoid weights
     for obs in obstacles:
         if obs.grid != grid:
             raise ValueError(f"prediction grid {obs.grid} is not the evaluation grid {grid}")
-        gap_n = np.maximum(np.maximum(lo_n - obs.north, obs.north - hi_n), 0.0)
-        gap_e = np.maximum(np.maximum(lo_e - obs.east, obs.east - hi_e), 0.0)
-        near = np.flatnonzero(np.hypot(gap_n, gap_e) < geom.reach * (1.0 + 1e-12))
-        if not near.size:
-            penalty(geom, np.zeros(0), np.zeros(0))
-            continue
-        cols = slice(near[0], near[-1] + 1)
-        off_n, off_e = cand_n[:, cols] - obs.north[cols], cand_e[:, cols] - obs.east[cols]
-        # In place on the window: x ahead and y to starboard of the obstacle,
-        # then penalty's margin test, (x/A)^2 + (y/B)^2 < 1, with its operations.
+        track = np.array([obs.north, obs.east])
+        gap = np.maximum(np.maximum(lo - track, track - hi), 0.0)
+        in_reach = np.hypot(*gap) < geom.reach * (1.0 + 1e-12)
         cos_c, sin_c = math.cos(obs.course), math.sin(obs.course)
-        x, y, tmp = off_n * cos_c, off_e * cos_c, off_e * sin_c
-        x += tmp
-        y -= np.multiply(off_n, sin_c, out=tmp)
-        q = _quarter_sq(x, fore, aft, out=off_n, tmp=off_e)
-        q += _quarter_sq(y, starboard, port, out=tmp, tmp=off_e)
-        kept = np.flatnonzero(q < 1.0)
-        values = penalty(geom, x.ravel()[kept], y.ravel()[kept])
-        if kept.size:
-            rows, col = np.divmod(kept, x.shape[1])
-            avoid += np.bincount(rows, values * step[cols][col], minlength=len(candidates))
+        for cols, first, position in levels:
+            near = np.flatnonzero(in_reach[cols])
+            if not near.size:
+                continue
+            win = slice(near[0], near[-1] + 1)
+            off_n, off_e = position[..., win] - track[:, None, cols][..., win]
+            # In place on the window: x ahead and y to starboard of the obstacle,
+            # then penalty's margin test, (x/A)^2 + (y/B)^2 < 1, with its operations.
+            x, y, tmp = off_n * cos_c, off_e * cos_c, off_e * sin_c
+            x += tmp
+            y -= np.multiply(off_n, sin_c, out=tmp)
+            q = _quarter_sq(x, fore, aft, out=off_n, tmp=off_e)
+            q += _quarter_sq(y, starboard, port, out=tmp, tmp=off_e)
+            kept = np.flatnonzero(q < 1.0)
+            if kept.size:
+                rows, col = np.divmod(kept, q.shape[1])
+                hits.append((first + rows, x.ravel()[kept], y.ravel()[kept], step[cols][win][col]))
+    edge_avoid = np.zeros(n_edges)
+    if hits:
+        ids, x, y, weight = (np.concatenate(part) for part in zip(*hits))
+        edge_avoid = np.bincount(ids, penalty(geom, x, y) * weight, minlength=n_edges)
+    align = sum(cost[rows] for cost, rows in zip(edge_align, candidates.ancestors))
+    avoid = sum(edge_avoid[first + rows] for (_, first, _), rows in zip(levels, candidates.ancestors))
 
     if previous_first is None:
         tran = np.zeros(len(candidates))

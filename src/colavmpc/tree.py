@@ -2,8 +2,8 @@
 
 Chains single-step maneuver generation into candidate trajectories of B
 maneuvers. Nodes carry vessel states, edges carry sub-trajectories;
-every root-to-leaf path becomes one row of a struct-of-arrays
-CandidateSet on the evaluation grid. Desired channels integrate from
+every root-to-leaf path becomes one candidate of a CandidateSet, whose
+edges sit once each on the evaluation grid. Desired channels integrate from
 the parent edge's terminal desired values (so the commanded reference
 stays continuous), while prediction feedback re-seeds from the parent
 edge's terminal predicted state.
@@ -12,8 +12,8 @@ Expansion is vectorized per level: with the acceleration profiles fixed
 per level, every channel is an affine function of the sampled
 acceleration, so all of a level's (node, sample) edges broadcast
 straight onto the evaluation grid, where the prediction integrates.
-Each level keeps its edges' parents and predictions; the leaf rows are
-gathered last, and one candidate's dt-grid reference is rebuilt on demand.
+Each level keeps its edges' parents and predictions, each leaf its
+ancestor edges; one candidate's dt-grid reference is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -76,29 +76,44 @@ class Level:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Every root-to-leaf path of one tree, one row per leaf.
+    """Every root-to-leaf path of one tree, one candidate per leaf.
 
-    grid is the evaluation grid. pred_north, pred_east and pred_course,
-    (n_leaves, grid.n), are the feedback-corrected prediction on it;
-    first_sog and first_course, (n_leaves, first_grid.n), the desired
-    reference over the first maneuver. sample_path[leaf, level] is the
-    (sog, rot) sample index the path takes at that level and
-    accelerations[leaf, level] the sampled (sog, rot) accelerations.
+    grid is the evaluation grid. edges[k] is level k's edges' feedback-
+    corrected prediction, (north, east) as one (2, n_edges, width) array
+    and course (n_edges, width), on the grid columns the level owns: all
+    of its own but the last, which the next level's first overrides, and
+    all of the last level's. ancestors[k], (n_leaves,), is each leaf's
+    edge index at level k. first_sog and first_course, (n_leaves,
+    first_grid.n), are the desired reference over the first maneuver.
+    sample_path[leaf, level] is the (sog, rot) sample index the path
+    takes at that level and accelerations[leaf, level] the sampled (sog,
+    rot) accelerations.
     levels and desired0, the root's desired (sog, course), rebuild one
     candidate's reference on the integration grid. A tree with no
     feasible level-0 maneuver has no leaves and is falsy.
     """
 
     grid: TimeGrid
-    pred_north: np.ndarray
-    pred_east: np.ndarray
-    pred_course: np.ndarray
+    edges: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ancestors: tuple[np.ndarray, ...]
     first_sog: np.ndarray
     first_course: np.ndarray
     sample_path: np.ndarray
     accelerations: np.ndarray
     levels: tuple[Level, ...]
     desired0: tuple[float, float]
+
+    def __post_init__(self):
+        owned = [course.shape[1] for _, course in self.edges]
+        if sum(owned) != self.grid.n:
+            raise ValueError(f"the levels own {owned} columns, which do not add up to grid.n {self.grid.n}")
+        if len(self.ancestors) != len(self.edges):
+            raise ValueError(f"{len(self.edges)} levels of edges but {len(self.ancestors)} ancestors entries")
+        for k, ((_, course), rows) in enumerate(zip(self.edges, self.ancestors)):
+            if len(rows) != len(self.sample_path):
+                raise ValueError(f"ancestors[{k}] has {len(rows)} rows for {len(self.sample_path)} leaves")
+            if len(rows) and not 0 <= rows.min() <= rows.max() < len(course):
+                raise ValueError(f"ancestors[{k}] indexes outside level {k}'s {len(course)} edges")
 
     def __len__(self) -> int:
         return len(self.sample_path)
@@ -174,9 +189,8 @@ def generate_tree(
     u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
     position = np.array([[float(north0)], [float(east0)]])
     # per level: each edge's parent node, (sog, rot) sample indices and
-    # accelerations, and its prediction on the evaluation grid
-    parents, kept = [], []
-
+    # accelerations, and its prediction on the columns the level owns
+    parents, kept, edges = [], [], []
     for level_idx, level in enumerate(levels):
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
@@ -212,7 +226,9 @@ def generate_tree(
         if level_idx == 0:
             first_sog, first_course = sog, course
         parents.append(node)
-        kept.append((i_sog, i_rot, a_u, a_r, track, course_bar))
+        kept.append((i_sog, i_rot, a_u, a_r))
+        width = None if level_idx == len(levels) - 1 else -1
+        edges.append((track[..., :width], course_bar[:, :width]))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]
@@ -221,23 +237,15 @@ def generate_tree(
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
-    # the leaf rows level by level; at a shared boundary the later level wins, as in _join
-    pred = np.empty((3, len(ancestors[0]), grid.n))
     sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
     accelerations = np.empty(sample_path.shape)
-    col = 0
-    for k, (rows, (i_sog, i_rot, a_u, a_r, track, course_k)) in enumerate(zip(ancestors, kept)):
-        cols = slice(col, col + course_k.shape[1])
-        pred[:2, :, cols] = track[:, rows]
-        pred[2, :, cols] = course_k[rows]
-        col = cols.stop - 1
+    for k, (rows, (i_sog, i_rot, a_u, a_r)) in enumerate(zip(ancestors, kept)):
         sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
         accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
     return CandidateSet(
         grid=grid,
-        pred_north=pred[0],
-        pred_east=pred[1],
-        pred_course=pred[2],
+        edges=tuple(edges),
+        ancestors=tuple(ancestors),
         first_sog=first_sog[ancestors[0]],
         first_course=first_course[ancestors[0]],
         sample_path=sample_path,

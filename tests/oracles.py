@@ -17,7 +17,9 @@ wraps angles with `np.mod` alone: the library skips `np.mod` where
 adding or subtracting 2*pi once is exact, and must give the same bits.
 `full_resolution_tree` grows the tree with the prediction integrated on
 the integration grid and then thinned to the evaluation grid, where the
-library integrates it on the evaluation grid directly.
+library integrates it on the evaluation grid directly. `leaf_rows`
+gathers each candidate's prediction over the whole grid from its
+ancestor edges, which the library scores one edge at a time.
 """
 
 import math
@@ -300,7 +302,7 @@ def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_h
     north0, east0, course0, sog0, rot0 = state
     u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
     position = np.array([[float(north0)], [float(east0)]])
-    parents, kept = [], []
+    parents, kept, edges = [], [], []
     for level_idx, level in enumerate(levels):
         node_sog = np.maximum(u_bar, 0.0)
         if level_idx == 0:
@@ -327,26 +329,33 @@ def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_h
         if level_idx == 0:
             first_sog, first_course = sog[:, ::stride], course[:, ::stride]
         parents.append(node)
-        kept.append((i_sog, i_rot, a_u, a_r, track[..., ::stride], course_bar[:, ::stride]))
+        kept.append((i_sog, i_rot, a_u, a_r))
+        track, course_bar = track[..., ::stride], course_bar[:, ::stride]
+        width = None if level_idx == len(levels) - 1 else -1
+        edges.append((track[..., :width], course_bar[:, :width]))
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
-    # the leaf rows level by level; at a shared boundary the later level wins
-    pred = np.empty((3, len(ancestors[0]), grid.n))
     sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
     accelerations = np.empty(sample_path.shape)
-    col = 0
-    for k, (rows, (i_sog, i_rot, a_u, a_r, track, course_k)) in enumerate(zip(ancestors, kept)):
-        cols = slice(col, col + course_k.shape[1])
-        pred[:2, :, cols] = track[:, rows]
-        pred[2, :, cols] = course_k[rows]
-        col = cols.stop - 1
+    for k, (rows, (i_sog, i_rot, a_u, a_r)) in enumerate(zip(ancestors, kept)):
         sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
         accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
     return CandidateSet(
-        grid, pred[0], pred[1], pred[2], first_sog[ancestors[0]], first_course[ancestors[0]],
+        grid, tuple(edges), tuple(ancestors), first_sog[ancestors[0]], first_course[ancestors[0]],
         sample_path, accelerations, tuple(levels), desired0,
     )
+
+
+def leaf_rows(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each candidate's predicted (north, east, course) over the whole
+    evaluation grid, (n_leaves, grid.n) each: its ancestors' edges, level
+    by level, joined on the columns each level owns."""
+    (north, east), course = (
+        np.concatenate([channel[..., rows, :] for channel, rows in zip(channels, cands.ancestors)], axis=-1)
+        for channels in zip(*cands.edges)
+    )
+    return north, east, course

@@ -354,7 +354,7 @@ def _random_instance(rng):
     }
     cand_set = CandidateSet(
         grid=grid,
-        pred_north=rows["north"], pred_east=rows["east"], pred_course=rows["course"],
+        edges=((np.array([rows["north"], rows["east"]]), rows["course"]),), ancestors=(np.arange(n_cand),),
         first_sog=rows["sog"], first_course=rows["ref_course"],
         sample_path=np.zeros((n_cand, 1, 2), dtype=int),
         accelerations=np.zeros((n_cand, 1, 2)), levels=(), desired0=(0.0, 0.0),

@@ -364,3 +364,25 @@ def test_run_scenarios_script_rejects_negative_seed(monkeypatch, capsys):
         run_scenarios.main()
     assert exc.value.code == 2
     assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_run_scenarios_script_rejects_unusable_out(below, tmp_path, monkeypatch, capsys):
+    # an existing file as --out, or a path below one, is one error line and
+    # exit 1 before the first scenario is simulated
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import run_scenarios
+    from colavmpc import sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario was simulated before --out was checked")
+
+    monkeypatch.setattr(sim, "run", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x" if below else blocker
+    monkeypatch.setattr("sys.argv", ["run_scenarios.py", "--out", str(out)])
+    assert run_scenarios.main() == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""

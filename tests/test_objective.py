@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import outer_penalty_at, penalty_at
-from colavmpc import objective
+from colavmpc import objective, scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, wrap_angle
 from colavmpc.guidance import DesiredTrajectory
 from colavmpc.objective import (
@@ -22,7 +22,9 @@ from colavmpc.objective import (
     relative_bearing,
     select,
 )
-from colavmpc.tree import CandidateSet
+from colavmpc.tree import CandidateSet, TreeParams, generate_tree
+from colavmpc.vessel import default_model
+from test_tree import _shipped_calls
 
 # Table-style defaults used across the suite
 GEOM_ELL = PenaltyGeometry.elliptical(a=(50.0, 150.0, 250.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
@@ -254,15 +256,14 @@ def _line(offset_e=0.0, course=0.0, sog=5.0):
 
 
 def _set(*cands) -> CandidateSet:
-    """Stack (pred_north, pred_east, pred_course, ref_sog, ref_course) rows;
-    scalars hold their value over the grid."""
+    """A one-level set, one edge per candidate, from (pred_north, pred_east,
+    pred_course, ref_sog, ref_course) rows; scalars hold their value over the grid."""
     def rows(k):
         arr = np.array([np.broadcast_to(c[k], (GRID.n,)) for c in cands], dtype=float)
         return arr.reshape(len(cands), GRID.n)
 
     return CandidateSet(
-        grid=GRID,
-        pred_north=rows(0), pred_east=rows(1), pred_course=rows(2),
+        grid=GRID, edges=((np.array([rows(0), rows(1)]), rows(2)),), ancestors=(np.arange(len(cands)),),
         first_sog=rows(3)[:, :N_FIRST], first_course=rows(4)[:, :N_FIRST],
         sample_path=np.zeros((len(cands), 1, 2), dtype=int),
         accelerations=np.zeros((len(cands), 1, 2)), levels=(), desired0=(0.0, 0.0),
@@ -414,8 +415,7 @@ def test_evaluate_costs_matches_scalar_terms():
     obs = _static_prediction(90.0, -20.0, course=0.4)
     prev = _vel_const(5.0, 0.02)
     table = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
-    for i in range(len(cands)):
-        north, east, course = cands.pred_north[i], cands.pred_east[i], cands.pred_course[i]
+    for north, east, course, i in zip(*oracles.leaf_rows(cands), range(len(cands))):
         assert _agrees(table.align[i], oracles.align_cost(GRID, north, east, course, LINE, WEIGHTS.w_course))
         assert _agrees(table.avoid[i], oracles.avoid_cost(GRID, north, east, [obs], GEOM_ELL))
     scores = oracles.tran_cost([_vel_const(5.0, c) for _, c in specs], prev)
@@ -450,14 +450,14 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
     for geom in (GEOM_ELL, GEOM_CIRC):
         through_reach = (geom.reach + 5.0 * (t - 10.0), 0.0, 0.0, 5.0, 0.0)
         cands = _set(through_reach, _line(0.0), _line(30.0, 0.05), _line(-45.0, -0.1))
-        assert np.hypot(cands.pred_north[0, 20], cands.pred_east[0, 20]) == geom.reach
+        pred_north, pred_east, _ = oracles.leaf_rows(cands)
+        assert np.hypot(pred_north[0, 20], pred_east[0, 20]) == geom.reach
         # northbound at 10 m/s from reach south of the candidates' box,
         # whose gap to the box is exactly reach at t = 0 only
         chasing = _track(-geom.reach + 10.0 * t, 0.0, 0.0)
-        assert cands.pred_north[:, 0].min() - chasing.north[0] == geom.reach
-        d_mid = np.hypot(cands.pred_north - midway.north, cands.pred_east - midway.east)
+        assert pred_north[:, 0].min() - chasing.north[0] == geom.reach
+        d_mid = np.hypot(pred_north - midway.north, pred_east - midway.east)
         assert np.all(d_mid[:, [0, -1]] >= geom.reach) and np.any(d_mid < geom.reach)
-        obstacles = [far, straddling, crossing, midway, chasing]
 
         # northeast at 8 m/s from ahead of the candidates, which fall
         # astern on its port quarter and drop out of its margin region
@@ -465,25 +465,33 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
         quarter = _track(60.0 + 8.0 * t * math.cos(0.3), 40.0 + 8.0 * t * math.sin(0.3), 0.3)
         obstacles = [far, straddling, crossing, midway, chasing, quarter]
 
+        # one penalty call per select, on the kept points of every obstacle
         calls.clear()
         table = _select(cands, obstacles, geom=geom)
-        assert len(calls) == len(obstacles)
-        assert calls[0].size == 0
-        assert all(np.all(d < geom.reach) for d in calls)
+        assert len(calls) == 1
+        assert np.all(calls[0] < geom.reach)
         assert np.all(table.avoid > 0.0)
-        for i in range(len(cands)):
-            north, east = cands.pred_north[i], cands.pred_east[i]
+        for north, east, i in zip(pred_north, pred_east, range(len(cands))):
             assert _agrees(table.avoid[i], oracles.avoid_cost(GRID, north, east, obstacles, geom))
+        kept = calls[0].size
+        # the points each obstacle scores, selected against it alone: one
+        # call when it keeps a point, none when it keeps none
+        scored = []
+        for o in obstacles:
+            calls.clear()
+            _select(cands, [o], geom=geom)
+            assert len(calls) == (o is not far)
+            scored.append(sum(d.size for d in calls))
+        assert scored[0] == 0 and sum(scored) == kept
         in_reach = [
-            np.count_nonzero(np.hypot(cands.pred_north - o.north, cands.pred_east - o.east) < geom.reach)
+            np.count_nonzero(np.hypot(pred_north - o.north, pred_east - o.east) < geom.reach)
             for o in obstacles
         ]
-        scored = [d.size for d in calls]
         if geom.kind == "circular":
             # the margin region is the disk of radius radii[2], which reach
             # widens by 1e-12 relative
             assert scored == [
-                np.count_nonzero(np.hypot(cands.pred_north - o.north, cands.pred_east - o.east) < geom.radii[2])
+                np.count_nonzero(np.hypot(pred_north - o.north, pred_east - o.east) < geom.radii[2])
                 for o in obstacles
             ]
         else:
@@ -491,7 +499,63 @@ def test_sparse_avoid_equals_dense_evaluation(monkeypatch):
 
         calls.clear()
         assert np.all(_select(cands, [far], geom=geom).avoid == 0.0)
-        assert len(calls) == 1
+        assert calls == []
+
+
+def _check_ancestor_sums(cands, dtraj, obstacles, geom, weights, prev):
+    """select's per-leaf costs, each the sum of the leaf's ancestor edges'
+    costs, agree with the dense oracles on the leaf's rows over the whole
+    grid, and its winner is the dense argmin."""
+    table = select(cands, dtraj, obstacles, geom, weights, prev)
+    rows = list(zip(*oracles.leaf_rows(cands)))
+    align = np.array([oracles.align_cost(cands.grid, n, e, c, dtraj, weights.w_course) for n, e, c in rows])
+    avoid = np.array([oracles.avoid_cost(cands.grid, n, e, obstacles, geom) for n, e, _ in rows])
+    zeros = np.zeros(cands.first_grid.n)
+    tran = oracles.tran_cost([
+        VelocityTrajectory(cands.first_grid, sog, zeros, course, zeros, zeros)
+        for sog, course in zip(cands.first_sog, cands.first_course)
+    ], prev)
+    total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
+    assert np.any(avoid > 0.0)
+    assert _agrees(table.align, align) and _agrees(table.avoid, avoid) and _agrees(table.total, total)
+    np.testing.assert_array_equal(table.tran, tran)
+    assert table.selected == int(total.argmin())
+
+
+def test_select_sums_ancestor_edges_on_an_uneven_tree():
+    # 10 m/s against a desired 17.5 m/s, 0.5 below u_max: level 0 drops its
+    # top speed sample, and the nodes of the faster level-0 edges drop
+    # their top level-1 speed sample, so they have 18 leaves and the others 27
+    model = default_model()
+    params = TreeParams((5.0, 10.0, 10.0), (3, 3, 1), (3, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
+    desired = (model.u_max - 0.5, 0.0)
+    tau0 = np.clip(model.damping(10.0, 0.0), model.tau_min, model.tau_max)
+    cands = generate_tree(params, model, (0.0, 0.0, 0.0, 10.0, 0.0), 0.0, desired, tau0, None, 0.1, 0.5)
+    assert cands.grid == GRID
+    np.testing.assert_array_equal(np.bincount(cands.ancestors[0]), [27, 27, 27, 18, 18, 18])
+    assert 2 not in cands.sample_path[cands.ancestors[0] >= 3, 1, 0]
+    t = GRID.times()
+    head_on = _track(400.0 - 5.0 * t, 20.0, math.pi)
+    crossing = _track(200.0, 150.0 - 8.0 * t, -math.pi / 2)
+    dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, desired[0])
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        _check_ancestor_sums(cands, dtraj, [head_on, crossing], geom, WEIGHTS, _vel_const(12.0, 0.05))
+
+
+def test_select_sums_ancestor_edges_on_the_shipped_tree(monkeypatch):
+    # every planner call of a shipped run, against an obstacle 300 m ahead
+    # of the ownship, 20 m to its side, closing at 5 m/s
+    config = scenarios.build_scenario("head_on", noise="radar")
+    for args in _shipped_calls(monkeypatch, "head_on", "radar"):
+        cands = generate_tree(*args)
+        north, east, course, _, _ = args[2]
+        t = cands.grid.times() - cands.grid.t0
+        ahead = ObstaclePrediction(
+            cands.grid, north + (300.0 - 5.0 * t) * math.cos(course) - 20.0 * math.sin(course),
+            east + (300.0 - 5.0 * t) * math.sin(course) + 20.0 * math.cos(course), course + math.pi,
+        )
+        prev = VelocityTrajectory.constant(cands.first_grid, *args[4])
+        _check_ancestor_sums(cands, config.desired, [ahead], config.geometry, config.weights, prev)
 
 
 def test_margin_axes():
@@ -565,8 +629,7 @@ def test_cull_equals_dense_avoid_on_random_geometries(geom, course, origin, velo
         rows.append((obs.north + r * np.cos(beta + course), obs.east + r * np.sin(beta + course), 0.0, 5.0, 0.0))
     cands = _set(*rows)
     table = _select(cands, [obs], geom=geom)
-    for i in range(len(cands)):
-        north, east = cands.pred_north[i], cands.pred_east[i]
+    for north, east, _, i in zip(*oracles.leaf_rows(cands), range(len(cands))):
         # a point on the collision boundary, where the penalty jumps by 1,
         # rounds to either side in either form: bracket with the oracle at
         # distances scaled by 1 -+ 1e-12, as the penalty falls with distance
@@ -592,8 +655,9 @@ def test_coincident_obstacle(monkeypatch):
     course = 2.5
     obs = _track(60.0 + 8.0 * (t - 12.0) * math.cos(course), 8.0 * (t - 12.0) * math.sin(course), course)
     cands = _set(_line())
-    assert np.hypot(cands.pred_north[0, 24] - obs.north[24], cands.pred_east[0, 24] - obs.east[24]) == 0.0
-    beta = relative_bearing(cands.pred_north[0, 24], cands.pred_east[0, 24], obs.north[24], obs.east[24], course)
+    (north,), (east,), _ = oracles.leaf_rows(cands)
+    assert np.hypot(north[24] - obs.north[24], east[24] - obs.east[24]) == 0.0
+    beta = relative_bearing(north[24], east[24], obs.north[24], obs.east[24], course)
     assert beta == wrap_angle(-course)
 
     at_zero = []
@@ -608,7 +672,7 @@ def test_coincident_obstacle(monkeypatch):
         at_zero.clear()
         table = _select(cands, [obs], geom=geom)
         assert np.all(np.isfinite(table.avoid))
-        assert _agrees(table.avoid[0], oracles.avoid_cost(GRID, cands.pred_north[0], cands.pred_east[0], [obs], geom))
+        assert _agrees(table.avoid[0], oracles.avoid_cost(GRID, north, east, [obs], geom))
         assert at_zero == [core]
         assert penalty_at(geom, 0.0, beta) == core
 

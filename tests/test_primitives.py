@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from colavmpc.core import TimeGrid, VesselState, cumtrapz
 from colavmpc.primitives import (
     TreeParams,
@@ -293,12 +294,13 @@ def test_acceleration_slew_bounded_by_ramp_slope(kr, extra_u, extra_c, a_u, a_r)
 def test_predict_zero_error_passthrough():
     # the vessel is on its reference: the prediction is the reference
     cands = _one_level(5.0, 5, 5, sog=5.0, course=0.1)
-    np.testing.assert_array_equal(cands.pred_course, cands.first_course)
+    pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
+    np.testing.assert_array_equal(pred_course, cands.first_course)
     dt = cands.grid.dt
     north = cumtrapz(cands.first_sog * np.cos(cands.first_course), dt)
     east = cumtrapz(cands.first_sog * np.sin(cands.first_course), dt)
-    np.testing.assert_allclose(cands.pred_north, north, atol=1e-12)
-    np.testing.assert_allclose(cands.pred_east, east, atol=1e-12)
+    np.testing.assert_allclose(pred_north, north, atol=1e-12)
+    np.testing.assert_allclose(pred_east, east, atol=1e-12)
 
 
 def test_predict_exponential_decay_value():
@@ -306,27 +308,27 @@ def test_predict_exponential_decay_value():
     # error is down to 0.1/e after 5 s
     cands = _one_level(10.0, 1, 1, sog=5.0, course=0.1, desired=(5.0, 0.0))
     idx = int(round(5.0 / cands.grid.dt))
-    assert cands.pred_course[0, idx] - cands.first_course[0, idx] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-12)
+    assert oracles.leaf_rows(cands)[2][0, idx] - cands.first_course[0, idx] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-12)
     # 1 m/s of speed error shows as the distance gained over a vessel on
     # its reference, the integral of exp(-t/5) over 5 s
     fast = _one_level(10.0, 1, 1, sog=6.0, course=0.0, desired=(5.0, 0.0))
     on_ref = _one_level(10.0, 1, 1, sog=5.0, course=0.0, desired=(5.0, 0.0))
-    gained = fast.pred_north[0, idx] - on_ref.pred_north[0, idx]
+    gained = oracles.leaf_rows(fast)[0][0, idx] - oracles.leaf_rows(on_ref)[0][0, idx]
     assert gained == pytest.approx(5.0 * (1.0 - math.exp(-1.0)), abs=1e-3)
 
 
 def test_predict_decays_to_reference():
     cands = _one_level(60.0, 1, 1, sog=5.0, course=0.2, desired=(5.0, 0.0), dt=0.5)
-    assert abs(cands.pred_course[0, -1] - cands.first_course[0, -1]) < 1e-5
+    assert abs(oracles.leaf_rows(cands)[2][0, -1] - cands.first_course[0, -1]) < 1e-5
 
 
 def test_rollout_straight_lines():
-    north = _one_level(10.0, 1, 1, sog=5.0, course=0.0)
-    assert north.pred_north[0, -1] == pytest.approx(50.0, abs=1e-9)
-    assert north.pred_east[0, -1] == pytest.approx(0.0, abs=1e-12)
-    east = _one_level(10.0, 1, 1, sog=5.0, course=math.pi / 2)
-    assert east.pred_north[0, -1] == pytest.approx(0.0, abs=1e-9)
-    assert east.pred_east[0, -1] == pytest.approx(50.0, abs=1e-9)
+    north_n, north_e, _ = oracles.leaf_rows(_one_level(10.0, 1, 1, sog=5.0, course=0.0))
+    assert north_n[0, -1] == pytest.approx(50.0, abs=1e-9)
+    assert north_e[0, -1] == pytest.approx(0.0, abs=1e-12)
+    east_n, east_e, _ = oracles.leaf_rows(_one_level(10.0, 1, 1, sog=5.0, course=math.pi / 2))
+    assert east_n[0, -1] == pytest.approx(0.0, abs=1e-9)
+    assert east_e[0, -1] == pytest.approx(50.0, abs=1e-9)
 
 
 def test_rollout_constant_turn_matches_circle():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState
@@ -340,8 +341,9 @@ def test_prediction_matches_closed_loop_plant():
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
     state = VesselState(0.0, 0.0, 0.1, 5.5, 0.0)
     tau0 = np.clip(model.damping(5.5, 0.0), model.tau_min, model.tau_max)
-    # evaluated on the integration grid, so pred_* has a point per plant step
+    # evaluated on the integration grid, so the prediction has a point per plant step
     cands = generate_tree(params, model, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
+    pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)
         gains = default_gains()
@@ -357,10 +359,10 @@ def test_prediction_matches_closed_loop_plant():
             s = step_plant(model, s, tau, dt)
             north, east, course, _, _ = s
             pos_err = math.hypot(
-                north - cands.pred_north[pick, k + 1], east - cands.pred_east[pick, k + 1]
+                north - pred_north[pick, k + 1], east - pred_east[pick, k + 1]
             )
             course_err = abs(
-                (course - cands.pred_course[pick, k + 1] + math.pi) % (2 * math.pi) - math.pi
+                (course - pred_course[pick, k + 1] + math.pi) % (2 * math.pi) - math.pi
             )
             assert pos_err < 10.0
             assert course_err < math.radians(3.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -60,9 +61,15 @@ def test_table_configuration_shape():
     assert cands.sample_path.shape == (225, 3, 2)
     assert cands.grid.span == pytest.approx(55.0)
     assert cands.grid.dt == EVAL_DT
-    for channel in (cands.pred_north, cands.pred_east, cands.pred_course):
+    # each edge once, on the columns its level owns: 10 + 40 + 61 = grid.n
+    assert [(position.shape, course.shape) for position, course in cands.edges] == [
+        ((2, 25, 10), (25, 10)), ((2, 75, 40), (75, 40)), ((2, 225, 61), (225, 61)),
+    ]
+    assert cands.grid.n == 10 + 40 + 61
+    for rows, n_edges in zip(cands.ancestors, (25, 75, 225), strict=True):
+        assert rows.shape == (225,) and rows.min() == 0 and rows.max() == n_edges - 1
+    for channel in oracles.leaf_rows(cands):
         assert channel.shape == (225, cands.grid.n)
-        assert channel.flags.c_contiguous
     for channel in (cands.first_sog, cands.first_course):
         assert channel.shape == (225, cands.first_grid.n)
     assert cands.first_grid.span == pytest.approx(5.0)
@@ -91,6 +98,7 @@ def test_degenerate_tree_continues_current_velocity():
 def test_candidate_channels_continuous_across_levels():
     state = _state(sog=5.3, course=0.2, rot=0.01)
     cands = _grow(state, (5.0, 0.25))
+    pred_north, pred_east, _ = oracles.leaf_rows(cands)
     # candidates integrate from the previous commanded values exactly,
     # which is what keeps the reference continuous across replans
     assert np.all(cands.first_sog[:, 0] == 5.0)
@@ -103,7 +111,7 @@ def test_candidate_channels_continuous_across_levels():
         assert np.max(np.abs(np.diff(traj.course))) <= max_rot * DT + 1e-9
         assert np.max(np.abs(np.diff(traj.sog))) <= max_acc * DT + 1e-9
         # position steps bounded by the fastest predicted speed
-        step = np.hypot(np.diff(cands.pred_north[leaf]), np.diff(cands.pred_east[leaf]))
+        step = np.hypot(np.diff(pred_north[leaf]), np.diff(pred_east[leaf]))
         assert np.max(step) <= (np.max(traj.sog) + 1.0) * EVAL_DT
 
 
@@ -153,14 +161,35 @@ def test_leaf_rows_follow_their_ancestors():
         by_prefix = {tuple(map(tuple, path)): j for j, path in enumerate(cut.sample_path.tolist())}
         end = cut.grid.n - 1
         stride = int(round(EVAL_DT / DT))
+        full_rows, cut_rows = oracles.leaf_rows(full), oracles.leaf_rows(cut)
         for leaf, path in enumerate(full.sample_path.tolist()):
             j = by_prefix[tuple(map(tuple, path[:k]))]
             np.testing.assert_array_equal(full.accelerations[leaf, :k], cut.accelerations[j])
-            for name in ("pred_north", "pred_east", "pred_course"):
-                np.testing.assert_array_equal(getattr(full, name)[leaf, :end], getattr(cut, name)[j, :end])
-            assert full.pred_north[leaf, end] == pytest.approx(cut.pred_north[j, end], abs=1e-9)
-            assert full.pred_east[leaf, end] == pytest.approx(cut.pred_east[j, end], abs=1e-9)
+            for full_channel, cut_channel in zip(full_rows, cut_rows):
+                np.testing.assert_array_equal(full_channel[leaf, :end], cut_channel[j, :end])
+            assert full_rows[0][leaf, end] == pytest.approx(cut_rows[0][j, end], abs=1e-9)
+            assert full_rows[1][leaf, end] == pytest.approx(cut_rows[1][j, end], abs=1e-9)
             np.testing.assert_array_equal(full.trajectory(leaf).sog[: end * stride + 1], cut.trajectory(j).sog)
+
+
+def _trim_last_level(cands):
+    return cands.edges[:-1] + (tuple(channel[..., :-1] for channel in cands.edges[-1]),)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda c: {"edges": _trim_last_level(c)}, "the levels own [10, 40, 60] columns, which do not add up to grid.n 111"),
+        (lambda c: {"ancestors": c.ancestors[:-1]}, "3 levels of edges but 2 ancestors entries"),
+        (lambda c: {"ancestors": (c.ancestors[0], c.ancestors[1][:-1], c.ancestors[2])}, "ancestors[1] has 224 rows for 225 leaves"),
+        (lambda c: {"ancestors": (c.ancestors[0], c.ancestors[1] + 1, c.ancestors[2])}, "ancestors[1] indexes outside level 1's 75 edges"),
+        (lambda c: {"ancestors": (c.ancestors[0] - 1, *c.ancestors[1:])}, "ancestors[0] indexes outside level 0's 25 edges"),
+    ],
+)
+def test_candidate_set_rejects_a_layout_select_would_slice_wrongly(change, message):
+    cands = _grow(_state(), (5.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(cands, **change(cands))
 
 
 def test_tree_deterministic():
@@ -170,7 +199,10 @@ def test_tree_deterministic():
     assert len(a) == len(b)
     np.testing.assert_array_equal(a.sample_path, b.sample_path)
     np.testing.assert_array_equal(a.first_sog, b.first_sog)
-    np.testing.assert_array_equal(a.pred_north, b.pred_north)
+    for a_rows, b_rows, a_edges, b_edges in zip(a.ancestors, b.ancestors, a.edges, b.edges):
+        np.testing.assert_array_equal(a_rows, b_rows)
+        for a_channel, b_channel in zip(a_edges, b_edges):
+            np.testing.assert_array_equal(a_channel, b_channel)
 
 
 def test_level0_matches_single_step_primitives():
@@ -218,6 +250,7 @@ def test_guidance_seeded_child_hits_targets_below_root():
     los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
     state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
     cands = _grow(state, (5.0, 0.0), _los_hook(dtraj, los))
+    pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
     node_end = cands.first_grid.n - 1
     child_end = int(round((TABLE_PARAMS.step_times[0] + TABLE_PARAMS.step_times[1]) / DT))
     nodes = {}
@@ -228,8 +261,8 @@ def test_guidance_seeded_child_hits_targets_below_root():
     for leaves in nodes.values():
         node = leaves[0]
         _, chi_los = los_targets(
-            dtraj, cands.pred_north[node, node_end], cands.pred_east[node, node_end],
-            cands.pred_course[node, node_end], TABLE_PARAMS.step_times[0], los,
+            dtraj, pred_north[node, node_end], pred_east[node, node_end],
+            pred_course[node, node_end], TABLE_PARAMS.step_times[0], los,
         )
         # course changes relative to the node's desired course
         node_course = cands.first_course[node, -1]
@@ -295,7 +328,9 @@ def test_empty_tree_when_all_level0_infeasible():
     cands = _grow(state, (50.0, 0.0), tau0=np.array([1.0, 0.0]))
     assert len(cands) == 0
     assert not cands
-    assert cands.pred_north.shape == (0, cands.grid.n)
+    for arr in oracles.leaf_rows(cands):
+        assert arr.shape == (0, cands.grid.n)
+    assert [rows.shape for rows in cands.ancestors] == [(0,)] * 3
     assert cands.first_sog.shape == (0, cands.first_grid.n)
     assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
 
@@ -329,8 +364,9 @@ def test_empty_tree_when_a_level_below_the_root_is_infeasible(monkeypatch, first
     assert len(cands) == 0
     assert not cands
     assert cands.grid == full.grid and cands.first_grid == full.first_grid
-    for arr in (cands.pred_north, cands.pred_east, cands.pred_course):
+    for arr in oracles.leaf_rows(cands):
         assert arr.shape == (0, cands.grid.n)
+    assert [rows.shape for rows in cands.ancestors] == [(0,)] * 3
     assert cands.first_sog.shape == cands.first_course.shape == (0, cands.first_grid.n)
     assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
 
@@ -344,11 +380,12 @@ def test_tree_rejects_tau0_outside_limits():
 def test_prediction_feedback_decays_initial_error():
     state = _state(sog=6.0, course=0.15)  # one m/s and 0.15 rad off the desired
     cands = _grow(state, (5.0, 0.0))
+    pred_course = oracles.leaf_rows(cands)[2]
     # at t0 the predicted pose course equals the actual course, not the desired
-    assert cands.pred_course[0, 0] == pytest.approx(0.15, abs=1e-12)
+    assert pred_course[0, 0] == pytest.approx(0.15, abs=1e-12)
     # far into the horizon the prediction hugs the desired course
     assert abs(
-        cands.pred_course[0, -1] - cands.trajectory(0).course[-1]
+        pred_course[0, -1] - cands.trajectory(0).course[-1]
     ) < 0.15 * math.exp(-50.0 / 5.0) + 1e-9
 
 
@@ -383,8 +420,9 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
         np.testing.assert_array_equal(cands.first_sog, oracle.first_sog)
         np.testing.assert_array_equal(cands.first_course, oracle.first_course)
         n0 = cands.first_grid.n
-        np.testing.assert_array_equal(cands.pred_course[:, :n0], oracle.pred_course[:, :n0])
-        worst = max(worst, np.max(np.hypot(cands.pred_north - oracle.pred_north, cands.pred_east - oracle.pred_east)))
+        (north, east, course), (o_north, o_east, o_course) = oracles.leaf_rows(cands), oracles.leaf_rows(oracle)
+        np.testing.assert_array_equal(course[:, :n0], o_course[:, :n0])
+        worst = max(worst, np.max(np.hypot(north - o_north, east - o_east)))
     assert 0.0 < worst <= 0.05
 
 
@@ -392,8 +430,12 @@ def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monke
     for *args, dt, _ in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
         cands, oracle = generate_tree(*args, dt, dt), oracles.full_resolution_tree(*args, dt, dt)
         assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
-        for name in ("pred_north", "pred_east", "pred_course", "first_sog", "first_course", "sample_path", "accelerations"):
+        for name in ("first_sog", "first_course", "sample_path", "accelerations"):
             np.testing.assert_array_equal(getattr(cands, name), getattr(oracle, name), err_msg=name)
+        for k, (edges, o_edges) in enumerate(zip(cands.edges, oracle.edges, strict=True)):
+            np.testing.assert_array_equal(cands.ancestors[k], oracle.ancestors[k], err_msg=f"ancestors[{k}]")
+            for name, channel, o_channel in zip(("(north, east)", "course"), edges, o_edges):
+                np.testing.assert_array_equal(channel, o_channel, err_msg=f"edges[{k}] {name}")
         for level, full in zip(cands.levels, oracle.levels):
             np.testing.assert_array_equal(level.decay_s, full.decay_s)
             np.testing.assert_array_equal(level.decay_c, full.decay_c)
