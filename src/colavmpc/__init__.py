@@ -5,14 +5,7 @@ from .vessel import ControllerGains, VesselModel, default_gains, default_model
 from .primitives import TreeParams
 from .tree import CandidateSet, generate_tree
 from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
-from .objective import (
-    ObjectiveWeights,
-    ObstaclePrediction,
-    PenaltyGeometry,
-    penalty,
-    region_radius,
-    select,
-)
+from .objective import ObjectiveWeights, ObstaclePrediction, PenaltyGeometry, penalty, select
 from .obstacles import EstimateNoise, ObstacleEstimate, ObstacleScript, observe, predict_obstacle
 from .config import ConfigError, ScenarioConfig
 from .sim import Metrics, RunLog, classify_situation, compute_metrics, plan_step, run
@@ -52,7 +45,6 @@ __all__ = [
     "penalty",
     "plan_step",
     "predict_obstacle",
-    "region_radius",
     "run",
     "select",
     "wrap_angle",

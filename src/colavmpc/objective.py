@@ -4,9 +4,7 @@ Obstacle penalties live on nested collision/safety/margin regions.
 Regions are either circles or a COLREGs-aware shape stitched from
 three ellipses and a circle, larger ahead of the obstacle and extended
 on its starboard side. The penalty takes the OWNSHIP's offset in the
-obstacle's frame: x ahead of the obstacle and y to its starboard. The
-relative bearing of the region radii is 0 dead ahead of the obstacle
-and +pi/2 on its starboard beam.
+obstacle's frame: x ahead of the obstacle and y to its starboard.
 """
 
 from __future__ import annotations
@@ -77,6 +75,8 @@ class PenaltyGeometry:
     def semi_axes(self, k: int) -> tuple[float, float, float, float]:
         """Fore, aft, starboard and port semi-axes of region k in the
         obstacle's frame; the aft-port quarter is the circle of radius b[k]."""
+        if not (isinstance(k, (int, np.integer)) and 0 <= k <= 2):
+            raise ValueError(f"region index k must be 0, 1 or 2, got {k!r}")
         if self.kind == "circular":
             return (self.radii[k],) * 4
         a, b = self.a[k], self.b[k]
@@ -128,39 +128,6 @@ class ObstaclePrediction:
             object.__setattr__(self, name, arr)
 
 
-def _ellipse_radius(a, b, cos_b, sin_b):
-    """Polar radius of an axis-aligned ellipse (major a along beta=0)."""
-    return a * b / np.sqrt((b * cos_b) ** 2 + (a * sin_b) ** 2)
-
-
-def _sectors(beta):
-    """Masks fore (-pi/2 <= beta < pi/2), starboard (beta >= 0), aft-port (beta < -pi/2)."""
-    return (beta >= -np.pi / 2) & (beta < np.pi / 2), beta >= 0.0, beta < -np.pi / 2
-
-
-def _sector_radius(geom: PenaltyGeometry, k: int, sectors, cos_b, sin_b):
-    """Elliptical region k's boundary, one ellipse per point: major axis
-    a fore and b aft, minor axis b + d_colregs to starboard and b to
-    port; aft-port, the circle of radius b."""
-    fore, starboard, aft_port = sectors
-    a, b = geom.a[k], geom.b[k]
-    major = np.where(fore, a, b)
-    minor = np.where(starboard, b + geom.d_colregs, b)
-    return np.where(aft_port, b, _ellipse_radius(major, minor, cos_b, sin_b))
-
-
-def region_radius(geom: PenaltyGeometry, k: int, beta):
-    """Region boundary distance at relative bearing beta; accepts arrays."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    beta = np.asarray(beta, dtype=float)
-    if geom.kind == "circular":
-        out = np.full(beta.shape, geom.radii[k])
-    else:
-        out = _sector_radius(geom, k, _sectors(beta), np.cos(beta), np.sin(beta))
-    return float(out) if out.ndim == 0 else out
-
-
 def _quarter_sq(v, ahead, behind, out=None, tmp=None):
     """(v / semi-axis)^2 with `ahead` where v >= 0 and `behind` where v < 0:
     as ahead >= behind, that quotient is the smaller of the two."""
@@ -169,7 +136,7 @@ def _quarter_sq(v, ahead, behind, out=None, tmp=None):
     return np.square(out, out=out)
 
 
-def _normalized_sq(x, y, axes):
+def normalized_sq(x, y, axes):
     """(x/A)^2 + (y/B)^2 for obstacle-frame offsets, A and B the semi-axes of
     each point's quarter; below 1 exactly inside the region."""
     fore, aft, starboard, port = axes
@@ -211,17 +178,17 @@ def penalty(geom: PenaltyGeometry, x, y):
     x, y = (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
     out = np.zeros(x.shape)
     x, y, flat = x.ravel(), y.ravel(), out.reshape(-1)
-    q2 = _normalized_sq(x, y, geom.semi_axes(2))
+    q2 = normalized_sq(x, y, geom.semi_axes(2))
     near = np.flatnonzero(q2 < 1.0)
     if near.size:
         if near.size < x.size:
             x, y, q2 = x[near], y[near], q2[near]
-        q1 = _normalized_sq(x, y, geom.semi_axes(1))
+        q1 = normalized_sq(x, y, geom.semi_axes(1))
         value = np.empty(near.size)
         band, inside = np.flatnonzero(q1 >= 1.0), np.flatnonzero(q1 < 1.0)
         value[band] = _ramp(q1[band], q2[band], geom.gamma1, 0.0)
         x, y, q1 = x[inside], y[inside], q1[inside]
-        q0 = _normalized_sq(x, y, geom.semi_axes(0))
+        q0 = normalized_sq(x, y, geom.semi_axes(0))
         inside_value = np.ones(inside.size)
         ring, core = np.flatnonzero(q0 >= 1.0), np.flatnonzero(q0 < 1.0)
         inside_value[ring] = _ramp(q0[ring], q1[ring], 1.0, geom.gamma1)
@@ -230,17 +197,6 @@ def penalty(geom: PenaltyGeometry, x, y):
         value[inside] = inside_value
         flat[near] = value
     return float(out) if out.ndim == 0 else out
-
-
-def relative_bearing(own_north, own_east, obs_north, obs_east, obs_course):
-    """Bearing of the ownship seen from the obstacle, relative to its course."""
-    return wrap_angle(
-        np.arctan2(
-            np.asarray(own_east) - np.asarray(obs_east),
-            np.asarray(own_north) - np.asarray(obs_north),
-        )
-        - obs_course
-    )
 
 
 def _trapz(values: np.ndarray, dt: float):

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .core import TimeGrid, VelocityTrajectory, VesselState, wrap_angle
 from .guidance import desired_acceleration, los_targets
-from .objective import CostTable, region_radius, relative_bearing, select
+from .objective import CostTable, normalized_sq, select
 from .obstacles import ObstacleEstimate, ground_truth, observe, predict_obstacle
 from .tree import CandidateSet, generate_tree
 from .vessel import control_law, step_plant
@@ -344,17 +344,6 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     return log, compute_metrics(log, config.geometry)
 
 
-def _passing_geometry(log: RunLog, ser: ObstacleSeries, idx: int) -> tuple[str, bool]:
-    """Obstacle-frame side ('port'/'starboard') and ahead flag at index idx."""
-    dn = log.own_north[idx] - ser.true_north[idx]
-    de = log.own_east[idx] - ser.true_east[idx]
-    c = math.cos(ser.true_course[idx])
-    s = math.sin(ser.true_course[idx])
-    x_body = c * dn + s * de
-    y_body = -s * dn + c * de
-    return ("starboard" if y_body > 0.0 else "port"), bool(x_body > 0.0)
-
-
 def _compliance(situation: str, side: str, ahead: bool) -> str:
     if situation == "head_on":
         return "compliant" if side == "port" else "noncompliant"
@@ -366,18 +355,26 @@ def _compliance(situation: str, side: str, ahead: bool) -> str:
 
 
 def compute_metrics(log: RunLog, geom) -> Metrics:
+    """Per-obstacle distance, region and COLREGs metrics, and the planner
+    counts, from a run's log.
+
+    Each step's offset from an obstacle is taken in its frame, x ahead and
+    y to starboard, and is inside region k exactly when `penalty` says so:
+    q_k = (x/A_k)^2 + (y/B_k)^2 < 1 (`normalized_sq`). The clearance is
+    d - d/sqrt(q_0), the distance past the collision boundary along the
+    offset; on the obstacle (d = 0) it is minus the collision region's
+    longest semi-axis, and the step is collision time. The passing side
+    and ahead flag are the signs of y and x at the closest approach.
+    """
     obstacles = {}
     for obs_id, ser in log.obstacles.items():
-        d = np.hypot(log.own_north - ser.true_north, log.own_east - ser.true_east)
-        beta = relative_bearing(
-            log.own_north, log.own_east, ser.true_north, ser.true_east, ser.true_course
-        )
-        d0 = region_radius(geom, 0, beta)
-        d1 = region_radius(geom, 1, beta)
-        d2 = region_radius(geom, 2, beta)
-        margin_time = float(np.count_nonzero(d < d2) * log.dt)
-        safety_time = float(np.count_nonzero(d < d1) * log.dt)
-        collision_time = float(np.count_nonzero(d < d0) * log.dt)
+        dn, de = log.own_north - ser.true_north, log.own_east - ser.true_east
+        d = np.hypot(dn, de)
+        cos_c, sin_c = np.cos(ser.true_course), np.sin(ser.true_course)
+        x, y = dn * cos_c + de * sin_c, de * cos_c - dn * sin_c
+        q0, q1, q2 = (normalized_sq(x, y, geom.semi_axes(k)) for k in range(3))
+        # the collision boundary's distance along each offset; q0 is 0 only on the obstacle
+        boundary = np.divide(d, np.sqrt(q0), out=np.full(d.shape, max(geom.semi_axes(0))), where=q0 > 0.0)
 
         labels = classify_situation(
             log.own_north, log.own_east, log.own_course, log.own_sog,
@@ -387,13 +384,13 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
         situation = str(labels[labelled[0]]) if len(labelled) else "none"
 
         cpa = int(np.argmin(d))
-        side, ahead = _passing_geometry(log, ser, cpa)
+        side, ahead = ("starboard" if y[cpa] > 0.0 else "port"), bool(x[cpa] > 0.0)
         obstacles[obs_id] = ObstacleMetrics(
             min_distance=float(d.min()),
-            min_clearance=float((d - d0).min()),
-            margin_time=margin_time,
-            safety_time=safety_time,
-            collision_time=collision_time,
+            min_clearance=float((d - boundary).min()),
+            margin_time=float(np.count_nonzero(q2 < 1.0) * log.dt),
+            safety_time=float(np.count_nonzero(q1 < 1.0) * log.dt),
+            collision_time=float(np.count_nonzero(q0 < 1.0) * log.dt),
             situation=situation,
             passing_side=side,
             passed_ahead=ahead,

@@ -6,6 +6,8 @@ time, with plain loops and one trajectory per call, and are what the
 tests compare the stacked results against. `resample` reads a
 trajectory at any times inside its span by linear interpolation, where
 the library reads only grid points (`VelocityTrajectory.window`).
+The bearing forms live only here: `relative_bearing`, and
+`region_radius`, a region's boundary at a relative bearing.
 `py_region`/`py_penalty` are the penalty geometry in plain `math`
 arithmetic, one point at a time, from distance and relative bearing.
 `dense_penalty` is the same geometry on arrays: every region radius
@@ -27,13 +29,7 @@ import math
 import numpy as np
 
 from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
-from colavmpc.objective import (
-    TRAN_TOL,
-    PenaltyGeometry,
-    _ellipse_radius,
-    penalty,
-    relative_bearing,
-)
+from colavmpc.objective import TRAN_TOL, PenaltyGeometry, penalty
 from colavmpc.primitives import (
     course_profile_unit,
     possible_accelerations,
@@ -209,6 +205,16 @@ def mod_wrap(a) -> np.ndarray:
     return np.where(wrapped == math.pi, -math.pi, wrapped)
 
 
+def relative_bearing(own_north, own_east, obs_north, obs_east, obs_course):
+    """Bearing of the ownship seen from the obstacle, relative to its course."""
+    return wrap_angle(np.arctan2(np.subtract(own_east, obs_east), np.subtract(own_north, obs_north)) - obs_course)
+
+
+def ellipse_radius(a, b, cos_b, sin_b):
+    """Polar radius of an axis-aligned ellipse (major a along beta=0)."""
+    return a * b / np.sqrt((b * cos_b) ** 2 + (a * sin_b) ** 2)
+
+
 def dense_sector_radius(geom, k, beta, cos_b, sin_b):
     """Elliptical region k's boundary at every point, each sector's
     ellipse picked per point with np.where."""
@@ -216,7 +222,17 @@ def dense_sector_radius(geom, k, beta, cos_b, sin_b):
     fore = (beta >= -np.pi / 2) & (beta < np.pi / 2)
     major = np.where(fore, a, b)
     minor = np.where(beta >= 0.0, b + geom.d_colregs, b)
-    return np.where(beta < -np.pi / 2, b, _ellipse_radius(major, minor, cos_b, sin_b))
+    return np.where(beta < -np.pi / 2, b, ellipse_radius(major, minor, cos_b, sin_b))
+
+
+def region_radius(geom, k, beta):
+    """Region k's boundary distance at relative bearing beta; accepts arrays."""
+    beta = np.asarray(beta, dtype=float)
+    if geom.kind == "circular":
+        out = np.full(beta.shape, geom.radii[k])
+    else:
+        out = dense_sector_radius(geom, k, beta, np.cos(beta), np.sin(beta))
+    return float(out) if out.ndim == 0 else out
 
 
 def dense_outer_penalty(d, d0, d1, d2, gamma1):
@@ -240,7 +256,7 @@ def dense_inner_penalty(geom, d, beta, cos_b, sin_b, d0):
     boundary, measured along the body y-axis at fixed body x.
     """
     a0, b0 = geom.a[0], geom.b[0]
-    d0_star = np.where(np.abs(beta) < np.pi / 2, _ellipse_radius(a0, b0, cos_b, sin_b), b0)
+    d0_star = np.where(np.abs(beta) < np.pi / 2, ellipse_radius(a0, b0, cos_b, sin_b), b0)
     x_body = d * cos_b
     y_body = d * sin_b
     y_boundary = np.where(
@@ -256,17 +272,11 @@ def dense_inner_penalty(geom, d, beta, cos_b, sin_b, d0):
 def dense_penalty(geom, d, beta):
     """Penalty with every region radius and both terms evaluated at
     every point, then selected per point."""
-    d = np.asarray(d, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if geom.kind == "circular":
-        d0, d1, d2 = geom.radii
-        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1)
-    else:
-        cos_b, sin_b = np.cos(beta), np.sin(beta)
-        d0, d1, d2 = (dense_sector_radius(geom, k, beta, cos_b, sin_b) for k in range(3))
-        out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1) + dense_inner_penalty(
-            geom, d, beta, cos_b, sin_b, d0
-        )
+    d, beta = np.asarray(d, dtype=float), np.asarray(beta, dtype=float)
+    d0, d1, d2 = (region_radius(geom, k, beta) for k in range(3))
+    out = dense_outer_penalty(d, d0, d1, d2, geom.gamma1)
+    if geom.kind == "elliptical_colregs":
+        out = out + dense_inner_penalty(geom, d, beta, np.cos(beta), np.sin(beta), d0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,13 +14,7 @@ import oracles
 from colavmpc import scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, desired_acceleration
-from colavmpc.objective import (
-    ObjectiveWeights,
-    ObstaclePrediction,
-    PenaltyGeometry,
-    region_radius,
-    select,
-)
+from colavmpc.objective import ObjectiveWeights, ObstaclePrediction, PenaltyGeometry, select
 from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
 from colavmpc.sim import classify_situation, first_solve, run, runlog_to_csv
 from colavmpc.tree import CandidateSet
@@ -127,18 +121,15 @@ def test_c03_penalty_geometry_properties():
     # dropping to zero across the collision boundary is the one
     # documented discontinuity of the piecewise definition)
     eps = 1e-12
-    radii = [region_radius(GEOM_T2, k, beta) for k in range(3)]
+    radii = [oracles.region_radius(GEOM_T2, k, beta) for k in range(3)]
     for boundary in (radii[1], radii[2]):
         gap = np.abs(oracles.penalty_at(GEOM_T2, boundary + eps, beta) - oracles.penalty_at(GEOM_T2, boundary - eps, beta))
         if np.max(gap) > 1e-9:
             failures.append(f"total jump {np.max(gap):.2e} at a region boundary")
     starboard = beta[(beta > 1e-3) & (beta < math.pi - 1e-3)]
-    d0s = np.where(
-        np.abs(starboard) < math.pi / 2,
-        GEOM_T2.a[0] * GEOM_T2.b[0]
-        / np.sqrt((GEOM_T2.b[0] * np.cos(starboard)) ** 2 + (GEOM_T2.a[0] * np.sin(starboard)) ** 2),
-        GEOM_T2.b[0],
-    )
+    a0, b0 = GEOM_T2.a[0], GEOM_T2.b[0]
+    fore = oracles.ellipse_radius(a0, b0, np.cos(starboard), np.sin(starboard))
+    d0s = np.where(np.abs(starboard) < math.pi / 2, fore, b0)
     core_gap = np.abs(
         oracles.penalty_at(GEOM_T2, d0s + eps, starboard) - oracles.penalty_at(GEOM_T2, d0s - eps, starboard)
     )
@@ -155,7 +146,7 @@ def test_c03_penalty_geometry_properties():
     # branch continuity in bearing
     for k in range(3):
         for b0 in (-math.pi / 2, 0.0, math.pi / 2):
-            gap = abs(region_radius(GEOM_T2, k, b0 + eps) - region_radius(GEOM_T2, k, b0 - eps))
+            gap = abs(oracles.region_radius(GEOM_T2, k, b0 + eps) - oracles.region_radius(GEOM_T2, k, b0 - eps))
             if gap > 1e-9:
                 failures.append(f"region radius jump {gap:.2e} at branch {b0:.2f}")
 
@@ -177,8 +168,8 @@ def test_c03_penalty_geometry_properties():
 
 
 def test_c04_table_spot_values():
-    r_fore = region_radius(GEOM_T2, 2, 0.0)
-    r_starboard = region_radius(GEOM_T2, 2, math.pi / 2)
+    r_fore = oracles.region_radius(GEOM_T2, 2, 0.0)
+    r_starboard = oracles.region_radius(GEOM_T2, 2, math.pi / 2)
     circ = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
     p75 = oracles.penalty_at(circ, 75.0, 0.0)
     ok = (

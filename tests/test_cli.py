@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import colavmpc
 from colavmpc import scenarios
 from colavmpc.cli import main
 from colavmpc.config import SCHEMA_VERSION
@@ -49,6 +50,11 @@ def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data, indent=2))
     return path, data
+
+
+def test_package_exports_resolve():
+    # a stale name in __all__ breaks `from colavmpc import *`
+    assert [name for name in colavmpc.__all__ if not hasattr(colavmpc, name)] == []
 
 
 def test_run_writes_outputs(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import outer_penalty_at, penalty_at
+from oracles import outer_penalty_at, penalty_at, region_radius, relative_bearing
 from colavmpc import objective, scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, wrap_angle
 from colavmpc.guidance import DesiredTrajectory
@@ -18,8 +18,6 @@ from colavmpc.objective import (
     PenaltyGeometry,
     penalty,
     penalty_field,
-    region_radius,
-    relative_bearing,
     select,
 )
 from colavmpc.tree import CandidateSet, TreeParams, generate_tree
@@ -153,14 +151,8 @@ def test_outer_penalty_boundary_continuity():
 
 def test_total_penalty_continuous_at_inner_core():
     for beta in np.linspace(0.05, math.pi - 0.05, 40):
-        d_star = float(
-            np.where(
-                abs(beta) < math.pi / 2,
-                GEOM_ELL.a[0] * GEOM_ELL.b[0]
-                / math.sqrt((GEOM_ELL.b[0] * math.cos(beta)) ** 2 + (GEOM_ELL.a[0] * math.sin(beta)) ** 2),
-                GEOM_ELL.b[0],
-            )
-        )
+        a0, b0 = GEOM_ELL.a[0], GEOM_ELL.b[0]
+        d_star = oracles.ellipse_radius(a0, b0, math.cos(beta), math.sin(beta)) if abs(beta) < math.pi / 2 else b0
         lo = penalty_at(GEOM_ELL, d_star - 1e-9, beta)
         hi = penalty_at(GEOM_ELL, d_star + 1e-9, beta)
         assert abs(hi - lo) < 1e-8
@@ -563,6 +555,14 @@ def test_margin_axes():
     assert GEOM_CIRC.semi_axes(2) == (125.0,) * 4
     assert GEOM_WIDE.semi_axes(2) == (200.0, 125.0, 225.0, 125.0)
     assert GEOM_ELL.semi_axes(0) == (50.0, 25.0, 125.0, 25.0)
+
+
+def test_semi_axes_rejects_other_region_indices():
+    # -1 would index region 2 and 1.0 region 1 if let through
+    for geom in (GEOM_ELL, GEOM_CIRC):
+        for k in (-1, 3, 1.0):
+            with pytest.raises(ValueError, match=f"^region index k must be 0, 1 or 2, got {k!r}$"):
+                geom.semi_axes(k)
 
 
 def test_cull_keeps_every_point_that_scores():

@@ -28,6 +28,7 @@ from golden.make_golden import GOLDEN
 
 GOLDEN_CASES = sorted(json.loads((GOLDEN / "digests.json").read_text()))
 GEOM = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
+GEOM_CIRC = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
 
 
 def _own(course=0.0, sog=5.0):
@@ -101,17 +102,10 @@ def _synthetic_log(east_offset=214.0, obstacle_course=0.0, n=481, dt=0.5):
     t = dt * np.arange(n)
     own_north = -600.0 + 5.0 * t
     zeros = np.zeros(n)
-    ser = ObstacleSeries(
-        true_north=zeros.copy(),
-        true_east=zeros.copy(),
-        true_sog=zeros.copy(),
-        true_course=np.full(n, obstacle_course),
-        est_north=zeros.copy(),
-        est_east=zeros.copy(),
-        est_sog=zeros.copy(),
-        est_course=np.full(n, obstacle_course),
-        est_time=t.copy(),
-    )
+    # an obstacle at rest at the origin, estimated exactly
+    ser = ObstacleSeries(*(zeros.copy() for _ in dataclasses.fields(ObstacleSeries)))
+    ser.true_course[:] = ser.est_course[:] = obstacle_course
+    ser.est_time[:] = t
     planner = PlannerSeries(
         t=np.zeros(0), candidate=np.zeros(0, dtype=int), n_candidates=np.zeros(0, dtype=int),
         align=np.zeros(0), avoid=np.zeros(0), tran=np.zeros(0), total=np.zeros(0),
@@ -166,16 +160,67 @@ def test_metrics_incursion_nesting_and_monotonicity():
     assert grown.collision_time >= base.collision_time
 
 
-def test_metrics_situation_is_first_label():
-    # unlabelled while the obstacle lies still, head-on once it heads
-    # south, crossing after it turns west: the first label wins
+def _onto_obstacle_log():
+    """The ownship runs north onto an obstacle 600 m ahead and ends on it;
+    the obstacle lies still, then heads south, then west."""
     log = _synthetic_log(east_offset=0.0)
     ser = log.obstacles["target"]
     ser.true_north[:] = 600.0
     ser.true_sog[100:] = 2.5
     ser.true_course[100:] = math.pi
     ser.true_course[200:] = -math.pi / 2
-    assert compute_metrics(log, GEOM).obstacles["target"].situation == "head_on"
+    return log
+
+
+def test_metrics_situation_is_first_label():
+    # unlabelled while the obstacle lies still, head-on once it heads
+    # south, crossing after it turns west: the first label wins
+    assert compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"].situation == "head_on"
+
+
+@pytest.mark.parametrize("geom", [GEOM, GEOM_CIRC])
+def test_metrics_coincident_step(geom):
+    # on the obstacle (d = 0) the clearance is minus the collision region's
+    # longest semi-axis, with no 0/0 (a RuntimeWarning fails the test), and
+    # the step is collision time
+    m = compute_metrics(_onto_obstacle_log(), geom).obstacles["target"]
+    assert (m.min_distance, m.min_clearance) == (0.0, -125.0 if geom is GEOM else -geom.radii[0])
+    log = _synthetic_log(east_offset=0.0, n=1)
+    log.obstacles["target"].true_north[:] = -600.0
+    m = compute_metrics(log, geom).obstacles["target"]
+    assert (m.min_clearance, m.collision_time) == (-max(geom.semi_axes(0)), log.dt)
+
+
+def test_frame_metrics_equal_bearing_oracle():
+    # straight passes of an obstacle at the origin, each on its own course,
+    # heading and offset, against region times, side and ahead flag from
+    # the relative bearing; on course 0 some steps sit exactly on the sector
+    # boundary bearings 0, +-pi/2 and pi, at random distances
+    rng = np.random.default_rng(7)
+    for course in [0.0, 0.0, 0.0, math.pi / 2, -math.pi / 2, math.pi, *rng.uniform(-math.pi, math.pi, 6)]:
+        log = _synthetic_log(n=201)
+        heading, offset = rng.uniform(-math.pi, math.pi), rng.uniform(-300.0, 300.0)
+        along = 5.0 * (log.t - 50.0)
+        x = along * math.cos(heading) - offset * math.sin(heading)
+        y = along * math.sin(heading) + offset * math.cos(heading)
+        if course == 0.0:
+            steps, r = rng.choice(len(x), 12, replace=False), rng.uniform(0.0, 300.0, 12)
+            x[steps], y[steps] = r * np.tile([1.0, 0.0, 0.0, -1.0], 3), r * np.tile([0.0, 1.0, -1.0, 0.0], 3)
+        log.own_north = x * math.cos(course) - y * math.sin(course)
+        log.own_east = x * math.sin(course) + y * math.cos(course)
+        log.obstacles["target"].true_course[:] = course
+        d = np.hypot(log.own_north, log.own_east)
+        beta = oracles.relative_bearing(log.own_north, log.own_east, 0.0, 0.0, course)
+        cpa = int(np.argmin(d))
+        for geom in (GEOM, GEOM_CIRC):
+            m = compute_metrics(log, geom).obstacles["target"]
+            radii = [oracles.region_radius(geom, k, beta) for k in range(3)]
+            times = [np.count_nonzero(d < r) * log.dt for r in radii[::-1]]
+            assert [m.margin_time, m.safety_time, m.collision_time] == times
+            assert m.passing_side == ("starboard" if 0.0 < beta[cpa] < math.pi else "port")
+            assert m.passed_ahead == (abs(beta[cpa]) < math.pi / 2)
+            clearance = (d - radii[0]).min()
+            assert abs(m.min_clearance - clearance) <= 4 * np.spacing(abs(clearance))
 
 
 def test_metrics_no_incursions_when_far():
