@@ -344,7 +344,9 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     return log, compute_metrics(log, config.geometry)
 
 
-def _compliance(situation: str, side: str, ahead: bool) -> str:
+def _compliance(situation: str, side: str, ahead: bool, collided: bool) -> str:
+    if collided and situation in ("head_on", "crossing_give_way", "overtaking"):
+        return "noncompliant"
     if situation == "head_on":
         return "compliant" if side == "port" else "noncompliant"
     if situation == "crossing_give_way":
@@ -364,7 +366,9 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
     d - d/sqrt(q_0), the distance past the collision boundary along the
     offset; on the obstacle (d = 0) it is minus the collision region's
     longest semi-axis, and the step is collision time. The passing side
-    and ahead flag are the signs of y and x at the closest approach.
+    and ahead flag are the signs of y and x at the closest approach. A
+    head-on, give-way crossing or overtaking encounter with any collision
+    time is noncompliant.
     """
     obstacles = {}
     for obs_id, ser in log.obstacles.items():
@@ -385,16 +389,17 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
 
         cpa = int(np.argmin(d))
         side, ahead = ("starboard" if y[cpa] > 0.0 else "port"), bool(x[cpa] > 0.0)
+        collision_time = float(np.count_nonzero(q0 < 1.0) * log.dt)
         obstacles[obs_id] = ObstacleMetrics(
             min_distance=float(d.min()),
             min_clearance=float((d - boundary).min()),
             margin_time=float(np.count_nonzero(q2 < 1.0) * log.dt),
             safety_time=float(np.count_nonzero(q1 < 1.0) * log.dt),
-            collision_time=float(np.count_nonzero(q0 < 1.0) * log.dt),
+            collision_time=collision_time,
             situation=situation,
             passing_side=side,
             passed_ahead=ahead,
-            compliance=_compliance(situation, side, ahead),
+            compliance=_compliance(situation, side, ahead, collision_time > 0.0),
         )
 
     pl = log.planner

@@ -178,6 +178,15 @@ def test_metrics_situation_is_first_label():
     assert compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"].situation == "head_on"
 
 
+def test_metrics_collision_is_noncompliant():
+    # the ownship ends on the obstacle of a head-on encounter: a closest
+    # approach on the obstacle's course line reads "port", but collision
+    # time grades it noncompliant
+    m = compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"]
+    assert (m.situation, m.passing_side, m.collision_time) == ("head_on", "port", 5.0)
+    assert m.compliance == "noncompliant"
+
+
 @pytest.mark.parametrize("geom", [GEOM, GEOM_CIRC])
 def test_metrics_coincident_step(geom):
     # on the obstacle (d = 0) the clearance is minus the collision region's
