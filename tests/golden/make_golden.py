@@ -18,7 +18,9 @@ planner took and the costs it scored them with. A change to the
 numerics of the costs that keeps every decision then moves only
 ``planner.csv:costs``. The numpy and Python versions it ran under go to
 ``environment.json``, so that a digest mismatch elsewhere can name
-them. Regenerate only for an intended change of behaviour, and say why
+them. Before it overwrites a case, it prints the names of the digests
+that differ from the committed ``digests.json``, or ``unchanged``.
+Regenerate only for an intended change of behaviour, and say why
 in that change.
 """
 
@@ -73,7 +75,13 @@ def output_digests(out: Path) -> dict[str, str]:
     return digests
 
 
+def moved(digests: dict[str, str], committed: dict[str, str]) -> list[str]:
+    """The names of the digests that differ between two records of one case."""
+    return sorted(name for name in digests.keys() | committed.keys() if digests.get(name) != committed.get(name))
+
+
 def regenerate() -> int:
+    committed = json.loads((GOLDEN / "digests.json").read_text())
     cases = [f"{scenario}-{noise}" for scenario in scenarios.SCENARIO_NAMES for noise in NOISES]
     cases += sorted(path.parent.name for path in GOLDEN.glob("*/config.json"))
     digests = {}
@@ -85,9 +93,9 @@ def regenerate() -> int:
             if code != 0:
                 raise RuntimeError(f"colavmpc run failed for {case}")
             digests[case] = output_digests(out)
+            print(f"{case}: {', '.join(moved(digests[case], committed.get(case, {}))) or 'unchanged'}")
             (GOLDEN / case).mkdir(exist_ok=True)
             (GOLDEN / case / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
-            print(case, file=sys.stderr)
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     environment = {"numpy": np.__version__, "python": platform.python_version()}
     (GOLDEN / "environment.json").write_text(json.dumps(environment, indent=2, sort_keys=True) + "\n")

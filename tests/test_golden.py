@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from colavmpc.cli import main
-from golden.make_golden import GOLDEN, output_digests, run_args
+from golden.make_golden import GOLDEN, moved, output_digests, run_args
 
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 RECORDED_NUMPY = json.loads((GOLDEN / "environment.json").read_text())["numpy"]
@@ -32,5 +32,4 @@ def test_golden_outputs(case, tmp_path):
     versions = f"golden recorded under numpy {RECORDED_NUMPY}; this run uses numpy {np.__version__}"
     assert (tmp_path / "metrics.json").read_text() == (GOLDEN / case / "metrics.json").read_text(), versions
     digests = output_digests(tmp_path)
-    moved = sorted(name for name in digests.keys() | DIGESTS[case].keys() if digests.get(name) != DIGESTS[case].get(name))
-    assert digests == DIGESTS[case], f"moved: {', '.join(moved) or 'none'} ({versions})"
+    assert digests == DIGESTS[case], f"moved: {', '.join(moved(digests, DIGESTS[case])) or 'none'} ({versions})"
