@@ -13,6 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .core import VesselState, wrap_angle
@@ -20,6 +21,7 @@ from .guidance import DesiredTrajectory, LosParams
 from .objective import ObjectiveWeights, PenaltyGeometry
 from .obstacles import NOISE_PRESETS, EstimateNoise, ObstacleScript, ScriptEvent
 from .primitives import TreeParams
+from .tree import Level, build_levels
 from .vessel import ControllerGains, VesselModel, default_gains, default_model
 
 SCHEMA_VERSION = 2
@@ -149,6 +151,11 @@ class ScenarioConfig:
     def planner_period(self) -> float:
         """The replan period: the first step time."""
         return self.tree.step_times[0]
+
+    @cached_property
+    def levels(self) -> tuple[Level, ...]:
+        """tree.build_levels, built at the first read and shared by every planner call."""
+        return build_levels(self.tree, self.integration_dt, self.eval_dt)
 
 
 def _parse_vessel(r: _Reader | None) -> VesselModel:

@@ -58,10 +58,6 @@ class TreeParams:
             raise ValueError("time constants must be > 0")
 
     @property
-    def levels(self) -> int:
-        return len(self.step_times)
-
-    @property
     def horizon(self) -> float:
         return float(sum(self.step_times))
 

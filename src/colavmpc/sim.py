@@ -222,27 +222,22 @@ def plan_step(
     The table is None when no maneuver is feasible (the fail-safe hold).
     """
     model = config.vessel
-    dt = config.integration_dt
     sog0, _, course0, _, _ = commanded.window(t, 1)[:, 0]
 
     def hook(t_level, north, east, course, desired):
         targets = los_targets(config.desired, north, east, course, t_level, config.los)
         return desired_acceleration(targets, desired, config.tree)
 
-    candidates = generate_tree(
-        config.tree, model, state, t, (sog0, course0), model.saturate(tau), hook, dt, config.eval_dt
-    )
+    tau0 = model.saturate(tau)
+    candidates = generate_tree(config.tree, config.levels, model, state, t, (sog0, course0), tau0, hook)
     if not candidates:
         return Solve(t, candidates, None)
     predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
     first_grid = candidates.first_grid
     previous_first = VelocityTrajectory(
-        first_grid, *commanded.window(t, first_grid.n, config.eval_dt / dt)
+        first_grid, *commanded.window(t, first_grid.n, config.eval_dt / config.integration_dt)
     )
-    table = select(
-        candidates, config.desired, predictions, config.geometry, config.weights,
-        previous_first,
-    )
+    table = select(candidates, config.desired, predictions, config.geometry, config.weights, previous_first)
     return Solve(t, candidates, table)
 
 
@@ -276,7 +271,6 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     tracker estimates are logged after the loop.
     """
     model = config.vessel
-    gains = config.gains
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
@@ -316,7 +310,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         if step_idx == n_steps:  # the last row holds the last command
             plant_rows.extend(state + tau)
             break
-        tau, integral = control_law(model, gains, state, period_ref[step_idx - start], integral, dt)
+        tau, integral = control_law(model, config.gains, state, period_ref[step_idx - start], integral, dt)
         plant_rows.extend(state + tau)
         state = step_plant(model, state, tau, dt)
 
@@ -345,14 +339,11 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
 
 
 def _compliance(situation: str, side: str, ahead: bool, collided: bool) -> str:
-    if collided and situation in ("head_on", "crossing_give_way", "overtaking"):
-        return "noncompliant"
     if situation == "head_on":
-        return "compliant" if side == "port" else "noncompliant"
-    if situation == "crossing_give_way":
-        return "compliant" if not ahead else "aware_noncompliant"
-    if situation == "overtaking":
-        return "compliant" if side == "port" else "aware_noncompliant"
+        return "compliant" if side == "port" and not collided else "noncompliant"
+    if situation in ("crossing_give_way", "overtaking"):
+        wrong = ahead if situation == "crossing_give_way" else side != "port"
+        return "noncompliant" if collided else "aware_noncompliant" if wrong else "compliant"
     return "not_applicable"
 
 
@@ -366,9 +357,8 @@ def compute_metrics(log: RunLog, geom) -> Metrics:
     d - d/sqrt(q_0), the distance past the collision boundary along the
     offset; on the obstacle (d = 0) it is minus the collision region's
     longest semi-axis, and the step is collision time. The passing side
-    and ahead flag are the signs of y and x at the closest approach. A
-    head-on, give-way crossing or overtaking encounter with any collision
-    time is noncompliant.
+    and ahead flag are the signs of y and x at the closest approach. Any
+    collision time grades a head-on, give-way or overtaking pass noncompliant.
     """
     obstacles = {}
     for obs_id, ser in log.obstacles.items():

@@ -9,9 +9,10 @@ stays continuous), while prediction feedback re-seeds from the parent
 edge's terminal predicted state.
 
 Expansion is vectorized per level: with the acceleration profiles fixed
-per level, every channel is an affine function of the sampled
-acceleration, so all of a level's (node, sample) edges broadcast
-straight onto the evaluation grid, where the prediction integrates.
+per level and built once per config (build_levels), every channel is an
+affine function of the sampled acceleration, so all of a level's (node,
+sample) edges broadcast straight onto the evaluation grid, where the
+prediction integrates.
 Each level keeps its edges' parents and predictions, each leaf its
 ancestor edges; one candidate's dt-grid reference is rebuilt on demand.
 """
@@ -24,11 +25,7 @@ import numpy as np
 
 from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
 from .primitives import (
-    TreeParams,
-    course_profile_unit,
-    possible_accelerations,
-    sample_accelerations,
-    sog_profile_unit,
+    TreeParams, course_profile_unit, possible_accelerations, sample_accelerations, sog_profile_unit,
     terminal_sog_feasible,
 )
 from .vessel import VesselModel
@@ -36,16 +33,18 @@ from .vessel import VesselModel
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """One tree level's sample counts and unit maneuver profiles on its
-    integration grid, and the prediction's error decay on its evaluation grid.
+    """One tree level's sample counts and read-only unit maneuver profiles
+    at the times t_rel = dt * arange(n) from the level's start.
 
     Every maneuver of a level is affine in its sampled accelerations
     (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
     rot = a_r * cum_c, sog_acc = a_u * unit_s, rot_acc = a_r * unit_c.
-    The prediction's error decays: decay_s = exp(-t_rel / tc_sog), decay_c likewise.
+    On the eval_dt grid, cum_s_eval and cum2_c_eval are cum_s and cum2_c,
+    and the prediction's error decays: decay_s = exp(-t_rel / tc_sog), decay_c likewise.
     """
 
-    grid: TimeGrid
+    dt: float
+    eval_dt: float
     n_sog: int
     n_course: int
     unit_s: np.ndarray
@@ -53,25 +52,40 @@ class Level:
     cum_s: np.ndarray
     cum_c: np.ndarray
     cum2_c: np.ndarray
+    cum_s_eval: np.ndarray
+    cum2_c_eval: np.ndarray
     decay_s: np.ndarray
     decay_c: np.ndarray
 
-    @staticmethod
-    def build(params: TreeParams, index: int, t0: float, dt: float, stride: int) -> "Level":
-        grid = TimeGrid.from_span(t0, params.step_times[index], dt)
-        t_rel = grid.times() - t0
-        unit_s = sog_profile_unit(t_rel, params)
-        unit_c = course_profile_unit(t_rel, params)
+    def reference(self, u_d, chi_d, a_u, a_r):
+        """Desired (sog, course) of the maneuvers started from (u_d, chi_d)."""
+        return u_d + a_u * self.cum_s, chi_d + a_r * self.cum2_c
+
+
+def build_levels(params: TreeParams, dt: float, eval_dt: float) -> tuple[Level, ...]:
+    """Every level of the tree, integrated on the dt grid and predicted on
+    the eval_dt grid, which must take every k-th point of every level's dt
+    grid. The profiles depend on params, dt and eval_dt only."""
+    ratio = eval_dt / dt
+    stride = int(round(ratio)) if np.isfinite(ratio) else 0
+    if abs(ratio - stride) > 1e-9 or stride < 1:
+        raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt}")
+    levels = []
+    for index, step_time in enumerate(params.step_times):
+        if round(step_time / dt) % stride:
+            raise ValueError(f"eval_dt {eval_dt} must divide every step time, but step time {step_time} is no multiple of it (dt {dt})")
+        t_rel = dt * np.arange(TimeGrid.from_span(0.0, step_time, dt).n)
+        unit_s, unit_c = sog_profile_unit(t_rel, params), course_profile_unit(t_rel, params)
         cum_s, cum_c = cumtrapz(np.array([unit_s, unit_c]), dt)
-        return Level(
-            grid, params.n_sog[index], params.n_course[index], unit_s, unit_c,
-            cum_s, cum_c, cumtrapz(cum_c, dt),
+        cum2_c = cumtrapz(cum_c, dt)
+        profiles = (
+            unit_s, unit_c, cum_s, cum_c, cum2_c, cum_s[::stride].copy(), cum2_c[::stride].copy(),
             np.exp(-t_rel[::stride] / params.tc_sog), np.exp(-t_rel[::stride] / params.tc_course),
         )
-
-    def reference(self, u_d, chi_d, a_u, a_r, step=1):
-        """Desired (sog, course) of the maneuvers started from (u_d, chi_d), every step-th point."""
-        return u_d + a_u * self.cum_s[::step], chi_d + a_r * self.cum2_c[::step]
+        for profile in profiles:
+            profile.setflags(write=False)
+        levels.append(Level(dt, eval_dt, params.n_sog[index], params.n_course[index], *profiles))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -88,9 +102,10 @@ class CandidateSet:
     sample_path[leaf, level] is the (sog, rot) sample index the path
     takes at that level and accelerations[leaf, level] the sampled (sog,
     rot) accelerations.
-    levels and desired0, the root's desired (sog, course), rebuild one
-    candidate's reference on the integration grid. A tree with no
-    feasible level-0 maneuver has no leaves and is falsy.
+    levels, shared by every call of a config, and desired0, the root's
+    desired (sog, course), rebuild one candidate's reference on the
+    integration grid. A tree with no feasible level-0 maneuver has no
+    leaves and is falsy.
     """
 
     grid: TimeGrid
@@ -134,7 +149,7 @@ class CandidateSet:
             parts.append(np.stack([sog, rot, course, sog_acc, rot_acc]))
             u_d, chi_d = sog[-1], course[-1]
         channels = _join(parts)
-        grid = TimeGrid(self.grid.t0, self.levels[0].grid.dt, channels.shape[1])
+        grid = TimeGrid(self.grid.t0, self.levels[0].dt, channels.shape[1])
         return VelocityTrajectory(grid, *channels)
 
 
@@ -145,41 +160,25 @@ def _join(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def generate_tree(
-    params: TreeParams,
-    model: VesselModel,
-    state: VesselState,
-    t: float,
-    desired_vel0: tuple[float, float],
-    tau0,
-    guidance_hook,
-    dt: float,
-    eval_dt: float,
+    params: TreeParams, levels: tuple[Level, ...], model: VesselModel, state: VesselState, t: float,
+    desired_vel0: tuple[float, float], tau0, guidance_hook,
 ) -> CandidateSet:
     """Breadth-first expansion from the state (north, east, course, sog,
-    rot) at time t to the configured depth, one level at a time.
+    rot) at time t through the levels build_levels(params, dt, eval_dt),
+    one at a time; the prediction integrates on the eval_dt grid.
 
     guidance_hook(t, north, east, course, desired) -> (sog_acc, rot_acc),
     or None, supplies the desired-acceleration substitution for all
     nodes of a level at once: t is the level's start time,
     north/east/course the nodes' predicted poses and desired their
     (sog, course) reference values, all (n_nodes,) arrays. tau0 must
-    lie within the actuator limits. The prediction integrates on the
-    eval_dt grid, which must take every k-th point of every level's dt
-    grid. Returns the candidates in deterministic order (node, then SOG
-    sample, then ROT sample), with no leaves if some level has no
-    feasible maneuver; the hook then sees zero nodes.
+    lie within the actuator limits. Returns the candidates in
+    deterministic order (node, then SOG sample, then ROT sample), with
+    no leaves if some level has no feasible maneuver; the hook then sees
+    zero nodes.
     """
-    ratio = eval_dt / dt
-    stride = int(round(ratio)) if np.isfinite(ratio) else 0
-    if abs(ratio - stride) > 1e-9 or stride < 1:
-        raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt}")
-    levels, t_level = [], t
-    for level_idx, step_time in enumerate(params.step_times):
-        if round(step_time / dt) % stride:
-            raise ValueError(f"eval_dt {eval_dt} must divide every step time, but step time {step_time} is no multiple of it (dt {dt})")
-        levels.append(Level.build(params, level_idx, t_level, dt, stride))
-        t_level += step_time
-    grid = TimeGrid(t, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
+    eval_dt = levels[0].eval_dt
+    grid = TimeGrid(t, eval_dt, sum(len(level.decay_s) - 1 for level in levels) + 1)
     desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
 
     # the nodes of the previous level (the root to begin with): desired
@@ -191,7 +190,8 @@ def generate_tree(
     # per level: each edge's parent node, (sog, rot) sample indices and
     # accelerations, and its prediction on the columns the level owns
     parents, kept, edges = [], [], []
-    for level_idx, level in enumerate(levels):
+    t_level = t
+    for level_idx, (level, step_time) in enumerate(zip(levels, params.step_times)):
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
         node_sog = np.maximum(u_bar, 0.0)
@@ -201,7 +201,7 @@ def generate_tree(
             node_rot = 0.0
             node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
         desired_acc = None if guidance_hook is None else guidance_hook(
-            level.grid.t0, *position, chi_bar, (u_d, chi_d)
+            t_level, *position, chi_bar, (u_d, chi_d)
         )
         sog_samples, rot_samples = sample_accelerations(
             possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
@@ -213,7 +213,8 @@ def generate_tree(
         # below run on zero-row arrays, down to a set with no leaves
         a_u = sog_samples[node, i_sog]
         a_r = rot_samples[node, i_rot]
-        sog, course = level.reference(u_d[node, None], chi_d[node, None], a_u[:, None], a_r[:, None], stride)
+        sog = u_d[node, None] + a_u[:, None] * level.cum_s_eval
+        course = chi_d[node, None] + a_r[:, None] * level.cum2_c_eval
         sog_bar = (u_bar - u_d)[node, None] * level.decay_s + sog
         course_bar = wrap_angle(chi_bar - chi_d)[node, None] * level.decay_c + course
         # north and east velocity in one buffer, integrated in one pass
@@ -232,6 +233,7 @@ def generate_tree(
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]
+        t_level += step_time
 
     # each leaf's ancestor edge at every level, from the leaves up
     ancestors = [np.arange(len(parents[-1]))]

@@ -19,7 +19,9 @@ wraps angles with `np.mod` alone: the library skips `np.mod` where
 adding or subtracting 2*pi once is exact, and must give the same bits.
 `full_resolution_tree` grows the tree with the prediction integrated on
 the integration grid and then thinned to the evaluation grid, where the
-library integrates it on the evaluation grid directly. `leaf_rows`
+library integrates it on the evaluation grid directly. `level_at` builds
+a tree level's profiles from its absolute start time t0, which the
+profiles the library builds once per config must match at any t0. `leaf_rows`
 gathers each candidate's prediction over the whole grid from its
 ancestor edges, which the library scores one edge at a time.
 """
@@ -37,7 +39,7 @@ from colavmpc.primitives import (
     sog_profile_unit,
     terminal_sog_feasible,
 )
-from colavmpc.tree import CandidateSet, Level
+from colavmpc.tree import CandidateSet, build_levels
 
 
 def _trapz(values, dt):
@@ -297,23 +299,40 @@ def outer_penalty_at(d, d0, d1, d2, gamma1):
     ], args[0].shape)
 
 
+def level_at(params, index, t0, dt, stride) -> dict[str, np.ndarray]:
+    """Tree level index's profiles, by tree.Level field, on its absolute
+    dt grid from t0: relative times are grid.times() - t0, which round
+    differently for each t0, where tree.build_levels takes dt * arange(n)."""
+    grid = TimeGrid.from_span(t0, params.step_times[index], dt)
+    t_rel = grid.times() - t0
+    unit_s = sog_profile_unit(t_rel, params)
+    unit_c = course_profile_unit(t_rel, params)
+    cum_s, cum_c = cumtrapz(np.array([unit_s, unit_c]), dt)
+    cum2_c = cumtrapz(cum_c, dt)
+    return dict(
+        unit_s=unit_s, unit_c=unit_c, cum_s=cum_s, cum_c=cum_c, cum2_c=cum2_c,
+        cum_s_eval=cum_s[::stride], cum2_c_eval=cum2_c[::stride],
+        decay_s=np.exp(-t_rel[::stride] / params.tc_sog), decay_c=np.exp(-t_rel[::stride] / params.tc_course),
+    )
+
+
 def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_hook, dt, eval_dt) -> CandidateSet:
     """tree.generate_tree with every edge's prediction (sog, course, the
     cos/sin velocity and its integral) computed at every dt point and
-    only then thinned to every stride-th point; same arguments."""
+    only then thinned to every stride-th point, from the levels
+    build_levels(params, dt, dt); the arguments dt and eval_dt in place
+    of the levels."""
     stride = int(round(eval_dt / dt))
-    levels, t_level = [], t
-    for level_idx, step_time in enumerate(params.step_times):
-        levels.append(Level.build(params, level_idx, t_level, dt, 1))
-        t_level += step_time
-    grid = TimeGrid(t, eval_dt, sum((lv.grid.n - 1) // stride for lv in levels) + 1)
+    levels = build_levels(params, dt, dt)
+    grid = TimeGrid(t, eval_dt, sum((len(lv.cum_s) - 1) // stride for lv in levels) + 1)
     desired0 = (float(desired_vel0[0]), float(desired_vel0[1]))
     u_d, chi_d = np.array([desired0[0]]), np.array([desired0[1]])
     north0, east0, course0, sog0, rot0 = state
     u_bar, chi_bar = np.array([float(sog0)]), np.array([float(course0)])
     position = np.array([[float(north0)], [float(east0)]])
     parents, kept, edges = [], [], []
-    for level_idx, level in enumerate(levels):
+    t_level = t
+    for level_idx, (level, step_time) in enumerate(zip(levels, params.step_times)):
         node_sog = np.maximum(u_bar, 0.0)
         if level_idx == 0:
             node_rot, node_tau = float(rot0), tau0
@@ -321,7 +340,7 @@ def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_h
             node_rot = 0.0
             node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
         desired_acc = None if guidance_hook is None else guidance_hook(
-            level.grid.t0, *position, chi_bar, (u_d, chi_d)
+            t_level, *position, chi_bar, (u_d, chi_d)
         )
         sog_samples, rot_samples = sample_accelerations(
             possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
@@ -346,6 +365,7 @@ def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_h
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]
+        t_level += step_time
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])

@@ -15,7 +15,7 @@ from colavmpc.primitives import (
     sample_accelerations,
     sog_profile_unit,
 )
-from colavmpc.tree import generate_tree
+from colavmpc.tree import build_levels, generate_tree
 from colavmpc.vessel import default_model
 
 MODEL = default_model()
@@ -31,7 +31,7 @@ def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None
     state = VesselState(0.0, 0.0, course, sog, rot)
     tau0 = np.clip(MODEL.damping(sog, rot), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0, 5.0, 5.0)
-    return generate_tree(params, MODEL, state, 0.0, desired or (sog, course), tau0, None, dt, dt)
+    return generate_tree(params, build_levels(params, dt, dt), MODEL, state, 0.0, desired or (sog, course), tau0, None)
 
 
 def _rates(sog, rot, tau):
@@ -63,7 +63,7 @@ def test_tree_params_invariants():
         step_times=(5.0, 20.0), n_sog=(5, 1), n_course=(5, 3), t_ramp=1.0, t_sog=5.0,
         t_course=5.0, tc_sog=5.0, tc_course=5.0,
     )
-    assert TreeParams(**base).levels == 2
+    assert TreeParams(**base).step_times == (5.0, 20.0)
     cases = [
         (dict(n_sog=(5,)), "per-level sequences must share length"),
         (dict(step_times=(), n_sog=(), n_course=()), "at least one level required"),
@@ -257,7 +257,7 @@ def test_integrate_primitives_requires_zero_rot():
     state = VesselState(0.0, 0.0, 0.0, 5.0, 0.05)
     tau0 = np.clip(MODEL.damping(5.0, 0.05), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
-    cands = generate_tree(params, MODEL, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.5)
+    cands = generate_tree(params, build_levels(params, 0.1, 0.5), MODEL, state, 0.0, (5.0, 0.0), tau0, None)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
     assert all(np.all(cands.trajectory(leaf).rot[starts] == 0.0) for leaf in range(len(cands)))
 

@@ -178,6 +178,31 @@ def test_metrics_situation_is_first_label():
     assert compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"].situation == "head_on"
 
 
+def test_levels_are_read_only_and_shared_by_every_call(monkeypatch):
+    from colavmpc import sim
+
+    config = scenarios.build_scenario("head_on", noise="radar")
+    for level in first_solve(config).candidates.levels:
+        for f in dataclasses.fields(level):
+            if isinstance(getattr(level, f.name), np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(level, f.name)[0] = 1.0
+    real_generate_tree, seen = sim.generate_tree, []
+
+    def recording(*args):
+        candidates = real_generate_tree(*args)
+        seen.append(candidates.levels)
+        return candidates
+
+    monkeypatch.setattr(sim, "generate_tree", recording)
+    config = scenarios.build_scenario("head_on", noise="radar")
+    run(config)
+    assert len(seen) == 40 and all(levels is config.levels for levels in seen)
+    # a replaced config builds its own levels, here on the integration grid
+    fine = dataclasses.replace(config, eval_dt=config.integration_dt).levels
+    assert fine is not config.levels and len(fine[0].decay_s) == len(fine[0].cum_s)
+
+
 def test_metrics_collision_is_noncompliant():
     # the ownship ends on the obstacle of a head-on encounter: a closest
     # approach on the obstacle's course line reads "port", but collision
@@ -388,7 +413,7 @@ def test_run_scripted_course_change():
 def test_prediction_matches_closed_loop_plant():
     # the planner's feedback-corrected prediction should stay close to what
     # the controller + plant actually do, else the avoidance geometry lies
-    from colavmpc.tree import TreeParams, generate_tree
+    from colavmpc.tree import TreeParams, build_levels, generate_tree
     from colavmpc.vessel import control_law, default_gains, default_model, step_plant
 
     model = default_model()
@@ -396,7 +421,7 @@ def test_prediction_matches_closed_loop_plant():
     state = VesselState(0.0, 0.0, 0.1, 5.5, 0.0)
     tau0 = np.clip(model.damping(5.5, 0.0), model.tau_min, model.tau_max)
     # evaluated on the integration grid, so the prediction has a point per plant step
-    cands = generate_tree(params, model, state, 0.0, (5.0, 0.0), tau0, None, 0.1, 0.1)
+    cands = generate_tree(params, build_levels(params, 0.1, 0.1), model, state, 0.0, (5.0, 0.0), tau0, None)
     pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)

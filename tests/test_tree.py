@@ -11,7 +11,7 @@ import oracles
 from colavmpc.primitives import possible_accelerations, sample_accelerations
 from colavmpc import scenarios, sim
 from colavmpc import tree as tree_mod
-from colavmpc.tree import TreeParams, generate_tree
+from colavmpc.tree import TreeParams, build_levels, generate_tree
 from colavmpc.vessel import default_model
 
 MODEL = default_model()
@@ -35,7 +35,7 @@ def _tau0(state):
 def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None, t=0.0):
     """Candidates grown from state at time t, seeded from the desired (sog, course)."""
     tau0 = _tau0(state) if tau0 is None else tau0
-    return generate_tree(params, MODEL, state, t, desired, tau0, hook, DT, EVAL_DT)
+    return generate_tree(params, build_levels(params, DT, EVAL_DT), MODEL, state, t, desired, tau0, hook)
 
 
 def _los_hook(dtraj, los):
@@ -319,7 +319,7 @@ def test_single_sample_levels_hold_speed():
     cands = _grow(state, (5.0, 0.0), _los_hook(dtraj, los))
     for leaf in range(0, len(cands), 37):
         # levels 1 and 2 have n_sog=1: speed stays at the level-0 terminal value
-        tail = cands.trajectory(leaf).sog[cands.levels[0].grid.n - 1 :]
+        tail = cands.trajectory(leaf).sog[len(cands.levels[0].cum_s) - 1 :]
         np.testing.assert_allclose(tail, tail[0], atol=1e-9)
 
 
@@ -415,7 +415,9 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
     assert len(calls) >= 40
     worst = 0.0
     for args in calls:
-        cands, oracle = generate_tree(*args), oracles.full_resolution_tree(*args)
+        params, levels, *rest = args
+        cands = generate_tree(*args)
+        oracle = oracles.full_resolution_tree(params, *rest, levels[0].dt, levels[0].eval_dt)
         np.testing.assert_array_equal(cands.sample_path, oracle.sample_path)
         np.testing.assert_array_equal(cands.first_sog, oracle.first_sog)
         np.testing.assert_array_equal(cands.first_course, oracle.first_course)
@@ -427,8 +429,10 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
 
 
 def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monkeypatch):
-    for *args, dt, _ in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
-        cands, oracle = generate_tree(*args, dt, dt), oracles.full_resolution_tree(*args, dt, dt)
+    for params, levels, *rest in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
+        dt = levels[0].dt
+        cands = generate_tree(params, build_levels(params, dt, dt), *rest)
+        oracle = oracles.full_resolution_tree(params, *rest, dt, dt)
         assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
         for name in ("first_sog", "first_course", "sample_path", "accelerations"):
             np.testing.assert_array_equal(getattr(cands, name), getattr(oracle, name), err_msg=name)
@@ -454,6 +458,25 @@ def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monke
 def test_tree_names_the_eval_dt_rule_it_breaks(step_times, eval_dt, message):
     n = len(step_times)
     params = TreeParams(step_times, (1,) * n, (3,) * n, 1.0, 5.0, 5.0, 5.0, 5.0)
-    state = _state()
     with pytest.raises(ValueError, match=re.escape(message)):
-        generate_tree(params, MODEL, state, 0.0, (5.0, 0.0), _tau0(state), None, DT, eval_dt)
+        build_levels(params, DT, eval_dt)
+
+
+def test_levels_built_once_match_the_per_start_time_formula():
+    # build_levels takes a level's relative times as dt * arange(n), the
+    # per-start-time formula as grid.times() - t0, which rounds
+    # differently for each t0. Over t0 = 0..1800 s in 5 s steps, the
+    # unit profiles differ by at most 9.2e-14 of their peak and the
+    # integrals by 7.1e-15 of theirs, and the decays are equal; the
+    # bounds leave about 2x. At t0 = 0 both formulas give the same bits
+    config = scenarios.build_scenario("head_on")
+    dt, stride = config.integration_dt, round(config.eval_dt / config.integration_dt)
+    for t0 in np.arange(0.0, 1805.0, 5.0):
+        for k, level in enumerate(config.levels):
+            for name, expected in oracles.level_at(config.tree, k, float(t0), dt, stride).items():
+                got, where = getattr(level, name), f"level {k} {name} at t0 {t0}"
+                if t0 == 0.0 or name.startswith("decay"):
+                    np.testing.assert_array_equal(got, expected, err_msg=where)
+                else:
+                    bound = (2e-13 if name.startswith("unit") else 2e-14) * np.abs(expected).max()
+                    np.testing.assert_allclose(got, expected, rtol=0.0, atol=bound, err_msg=where)
