@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import VesselState, wrap_angle
@@ -128,7 +127,8 @@ def _require_multiple(key: str, value: float, unit: float, unit_name: str):
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A parsed scenario. Configs compare by identity: the desired
-    trajectory holds arrays."""
+    trajectory holds arrays. levels, built with the config by
+    tree.build_levels, is shared by every planner call."""
 
     name: str
     seed: int
@@ -146,16 +146,15 @@ class ScenarioConfig:
     obstacles: tuple[ObstacleScript, ...]
     noise: EstimateNoise
     noise_preset: str | None = None
+    levels: tuple[Level, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", build_levels(self.tree, self.integration_dt, self.eval_dt))
 
     @property
     def planner_period(self) -> float:
         """The replan period: the first step time."""
         return self.tree.step_times[0]
-
-    @cached_property
-    def levels(self) -> tuple[Level, ...]:
-        """tree.build_levels, built at the first read and shared by every planner call."""
-        return build_levels(self.tree, self.integration_dt, self.eval_dt)
 
 
 def _parse_vessel(r: _Reader | None) -> VesselModel:
@@ -291,10 +290,7 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             tc_course=pl.number("tc_course"),
         )
     pl.finish()
-    pl.invariant(eval_dt > 0.0, "eval_dt must be > 0")
-    _require_multiple("planner.eval_dt", eval_dt, integration_dt, "integration_dt")
     for t in tree.step_times:
-        _require_multiple("planner.step_times", t, eval_dt, "eval_dt")
         _require_multiple("planner.step_times", t, tree.step_times[0], "the first step time")
     _require_multiple("duration", duration, tree.step_times[0], "the first step time")
 
@@ -370,24 +366,25 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             raise ConfigError(f"seed override: must be >= 0, got {seed_override}")
         seed = seed_override
 
-    return ScenarioConfig(
-        name=name,
-        seed=seed,
-        duration=duration,
-        integration_dt=integration_dt,
-        eval_dt=eval_dt,
-        tree=tree,
-        los=los,
-        weights=weights,
-        geometry=geometry,
-        vessel=vessel,
-        gains=gains,
-        ownship=ownship,
-        desired=desired,
-        obstacles=tuple(scripts),
-        noise=noise,
-        noise_preset=preset_name,
-    )
+    with _section("planner"):
+        return ScenarioConfig(
+            name=name,
+            seed=seed,
+            duration=duration,
+            integration_dt=integration_dt,
+            eval_dt=eval_dt,
+            tree=tree,
+            los=los,
+            weights=weights,
+            geometry=geometry,
+            vessel=vessel,
+            gains=gains,
+            ownship=ownship,
+            desired=desired,
+            obstacles=tuple(scripts),
+            noise=noise,
+            noise_preset=preset_name,
+        )
 
 
 def load(path, *, noise_override: str | None = None, seed_override: int | None = None) -> ScenarioConfig:

@@ -126,17 +126,15 @@ def sample_accelerations(
 def sog_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """SOG acceleration trapezoid with unit plateau on relative times."""
     t = np.asarray(t_rel, dtype=float)
-    # np.clip(..., 0.0, 1.0) without its wrapper, same bits
-    return np.minimum(1.0, np.maximum(0.0, np.minimum(t / p.t_ramp, (p.t_sog - t) / p.t_ramp)))
+    return np.clip(np.minimum(t / p.t_ramp, (p.t_sog - t) / p.t_ramp), 0.0, 1.0)
 
 
 def course_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """Antisymmetric double pulse with unit peaks on relative times."""
     t = np.asarray(t_rel, dtype=float)
-    # np.clip(..., 0.0, 1.0) without its wrapper, same bits
     up = np.minimum(t / p.t_ramp, (2.0 * p.t_ramp - t) / p.t_ramp)
     down = np.minimum((t - (p.t_course - 2.0 * p.t_ramp)) / p.t_ramp, (p.t_course - t) / p.t_ramp)
-    return np.minimum(1.0, np.maximum(0.0, up)) - np.minimum(1.0, np.maximum(0.0, down))
+    return np.clip(up, 0.0, 1.0) - np.clip(down, 0.0, 1.0)
 
 
 def terminal_sog_feasible(model: VesselModel, sog_terminal) -> np.ndarray:

@@ -64,12 +64,13 @@ class Level:
 
 def build_levels(params: TreeParams, dt: float, eval_dt: float) -> tuple[Level, ...]:
     """Every level of the tree, integrated on the dt grid and predicted on
-    the eval_dt grid, which must take every k-th point of every level's dt
-    grid. The profiles depend on params, dt and eval_dt only."""
+    the eval_dt grid. The one check of the planner-grid rules: eval_dt must
+    be a positive integer multiple of dt and divide every step time (a
+    ValueError otherwise). The profiles depend on params, dt and eval_dt only."""
     ratio = eval_dt / dt
     stride = int(round(ratio)) if np.isfinite(ratio) else 0
     if abs(ratio - stride) > 1e-9 or stride < 1:
-        raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt}")
+        raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt} and > 0")
     levels = []
     for index, step_time in enumerate(params.step_times):
         if round(step_time / dt) % stride:

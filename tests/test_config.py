@@ -179,19 +179,28 @@ def test_duration_is_a_whole_number_of_replan_periods():
 
 
 @pytest.mark.parametrize(
-    "eval_dt,fragment",
+    "eval_dt,message",
     [
-        (0.0, "eval_dt must be > 0"),
-        (-0.5, "eval_dt must be > 0"),
-        (0.25, "planner.eval_dt: must be an integer multiple of integration_dt"),
-        (2.0, "planner.step_times: must be an integer multiple of eval_dt"),
+        # each id names the rule its value breaks, in the config's keys
+        pytest.param(0.0, "eval_dt 0.0 must be an integer multiple of dt 0.1 and > 0", id="0.0-eval_dt must be > 0"),
+        pytest.param(-0.5, "eval_dt -0.5 must be an integer multiple of dt 0.1 and > 0", id="-0.5-eval_dt must be > 0"),
+        pytest.param(
+            0.25, "eval_dt 0.25 must be an integer multiple of dt 0.1 and > 0",
+            id="0.25-planner.eval_dt: must be an integer multiple of integration_dt",
+        ),
+        pytest.param(
+            2.0, "eval_dt 2.0 must divide every step time, but step time 5.0 is no multiple of it (dt 0.1)",
+            id="2.0-planner.step_times: must be an integer multiple of eval_dt",
+        ),
     ],
 )
-def test_eval_dt_rules(eval_dt, fragment):
+def test_eval_dt_rules(eval_dt, message):
+    # tree.build_levels states the rules, and from_dict names the section
     data = scenarios.build_config_dict("head_on")
     data["planner"]["eval_dt"] = eval_dt
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError) as err:
         cfgm.from_dict(data)
+    assert str(err.value) == f"planner: {message}"
 
 
 def _number_leaves(node, path=()):

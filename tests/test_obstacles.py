@@ -47,9 +47,9 @@ def test_ground_truth_continuous_across_event():
 
 @pytest.mark.parametrize("n_events", range(5))
 def test_ground_truth_float_has_the_array_bits(n_events):
-    # a float time takes its own plain-float pass over the segments; it
-    # matches the array pass at t = 0 and at each event time and its
-    # float neighbours, zero-length segments included
+    # a float time gives four floats with the bits of an array call, at
+    # t = 0 and at each event time and its float neighbours, zero-length
+    # segments included
     events = (
         ScriptEvent(t=12.5, sog=4.0),
         ScriptEvent(t=30.0, course=2.9),

@@ -190,7 +190,8 @@ def test_clip_replacements_keep_np_clips_bits():
             (du_lo, dr_lo), (du_hi, dr_hi) = expected
             for got, want in zip(bounds, (du_lo, du_hi, dr_lo, dr_hi)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # the unit profiles against [0, 1], at +-0.0 and the ramp and maneuver ends
+    # the unit profiles are their ramps clipped to [0, 1], at +-0.0 and
+    # the ramp and maneuver ends
     t = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     ramp = P.t_ramp
     assert sog_profile_unit(t, P).tobytes() == np.clip(

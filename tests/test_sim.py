@@ -181,8 +181,11 @@ def test_metrics_situation_is_first_label():
 def test_levels_are_read_only_and_shared_by_every_call(monkeypatch):
     from colavmpc import sim
 
+    # from_dict builds the levels with the config, before any planner call
     config = scenarios.build_scenario("head_on", noise="radar")
-    for level in first_solve(config).candidates.levels:
+    assert "levels" in vars(config)
+    assert first_solve(config).candidates.levels is config.levels
+    for level in config.levels:
         for f in dataclasses.fields(level):
             if isinstance(getattr(level, f.name), np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
@@ -201,6 +204,9 @@ def test_levels_are_read_only_and_shared_by_every_call(monkeypatch):
     # a replaced config builds its own levels, here on the integration grid
     fine = dataclasses.replace(config, eval_dt=config.integration_dt).levels
     assert fine is not config.levels and len(fine[0].decay_s) == len(fine[0].cum_s)
+    # and a broken grid fails at the replace call itself
+    with pytest.raises(ValueError, match="eval_dt 0.25 must be an integer multiple of dt"):
+        dataclasses.replace(config, eval_dt=0.25)
 
 
 def test_metrics_collision_is_noncompliant():
