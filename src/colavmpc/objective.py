@@ -10,7 +10,7 @@ obstacle's frame: x ahead of the obstacle and y to its starboard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,6 +101,9 @@ class ObjectiveWeights:
     w_course: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.w_align, self.w_avoid, self.w_tran) < 0.0:
             raise ValueError("term weights must be >= 0")
         if self.w_course <= 0.0:

@@ -9,7 +9,7 @@ Predictions extrapolate an estimate at constant speed and course.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class EstimateNoise:
     period: float = 2.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.pos_std, self.sog_std, self.course_std, self.latency) < 0.0:
             raise ValueError("noise parameters must be >= 0")
         if self.period <= 0.0:

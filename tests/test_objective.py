@@ -77,6 +77,14 @@ def test_geometry_rejects_non_finite_values(bad):
             build()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_reject_non_finite_values(bad):
+    # a NaN weight makes every total NaN, and select then took candidate 0
+    for field in ("w_align", "w_avoid", "w_tran", "w_course"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(WEIGHTS, **{field: bad})
+
+
 def test_region_radius_spot_values():
     assert region_radius(GEOM_ELL, 2, 0.0) == pytest.approx(250.0, abs=1e-9)
     assert region_radius(GEOM_ELL, 2, -math.pi / 2) == pytest.approx(125.0, abs=1e-9)

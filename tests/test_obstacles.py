@@ -77,6 +77,14 @@ def test_script_validation():
         _script(events=(ScriptEvent(t=10.0), ScriptEvent(t=5.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_noise_rejects_non_finite_values(bad):
+    # a NaN period stopped the tracker after its first update at t = 0
+    for field in ("pos_std", "sog_std", "course_std", "latency", "period"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            EstimateNoise(**{field: bad})
+
+
 def test_observe_noiseless_matches_truth():
     noise = EstimateNoise()
     est = observe(_script(), noise, 42.5, np.random.default_rng(0))
