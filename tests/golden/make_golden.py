@@ -14,8 +14,9 @@ written, so that their cases do not depend on a generator: ``traffic_0``
 case it writes ``<case>/metrics.json`` and records in ``digests.json``
 the sha256 of trajectory.csv and metrics.json, and one sha256 for each
 column group of planner.csv (``PLANNER_GROUPS``): the decisions the
-planner took and the costs it scored them with. A change to the
-numerics of the costs that keeps every decision then moves only
+planner took, the size of each winner's first maneuver, and the costs
+it scored them with. A change to the numerics that keeps every
+decision then moves only ``planner.csv:maneuver`` and
 ``planner.csv:costs``. The numpy and Python versions it ran under go to
 ``environment.json``, so that a digest mismatch elsewhere can name
 them. Before it overwrites a case, it prints the names of the digests
@@ -42,10 +43,12 @@ from colavmpc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
 NOISES = ("none", "radar")
-# planner.csv's columns by what they record: what the planner chose, and
-# the costs it chose by; each group's digest covers its header and rows
+# planner.csv's columns by what they record: what the planner chose, the
+# course and speed change of the winner's first maneuver, and the costs
+# it chose by; each group's digest covers its header and rows
 PLANNER_GROUPS = {
-    "decisions": ("t_s", "candidate", "n_candidates", "tran", "failsafe", "course_change_rad", "sog_change_mps"),
+    "decisions": ("t_s", "candidate", "n_candidates", "tran", "failsafe"),
+    "maneuver": ("course_change_rad", "sog_change_mps"),
     "costs": ("align", "avoid", "total"),
 }
 
