@@ -149,6 +149,10 @@ class ScenarioConfig:
     levels: tuple[Level, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("duration", "integration_dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         object.__setattr__(self, "levels", build_levels(self.tree, self.integration_dt, self.eval_dt))
 
     @property

@@ -9,7 +9,7 @@ unwrapped; wrapping happens only when two angles are compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +53,18 @@ def wrap_angle(a):
     if w.ndim == 0:
         return float(w)
     return w
+
+
+def require_finite(record) -> None:
+    """Raise a ValueError naming the first field of the dataclass record,
+    or element of a tuple field, that is not a finite number."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, x in items:
+            if not math.isfinite(x):
+                name = f.name if i is None else f"{f.name}[{i}]"
+                raise ValueError(f"{name} must be finite, got {x}")
 
 
 class VesselState(NamedTuple):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import require_finite, wrap_angle
 from .primitives import TreeParams
 
 
@@ -101,6 +101,7 @@ class LosParams:
     epsilon: float = 0.05
 
     def __post_init__(self):
+        require_finite(self)
         if self.lookahead <= 0.0 or self.along_track_gain <= 0.0:
             raise ValueError("lookahead and along_track_gain must be > 0")
         if not 0.0 < self.epsilon < 1.0:

@@ -10,11 +10,11 @@ obstacle's frame: x ahead of the obstacle and y to its starboard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, VelocityTrajectory, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, require_finite, wrap_angle
 from .guidance import DesiredTrajectory
 from .tree import CandidateSet
 
@@ -101,9 +101,7 @@ class ObjectiveWeights:
     w_course: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_finite(self)
         if min(self.w_align, self.w_avoid, self.w_tran) < 0.0:
             raise ValueError("term weights must be >= 0")
         if self.w_course <= 0.0:

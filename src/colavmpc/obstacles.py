@@ -9,11 +9,11 @@ Predictions extrapolate an estimate at constant speed and course.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TimeGrid, wrap_angle
+from .core import TimeGrid, require_finite, wrap_angle
 from .objective import ObstaclePrediction
 
 
@@ -52,9 +52,7 @@ class EstimateNoise:
     period: float = 2.5
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_finite(self)
         if min(self.pos_std, self.sog_std, self.course_std, self.latency) < 0.0:
             raise ValueError("noise parameters must be >= 0")
         if self.period <= 0.0:

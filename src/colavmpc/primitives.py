@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_finite
 from .vessel import VesselModel
 
 
@@ -40,6 +41,7 @@ class TreeParams:
     tc_course: float
 
     def __post_init__(self):
+        require_finite(self)
         if not (len(self.step_times) == len(self.n_sog) == len(self.n_course)):
             raise ValueError("per-level sequences must share length")
         if len(self.step_times) < 1:

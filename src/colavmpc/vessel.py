@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import require_finite, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class VesselModel:
     u_min: float
 
     def __post_init__(self):
+        require_finite(self)
         if not all(lo < hi for lo, hi in zip(self.tau_min, self.tau_max)):
             raise ValueError("tau_min must be < tau_max component-wise")
         if not all(lo <= hi for lo, hi in zip(self.tau_rate_min, self.tau_rate_max)):
@@ -126,6 +127,7 @@ class ControllerGains:
     integral_limit: float = 0.3
 
     def __post_init__(self):
+        require_finite(self)
         if self.ki_sog <= 0 or self.ki_course <= 0:
             raise ValueError("integral gains must be > 0")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -201,6 +202,23 @@ def test_eval_dt_rules(eval_dt, message):
     with pytest.raises(ConfigError) as err:
         cfgm.from_dict(data)
     assert str(err.value) == f"planner: {message}"
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("integration_dt", 0.0), ("integration_dt", -0.1), ("integration_dt", math.nan),
+        ("integration_dt", math.inf), ("duration", 0.0), ("duration", -5.0),
+        ("duration", math.nan), ("duration", math.inf),
+    ],
+)
+def test_scenario_config_rejects_a_bad_step_or_duration(name, value):
+    # through the Python API these failed late, in build_levels or sim.run,
+    # with errors that did not name the field (from_dict rejects them first)
+    config = scenarios.build_scenario("head_on")
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(config, **{name: value})
+    assert str(err.value) == f"{name} must be finite and > 0, got {value}"
 
 
 def _number_leaves(node, path=()):

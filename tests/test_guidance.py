@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,17 @@ def test_los_params_need_a_speed_cap():
     # the cap is the vessel's top speed, which only the config knows
     with pytest.raises(TypeError):
         LosParams(lookahead=500.0, along_track_gain=0.005)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_los_params_reject_non_finite_values(bad):
+    # a NaN lookahead passed the `<= 0` check, and the first planner call
+    # then failed in wrap_angle, naming no field
+    for field in ("lookahead", "along_track_gain", "u_max_los", "epsilon"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(PARAMS, **{field: bad})
+
+
 STEP = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0)
 
 

@@ -84,6 +84,20 @@ def test_tree_params_invariants():
             TreeParams(**{**base, **changes})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tree_params_reject_non_finite_values(bad):
+    # a NaN tc_sog passed the `<= 0` check, and the first planner call
+    # then failed in wrap_angle, naming no field
+    for field in ("t_ramp", "t_sog", "t_course", "tc_sog", "tc_course"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            dataclasses.replace(P, **{field: bad})
+    two_levels = dataclasses.replace(P, step_times=(5.0, 20.0), n_sog=(5, 1), n_course=(5, 3))
+    for i in range(2):
+        step_times = (5.0, bad) if i else (bad, 20.0)
+        with pytest.raises(ValueError, match=rf"^step_times\[{i}\] must be finite"):
+            dataclasses.replace(two_levels, step_times=step_times)
+
+
 def test_possible_accelerations_saturated_upper_edge():
     # already at full throttle: the upper edge is the max-throttle rate
     _, sog_max, _, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)

@@ -214,6 +214,23 @@ def test_gains_validation():
         default_gains().kp_sog = 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_and_gains_reject_non_finite_values(bad):
+    # a NaN field passed every `<`/`<=` check, so any error it caused
+    # surfaced far from the field
+    for record in (MODEL, default_gains()):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if isinstance(value, tuple):
+                for i in range(len(value)):
+                    changed = value[:i] + (bad,) + value[i + 1:]
+                    with pytest.raises(ValueError, match=rf"^{field.name}\[{i}\] must be finite"):
+                        dataclasses.replace(record, **{field.name: changed})
+            else:
+                with pytest.raises(ValueError, match=f"^{field.name} must be finite"):
+                    dataclasses.replace(record, **{field.name: bad})
+
+
 def test_control_law_reads_negative_desired_sog_as_zero():
     gains = default_gains()
     below, _ = control_law(MODEL, gains, _state(sog=1.0), _ref(sog=-0.5), NO_INTEGRAL, 0.1)
