@@ -74,10 +74,15 @@ def _summary_text(config, log, metrics) -> str:
 
 def write_outputs(out: Path, log: sim.RunLog, metrics: sim.Metrics):
     """Write one run's trajectory.csv, planner.csv and metrics.json into
-    the directory out, creating it."""
+    the directory out, creating it. Each CSV is written block by block,
+    so no file's whole text is held."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trajectory.csv").write_text(sim.runlog_to_csv(log))
-    (out / "planner.csv").write_text(sim.planner_to_csv(log))
+    for name, blocks in (
+        ("trajectory.csv", sim.runlog_csv_blocks(log)),
+        ("planner.csv", sim.planner_csv_blocks(log)),
+    ):
+        with (out / name).open("w") as fh:
+            fh.writelines(blocks)
     (out / "metrics.json").write_text(
         json.dumps(sim.metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n"
     )

@@ -24,8 +24,11 @@ a tree level's profiles from its absolute start time t0, which the
 profiles the library builds once per config must match at any t0. `leaf_rows`
 gathers each candidate's prediction over the whole grid from its
 ancestor edges, which the library scores one edge at a time.
+`whole_table_csv` formats a CSV from one array of the whole table,
+which the library writes in row blocks (`sim.runlog_csv_blocks`).
 """
 
+import io
 import math
 
 import numpy as np
@@ -389,3 +392,16 @@ def leaf_rows(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for channels in zip(*cands.edges)
     )
     return north, east, course
+
+
+def whole_table_csv(columns: list[tuple[str, np.ndarray]]) -> str:
+    """The CSV text of (name, column) pairs: the header line, then every
+    row of np.column_stack of all the columns at once, integer and
+    boolean columns with %d and float columns with %.12g."""
+    names, arrays = zip(*columns)
+    template = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in arrays) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join(names) + "\n")
+    for row in np.column_stack(arrays):
+        buf.write(template % tuple(row))
+    return buf.getvalue()

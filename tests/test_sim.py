@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,20 +9,25 @@ import pytest
 import oracles
 from colavmpc import config as cfgm
 from colavmpc import scenarios
+from colavmpc.cli import write_outputs
 from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
+    CSV_BLOCK_ROWS,
     Metrics,
     ObstacleSeries,
     PlannerSeries,
     RunLog,
+    _csv_blocks,
     _outputs,
     classify_situation,
     compute_metrics,
     first_solve,
     plan_step,
+    planner_csv_blocks,
     planner_to_csv,
     run,
+    runlog_csv_blocks,
     runlog_to_csv,
 )
 from golden.make_golden import GOLDEN
@@ -329,6 +335,79 @@ def test_failsafe_planner_rows_bytes():
         "course_change_rad,sog_change_mps"
     )
     assert lines == [f"{t:.12g},-1,0,nan,nan,nan,nan,1,0,0" for t in np.arange(6) * 5.0]
+
+
+# float cells whose %.12g text has a form of its own
+SPECIAL = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 1.5, -2.25, 1.0 / 3.0])
+
+
+def _special_columns(n):
+    """(name, column) pairs of n rows: int, bool and float columns, the
+    float ones cycling through SPECIAL from different offsets."""
+    return [
+        ("i", np.arange(n) - 1), ("b", np.arange(n) % 3 == 0),
+        *((f"f{k}", np.roll(np.resize(SPECIAL, n), k)) for k in range(3)),
+    ]
+
+
+def _noisy_log(n, n_calls):
+    """_synthetic_log's schema with random floats in every float column
+    and _special_columns in the planner's n_calls rows."""
+    log = _synthetic_log(n=n, dt=0.1)
+    rng = np.random.default_rng(0)
+    for record in (log, *log.obstacles.values()):
+        for _, col in _outputs(record):
+            if col.dtype.kind == "f":
+                col[:] = rng.normal(scale=1000.0, size=n)
+    log.selected[:] = rng.integers(-1, 225, size=n)
+    (_, i), (_, b), (_, f0), (_, f1), (_, f2) = _special_columns(n_calls)
+    log.planner = PlannerSeries(
+        t=f0, candidate=i, n_candidates=i + 1, align=f1, avoid=f2, tran=f0, total=f1,
+        failsafe=b, course_change=f2, sog_change=f0,
+    )
+    return log
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+)
+def test_csv_blocks_join_to_the_whole_table_text(n):
+    # the header, then one string per CSV_BLOCK_ROWS rows, the last one
+    # shorter; joined, the text the whole-table writer gives
+    columns = _special_columns(n)
+    for chosen in (columns, columns[:1], columns[1:2], columns[2:]):
+        header, *blocks = _csv_blocks(chosen)
+        assert [block.count("\n") for block in blocks] == [
+            min(CSV_BLOCK_ROWS, n - start) for start in range(0, n, CSV_BLOCK_ROWS)
+        ]
+        assert header + "".join(blocks) == oracles.whole_table_csv(chosen)
+    log = _noisy_log(n, n)
+    trajectory_columns = _outputs(log) + [
+        (f"obs_target_{name}", col) for name, col in _outputs(log.obstacles["target"])
+    ]
+    assert "".join(runlog_csv_blocks(log)) == runlog_to_csv(log) == oracles.whole_table_csv(trajectory_columns)
+    assert "".join(planner_csv_blocks(log)) == planner_to_csv(log) == oracles.whole_table_csv(_outputs(log.planner))
+
+
+def _traced_peak(call) -> int:
+    """The peak of the memory Python allocates while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writers_peak_memory(tmp_path):
+    # a 30 min run at 0.1 s: runlog_to_csv holds its blocks and their
+    # join, twice its text; write_outputs a few blocks, not a whole file
+    log = _noisy_log(18_001, 360)
+    metrics = Metrics(0, 0, 0, 0.0, 0.0, 0, {})
+    size = len(runlog_to_csv(log))
+    assert _traced_peak(lambda: runlog_to_csv(log)) <= 2.1 * size
+    assert _traced_peak(lambda: write_outputs(tmp_path, log, metrics)) <= 0.25 * size
+    assert (tmp_path / "trajectory.csv").stat().st_size == size
 
 
 def _golden_config(case):
