@@ -1,9 +1,9 @@
 """Scenario configuration: JSON schema, strict validation, construction.
 
-Configs are plain JSON with a schema_version field. `from_dict` is the
-one place the schema is written: it reads each section strictly and
-builds the library's own objects from it. Unknown keys, wrong types and
-invariant violations are rejected with the offending key named once.
+Configs are plain JSON with a schema_version field. `from_dict` reads
+each section strictly into the library's own objects, checking only the
+JSON shape, with the offending key named once; every value rule is the
+rule of the record that owns the value, whichever way it is built.
 All angles are radians, all lengths meters, all times seconds.
 """
 
@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
-from .core import VesselState, wrap_angle
+from .core import VesselState, is_multiple, wrap_angle
 from .guidance import DesiredTrajectory, LosParams
 from .objective import ObjectiveWeights, PenaltyGeometry
 from .obstacles import NOISE_PRESETS, EstimateNoise, ObstacleScript, ScriptEvent
@@ -66,20 +67,26 @@ class _Reader:
     def integer(self, key, required=True):
         return self._get(key, int, required, None)
 
-    def seed(self, key, required=True):
-        """A random generator seed: an integer >= 0."""
-        value = self._get(key, int, required, None)
-        if value is not None and value < 0:
-            raise ConfigError(f"{self._path}.{key}: must be >= 0")
-        return value
-
     def string(self, key, required=True, default=None):
         return self._get(key, str, required, default)
 
-    def list_of(self, key, kind):
-        """A required list whose items are all of kind (float or int)."""
+    def list_of(self, key, kind, length=None):
+        """A required list whose items are all of kind (float or int), of
+        the given length if one is given: one item per named field."""
         raw = self._get(key, list, True, None)
+        if length is not None and len(raw) != length:
+            raise ConfigError(f"{self._path}.{key}: expected {length} entries, got {len(raw)}")
         return [self._check(v, kind, f"{key}[{i}]") for i, v in enumerate(raw)]
+
+    def fields_of(self, record) -> dict:
+        """The keys named as the dataclass record's fields, in field order:
+        a list for a tuple field, of integers if its items are, and a
+        number for any other."""
+        return {
+            f.name: tuple(self.list_of(f.name, int if str(f.type).startswith("tuple[int") else float))
+            if str(f.type).startswith("tuple") else self.number(f.name)
+            for f in fields(record)
+        }
 
     def section(self, key, required=True):
         raw = self._get(key, dict, required, None)
@@ -98,10 +105,6 @@ class _Reader:
             key = sorted(self._data)[0]
             raise ConfigError(f"{self._path}.{key}: unknown key")
 
-    def invariant(self, ok: bool, message: str):
-        if not ok:
-            raise ConfigError(f"{self._path}: {message}")
-
 
 @contextmanager
 def _section(name: str):
@@ -117,18 +120,12 @@ def _section(name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _require_multiple(key: str, value: float, unit: float, unit_name: str):
-    """Reject the value of key unless it is an integer multiple of unit."""
-    ratio = value / unit
-    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
-        raise ConfigError(f"{key}: must be an integer multiple of {unit_name}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A parsed scenario. Configs compare by identity: the desired
     trajectory holds arrays. levels, built with the config by
-    tree.build_levels, is shared by every planner call."""
+    tree.build_levels, is shared by every planner call. A config whose
+    values break a scenario rule raises a ValueError naming the field."""
 
     name: str
     seed: int
@@ -149,11 +146,33 @@ class ScenarioConfig:
     levels: tuple[Level, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.seed, Integral):
+            raise ValueError(f"config.seed: must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError("config.seed: must be >= 0")
         for name in ("duration", "integration_dt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        object.__setattr__(self, "levels", build_levels(self.tree, self.integration_dt, self.eval_dt))
+        # sim.run plans at every period start before the last step, so a
+        # partial last period would make one more call than duration / period
+        for unit, unit_name in ((self.integration_dt, "integration_dt"), (self.planner_period, "the first step time")):
+            if not is_multiple(self.duration, unit):
+                raise ValueError(f"duration: must be an integer multiple of {unit_name}")
+        for name, value in zip(self.ownship._fields, self.ownship):
+            if not math.isfinite(value):
+                raise ValueError(f"config.ownship: {name} must be finite, got {value}")
+        if self.ownship.sog < 0.0:
+            raise ValueError(f"config.ownship: sog must be >= 0, got {self.ownship.sog}")
+        ids = [script.id for script in self.obstacles]
+        for i, obs_id in enumerate(ids):
+            if obs_id in ids[:i]:
+                raise ValueError(f"obstacles: duplicate id {obs_id!r}")
+        try:
+            levels = build_levels(self.tree, self.integration_dt, self.eval_dt)
+        except ValueError as exc:
+            raise ValueError(f"planner: {exc}") from exc
+        object.__setattr__(self, "levels", levels)
 
     @property
     def planner_period(self) -> float:
@@ -165,28 +184,7 @@ def _parse_vessel(r: _Reader | None) -> VesselModel:
     if r is None:
         return default_model()
     with _section("vessel"):
-        model = VesselModel(
-            m_u0=r.number("m_u0"),
-            m_u1=r.number("m_u1"),
-            m_r0=r.number("m_r0"),
-            m_r1=r.number("m_r1"),
-            d_u1=r.number("d_u1"),
-            d_u2=r.number("d_u2"),
-            d_r1=r.number("d_r1"),
-            d_r2=r.number("d_r2"),
-            d_ru=r.number("d_ru"),
-            tau_min=tuple(r.list_of("tau_min", float)),
-            tau_max=tuple(r.list_of("tau_max", float)),
-            tau_rate_min=tuple(r.list_of("tau_rate_min", float)),
-            tau_rate_max=tuple(r.list_of("tau_rate_max", float)),
-            u_max=r.number("u_max"),
-            u_min=r.number("u_min"),
-        )
-    r.invariant(len(model.tau_min) == 2 and len(model.tau_max) == 2, "tau limits need 2 entries")
-    r.invariant(
-        len(model.tau_rate_min) == 2 and len(model.tau_rate_max) == 2,
-        "tau rate limits need 2 entries",
-    )
+        model = VesselModel(**r.fields_of(VesselModel))
     r.finish()
     return model
 
@@ -197,14 +195,12 @@ def _parse_geometry(r: _Reader) -> PenaltyGeometry:
     with _section("penalty"):
         if kind == "circular":
             radii = r.list_of("radii", float)
-            r.invariant(len(radii) == 3, "radii needs 3 entries")
             r.finish()
             return PenaltyGeometry.circular(radii, gamma1)
         if kind == "elliptical_colregs":
             a = r.list_of("a", float)
             b = r.list_of("b", float)
             d_colregs = r.number("d_colregs")
-            r.invariant(len(a) == 3 and len(b) == 3, "a and b need 3 entries")
             r.finish()
             return PenaltyGeometry.elliptical(a, b, d_colregs, gamma1)
     raise ConfigError(f"penalty.kind: unknown kind {kind!r}")
@@ -213,15 +209,12 @@ def _parse_geometry(r: _Reader) -> PenaltyGeometry:
 def _parse_gains(r: _Reader | None) -> ControllerGains:
     if r is None:
         return default_gains()
-    kp = r.list_of("kp", float)
-    ki = r.list_of("ki", float)
+    kp = r.list_of("kp", float, length=3)  # sog, rot, course
+    ki = r.list_of("ki", float, length=2)  # sog, course
     limit = r.number("integral_limit", required=False, default=ControllerGains.integral_limit)
-    r.invariant(len(kp) == 3, "kp needs entries (sog, rot, course)")
-    r.invariant(len(ki) == 2, "ki needs entries (sog, course)")
-    r.invariant(all(v > 0 for v in kp + ki), "gains must be > 0")
-    r.invariant(limit > 0, "integral_limit must be > 0")
     r.finish()
-    return ControllerGains(*kp, *ki, integral_limit=limit)
+    with _section("gains"):
+        return ControllerGains(*kp, *ki, integral_limit=limit)
 
 
 def _parse_desired(r: _Reader) -> DesiredTrajectory:
@@ -247,13 +240,7 @@ def _parse_noise(r: _Reader | None, preset_override: str | None):
     preset = "none" if r is None else r.string("preset", required=False)
     if preset is None:
         with _section("noise"):
-            noise = EstimateNoise(
-                pos_std=r.number("pos_std"),
-                sog_std=r.number("sog_std"),
-                course_std=r.number("course_std"),
-                latency=r.number("latency"),
-                period=r.number("period"),
-            )
+            noise = EstimateNoise(**r.fields_of(EstimateNoise))
     elif preset in NOISE_PRESETS:
         noise = NOISE_PRESETS[preset]
     else:
@@ -273,30 +260,15 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
     name = top.string("name")
-    seed = top.seed("seed")
+    seed = top.integer("seed")
     duration = top.number("duration")
     integration_dt = top.number("integration_dt")
-    top.invariant(duration > 0.0, "duration must be > 0")
-    top.invariant(integration_dt > 0.0, "integration_dt must be > 0")
-    _require_multiple("duration", duration, integration_dt, "integration_dt")
 
     pl = top.section("planner")
     eval_dt = pl.number("eval_dt")
     with _section("planner"):
-        tree = TreeParams(
-            step_times=tuple(pl.list_of("step_times", float)),
-            n_sog=tuple(pl.list_of("n_sog", int)),
-            n_course=tuple(pl.list_of("n_course", int)),
-            t_ramp=pl.number("t_ramp"),
-            t_sog=pl.number("t_sog"),
-            t_course=pl.number("t_course"),
-            tc_sog=pl.number("tc_sog"),
-            tc_course=pl.number("tc_course"),
-        )
+        tree = TreeParams(**pl.fields_of(TreeParams))
     pl.finish()
-    for t in tree.step_times:
-        _require_multiple("planner.step_times", t, tree.step_times[0], "the first step time")
-    _require_multiple("duration", duration, tree.step_times[0], "the first step time")
 
     vessel = _parse_vessel(top.section("vessel", required=False))
 
@@ -328,18 +300,13 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
         own.number("north"), own.number("east"), wrap_angle(own.number("course")),
         own.number("sog"), own.number("rot", required=False, default=0.0),
     )
-    own.invariant(ownship.sog >= 0.0, f"sog must be >= 0, got {ownship.sog}")
     own.finish()
 
     desired = _parse_desired(top.section("desired"))
 
     scripts = []
-    seen_ids = set()
     for item in top.section_list("obstacles", required=False):
         obs_id = item.string("id")
-        if obs_id in seen_ids:
-            raise ConfigError(f"obstacles: duplicate id {obs_id!r}")
-        seen_ids.add(obs_id)
         events = []
         for ev in item.section_list("events", required=False):
             events.append(
@@ -365,15 +332,11 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
 
     noise, preset_name = _parse_noise(top.section("noise", required=False), noise_override)
     top.finish()
-    if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError(f"seed override: must be >= 0, got {seed_override}")
-        seed = seed_override
 
-    with _section("planner"):
+    try:
         return ScenarioConfig(
             name=name,
-            seed=seed,
+            seed=seed if seed_override is None else seed_override,
             duration=duration,
             integration_dt=integration_dt,
             eval_dt=eval_dt,
@@ -389,6 +352,8 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             noise=noise,
             noise_preset=preset_name,
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load(path, *, noise_override: str | None = None, seed_override: int | None = None) -> ScenarioConfig:

@@ -67,6 +67,12 @@ def require_finite(record) -> None:
                 raise ValueError(f"{name} must be finite, got {x}")
 
 
+def is_multiple(value: float, unit: float) -> bool:
+    """Whether value is a whole number of units, to 1e-9 of a unit."""
+    ratio = value / unit
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
+
+
 class VesselState(NamedTuple):
     """The plant's state: position (m), course (rad, in [-pi, pi)),
     speed over ground (m/s, >= 0) and rate of turn (rad/s)."""
@@ -106,11 +112,9 @@ class TimeGrid:
     @staticmethod
     def from_span(t0: float, span: float, dt: float) -> "TimeGrid":
         """Grid over [t0, t0 + span]; span must be an integer multiple of dt."""
-        steps = span / dt
-        n = int(round(steps))
-        if abs(steps - n) > 1e-9:
+        if not is_multiple(span, dt):
             raise ValueError(f"span {span} is not an integer multiple of dt {dt}")
-        return TimeGrid(t0, dt, n + 1)
+        return TimeGrid(t0, dt, round(span / dt) + 1)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ class PenaltyGeometry:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and np.ndim(value) and len(value) != 3:
+                raise ValueError(f"{name} needs 3 entries, one per region, got {value}")
         if not 0.0 < self.gamma1 < 1.0:
             raise ValueError("gamma1 must be in (0, 1)")
         if self.kind == "circular":

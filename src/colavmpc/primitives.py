@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_finite
+from .core import is_multiple, require_finite
 from .vessel import VesselModel
 
 
@@ -54,6 +54,8 @@ class TreeParams:
             raise ValueError("t_course must be >= 4 * t_ramp")
         if min(self.step_times) < max(self.t_sog, self.t_course):
             raise ValueError("every step time must cover both maneuver lengths")
+        if not all(is_multiple(t, self.step_times[0]) for t in self.step_times):
+            raise ValueError(f"step_times must be integer multiples of the first step time, got {self.step_times}")
         if min(self.n_sog + self.n_course) < 1:
             raise ValueError("sample counts must be >= 1")
         if self.tc_sog <= 0.0 or self.tc_course <= 0.0:

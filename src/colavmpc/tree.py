@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, wrap_angle
+from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, is_multiple, wrap_angle
 from .primitives import (
     TreeParams, course_profile_unit, possible_accelerations, sample_accelerations, sog_profile_unit,
     terminal_sog_feasible,
@@ -67,9 +67,8 @@ def build_levels(params: TreeParams, dt: float, eval_dt: float) -> tuple[Level, 
     the eval_dt grid. The one check of the planner-grid rules: eval_dt must
     be a positive integer multiple of dt and divide every step time (a
     ValueError otherwise). The profiles depend on params, dt and eval_dt only."""
-    ratio = eval_dt / dt
-    stride = int(round(ratio)) if np.isfinite(ratio) else 0
-    if abs(ratio - stride) > 1e-9 or stride < 1:
+    stride = round(eval_dt / dt) if is_multiple(eval_dt, dt) else 0
+    if stride < 1:
         raise ValueError(f"eval_dt {eval_dt} must be an integer multiple of dt {dt} and > 0")
     levels = []
     for index, step_time in enumerate(params.step_times):

@@ -47,6 +47,9 @@ class VesselModel:
 
     def __post_init__(self):
         require_finite(self)
+        for name in ("tau_min", "tau_max", "tau_rate_min", "tau_rate_max"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} needs 2 entries (tau_m, tau_delta), got {getattr(self, name)}")
         if not all(lo < hi for lo, hi in zip(self.tau_min, self.tau_max)):
             raise ValueError("tau_min must be < tau_max component-wise")
         if not all(lo <= hi for lo, hi in zip(self.tau_rate_min, self.tau_rate_max)):
@@ -128,8 +131,9 @@ class ControllerGains:
 
     def __post_init__(self):
         require_finite(self)
-        if self.ki_sog <= 0 or self.ki_course <= 0:
-            raise ValueError("integral gains must be > 0")
+        for name in ("kp_sog", "kp_rot", "kp_course", "ki_sog", "ki_course", "integral_limit"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def default_gains() -> ControllerGains:

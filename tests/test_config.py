@@ -10,8 +10,9 @@ from colavmpc import scenarios
 from colavmpc.config import ConfigError
 from colavmpc.core import VesselState, wrap_angle
 from colavmpc.guidance import LosParams
+from colavmpc.objective import PenaltyGeometry
 from colavmpc.obstacles import NOISE_PRESETS
-from colavmpc.vessel import default_gains
+from colavmpc.vessel import default_gains, default_model
 
 
 def test_packaged_scenarios_hold_their_encounter_geometry():
@@ -109,8 +110,10 @@ def test_negative_seeds_rejected():
         cfgm.from_dict(data)
     assert str(err.value) == "config.noise.seed: unknown key"
     del data["noise"]["seed"]
-    with pytest.raises(ConfigError, match="seed override: must be >= 0"):
+    # an override meets the config's own rule
+    with pytest.raises(ConfigError) as err:
         cfgm.from_dict(data, seed_override=-3)
+    assert str(err.value) == "config.seed: must be >= 0"
 
 
 @pytest.mark.parametrize(
@@ -283,6 +286,95 @@ def test_duplicate_obstacle_ids_rejected():
     data["obstacles"].append(dict(data["obstacles"][0]))
     with pytest.raises(ConfigError, match="duplicate"):
         cfgm.from_dict(data)
+
+
+def _vessel_section(**changes):
+    """The default vessel model as a config section, with changes."""
+    model = dataclasses.asdict(default_model())
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in {**model, **changes}.items()}
+
+
+_GAINS = {"kp": [0.6, 2.2, 1.0], "ki": [0.05, 0.02]}
+_A, _B = (50.0, 150.0, 250.0), (25.0, 75.0, 125.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt,build,section,field",
+    [
+        pytest.param(lambda d: d.update(duration=200.05), lambda c: dataclasses.replace(c, duration=200.05),
+                     "", "duration", id="duration-integration_dt"),
+        pytest.param(lambda d: d.update(duration=202.0), lambda c: dataclasses.replace(c, duration=202.0),
+                     "", "duration", id="duration-period"),
+        pytest.param(lambda d: d.update(seed=-1), lambda c: dataclasses.replace(c, seed=-1), "", "seed", id="seed"),
+        pytest.param(lambda d: d["ownship"].update(sog=-1.0),
+                     lambda c: dataclasses.replace(c, ownship=c.ownship._replace(sog=-1.0)),
+                     "", "ownship", id="ownship-sog"),
+        pytest.param(lambda d: d["obstacles"].append(dict(d["obstacles"][0])),
+                     lambda c: dataclasses.replace(c, obstacles=c.obstacles * 2),
+                     "", "obstacles", id="duplicate-id"),
+        pytest.param(lambda d: d["planner"].update(step_times=[5.0, 12.0, 30.0]),
+                     lambda c: dataclasses.replace(c.tree, step_times=(5.0, 12.0, 30.0)),
+                     "planner: ", "step_times", id="step_times"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(tau_min=[0.05], tau_max=[1.0])),
+                     lambda c: dataclasses.replace(c.vessel, tau_min=(0.05,), tau_max=(1.0,)),
+                     "vessel: ", "tau_min", id="tau_min"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(tau_max=[1.0, 1.0, 1.0])),
+                     lambda c: dataclasses.replace(c.vessel, tau_max=(1.0, 1.0, 1.0)),
+                     "vessel: ", "tau_max", id="tau_max"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(tau_rate_min=[-0.5])),
+                     lambda c: dataclasses.replace(c.vessel, tau_rate_min=(-0.5,)),
+                     "vessel: ", "tau_rate_min", id="tau_rate_min"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(tau_rate_max=[0.5, 0.5, 0.5])),
+                     lambda c: dataclasses.replace(c.vessel, tau_rate_max=(0.5, 0.5, 0.5)),
+                     "vessel: ", "tau_rate_max", id="tau_rate_max"),
+        pytest.param(lambda d: d.update(gains={**_GAINS, "kp": [-0.6, 2.2, 1.0]}),
+                     lambda c: dataclasses.replace(c.gains, kp_sog=-0.6), "gains: ", "kp_sog", id="kp"),
+        pytest.param(lambda d: d.update(gains={**_GAINS, "ki": [0.05, 0.0]}),
+                     lambda c: dataclasses.replace(c.gains, ki_course=0.0), "gains: ", "ki_course", id="ki"),
+        pytest.param(lambda d: d.update(gains={**_GAINS, "integral_limit": -1.0}),
+                     lambda c: dataclasses.replace(c.gains, integral_limit=-1.0),
+                     "gains: ", "integral_limit", id="integral_limit"),
+        pytest.param(lambda d: d.update(penalty={"kind": "circular", "gamma1": 0.1, "radii": [25.0, 75.0]}),
+                     lambda c: PenaltyGeometry.circular((25.0, 75.0), 0.1), "penalty: ", "radii", id="radii"),
+        pytest.param(lambda d: d["penalty"].update(a=[*_A, 350.0]),
+                     lambda c: PenaltyGeometry.elliptical((*_A, 350.0), _B, 100.0, 0.1), "penalty: ", "a", id="a"),
+        pytest.param(lambda d: d["penalty"].update(b=[*_B, 175.0]),
+                     lambda c: PenaltyGeometry.elliptical(_A, (*_B, 175.0), 100.0, 0.1), "penalty: ", "b", id="b"),
+    ],
+)
+def test_each_rule_is_checked_by_its_owner_on_both_paths(corrupt, build, section, field):
+    # the record that owns a value rejects it, however it is built: the
+    # JSON corruption is that ValueError as a ConfigError, under its section
+    data = scenarios.build_config_dict("head_on")
+    corrupt(data)
+    with pytest.raises(ConfigError) as from_json:
+        cfgm.from_dict(data)
+    with pytest.raises(ValueError) as from_api:
+        build(scenarios.build_scenario("head_on"))
+    assert type(from_api.value) is ValueError
+    assert field in str(from_api.value)
+    assert str(from_json.value) == section + str(from_api.value)
+
+
+def test_gain_lists_need_one_entry_per_named_gain():
+    # the JSON shape: kp and ki map onto (sog, rot, course) and (sog, course)
+    data = scenarios.build_config_dict("head_on")
+    for gains, message in [
+        ({**_GAINS, "kp": [0.6, 2.2]}, "config.gains.kp: expected 3 entries, got 2"),
+        ({**_GAINS, "ki": [0.05, 0.02, 0.01]}, "config.gains.ki: expected 2 entries, got 3"),
+    ]:
+        data["gains"] = gains
+        with pytest.raises(ConfigError) as err:
+            cfgm.from_dict(data)
+        assert str(err.value) == message
+
+
+def test_scenario_config_rejects_a_bad_ownship_or_seed_type():
+    config = scenarios.build_scenario("head_on")
+    with pytest.raises(ValueError, match=r"^config\.ownship: north must be finite, got nan$"):
+        dataclasses.replace(config, ownship=config.ownship._replace(north=math.nan))
+    with pytest.raises(ValueError, match=r"^config\.seed: must be an integer, got 1\.5$"):
+        dataclasses.replace(config, seed=1.5)
 
 
 def test_vessel_override_loaded():

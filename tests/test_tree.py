@@ -452,7 +452,7 @@ def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monke
         ((5.0, 20.0, 30.0), 0.0, "eval_dt 0.0 must be an integer multiple of dt 0.1"),
         ((5.0, 20.0, 30.0), math.nan, "eval_dt nan must be an integer multiple of dt 0.1"),
         ((5.0, 20.0, 30.0), math.inf, "eval_dt inf must be an integer multiple of dt 0.1"),
-        ((5.0, 6.0), 5.0, "eval_dt 5.0 must divide every step time, but step time 6.0 is no multiple of it (dt 0.1)"),
+        ((6.0, 12.0), 5.0, "eval_dt 5.0 must divide every step time, but step time 6.0 is no multiple of it (dt 0.1)"),
     ],
 )
 def test_tree_names_the_eval_dt_rule_it_breaks(step_times, eval_dt, message):
