@@ -43,15 +43,20 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _finite_float(positive: bool):
+    """argparse type: a finite number, and > 0 if positive."""
+    rule = "a finite number > 0" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0.0 or not positive)):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _summary_text(config, log, metrics) -> str:
@@ -152,9 +157,9 @@ def main(argv=None) -> int:
 
     p_raster = sub.add_parser("raster", help="rasterize the penalty field to CSV")
     _add_config_args(p_raster, with_out=True)
-    p_raster.add_argument("--course", type=float, default=0.0, help="obstacle course [rad]")
-    p_raster.add_argument("--half-extent", type=_positive_float, default=400.0, help="half size [m]")
-    p_raster.add_argument("--cell", type=_positive_float, default=5.0, help="cell size [m]")
+    p_raster.add_argument("--course", type=_finite_float(False), default=0.0, help="obstacle course [rad]")
+    p_raster.add_argument("--half-extent", type=_finite_float(True), default=400.0, help="half size [m]")
+    p_raster.add_argument("--cell", type=_finite_float(True), default=5.0, help="cell size [m]")
     p_raster.set_defaults(func=cmd_raster)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -22,9 +22,10 @@ def wrap_angle(a):
     """Map an angle (scalar or array, radians) to [-pi, pi).
 
     A scalar takes the float remainder of a + pi by 2*pi. An array whose
-    w = a + pi lies in [-2*pi, 4*pi) adds or subtracts 2*pi once, which
-    is the remainder's own arithmetic there (w - 2*pi is exact); other
-    arrays, NaN or inf included, take np.mod. A 1-D array of at most
+    w = a + pi lies in [0, 2*pi) is its own remainder; one in [-2*pi,
+    4*pi) adds or subtracts 2*pi once, which is the remainder's own
+    arithmetic there (w - 2*pi is exact); other arrays, NaN or inf
+    included, take np.mod. A 1-D array of at most
     SMALL_WRAP elements does the same add-or-subtract in plain floats,
     element by element, with the same bits. Just below an odd multiple
     of -pi the remainder rounds up to 2*pi; that result is -pi, not +pi.
@@ -41,7 +42,10 @@ def wrap_angle(a):
             w = [(x - TWO_PI if x >= TWO_PI else x + TWO_PI if x < 0.0 else x) - math.pi for x in w]
             return np.array([-math.pi if x == math.pi else x for x in w])
     w = np.asarray(a + math.pi)
-    if w.size and -TWO_PI <= w.min() and w.max() < 2.0 * TWO_PI:
+    lo, hi = (np.minimum.reduce(w, axis=None), np.maximum.reduce(w, axis=None)) if w.size else (0.0, 0.0)
+    if 0.0 <= lo and hi < TWO_PI:  # w is its own remainder
+        pass
+    elif -TWO_PI <= lo and hi < 2.0 * TWO_PI:
         np.subtract(w, TWO_PI, out=w, where=w >= TWO_PI)
         np.add(w, TWO_PI, out=w, where=w < 0.0)
     elif not np.all(np.isfinite(a)):
@@ -50,21 +54,20 @@ def wrap_angle(a):
         np.mod(w, TWO_PI, out=w)
     w -= math.pi
     w[w == math.pi] = -math.pi
-    if w.ndim == 0:
-        return float(w)
-    return w
+    return float(w) if w.ndim == 0 else w
 
 
-def require_finite(record) -> None:
-    """Raise a ValueError naming the first field of the dataclass record,
-    or element of a tuple field, that is not a finite number."""
-    for f in fields(record):
-        value = getattr(record, f.name)
+def require_finite(record, names=None) -> None:
+    """Raise a ValueError naming the first of the named fields (default:
+    all) of the dataclass record, or element of a tuple field, that is
+    not a finite number. A None field is absent and passes."""
+    for name in names or [f.name for f in fields(record)]:
+        value = getattr(record, name)
         items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
         for i, x in items:
-            if not math.isfinite(x):
-                name = f.name if i is None else f"{f.name}[{i}]"
-                raise ValueError(f"{name} must be finite, got {x}")
+            if x is not None and not math.isfinite(x):
+                label = name if i is None else f"{name}[{i}]"
+                raise ValueError(f"{label} must be finite, got {x}")
 
 
 def is_multiple(value: float, unit: float) -> bool:

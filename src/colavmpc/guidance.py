@@ -30,8 +30,12 @@ class DesiredTrajectory:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or len(points) < 1:
             raise ValueError("points must be an (n, 2) array")
-        if speed <= 0.0:
-            raise ValueError("speed must be > 0")
+        if not np.isfinite(points).all():
+            raise ValueError(f"points must be finite, got {points.tolist()}")
+        if not (math.isfinite(speed) and speed > 0.0):
+            raise ValueError(f"speed must be finite and > 0, got {speed}")
+        if line_course is not None and not math.isfinite(line_course):
+            raise ValueError(f"line_course must be finite, got {line_course}")
         if len(points) == 1:
             if line_course is None:
                 raise ValueError("a single-point trajectory needs a course")

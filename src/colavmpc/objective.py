@@ -316,6 +316,8 @@ def penalty_field(
 
     Returns (x, y, value) flat arrays: x north offset, y east offset.
     """
+    if not math.isfinite(obstacle_course):
+        raise ValueError(f"obstacle_course must be finite, got {obstacle_course}")
     axis = np.arange(-half_extent, half_extent + cell / 2, cell)
     x, y = np.meshgrid(axis, axis, indexing="ij")
     cos_c, sin_c = math.cos(obstacle_course), math.sin(obstacle_course)

@@ -25,6 +25,9 @@ class ScriptEvent:
     sog: float | None = None
     course: float | None = None
 
+    def __post_init__(self):
+        require_finite(self)
+
 
 @dataclass(frozen=True)
 class ObstacleScript:
@@ -36,8 +39,12 @@ class ObstacleScript:
     events: tuple[ScriptEvent, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        require_finite(self, ("north", "east", "sog", "course"))
         if self.sog < 0.0:
             raise ValueError("sog must be >= 0")
+        for i, ev in enumerate(self.events):
+            if ev.sog is not None and ev.sog < 0.0:
+                raise ValueError(f"events[{i}].sog must be >= 0, got {ev.sog}")
         ts = [ev.t for ev in self.events]
         if any(t < 0 for t in ts) or ts != sorted(ts):
             raise ValueError("events must be sorted with t >= 0")

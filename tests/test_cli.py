@@ -297,15 +297,18 @@ def test_validate_names_each_missing_key_once(name, tmp_path, capsys):
     "flag,value",
     [("--cell", "0"), ("--cell", "nan"), ("--cell", "-5"), ("--cell", "inf"),
      ("--half-extent", "-10"), ("--half-extent", "0"), ("--half-extent", "nan"),
-     ("--cell", "wide")],
+     ("--cell", "wide"), ("--course", "nan"), ("--course", "inf"), ("--course", "-inf")],
 )
 def test_raster_rejects_bad_flags(flag, value, tmp_path, capsys):
     cfg_path, _ = _small_config(tmp_path)
     out = tmp_path / "raster"
     with pytest.raises(SystemExit) as exc:
-        main(["raster", "--config", str(cfg_path), "--out", str(out), flag, value])
+        # flag=value, as argparse reads a lone "-inf" as an option
+        main(["raster", "--config", str(cfg_path), "--out", str(out), f"{flag}={value}"])
     assert exc.value.code == 2
-    assert f"argument {flag}: expected a finite number > 0" in capsys.readouterr().err
+    # the course may be any finite angle, the sizes only positive ones
+    expected = "a finite number" if flag == "--course" else "a finite number > 0"
+    assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from colavmpc.config import ConfigError
 from colavmpc.core import VesselState, wrap_angle
 from colavmpc.guidance import LosParams
 from colavmpc.objective import PenaltyGeometry
-from colavmpc.obstacles import NOISE_PRESETS
+from colavmpc.obstacles import NOISE_PRESETS, ScriptEvent
 from colavmpc.vessel import default_gains, default_model
 
 
@@ -340,6 +340,9 @@ _A, _B = (50.0, 150.0, 250.0), (25.0, 75.0, 125.0)
                      lambda c: PenaltyGeometry.elliptical((*_A, 350.0), _B, 100.0, 0.1), "penalty: ", "a", id="a"),
         pytest.param(lambda d: d["penalty"].update(b=[*_B, 175.0]),
                      lambda c: PenaltyGeometry.elliptical(_A, (*_B, 175.0), 100.0, 0.1), "penalty: ", "b", id="b"),
+        pytest.param(lambda d: d["obstacles"][0].update(events=[{"t": 10.0, "sog": -3.0}]),
+                     lambda c: dataclasses.replace(c.obstacles[0], events=(ScriptEvent(10.0, sog=-3.0),)),
+                     "obstacles[target]: ", "events[0].sog", id="event-sog"),
     ],
 )
 def test_each_rule_is_checked_by_its_owner_on_both_paths(corrupt, build, section, field):

@@ -85,6 +85,32 @@ def test_wrap_angle_small_arrays_take_the_array_paths_bits():
                     wrap_angle(a)
 
 
+def test_wrap_angle_in_range_arrays_give_the_remainder_bits():
+    # an array whose w = a + pi all lies in [0, 2*pi) skips the corrections;
+    # it, the boundaries w = 0, just below 2*pi and exactly 2*pi, arrays
+    # out of that range and empty arrays all give np.mod's bits
+    rng = np.random.default_rng(7)
+    below = [math.nextafter(math.pi, 0.0), math.nextafter(math.nextafter(math.pi, 0.0), 0.0)]
+    boundary = [-math.pi, *below, math.pi]
+    assert below[1] + math.pi == math.nextafter(2.0 * math.pi, 0.0)  # w just below 2*pi
+    cases = [
+        rng.uniform(-math.pi, math.pi, (225, 11)),
+        rng.uniform(-math.pi, math.pi, 75),
+        np.array(boundary * 20),
+        np.array([-math.pi] * 40),  # w = 0 everywhere
+        np.array([*below] * 20).reshape(4, 10),
+        np.array([math.pi] * 40),  # w = 2*pi: out of range
+        rng.uniform(-3.0 * math.pi, 3.0 * math.pi, (3, 50)),
+        rng.uniform(-50.0, 50.0, (61, 5)),
+        np.zeros((0,)), np.zeros((0, 3)), np.zeros((3, 0)),
+    ]
+    for a in cases:
+        got = wrap_angle(a)
+        assert got.shape == a.shape
+        assert got.tobytes() == oracles.mod_wrap(a).tobytes()
+        assert np.all(got >= -math.pi) and np.all(got < math.pi)
+
+
 def test_wrap_angle_rejects_non_finite():
     with pytest.raises(ValueError):
         wrap_angle(math.inf)

@@ -28,6 +28,18 @@ def test_los_params_reject_non_finite_values(bad):
             dataclasses.replace(PARAMS, **{field: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_desired_trajectory_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="^speed must be finite and > 0"):
+        DesiredTrajectory.line(0.0, 0.0, 0.0, bad)
+    with pytest.raises(ValueError, match="^line_course must be finite"):
+        DesiredTrajectory.line(0.0, 0.0, bad, 5.0)
+    with pytest.raises(ValueError, match="^points must be finite"):
+        DesiredTrajectory.line(bad, 0.0, 0.0, 5.0)
+    with pytest.raises(ValueError, match="^points must be finite"):
+        DesiredTrajectory.waypoints([(0.0, 0.0), (100.0, bad)], 5.0)
+
+
 STEP = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0)
 
 

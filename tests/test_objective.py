@@ -702,3 +702,10 @@ def test_penalty_field_starboard_heavier():
     port = v[y < 0].sum()
     assert starboard >= port
     assert np.all(v[np.hypot(x, y) > 300.0] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_penalty_field_rejects_a_non_finite_course(bad):
+    # a NaN course gave a field of zeros, an infinite one a math domain error
+    with pytest.raises(ValueError, match="^obstacle_course must be finite"):
+        penalty_field(GEOM_ELL, bad, half_extent=100.0, cell=10.0)

@@ -78,6 +78,28 @@ def test_script_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_script_rejects_non_finite_values(bad):
+    # these failed later, in ObstaclePrediction or wrap_angle, naming
+    # neither the obstacle nor the field
+    for field in ("north", "east", "sog", "course"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            _script(**{field: bad})
+    for field in ("t", "sog", "course"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ScriptEvent(**{"t": 10.0, field: bad})
+    # an absent event sog or course keeps the script's own
+    assert ScriptEvent(t=10.0) == ScriptEvent(10.0, None, None)
+
+
+def test_script_rejects_a_negative_event_sog():
+    # a -3 m/s event made the ground truth back up while the tracker's
+    # estimate clamped at 0
+    with pytest.raises(ValueError, match=r"^events\[1\]\.sog must be >= 0, got -3\.0$"):
+        _script(events=(ScriptEvent(t=5.0, course=1.0), ScriptEvent(t=10.0, sog=-3.0)))
+    assert _script(events=(ScriptEvent(t=10.0, sog=0.0),)).events[0].sog == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_noise_rejects_non_finite_values(bad):
     # a NaN period stopped the tracker after its first update at t = 0
     for field in ("pos_std", "sog_std", "course_std", "latency", "period"):
