@@ -1,12 +1,12 @@
 """Closed-loop scenario engine.
 
-Steps the plant and controller on the integration clock, the synthetic
-tracker on its update period, and the planner on its own period. Each
-planner call (plan_step) grows the maneuver tree seeded from the
-previously commanded desired velocity, predicts the observed obstacles
-at constant velocity, scores the candidates and hands the winner to the
-controller. Logs everything; derives distance/incursion metrics and
-COLREGs situation labels from the log.
+Draws the synthetic tracker's updates first, then plans once per planner
+period and steps the plant and controller through it on the integration
+clock. Each planner call (plan_step) grows the maneuver tree seeded from
+the previously commanded desired velocity, predicts the observed
+obstacles at constant velocity, scores the candidates and hands the
+winner to the controller. Logs everything; derives distance/incursion
+metrics and COLREGs situation labels from the log.
 """
 
 from __future__ import annotations
@@ -264,10 +264,11 @@ def first_solve(config: ScenarioConfig) -> Solve:
 def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     """Simulate the scenario; deterministic for a given config and seed.
 
-    The controller and plant step on plain floats: the plant state is
-    (north, east, course, sog, rot), the planner's state too, and each
-    planner period reads its reference rows once from the committed
-    trajectory, held past its end. The ground truth and the held
+    The tracker never sees the plan, so its updates are drawn first. Each
+    planner period then plans from the last update at or before its start,
+    reads its reference rows once from the committed trajectory, held past
+    its end, and steps the controller and plant through them on plain
+    floats (north, east, course, sog, rot). The ground truth and the held
     tracker estimates are logged after the loop.
     """
     model = config.vessel
@@ -276,49 +277,46 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     planner_every = int(round(config.planner_period / dt))
     state, tau, commanded, track = _start(config)
     integral = (0.0, 0.0)
-    next_obs_t = 0.0
 
     n_rows = n_steps + 1
-    ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
-    ref = np.zeros((len(ref_names), n_rows))
     # the tracker's updates: the step of each and its estimates; a step
-    # logs the last update at or before it
+    # holds the last update at or before it
     update_steps, update_estimates = [], []
-    plant_names = [f"own_{name}" for name in VesselState._fields] + ["tau_m", "tau_delta"]
-    plant_rows = array("d")  # every step's plant state and command, flat
-    planner_rows = []  # rows, not Solves: each holds its CandidateSet
-
+    next_obs_t = 0.0
     for step_idx in range(n_rows):
         t = step_idx * dt
-
         while t >= next_obs_t - 1e-9:
             update_steps.append(step_idx)
             update_estimates.append(track(t))
             next_obs_t += config.noise.period
+    held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
 
-        if step_idx % planner_every == 0 and step_idx < n_steps:
-            solve = plan_step(config, t, state, commanded, tau, update_estimates[-1])
-            planner_rows.append(solve.row())
-            if solve.table is not None:  # a hold keeps the committed reference
-                commanded = solve.candidates.trajectory(solve.selected)
+    ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
+    ref = np.zeros((len(ref_names), n_rows))
+    plant_names = [f"own_{name}" for name in VesselState._fields] + ["tau_m", "tau_delta"]
+    plant_rows = array("d")  # every step's plant state and command, flat
+    planner_rows = []  # rows, not Solves: each holds its CandidateSet
 
-        if step_idx % planner_every == 0:
-            start, stop = step_idx, min(step_idx + planner_every, n_rows)
-            ref[:, start:stop] = commanded.window(t, stop - start)
-            period_ref = ref[:, start:stop].T.tolist()
-
-        if step_idx == n_steps:  # the last row holds the last command
+    for start in range(0, n_steps, planner_every):  # whole periods (ScenarioConfig)
+        t = start * dt
+        solve = plan_step(config, t, state, commanded, tau, update_estimates[held[start]])
+        planner_rows.append(solve.row())
+        if solve.table is not None:  # a hold keeps the committed reference
+            commanded = solve.candidates.trajectory(solve.selected)
+        stop = start + planner_every
+        ref[:, start:stop] = commanded.window(t, planner_every)
+        for row in ref[:, start:stop].T.tolist():
+            tau, integral = control_law(model, config.gains, state, row, integral, dt)
             plant_rows.extend(state + tau)
-            break
-        tau, integral = control_law(model, config.gains, state, period_ref[step_idx - start], integral, dt)
-        plant_rows.extend(state + tau)
-        state = step_plant(model, state, tau, dt)
+            state = step_plant(model, state, tau, dt)
+    # the last row (t = duration) holds the last command
+    ref[:, n_steps] = commanded.window(n_steps * dt, 1)[:, 0]
+    plant_rows.extend(state + tau)
 
     planner = PlannerSeries(**{
         f.name: np.array([row[f.name] for row in planner_rows]) for f in fields(PlannerSeries)
     })
     t = dt * np.arange(n_rows)
-    held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
     obstacles = {}
     for script, estimates in zip(config.obstacles, zip(*update_estimates)):
         est = np.array([(e.north, e.east, e.sog, e.course, e.timestamp) for e in estimates])
