@@ -78,15 +78,20 @@ class _Reader:
             raise ConfigError(f"{self._path}.{key}: expected {length} entries, got {len(raw)}")
         return [self._check(v, kind, f"{key}[{i}]") for i, v in enumerate(raw)]
 
-    def fields_of(self, record) -> dict:
+    def fields_of(self, record, **optional) -> dict:
         """The keys named as the dataclass record's fields, in field order:
-        a list for a tuple field, of integers if its items are, and a
-        number for any other."""
-        return {
-            f.name: tuple(self.list_of(f.name, int if str(f.type).startswith("tuple[int") else float))
-            if str(f.type).startswith("tuple") else self.number(f.name)
-            for f in fields(record)
-        }
+        a list for a tuple field, of integers if its items are, a string
+        for a str field and a number for any other. A field named in
+        optional may be missing, and then takes the value given there."""
+
+        def read(name, kind):
+            if name not in self._data and name in optional:
+                return optional[name]
+            if kind.startswith("tuple"):
+                return tuple(self.list_of(name, int if kind.startswith("tuple[int") else float))
+            return self._get(name, str if kind == "str" else float, True, None)
+
+        return {f.name: read(f.name, str(f.type)) for f in fields(record)}
 
     def section(self, key, required=True):
         raw = self._get(key, dict, required, None)
@@ -164,6 +169,8 @@ class ScenarioConfig:
                 raise ValueError(f"config.ownship: {name} must be finite, got {value}")
         if self.ownship.sog < 0.0:
             raise ValueError(f"config.ownship: sog must be >= 0, got {self.ownship.sog}")
+        if not -math.pi <= self.ownship.course < math.pi:  # from_dict wraps it
+            raise ValueError(f"config.ownship: course must be in [-pi, pi), got {self.ownship.course}")
         ids = [script.id for script in self.obstacles]
         for i, obs_id in enumerate(ids):
             if obs_id in ids[:i]:
@@ -274,12 +281,7 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
 
     gd = top.section("guidance")
     with _section("guidance"):
-        los = LosParams(
-            lookahead=gd.number("lookahead"),
-            along_track_gain=gd.number("along_track_gain"),
-            epsilon=gd.number("epsilon", required=False, default=LosParams.epsilon),
-            u_max_los=gd.number("u_max_los", required=False, default=vessel.u_max),
-        )
+        los = LosParams(**gd.fields_of(LosParams, epsilon=LosParams.epsilon, u_max_los=vessel.u_max))
     gd.finish()
 
     wt = top.section("weights")
@@ -306,28 +308,13 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
 
     scripts = []
     for item in top.section_list("obstacles", required=False):
-        obs_id = item.string("id")
         events = []
         for ev in item.section_list("events", required=False):
-            events.append(
-                ScriptEvent(
-                    t=ev.number("t"),
-                    sog=ev.number("sog", required=False),
-                    course=ev.number("course", required=False),
-                )
-            )
+            events.append(ScriptEvent(**ev.fields_of(ScriptEvent, sog=None, course=None)))
             ev.finish()
-        with _section(f"obstacles[{obs_id}]"):
-            scripts.append(
-                ObstacleScript(
-                    id=obs_id,
-                    north=item.number("north"),
-                    east=item.number("east"),
-                    sog=item.number("sog"),
-                    course=item.number("course"),
-                    events=tuple(events),
-                )
-            )
+        script = item.fields_of(ObstacleScript, events=tuple(events))
+        with _section(f"obstacles[{script['id']}]"):
+            scripts.append(ObstacleScript(**script))
         item.finish()
 
     noise, preset_name = _parse_noise(top.section("noise", required=False), noise_override)

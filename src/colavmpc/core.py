@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -96,10 +97,12 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
 
     @property
     def t_end(self) -> float:

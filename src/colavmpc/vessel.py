@@ -149,8 +149,8 @@ def control_law(model: VesselModel, gains: ControllerGains, state, ref, integral
     and integral the controller's (sog, course) error integral. Returns
     the command (tau_m, tau_delta) and the integral advanced by dt.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     _, _, course, sog, rot = state
     sog_d, rot_d, course_d, sog_acc_d, rot_acc_d = ref
     sog_d = max(sog_d, 0.0)
@@ -185,8 +185,8 @@ def step_plant(model: VesselModel, state, tau, dt: float):
     wrapped to [-pi, pi). The actuator input (tau_m, tau_delta) is
     applied as given (the plant has no say in actuation limits).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     north, east, course, sog, rot = state
     du, dr = model.rates(sog, rot, tau[0], tau[1])
     return (

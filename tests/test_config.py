@@ -380,6 +380,16 @@ def test_scenario_config_rejects_a_bad_ownship_or_seed_type():
         dataclasses.replace(config, seed=1.5)
 
 
+@pytest.mark.parametrize("course", [4.0, math.pi, -math.pi - 1e-12])
+def test_scenario_config_rejects_an_ownship_course_outside_the_wrap_range(course):
+    # from_dict wraps the course; the record takes only an already
+    # wrapped one, since wrapping again would move an in-range course's bits
+    config = scenarios.build_scenario("head_on")
+    with pytest.raises(ValueError, match=r"^config\.ownship: course must be in \[-pi, pi\), got "):
+        dataclasses.replace(config, ownship=VesselState(0.0, 0.0, course, 5.0, 0.0))
+    assert dataclasses.replace(config, ownship=VesselState(0.0, 0.0, -math.pi, 5.0, 0.0)).ownship.course == -math.pi
+
+
 def test_vessel_override_loaded():
     data = scenarios.build_config_dict("head_on")
     data["vessel"] = {

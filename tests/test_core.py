@@ -139,6 +139,27 @@ def test_time_grid_invariants():
         TimeGrid.from_span(0.0, 5.2, 0.5)
 
 
+@pytest.mark.parametrize(
+    "t0,dt,n,message",
+    [
+        (math.nan, 0.1, 5, "t0 must be finite, got nan"),
+        (math.inf, 0.1, 5, "t0 must be finite, got inf"),
+        (0.0, math.nan, 5, "dt must be finite and > 0, got nan"),
+        (0.0, math.inf, 5, "dt must be finite and > 0, got inf"),
+        (0.0, 0.0, 5, "dt must be finite and > 0, got 0.0"),
+        (0.0, 0.1, 2.5, "n must be an integer >= 2, got 2.5"),
+        (0.0, 0.1, 2.0, "n must be an integer >= 2, got 2.0"),
+        (0.0, 0.1, True, "n must be an integer >= 2, got True"),
+        (0.0, 0.1, 1, "n must be an integer >= 2, got 1"),
+    ],
+)
+def test_time_grid_rejects_a_non_finite_or_fractional_grid(t0, dt, n, message):
+    with pytest.raises(ValueError) as err:
+        TimeGrid(t0, dt, n)
+    assert str(err.value) == message
+    assert TimeGrid(0.0, 0.1, np.int64(3)).times().shape == (3,)
+
+
 def test_cumtrapz_matches_numpy_trapezoid():
     rng = np.random.default_rng(3)
     y = rng.normal(size=(4, 17))

@@ -646,6 +646,31 @@ def test_logged_estimates_hold_the_last_update(monkeypatch, period):
     _assert_estimates_held(log, calls)
 
 
+def test_the_obstacle_side_of_a_run_is_open_loop():
+    # the tracker sees the scripts, the noise and the seed, never the
+    # plan: with and without the transitional term (noise_study.sweep's
+    # pair) the ownship's path differs and every obstacle column keeps its bits
+    d = scenarios.build_config_dict("head_on", seed=3)
+    d["duration"] = 100.0
+    d["obstacles"].append(
+        {"id": "ferry", "north": 900.0, "east": 450.0, "sog": 2.5, "course": -math.pi / 2}
+    )
+    d["noise"] = {
+        "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.2, "latency": 0.0, "period": 0.35,
+    }
+    logs = []
+    for w_tran in (4200.0, 0.0):
+        d["weights"]["tran"] = w_tran
+        logs.append(run(cfgm.from_dict(d))[0])
+    with_tran, without = logs
+    assert with_tran.obstacles.keys() == without.obstacles.keys() == {"target", "ferry"}
+    for obs_id in with_tran.obstacles:
+        for (name, col), (_, other) in zip(_outputs(with_tran.obstacles[obs_id]), _outputs(without.obstacles[obs_id])):
+            assert col.tobytes() == other.tobytes(), (obs_id, name)
+    for name in VesselState._fields:
+        assert not np.array_equal(getattr(with_tran, f"own_{name}"), getattr(without, f"own_{name}")), name
+
+
 def _reject_from_call(monkeypatch, first_rejected):
     """Make tree.terminal_sog_feasible reject every sample from its
     first_rejected-th call on."""

@@ -174,6 +174,15 @@ def test_step_plant_clamps_sog():
     assert step_plant(MODEL, state, tau, 60.0)[3] == 0.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_controller_and_plant_reject_a_bad_step(dt):
+    ref = (5.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=rf"^dt must be finite and > 0, got {dt}$"):
+        control_law(MODEL, default_gains(), _state(), ref, (0.0, 0.0), dt)
+    with pytest.raises(ValueError, match=rf"^dt must be finite and > 0, got {dt}$"):
+        step_plant(MODEL, _state(), MODEL.damping(5.0, 0.0), dt)
+
+
 def test_step_plant_steps_floats():
     north, east, course, sog, rot = step_plant(MODEL, _state(rot=0.1), (0.4, 0.2), 0.1)
     assert all(type(v) is float for v in (north, east, course, sog, rot))
