@@ -135,6 +135,7 @@ def test_time_grid_invariants():
         TimeGrid(0.0, 0.1, 1)
     g = TimeGrid.from_span(2.0, 5.0, 0.5)
     assert g.n == 11 and g.t_end == pytest.approx(7.0)
+    assert TimeGrid(0.0, 0.1, np.int64(3)).times().shape == (3,)
     with pytest.raises(ValueError):
         TimeGrid.from_span(0.0, 5.2, 0.5)
 
@@ -157,7 +158,6 @@ def test_time_grid_rejects_a_non_finite_or_fractional_grid(t0, dt, n, message):
     with pytest.raises(ValueError) as err:
         TimeGrid(t0, dt, n)
     assert str(err.value) == message
-    assert TimeGrid(0.0, 0.1, np.int64(3)).times().shape == (3,)
 
 
 def test_cumtrapz_matches_numpy_trapezoid():
