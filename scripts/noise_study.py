@@ -6,14 +6,19 @@ once with the configured transitional cost weight and once with it zeroed,
 and reports how often the planner switches its committed first maneuver.
 
 Usage: python scripts/noise_study.py [--scenario NAME] [--seeds N] [--weight W]
+
+--seeds takes an integer >= 1 and --weight a finite number >= 0; any
+other value is an argument error (exit 2) that names the flag.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios, sim
+from colavmpc.cli import _finite_float, _integer
 
 
 def sweep(scenario: str, seeds: int, weight: float) -> tuple[list[sim.Metrics], list[sim.Metrics]]:
@@ -28,12 +33,12 @@ def sweep(scenario: str, seeds: int, weight: float) -> tuple[list[sim.Metrics], 
     return runs
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", choices=scenarios.SCENARIO_NAMES, default="head_on")
-    parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--weight", type=float, default=4200.0)
-    args = parser.parse_args()
+    parser.add_argument("--seeds", type=_integer(1), default=20)
+    parser.add_argument("--weight", type=_finite_float(0.0), default=4200.0)
+    args = parser.parse_args(argv)
 
     runs = sweep(args.scenario, args.seeds, args.weight)
     print(f"scenario: {args.scenario}, radar noise, {args.seeds} seeds")
@@ -45,7 +50,8 @@ def main():
         )
     distances = [m.obstacles["target"].min_distance for metrics in runs for m in metrics]
     print(f"  min distance over all runs: {min(distances):.1f} m")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

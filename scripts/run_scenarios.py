@@ -14,14 +14,14 @@ import time
 from pathlib import Path
 
 from colavmpc import scenarios, sim
-from colavmpc.cli import _seed, write_outputs
+from colavmpc.cli import _integer, write_outputs
 from colavmpc.obstacles import NOISE_PRESETS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--noise", choices=sorted(NOISE_PRESETS), default="none")
-    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--seed", type=_integer(0), default=0)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     try:

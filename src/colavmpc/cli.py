@@ -23,7 +23,7 @@ def _add_config_args(p: argparse.ArgumentParser, with_out: bool):
     )
     if with_out:
         p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_integer(0), default=None, help="override the config seed")
     p.add_argument(
         "--noise", choices=sorted(NOISE_PRESETS), default=None,
         help="override the noise preset",
@@ -36,23 +36,27 @@ def _load_config(args) -> cfg_mod.ScenarioConfig:
     return scenarios.build_scenario(args.scenario, seed=args.seed, noise=args.noise)
 
 
-def _seed(text: str) -> int:
-    """argparse type: an integer >= 0, in decimal digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _integer(minimum: int):
+    """argparse type: an integer >= minimum, in decimal digits."""
+
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
-def _finite_float(positive: bool):
-    """argparse type: a finite number, and > 0 if positive."""
-    rule = "a finite number > 0" if positive else "a finite number"
+def _finite_float(minimum: float = -math.inf, inclusive: bool = True):
+    """argparse type: a finite number, >= minimum, or > minimum if not inclusive."""
+    rule = "a finite number" + ("" if minimum == -math.inf else f" {'>=' if inclusive else '>'} {minimum:g}")
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        if not (math.isfinite(value) and (value >= minimum if inclusive else value > minimum)):
             raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
         return value
 
@@ -60,10 +64,12 @@ def _finite_float(positive: bool):
 
 
 def _summary_text(config, log, metrics) -> str:
+    # the preset whose values the run's noise has, however it was set
+    noise = next((name for name, preset in NOISE_PRESETS.items() if preset == config.noise), "custom")
     lines = [
         f"scenario: {config.name}",
         f"seed: {log.seed}",
-        f"noise: {config.noise_preset or 'custom'}",
+        f"noise: {noise}",
         f"planner calls: {metrics.planner_calls}",
         f"first-maneuver switches: {metrics.switch_count}",
         f"failsafe holds: {metrics.failsafe_count}",
@@ -157,9 +163,9 @@ def main(argv=None) -> int:
 
     p_raster = sub.add_parser("raster", help="rasterize the penalty field to CSV")
     _add_config_args(p_raster, with_out=True)
-    p_raster.add_argument("--course", type=_finite_float(False), default=0.0, help="obstacle course [rad]")
-    p_raster.add_argument("--half-extent", type=_finite_float(True), default=400.0, help="half size [m]")
-    p_raster.add_argument("--cell", type=_finite_float(True), default=5.0, help="cell size [m]")
+    p_raster.add_argument("--course", type=_finite_float(), default=0.0, help="obstacle course [rad]")
+    p_raster.add_argument("--half-extent", type=_finite_float(0.0, inclusive=False), default=400.0, help="half size [m]")
+    p_raster.add_argument("--cell", type=_finite_float(0.0, inclusive=False), default=5.0, help="cell size [m]")
     p_raster.set_defaults(func=cmd_raster)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -147,7 +147,6 @@ class ScenarioConfig:
     desired: DesiredTrajectory
     obstacles: tuple[ObstacleScript, ...]
     noise: EstimateNoise
-    noise_preset: str | None = None
     levels: tuple[Level, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -243,7 +242,7 @@ def _parse_desired(r: _Reader) -> DesiredTrajectory:
     return desired
 
 
-def _parse_noise(r: _Reader | None, preset_override: str | None):
+def _parse_noise(r: _Reader | None, preset_override: str | None) -> EstimateNoise:
     preset = "none" if r is None else r.string("preset", required=False)
     if preset is None:
         with _section("noise"):
@@ -257,8 +256,8 @@ def _parse_noise(r: _Reader | None, preset_override: str | None):
     if preset_override is not None:
         if preset_override not in NOISE_PRESETS:
             raise ConfigError(f"noise preset override: unknown preset {preset_override!r}")
-        noise, preset = NOISE_PRESETS[preset_override], preset_override
-    return noise, preset
+        noise = NOISE_PRESETS[preset_override]
+    return noise
 
 
 def from_dict(data: dict, *, noise_override: str | None = None, seed_override: int | None = None) -> ScenarioConfig:
@@ -317,7 +316,7 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             scripts.append(ObstacleScript(**script))
         item.finish()
 
-    noise, preset_name = _parse_noise(top.section("noise", required=False), noise_override)
+    noise = _parse_noise(top.section("noise", required=False), noise_override)
     top.finish()
 
     try:
@@ -337,7 +336,6 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             desired=desired,
             obstacles=tuple(scripts),
             noise=noise,
-            noise_preset=preset_name,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

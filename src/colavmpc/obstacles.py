@@ -40,6 +40,9 @@ class ObstacleScript:
 
     def __post_init__(self):
         require_finite(self, ("north", "east", "sog", "course"))
+        # the id names the obstacle's trajectory.csv columns
+        if any(c in self.id for c in ",\r\n"):
+            raise ValueError(f"id must not contain a comma, CR or LF, got {self.id!r}")
         if self.sog < 0.0:
             raise ValueError("sog must be >= 0")
         for i, ev in enumerate(self.events):

@@ -229,13 +229,13 @@ def plan_step(
         return desired_acceleration(targets, desired, config.tree)
 
     tau0 = model.saturate(tau)
-    candidates = generate_tree(config.tree, config.levels, model, state, t, (sog0, course0), tau0, hook)
+    candidates = generate_tree(config.levels, model, state, t, (sog0, course0), tau0, hook)
     if not candidates:
         return Solve(t, candidates, None)
     predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
     first_grid = candidates.first_grid
     previous_first = VelocityTrajectory(
-        first_grid, *commanded.window(t, first_grid.n, config.eval_dt / config.integration_dt)
+        first_grid, *commanded.window(t, first_grid.n, first_grid.dt / commanded.grid.dt)
     )
     table = select(candidates, config.desired, predictions, config.geometry, config.weights, previous_first)
     return Solve(t, candidates, table)

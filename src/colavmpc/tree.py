@@ -33,8 +33,9 @@ from .vessel import VesselModel
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """One tree level's sample counts and read-only unit maneuver profiles
-    at the times t_rel = dt * arange(n) from the level's start.
+    """One tree level's step time, ramp time, sample counts and read-only
+    unit maneuver profiles at the times t_rel = dt * arange(n) from the
+    level's start. step_time and t_ramp are TreeParams' own floats.
 
     Every maneuver of a level is affine in its sampled accelerations
     (a_u, a_r): sog = u_d + a_u * cum_s, course = chi_d + a_r * cum2_c,
@@ -45,6 +46,8 @@ class Level:
 
     dt: float
     eval_dt: float
+    step_time: float
+    t_ramp: float
     n_sog: int
     n_course: int
     unit_s: np.ndarray
@@ -84,7 +87,7 @@ def build_levels(params: TreeParams, dt: float, eval_dt: float) -> tuple[Level, 
         )
         for profile in profiles:
             profile.setflags(write=False)
-        levels.append(Level(dt, eval_dt, params.n_sog[index], params.n_course[index], *profiles))
+        levels.append(Level(dt, eval_dt, step_time, params.t_ramp, params.n_sog[index], params.n_course[index], *profiles))
     return tuple(levels)
 
 
@@ -160,12 +163,12 @@ def _join(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def generate_tree(
-    params: TreeParams, levels: tuple[Level, ...], model: VesselModel, state: VesselState, t: float,
+    levels: tuple[Level, ...], model: VesselModel, state: VesselState, t: float,
     desired_vel0: tuple[float, float], tau0, guidance_hook,
 ) -> CandidateSet:
     """Breadth-first expansion from the state (north, east, course, sog,
-    rot) at time t through the levels build_levels(params, dt, eval_dt),
-    one at a time; the prediction integrates on the eval_dt grid.
+    rot) at time t through the levels (build_levels), one at a time; the
+    prediction integrates on the eval_dt grid.
 
     guidance_hook(t, north, east, course, desired) -> (sog_acc, rot_acc),
     or None, supplies the desired-acceleration substitution for all
@@ -191,7 +194,7 @@ def generate_tree(
     # accelerations, and its prediction on the columns the level owns
     parents, kept, edges = [], [], []
     t_level = t
-    for level_idx, (level, step_time) in enumerate(zip(levels, params.step_times)):
+    for level_idx, level in enumerate(levels):
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
         node_sog = np.maximum(u_bar, 0.0)
@@ -204,7 +207,7 @@ def generate_tree(
             t_level, *position, chi_bar, (u_d, chi_d)
         )
         sog_samples, rot_samples = sample_accelerations(
-            possible_accelerations(model, node_sog, node_rot, node_tau, params.t_ramp),
+            possible_accelerations(model, node_sog, node_rot, node_tau, level.t_ramp),
             level.n_sog, level.n_course, desired_acc,
         )
         feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
@@ -233,7 +236,7 @@ def generate_tree(
         u_d, chi_d = sog[:, -1], course[:, -1]
         u_bar, chi_bar = sog_bar[:, -1], course_bar[:, -1]
         position = track[..., -1]
-        t_level += step_time
+        t_level += level.step_time
 
     # each leaf's ancestor edge at every level, from the leaves up
     ancestors = [np.arange(len(parents[-1]))]

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import colavmpc
+from colavmpc import config as cfg_mod
 from colavmpc import scenarios
-from colavmpc.cli import main
+from colavmpc.cli import _summary_text, main
 from colavmpc.config import SCHEMA_VERSION
+from colavmpc.obstacles import NOISE_PRESETS
+from colavmpc.sim import Metrics
 
 
 def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog=5.0):
@@ -395,3 +400,38 @@ def test_run_scenarios_script_rejects_unusable_out(below, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,expected",
+    [("--seeds", "0", "an integer >= 1"), ("--seeds", "-2", "an integer >= 1"), ("--seeds", "1.5", "an integer >= 1"),
+     ("--weight", "nan", "a finite number >= 0"), ("--weight", "inf", "a finite number >= 0"),
+     ("--weight", "-1", "a finite number >= 0")],
+)
+def test_noise_study_script_rejects_bad_flags(flag, value, expected, monkeypatch, capsys):
+    # an argument error naming the flag, before any scenario is simulated
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import noise_study
+
+    with pytest.raises(SystemExit) as exc:
+        noise_study.main([f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected {expected}, got '{value}'" in err and "Traceback" not in err
+
+
+def test_summary_names_the_preset_the_noise_equals(tmp_path):
+    # the summary reads the preset off the run's noise, however it was
+    # set: a replaced noise, an explicit section equal to a preset, or
+    # custom values
+    config = scenarios.build_scenario("head_on")
+    log, metrics = SimpleNamespace(seed=0), Metrics(0, 0, 0, 0.0, 0.0, 0, {})
+    replaced = dataclasses.replace(config, noise=NOISE_PRESETS["radar"])
+    assert "noise: radar\n" in _summary_text(replaced, log, metrics)
+    data = scenarios.build_config_dict("head_on")
+    for section, name in [
+        ({"pos_std": 0.0, "sog_std": 0.0, "course_std": 0.0, "latency": 0.0, "period": 10.0}, "ais"),
+        ({"pos_std": 5.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5}, "custom"),
+    ]:
+        data["noise"] = section
+        assert f"noise: {name}\n" in _summary_text(cfg_mod.from_dict(data), log, metrics)

@@ -11,7 +11,7 @@ from colavmpc.config import ConfigError
 from colavmpc.core import VesselState, wrap_angle
 from colavmpc.guidance import LosParams
 from colavmpc.objective import PenaltyGeometry
-from colavmpc.obstacles import NOISE_PRESETS, ScriptEvent
+from colavmpc.obstacles import NOISE_PRESETS, EstimateNoise, ScriptEvent
 from colavmpc.vessel import default_gains, default_model
 
 
@@ -54,8 +54,7 @@ def test_waypoints_and_custom_noise():
     assert cfg.desired.speed == 4.0
     end = math.hypot(300.0, 50.0) / 4.0
     assert np.allclose(cfg.desired.position(end), (300.0, 50.0))
-    assert cfg.noise.period == 2.5
-    assert cfg.noise_preset is None
+    assert cfg.noise == EstimateNoise(pos_std=5.0, sog_std=0.1, course_std=0.2, latency=1.0, period=2.5)
 
 
 def test_ownship_is_a_vessel_state_with_a_wrapped_course():
@@ -84,7 +83,7 @@ def test_noise_preset_lookup_and_override():
     assert cfg.noise == NOISE_PRESETS["ais"]
     cfg_radar = cfgm.from_dict(data, noise_override="radar")
     assert cfg_radar.noise == NOISE_PRESETS["radar"]
-    assert cfg_radar.noise_preset == "radar"
+    assert cfg_radar.noise != cfg.noise
     with pytest.raises(ConfigError):
         cfgm.from_dict(data, noise_override="sonar")
 
@@ -343,6 +342,9 @@ _A, _B = (50.0, 150.0, 250.0), (25.0, 75.0, 125.0)
         pytest.param(lambda d: d["obstacles"][0].update(events=[{"t": 10.0, "sog": -3.0}]),
                      lambda c: dataclasses.replace(c.obstacles[0], events=(ScriptEvent(10.0, sog=-3.0),)),
                      "obstacles[target]: ", "events[0].sog", id="event-sog"),
+        pytest.param(lambda d: d["obstacles"][0].update(id="a,b"),
+                     lambda c: dataclasses.replace(c.obstacles[0], id="a,b"),
+                     "obstacles[a,b]: ", "id", id="obstacle-id"),
     ],
 )
 def test_each_rule_is_checked_by_its_owner_on_both_paths(corrupt, build, section, field):
@@ -357,6 +359,18 @@ def test_each_rule_is_checked_by_its_owner_on_both_paths(corrupt, build, section
     assert type(from_api.value) is ValueError
     assert field in str(from_api.value)
     assert str(from_json.value) == section + str(from_api.value)
+
+
+@pytest.mark.parametrize("obs_id", ["a,b", "a\rb", "a\nb", "a\r\n"])
+def test_an_obstacle_id_that_would_break_trajectory_csv_is_rejected(obs_id):
+    # trajectory.csv names each obstacle's columns by its id: a comma
+    # would add header fields its rows lack, a CR or LF split the header
+    data = scenarios.build_config_dict("head_on")
+    data["duration"] = 10.0
+    data["obstacles"][0]["id"] = obs_id
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == f"obstacles[{obs_id}]: id must not contain a comma, CR or LF, got {obs_id!r}"
 
 
 def test_gain_lists_need_one_entry_per_named_gain():

@@ -530,7 +530,7 @@ def test_select_sums_ancestor_edges_on_an_uneven_tree():
     params = TreeParams((5.0, 10.0, 10.0), (3, 3, 1), (3, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
     desired = (model.u_max - 0.5, 0.0)
     tau0 = np.clip(model.damping(10.0, 0.0), model.tau_min, model.tau_max)
-    cands = generate_tree(params, build_levels(params, 0.1, 0.5), model, (0.0, 0.0, 0.0, 10.0, 0.0), 0.0, desired, tau0, None)
+    cands = generate_tree(build_levels(params, 0.1, 0.5), model, (0.0, 0.0, 0.0, 10.0, 0.0), 0.0, desired, tau0, None)
     assert cands.grid == GRID
     np.testing.assert_array_equal(np.bincount(cands.ancestors[0]), [27, 27, 27, 18, 18, 18])
     assert 2 not in cands.sample_path[cands.ancestors[0] >= 3, 1, 0]
@@ -548,13 +548,13 @@ def test_select_sums_ancestor_edges_on_the_shipped_tree(monkeypatch):
     config = scenarios.build_scenario("head_on", noise="radar")
     for args in _shipped_calls(monkeypatch, "head_on", "radar"):
         cands = generate_tree(*args)
-        north, east, course, _, _ = args[3]
+        north, east, course, _, _ = args[2]
         t = cands.grid.times() - cands.grid.t0
         ahead = ObstaclePrediction(
             cands.grid, north + (300.0 - 5.0 * t) * math.cos(course) - 20.0 * math.sin(course),
             east + (300.0 - 5.0 * t) * math.sin(course) + 20.0 * math.cos(course), course + math.pi,
         )
-        prev = VelocityTrajectory.constant(cands.first_grid, *args[5])
+        prev = VelocityTrajectory.constant(cands.first_grid, *args[4])
         _check_ancestor_sums(cands, config.desired, [ahead], config.geometry, config.weights, prev)
 
 

@@ -31,7 +31,7 @@ def _one_level(step, n_sog, n_course, sog=5.0, course=0.0, rot=0.0, desired=None
     state = VesselState(0.0, 0.0, course, sog, rot)
     tau0 = np.clip(MODEL.damping(sog, rot), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((step,), (n_sog,), (n_course,), 1.0, 5.0, 5.0, 5.0, 5.0)
-    return generate_tree(params, build_levels(params, dt, dt), MODEL, state, 0.0, desired or (sog, course), tau0, None)
+    return generate_tree(build_levels(params, dt, dt), MODEL, state, 0.0, desired or (sog, course), tau0, None)
 
 
 def _rates(sog, rot, tau):
@@ -272,7 +272,7 @@ def test_integrate_primitives_requires_zero_rot():
     state = VesselState(0.0, 0.0, 0.0, 5.0, 0.05)
     tau0 = np.clip(MODEL.damping(5.0, 0.05), MODEL.tau_min, MODEL.tau_max)
     params = TreeParams((5.0, 20.0, 30.0), (5, 1, 1), (5, 3, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
-    cands = generate_tree(params, build_levels(params, 0.1, 0.5), MODEL, state, 0.0, (5.0, 0.0), tau0, None)
+    cands = generate_tree(build_levels(params, 0.1, 0.5), MODEL, state, 0.0, (5.0, 0.0), tau0, None)
     starts = [0, 50, 250]  # level boundaries on the 0.1 s grid
     assert all(np.all(cands.trajectory(leaf).rot[starts] == 0.0) for leaf in range(len(cands)))
 

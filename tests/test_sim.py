@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from colavmpc.sim import (
     ObstacleSeries,
     PlannerSeries,
     RunLog,
+    _compliance,
     _csv_blocks,
     _outputs,
     classify_situation,
@@ -215,6 +217,18 @@ def test_levels_are_read_only_and_shared_by_every_call(monkeypatch):
         dataclasses.replace(config, eval_dt=0.25)
 
 
+@pytest.mark.parametrize("case", ["head_on-none", "transit_0"])
+def test_levels_carry_the_tree_params_floats(case):
+    # generate_tree reads each level's step time and ramp time from the
+    # level; they are TreeParams' own floats, not re-derived from the grid
+    # (3 * 0.1 is not 0.3), since the LOS hook's times accumulate them
+    config = _golden_config(case)
+    assert len(config.levels) == len(config.tree.step_times)
+    for level, step_time in zip(config.levels, config.tree.step_times):
+        assert level.step_time.hex() == step_time.hex()
+        assert level.t_ramp.hex() == config.tree.t_ramp.hex()
+
+
 def test_metrics_collision_is_noncompliant():
     # the ownship ends on the obstacle of a head-on encounter: a closest
     # approach on the obstacle's course line reads "port", but collision
@@ -222,6 +236,32 @@ def test_metrics_collision_is_noncompliant():
     m = compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"]
     assert (m.situation, m.passing_side, m.collision_time) == ("head_on", "port", 5.0)
     assert m.compliance == "noncompliant"
+
+
+# today's grade of every (situation, passing side, ahead, collided), by
+# situation in the order (port, starboard) x (behind, ahead) x (clear,
+# collided): c compliant, n noncompliant, a aware_noncompliant, - not_applicable
+_GRADES = {
+    "head_on": "cncnnnnn",
+    "crossing_give_way": "cnancnan",
+    "overtaking": "cncnanan",
+    "crossing_stand_on": "--------",
+    "overtaken": "--------",
+    "none": "--------",
+}
+_GRADE_NAMES = {"c": "compliant", "n": "noncompliant", "a": "aware_noncompliant", "-": "not_applicable"}
+_PASSES = list(itertools.product(("port", "starboard"), (False, True), (False, True)))
+
+
+@pytest.mark.parametrize("situation,side,ahead,collided,grade", [
+    (situation, *flags, _GRADE_NAMES[grade])
+    for situation, grades in _GRADES.items() for flags, grade in zip(_PASSES, grades, strict=True)
+])
+def test_compliance_grade_of_every_situation_side_and_flag(situation, side, ahead, collided, grade):
+    # a head-on pass on the starboard side grades noncompliant with or
+    # without collision time, where a wrong-side give-way or overtaking
+    # pass without collision grades aware_noncompliant
+    assert _compliance(situation, side, ahead, collided) == grade
 
 
 @pytest.mark.parametrize("geom", [GEOM, GEOM_CIRC])
@@ -506,7 +546,7 @@ def test_prediction_matches_closed_loop_plant():
     state = VesselState(0.0, 0.0, 0.1, 5.5, 0.0)
     tau0 = np.clip(model.damping(5.5, 0.0), model.tau_min, model.tau_max)
     # evaluated on the integration grid, so the prediction has a point per plant step
-    cands = generate_tree(params, build_levels(params, 0.1, 0.1), model, state, 0.0, (5.0, 0.0), tau0, None)
+    cands = generate_tree(build_levels(params, 0.1, 0.1), model, state, 0.0, (5.0, 0.0), tau0, None)
     pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
     for pick in (0, len(cands) // 2, len(cands) - 1):
         desired = cands.trajectory(pick)

@@ -35,7 +35,7 @@ def _tau0(state):
 def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None, t=0.0):
     """Candidates grown from state at time t, seeded from the desired (sog, course)."""
     tau0 = _tau0(state) if tau0 is None else tau0
-    return generate_tree(params, build_levels(params, DT, EVAL_DT), MODEL, state, t, desired, tau0, hook)
+    return generate_tree(build_levels(params, DT, EVAL_DT), MODEL, state, t, desired, tau0, hook)
 
 
 def _los_hook(dtraj, los):
@@ -413,9 +413,10 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
     # course do not depend on the integration, so they keep their bits
     calls = _shipped_calls(monkeypatch, scenario, noise)
     assert len(calls) >= 40
+    params = scenarios.build_scenario(scenario, noise=noise).tree
     worst = 0.0
     for args in calls:
-        params, levels, *rest = args
+        levels, *rest = args
         cands = generate_tree(*args)
         oracle = oracles.full_resolution_tree(params, *rest, levels[0].dt, levels[0].eval_dt)
         np.testing.assert_array_equal(cands.sample_path, oracle.sample_path)
@@ -429,9 +430,10 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
 
 
 def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monkeypatch):
-    for params, levels, *rest in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
+    params = scenarios.build_scenario("head_on", noise="radar").tree
+    for levels, *rest in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
         dt = levels[0].dt
-        cands = generate_tree(params, build_levels(params, dt, dt), *rest)
+        cands = generate_tree(build_levels(params, dt, dt), *rest)
         oracle = oracles.full_resolution_tree(params, *rest, dt, dt)
         assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
         for name in ("first_sog", "first_course", "sample_path", "accelerations"):
