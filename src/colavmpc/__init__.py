@@ -8,7 +8,8 @@ from .guidance import DesiredTrajectory, LosParams, desired_acceleration, los_ta
 from .objective import ObjectiveWeights, ObstaclePrediction, PenaltyGeometry, penalty, select
 from .obstacles import EstimateNoise, ObstacleEstimate, ObstacleScript, observe, predict_obstacle
 from .config import ConfigError, ScenarioConfig
-from .sim import Metrics, RunLog, classify_situation, compute_metrics, plan_step, run
+from .grading import Metrics, classify_situation, compute_metrics, situation_labels
+from .sim import RunLog, plan_step, run
 from .scenarios import SCENARIO_NAMES, build_scenario
 
 __version__ = "0.1.0"
@@ -47,5 +48,6 @@ __all__ = [
     "predict_obstacle",
     "run",
     "select",
+    "situation_labels",
     "wrap_angle",
 ]

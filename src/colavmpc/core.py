@@ -9,7 +9,7 @@ unwrapped; wrapping happens only when two angles are compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 from typing import NamedTuple
 
@@ -56,6 +56,19 @@ def wrap_angle(a):
     w -= math.pi
     w[w == math.pi] = -math.pi
     return float(w) if w.ndim == 0 else w
+
+
+def _out(name: str):
+    """A log field written to the outputs under name."""
+    return field(metadata={"out": name})
+
+
+def _outputs(record) -> list[tuple[str, object]]:
+    """(written name, value) of each field of record that declares one,
+    in field order."""
+    return [
+        (f.metadata["out"], getattr(record, f.name)) for f in fields(record) if "out" in f.metadata
+    ]
 
 
 def require_finite(record, names=None) -> None:

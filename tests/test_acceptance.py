@@ -13,10 +13,11 @@ import pytest
 import oracles
 from colavmpc import scenarios
 from colavmpc.core import TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
+from colavmpc.grading import classify_situation
 from colavmpc.guidance import DesiredTrajectory, desired_acceleration
 from colavmpc.objective import ObjectiveWeights, ObstaclePrediction, PenaltyGeometry, select
 from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
-from colavmpc.sim import classify_situation, first_solve, run, runlog_to_csv
+from colavmpc.sim import first_solve, run, runlog_to_csv
 from colavmpc.tree import CandidateSet
 
 GEOM_T2 = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)

@@ -11,19 +11,15 @@ import oracles
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.cli import write_outputs
-from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState
+from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs
+from colavmpc.grading import Metrics, _compliance, classify_situation, compute_metrics, situation_labels
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
     CSV_BLOCK_ROWS,
-    Metrics,
     ObstacleSeries,
     PlannerSeries,
     RunLog,
-    _compliance,
     _csv_blocks,
-    _outputs,
-    classify_situation,
-    compute_metrics,
     first_solve,
     plan_step,
     planner_csv_blocks,
@@ -456,6 +452,23 @@ def _golden_config(case):
         return cfgm.load(path)
     scenario, noise = case.rsplit("-", 1)
     return scenarios.build_scenario(scenario, seed=0, noise=noise)
+
+
+def test_situation_labels_are_the_log_columns_classified():
+    # one label per logged step of each obstacle, from the true series;
+    # an obstacle's situation is its first label that is not "none"
+    log, metrics = run(_golden_config("head_on-radar"))
+    labels = situation_labels(log)
+    assert labels.keys() == log.obstacles.keys() == metrics.obstacles.keys()
+    for obs_id, ser in log.obstacles.items():
+        expected = classify_situation(
+            log.own_north, log.own_east, log.own_course, log.own_sog,
+            ser.true_north, ser.true_east, ser.true_sog, ser.true_course,
+        )
+        assert labels[obs_id].shape == log.t.shape
+        assert np.array_equal(labels[obs_id], expected)
+        first = next(str(label) for label in labels[obs_id] if label != "none")
+        assert metrics.obstacles[obs_id].situation == first == "head_on"
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
