@@ -106,9 +106,7 @@ def situation_labels(log) -> dict[str, np.ndarray]:
 
 
 def _compliance(situation: str, side: str, ahead: bool, collided: bool) -> str:
-    if situation == "head_on":
-        return "compliant" if side == "port" and not collided else "noncompliant"
-    if situation in ("crossing_give_way", "overtaking"):
+    if situation in ("head_on", "crossing_give_way", "overtaking"):
         wrong = ahead if situation == "crossing_give_way" else side != "port"
         return "noncompliant" if collided else "aware_noncompliant" if wrong else "compliant"
     return "not_applicable"

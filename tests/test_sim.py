@@ -238,7 +238,7 @@ def test_metrics_collision_is_noncompliant():
 # situation in the order (port, starboard) x (behind, ahead) x (clear,
 # collided): c compliant, n noncompliant, a aware_noncompliant, - not_applicable
 _GRADES = {
-    "head_on": "cncnnnnn",
+    "head_on": "cncnanan",
     "crossing_give_way": "cnancnan",
     "overtaking": "cncnanan",
     "crossing_stand_on": "--------",
@@ -254,9 +254,8 @@ _PASSES = list(itertools.product(("port", "starboard"), (False, True), (False, T
     for situation, grades in _GRADES.items() for flags, grade in zip(_PASSES, grades, strict=True)
 ])
 def test_compliance_grade_of_every_situation_side_and_flag(situation, side, ahead, collided, grade):
-    # a head-on pass on the starboard side grades noncompliant with or
-    # without collision time, where a wrong-side give-way or overtaking
-    # pass without collision grades aware_noncompliant
+    # a wrong-side head-on, give-way or overtaking pass grades
+    # aware_noncompliant without collision time, noncompliant with it
     assert _compliance(situation, side, ahead, collided) == grade
 
 
