@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,9 +32,13 @@ def _add_config_args(p: argparse.ArgumentParser, with_out: bool):
 
 
 def _load_config(args) -> cfg_mod.ScenarioConfig:
-    if args.config is not None:
-        return cfg_mod.load(args.config, noise_override=args.noise, seed_override=args.seed)
-    return scenarios.build_scenario(args.scenario, seed=args.seed, noise=args.noise)
+    """The --config file or --scenario, with --seed and --noise applied."""
+    config = cfg_mod.load(args.config) if args.config is not None else scenarios.build_scenario(args.scenario)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    if args.noise is not None:
+        config = dataclasses.replace(config, noise=NOISE_PRESETS[args.noise])
+    return config
 
 
 def _integer(minimum: int):

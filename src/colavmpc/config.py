@@ -242,7 +242,7 @@ def _parse_desired(r: _Reader) -> DesiredTrajectory:
     return desired
 
 
-def _parse_noise(r: _Reader | None, preset_override: str | None) -> EstimateNoise:
+def _parse_noise(r: _Reader | None) -> EstimateNoise:
     preset = "none" if r is None else r.string("preset", required=False)
     if preset is None:
         with _section("noise"):
@@ -253,14 +253,10 @@ def _parse_noise(r: _Reader | None, preset_override: str | None) -> EstimateNois
         raise ConfigError(f"noise.preset: unknown preset {preset!r}")
     if r is not None:
         r.finish()
-    if preset_override is not None:
-        if preset_override not in NOISE_PRESETS:
-            raise ConfigError(f"noise preset override: unknown preset {preset_override!r}")
-        noise = NOISE_PRESETS[preset_override]
     return noise
 
 
-def from_dict(data: dict, *, noise_override: str | None = None, seed_override: int | None = None) -> ScenarioConfig:
+def from_dict(data: dict) -> ScenarioConfig:
     top = _Reader(data, "config")
     version = top.integer("schema_version")
     if version != SCHEMA_VERSION:
@@ -316,13 +312,13 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
             scripts.append(ObstacleScript(**script))
         item.finish()
 
-    noise = _parse_noise(top.section("noise", required=False), noise_override)
+    noise = _parse_noise(top.section("noise", required=False))
     top.finish()
 
     try:
         return ScenarioConfig(
             name=name,
-            seed=seed if seed_override is None else seed_override,
+            seed=seed,
             duration=duration,
             integration_dt=integration_dt,
             eval_dt=eval_dt,
@@ -341,12 +337,12 @@ def from_dict(data: dict, *, noise_override: str | None = None, seed_override: i
         raise ConfigError(str(exc)) from exc
 
 
-def load(path, *, noise_override: str | None = None, seed_override: int | None = None) -> ScenarioConfig:
+def load(path) -> ScenarioConfig:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    return from_dict(data, noise_override=noise_override, seed_override=seed_override)
+    return from_dict(data)
 

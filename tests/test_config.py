@@ -7,6 +7,7 @@ import pytest
 
 from colavmpc import config as cfgm
 from colavmpc import scenarios
+from colavmpc.cli import main
 from colavmpc.config import ConfigError
 from colavmpc.core import VesselState, wrap_angle
 from colavmpc.guidance import LosParams
@@ -81,16 +82,37 @@ def test_noise_preset_lookup_and_override():
     data = scenarios.build_config_dict("head_on", noise="ais")
     cfg = cfgm.from_dict(data)
     assert cfg.noise == NOISE_PRESETS["ais"]
-    cfg_radar = cfgm.from_dict(data, noise_override="radar")
+    # an override is a replaced field, as the CLI's --noise applies it
+    cfg_radar = dataclasses.replace(cfg, noise=NOISE_PRESETS["radar"])
     assert cfg_radar.noise == NOISE_PRESETS["radar"]
     assert cfg_radar.noise != cfg.noise
-    with pytest.raises(ConfigError):
-        cfgm.from_dict(data, noise_override="sonar")
 
 
 def test_seed_override():
-    data = scenarios.build_config_dict("head_on", seed=1)
-    assert cfgm.from_dict(data, seed_override=42).seed == 42
+    cfg = cfgm.from_dict(scenarios.build_config_dict("head_on", seed=1))
+    assert dataclasses.replace(cfg, seed=42).seed == 42
+
+
+def test_noise_flag_rejects_unknown_presets(tmp_path, capsys):
+    # the CLI's --noise takes only a preset name: anything else is an
+    # argument error (exit 2) naming the flag, from --config or --scenario
+    cfg_path = tmp_path / "head_on.json"
+    cfg_path.write_text(json.dumps(scenarios.build_config_dict("head_on")))
+    for source in (["--config", str(cfg_path)], ["--scenario", "head_on"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *source, "--noise", "sonar", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --noise: invalid choice: 'sonar'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_applies_to_a_valid_config_only(tmp_path, capsys):
+    # --seed replaces the seed of the config as loaded, so a file whose
+    # own seed breaks the rule is still the config error naming it
+    cfg_path = tmp_path / "head_on.json"
+    cfg_path.write_text(json.dumps(scenarios.build_config_dict("head_on", seed=-1)))
+    assert main(["validate", "--config", str(cfg_path), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
 
 
 def test_negative_seeds_rejected():
@@ -110,8 +132,8 @@ def test_negative_seeds_rejected():
     assert str(err.value) == "config.noise.seed: unknown key"
     del data["noise"]["seed"]
     # an override meets the config's own rule
-    with pytest.raises(ConfigError) as err:
-        cfgm.from_dict(data, seed_override=-3)
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(cfgm.from_dict(data), seed=-3)
     assert str(err.value) == "config.seed: must be >= 0"
 
 
