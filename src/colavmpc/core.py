@@ -59,7 +59,7 @@ def wrap_angle(a):
 
 
 def _out(name: str):
-    """A log field written to the outputs under name."""
+    """A record field written to the outputs under name."""
     return field(metadata={"out": name})
 
 
