@@ -12,24 +12,23 @@ other value is an argument error (exit 2) that names the flag.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from colavmpc import config as cfgm
 from colavmpc import scenarios, sim
 from colavmpc.cli import _finite_float, _integer
 
 
-def sweep(scenario: str, seeds: int, weight: float) -> tuple[list[sim.Metrics], list[sim.Metrics]]:
-    """Metrics of seeds 0..seeds-1 under radar noise, with the transitional
-    weight w_tran = weight and with w_tran = 0, in that order per seed."""
+def sweep(configs, weight: float) -> tuple[list[sim.Metrics], list[sim.Metrics]]:
+    """Metrics of each config run with the transitional weight w_tran =
+    weight and with w_tran = 0, as two lists in the order of configs."""
     runs = ([], [])
-    for seed in range(seeds):
+    for config in configs:
         for w_tran, out in zip((weight, 0.0), runs):
-            data = scenarios.build_config_dict(scenario, seed=seed, noise="radar")
-            data["weights"]["tran"] = w_tran
-            out.append(sim.run(cfgm.from_dict(data))[1])
+            weights = dataclasses.replace(config.weights, w_tran=w_tran)
+            out.append(sim.run(dataclasses.replace(config, weights=weights))[1])
     return runs
 
 
@@ -40,7 +39,8 @@ def main(argv=None) -> int:
     parser.add_argument("--weight", type=_finite_float(0.0), default=4200.0)
     args = parser.parse_args(argv)
 
-    runs = sweep(args.scenario, args.seeds, args.weight)
+    configs = [scenarios.build_scenario(args.scenario, seed=s, noise="radar") for s in range(args.seeds)]
+    runs = sweep(configs, args.weight)
     print(f"scenario: {args.scenario}, radar noise, {args.seeds} seeds")
     for w_tran, metrics in zip((args.weight, 0.0), runs):
         counts = [m.switch_count for m in metrics]

@@ -3,7 +3,8 @@
 Configs are plain JSON with a schema_version field. `from_dict` reads
 each section strictly into the library's own objects, checking only the
 JSON shape, with the offending key named once; every value rule is the
-rule of the record that owns the value, whichever way it is built.
+rule of the record that owns the value, whichever way it is built. A
+section's shape is checked whole before its record is built.
 All angles are radians, all lengths meters, all times seconds.
 """
 
@@ -78,11 +79,13 @@ class _Reader:
             raise ConfigError(f"{self._path}.{key}: expected {length} entries, got {len(raw)}")
         return [self._check(v, kind, f"{key}[{i}]") for i, v in enumerate(raw)]
 
-    def fields_of(self, record, **optional) -> dict:
-        """The keys named as the dataclass record's fields, in field order:
-        a list for a tuple field, of integers if its items are, a string
-        for a str field and a number for any other. A field named in
-        optional may be missing, and then takes the value given there."""
+    def record(self, cls, section: str, **optional):
+        """The dataclass cls, built from the keys named as its fields, in
+        field order: a list for a tuple field, of integers if its items
+        are, a string for a str field and a number for any other. A field
+        named in optional may be missing, and then takes the value given
+        there. Unknown keys are reported before cls's own rules, whose
+        ValueError is named by section, formatted with the values read."""
 
         def read(name, kind):
             if name not in self._data and name in optional:
@@ -91,7 +94,10 @@ class _Reader:
                 return tuple(self.list_of(name, int if kind.startswith("tuple[int") else float))
             return self._get(name, str if kind == "str" else float, True, None)
 
-        return {f.name: read(f.name, str(f.type)) for f in fields(record)}
+        values = {f.name: read(f.name, str(f.type)) for f in fields(cls)}
+        self.finish()
+        with _section(section.format(**values)):
+            return cls(**values)
 
     def section(self, key, required=True):
         raw = self._get(key, dict, required, None)
@@ -186,30 +192,18 @@ class ScenarioConfig:
         return self.tree.step_times[0]
 
 
-def _parse_vessel(r: _Reader | None) -> VesselModel:
-    if r is None:
-        return default_model()
-    with _section("vessel"):
-        model = VesselModel(**r.fields_of(VesselModel))
-    r.finish()
-    return model
-
-
 def _parse_geometry(r: _Reader) -> PenaltyGeometry:
     kind = r.string("kind")
     gamma1 = r.number("gamma1")
+    if kind == "circular":
+        build, args = PenaltyGeometry.circular, (r.list_of("radii", float),)
+    elif kind == "elliptical_colregs":
+        build, args = PenaltyGeometry.elliptical, (r.list_of("a", float), r.list_of("b", float), r.number("d_colregs"))
+    else:
+        raise ConfigError(f"penalty.kind: unknown kind {kind!r}")
+    r.finish()
     with _section("penalty"):
-        if kind == "circular":
-            radii = r.list_of("radii", float)
-            r.finish()
-            return PenaltyGeometry.circular(radii, gamma1)
-        if kind == "elliptical_colregs":
-            a = r.list_of("a", float)
-            b = r.list_of("b", float)
-            d_colregs = r.number("d_colregs")
-            r.finish()
-            return PenaltyGeometry.elliptical(a, b, d_colregs, gamma1)
-    raise ConfigError(f"penalty.kind: unknown kind {kind!r}")
+        return build(*args, gamma1)
 
 
 def _parse_gains(r: _Reader | None) -> ControllerGains:
@@ -225,35 +219,33 @@ def _parse_gains(r: _Reader | None) -> ControllerGains:
 
 def _parse_desired(r: _Reader) -> DesiredTrajectory:
     kind = r.string("kind")
-    with _section("desired"):
-        if kind == "line":
-            desired = DesiredTrajectory.line(
-                r.number("north"), r.number("east"), r.number("course"), r.number("speed")
-            )
-        elif kind == "waypoints":
-            points = []
-            for item in r.section_list("points"):
-                points.append((item.number("north"), item.number("east")))
-                item.finish()
-            desired = DesiredTrajectory.waypoints(points, r.number("speed"))
-        else:
-            raise ConfigError(f"desired.kind: unknown kind {kind!r}")
+    if kind == "line":
+        args = (r.number("north"), r.number("east"), r.number("course"), r.number("speed"))
+        build = DesiredTrajectory.line
+    elif kind == "waypoints":
+        points = []
+        for item in r.section_list("points"):
+            points.append((item.number("north"), item.number("east")))
+            item.finish()
+        args = (points, r.number("speed"))
+        build = DesiredTrajectory.waypoints
+    else:
+        raise ConfigError(f"desired.kind: unknown kind {kind!r}")
     r.finish()
-    return desired
+    with _section("desired"):
+        return build(*args)
 
 
 def _parse_noise(r: _Reader | None) -> EstimateNoise:
-    preset = "none" if r is None else r.string("preset", required=False)
+    if r is None:
+        return NOISE_PRESETS["none"]
+    preset = r.string("preset", required=False)
     if preset is None:
-        with _section("noise"):
-            noise = EstimateNoise(**r.fields_of(EstimateNoise))
-    elif preset in NOISE_PRESETS:
-        noise = NOISE_PRESETS[preset]
-    else:
+        return r.record(EstimateNoise, "noise")
+    if preset not in NOISE_PRESETS:
         raise ConfigError(f"noise.preset: unknown preset {preset!r}")
-    if r is not None:
-        r.finish()
-    return noise
+    r.finish()
+    return NOISE_PRESETS[preset]
 
 
 def from_dict(data: dict) -> ScenarioConfig:
@@ -268,49 +260,36 @@ def from_dict(data: dict) -> ScenarioConfig:
 
     pl = top.section("planner")
     eval_dt = pl.number("eval_dt")
-    with _section("planner"):
-        tree = TreeParams(**pl.fields_of(TreeParams))
-    pl.finish()
+    tree = pl.record(TreeParams, "planner")
 
-    vessel = _parse_vessel(top.section("vessel", required=False))
-
-    gd = top.section("guidance")
-    with _section("guidance"):
-        los = LosParams(**gd.fields_of(LosParams, epsilon=LosParams.epsilon, u_max_los=vessel.u_max))
-    gd.finish()
+    vs = top.section("vessel", required=False)
+    vessel = default_model() if vs is None else vs.record(VesselModel, "vessel")
+    los = top.section("guidance").record(LosParams, "guidance", epsilon=LosParams.epsilon, u_max_los=vessel.u_max)
 
     wt = top.section("weights")
-    with _section("weights"):
-        weights = ObjectiveWeights(
-            w_align=wt.number("align"),
-            w_avoid=wt.number("avoid"),
-            w_tran=wt.number("tran"),
-            w_course=wt.number("course"),
-        )
+    terms = {f"w_{term}": wt.number(term) for term in ("align", "avoid", "tran", "course")}
     wt.finish()
+    with _section("weights"):
+        weights = ObjectiveWeights(**terms)
 
     geometry = _parse_geometry(top.section("penalty"))
     gains = _parse_gains(top.section("gains", required=False))
 
     own = top.section("ownship")
-    ownship = VesselState(
-        own.number("north"), own.number("east"), wrap_angle(own.number("course")),
-        own.number("sog"), own.number("rot", required=False, default=0.0),
-    )
+    north, east, course, sog = (own.number(key) for key in ("north", "east", "course", "sog"))
+    rot = own.number("rot", required=False, default=0.0)
     own.finish()
+    ownship = VesselState(north, east, wrap_angle(course), sog, rot)
 
     desired = _parse_desired(top.section("desired"))
 
     scripts = []
     for item in top.section_list("obstacles", required=False):
-        events = []
-        for ev in item.section_list("events", required=False):
-            events.append(ScriptEvent(**ev.fields_of(ScriptEvent, sog=None, course=None)))
-            ev.finish()
-        script = item.fields_of(ObstacleScript, events=tuple(events))
-        with _section(f"obstacles[{script['id']}]"):
-            scripts.append(ObstacleScript(**script))
-        item.finish()
+        events = [
+            ev.record(ScriptEvent, f"events[{i}]", sog=None, course=None)
+            for i, ev in enumerate(item.section_list("events", required=False))
+        ]
+        scripts.append(item.record(ObstacleScript, "obstacles[{id}]", events=tuple(events)))
 
     noise = _parse_noise(top.section("noise", required=False))
     top.finish()

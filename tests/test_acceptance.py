@@ -392,7 +392,9 @@ def test_c08_noise_robustness(monkeypatch):
     import noise_study
 
     t_start = time.perf_counter()
-    with_tran, without_tran = noise_study.sweep("head_on", 20, 4200.0)
+    with_tran, without_tran = noise_study.sweep(
+        [scenarios.build_scenario("head_on", seed=s, noise="radar") for s in range(20)], 4200.0
+    )
     collisions = sum(
         m.obstacles["target"].collision_time > 0.0 for m in with_tran + without_tran
     )

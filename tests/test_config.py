@@ -383,6 +383,39 @@ def test_each_rule_is_checked_by_its_owner_on_both_paths(corrupt, build, section
     assert str(from_json.value) == section + str(from_api.value)
 
 
+# one broken value per section, and the start of its record's rule error
+_BROKEN_VALUES = {
+    "planner": (lambda d: d["planner"].update(t_ramp=-1.0), "planner: t_ramp must be > 0"),
+    "vessel": (lambda d: d.update(vessel=_vessel_section(tau_min=[0.05])), "vessel: tau_min needs 2 entries"),
+    "guidance": (lambda d: d["guidance"].update(lookahead=-1.0), "guidance: lookahead"),
+    "weights": (lambda d: d["weights"].update(avoid=-1.0), "weights: term weights must be >= 0"),
+    "penalty": (lambda d: d["penalty"].update(a=[50.0, 150.0]), "penalty: a needs 3 entries"),
+    "gains": (lambda d: d.update(gains={**_GAINS, "kp": [-0.6, 2.2, 1.0]}), "gains: kp_sog must be > 0"),
+    "desired": (lambda d: d["desired"].update(speed=-1.0), "desired: speed must be finite and > 0"),
+    "noise": (
+        lambda d: d.update(noise={"pos_std": -1.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5}),
+        "noise: noise parameters must be >= 0",
+    ),
+    "obstacles[0]": (lambda d: d["obstacles"][0].update(sog=-1.0), "obstacles[target]: sog must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("section", _BROKEN_VALUES)
+def test_each_section_reports_its_json_shape_before_its_record_rules(section):
+    # a broken value alone is its record's rule; with an unknown key in the
+    # same section, the key is reported first, whichever section it is
+    corrupt, rule = _BROKEN_VALUES[section]
+    data = scenarios.build_config_dict("head_on")
+    corrupt(data)
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value).startswith(rule)
+    (data["obstacles"][0] if section == "obstacles[0]" else data[section])["bogus"] = 1
+    with pytest.raises(ConfigError) as err:
+        cfgm.from_dict(data)
+    assert str(err.value) == f"config.{section}.bogus: unknown key"
+
+
 @pytest.mark.parametrize("obs_id", ["a,b", "a\rb", "a\nb", "a\r\n"])
 def test_an_obstacle_id_that_would_break_trajectory_csv_is_rejected(obs_id):
     # trajectory.csv names each obstacle's columns by its id: a comma

@@ -11,7 +11,7 @@ import oracles
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.cli import write_outputs
-from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs
+from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs, wrap_angle
 from colavmpc.grading import Metrics, _compliance, classify_situation, compute_metrics, situation_labels
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
@@ -860,3 +860,35 @@ def test_plan_step_reads_the_committed_reference_at_its_grid_points(monkeypatch)
         for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
             np.testing.assert_array_equal(getattr(previous_first, name), getattr(expected, name))
         assert candidates.desired0 == (expected.sog[0], expected.course[0])
+
+
+def _rotated(name, angle):
+    """The shipped scenario's config dict turned by angle about the origin:
+    positions rotated, ownship and obstacle courses wrapped, and the desired
+    line's course left unwrapped, so a turn by pi plans a +pi line from a
+    -pi ownship."""
+    data = scenarios.build_config_dict(name, noise="none")
+    cos, sin = math.cos(angle), math.sin(angle)
+    for item in (data["ownship"], data["desired"], *data["obstacles"]):
+        item["north"], item["east"] = cos * item["north"] - sin * item["east"], sin * item["north"] + cos * item["east"]
+    for item in (data["ownship"], *data["obstacles"]):
+        item["course"] = float(wrap_angle(item["course"] + angle))
+    data["desired"]["course"] += angle
+    return data
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
+def test_a_run_turned_about_the_origin_plans_the_same_encounter(name):
+    # every shipped geometry heads near north, so only a turned copy
+    # crosses the +-pi seam in the tree, the LOS hook and the align term;
+    # radar is left out, since its north/east noise draws do not turn
+    def outcome(metrics):
+        m = metrics.obstacles["target"]
+        return (m.situation, m.compliance, m.passing_side, m.passed_ahead,
+                metrics.switch_count, metrics.failsafe_count, metrics.observable_maneuvers)
+
+    _, north = run(scenarios.build_scenario(name, noise="none"))
+    for angle in (math.pi, math.pi / 2, -math.pi / 2, 3.0):
+        _, turned = run(cfgm.from_dict(_rotated(name, angle)))
+        assert outcome(turned) == outcome(north), angle
+        assert abs(turned.obstacles["target"].min_distance - north.obstacles["target"].min_distance) <= 1e-6, angle
