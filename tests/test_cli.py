@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import colavmpc
 from colavmpc import config as cfg_mod
 from colavmpc import scenarios
 from colavmpc.cli import _summary_text, main
@@ -57,9 +59,24 @@ def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog
     return path, data
 
 
-def test_package_exports_resolve():
-    # a stale name in __all__ breaks `from colavmpc import *`
-    assert [name for name in colavmpc.__all__ if not hasattr(colavmpc, name)] == []
+def _loaded_submodules(module):
+    """The colavmpc.* modules a fresh interpreter holds after importing `module`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys, {module}; print(*(n for n in sys.modules if n.startswith('colavmpc.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_import_graph():
+    # the package holds no names, so importing it loads none of its modules,
+    # and a caller that only reads configs never loads the simulator
+    assert _loaded_submodules("colavmpc") == set()
+    loaded = _loaded_submodules("colavmpc.config")
+    assert "colavmpc.config" in loaded
+    assert loaded.isdisjoint({"colavmpc.sim", "colavmpc.grading", "colavmpc.scenarios", "colavmpc.cli"})
 
 
 def test_run_writes_outputs(tmp_path, capsys):
