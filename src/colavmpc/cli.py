@@ -122,11 +122,14 @@ def cmd_solve(args) -> int:
         print("fail-safe: no feasible candidates, holding previous desired velocity")
         return 0
     print(f"{'id':>4} {'align':>14} {'avoid':>14} {'tran':>6} {'total':>16} {'samples'}")
-    for i, path in enumerate(solve.candidates.sample_path.tolist()):
+    cands = solve.candidates
+    # each leaf's (sog, rot) sample indices, level by level through its ancestor edges
+    levels = [zip(i[rows].tolist(), j[rows].tolist()) for (i, j, _, _), rows in zip(cands.samples, cands.ancestors)]
+    for i, path in enumerate(zip(*levels)):
         mark = " *" if i == table.selected else ""
         print(
             f"{i:>4} {table.align[i]:>14.4f} {table.avoid[i]:>14.4f} "
-            f"{table.tran[i]:>6.0f} {table.total[i]:>16.4f} {tuple(map(tuple, path))}{mark}"
+            f"{table.tran[i]:>6.0f} {table.total[i]:>16.4f} {path}{mark}"
         )
     print(f"selected candidate: {table.selected}")
     return 0

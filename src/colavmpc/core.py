@@ -121,10 +121,6 @@ class TimeGrid:
     def t_end(self) -> float:
         return self.t0 + (self.n - 1) * self.dt
 
-    @property
-    def span(self) -> float:
-        return (self.n - 1) * self.dt
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 

@@ -61,10 +61,6 @@ class TreeParams:
         if self.tc_sog <= 0.0 or self.tc_course <= 0.0:
             raise ValueError("time constants must be > 0")
 
-    @property
-    def horizon(self) -> float:
-        return float(sum(self.step_times))
-
 
 def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
     """Acceleration ranges reachable from tau0 within one ramp time.

@@ -80,7 +80,8 @@ class Solve:
                 t=self.t, candidate=-1, n_candidates=0, align=math.nan, avoid=math.nan,
                 tran=math.nan, total=math.nan, failsafe=True, course_change=0.0, sog_change=0.0,
             )
-        sog, course = self.candidates.first_sog[k], self.candidates.first_course[k]
+        first = self.candidates.ancestors[0][k]
+        sog, course = self.candidates.first_sog[first], self.candidates.first_course[first]
         return dict(
             t=self.t, candidate=k, n_candidates=len(self.candidates), align=table.align[k],
             avoid=table.avoid[k], tran=table.tran[k], total=table.total[k], failsafe=False,
@@ -145,11 +146,7 @@ def plan_step(
     if not candidates:
         return Solve(t, candidates, None)
     predictions = [predict_obstacle(est, candidates.grid) for est in estimates]
-    first_grid = candidates.first_grid
-    previous_first = VelocityTrajectory(
-        first_grid, *commanded.window(t, first_grid.n, first_grid.dt / commanded.grid.dt)
-    )
-    table = select(candidates, config.desired, predictions, config.geometry, config.weights, previous_first)
+    table = select(candidates, config.desired, predictions, config.geometry, config.weights, commanded)
     return Solve(t, candidates, table)
 
 

@@ -13,8 +13,8 @@ per level and built once per config (build_levels), every channel is an
 affine function of the sampled acceleration, so all of a level's (node,
 sample) edges broadcast straight onto the evaluation grid, where the
 prediction integrates.
-Each level keeps its edges' parents and predictions, each leaf its
-ancestor edges; one candidate's dt-grid reference is rebuilt on demand.
+Each level keeps its edges' parents, samples and predictions, each leaf
+its ancestor edges; one candidate's dt-grid reference is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -99,12 +99,13 @@ class CandidateSet:
     corrected prediction, (north, east) as one (2, n_edges, width) array
     and course (n_edges, width), on the grid columns the level owns: all
     of its own but the last, which the next level's first overrides, and
-    all of the last level's. ancestors[k], (n_leaves,), is each leaf's
-    edge index at level k. first_sog and first_course, (n_leaves,
-    first_grid.n), are the desired reference over the first maneuver.
-    sample_path[leaf, level] is the (sog, rot) sample index the path
-    takes at that level and accelerations[leaf, level] the sampled (sog,
-    rot) accelerations.
+    all of the last level's. samples[k] is level k's edges' (sog, rot)
+    sample indices and sampled (sog, rot) accelerations, (i_sog, i_rot,
+    a_u, a_r). first_sog and first_course, (level 0's n_edges,
+    first_grid.n), are the desired reference over each first maneuver.
+    Every array but ancestors holds one row per edge of its level. The
+    leaves are the last level's edges; ancestors[k], (n_leaves,), is each
+    leaf's edge index at level k, through which it reaches those rows.
     levels, shared by every call of a config, and desired0, the root's
     desired (sog, course), rebuild one candidate's reference on the
     integration grid. A tree with no feasible level-0 maneuver has no
@@ -113,11 +114,10 @@ class CandidateSet:
 
     grid: TimeGrid
     edges: tuple[tuple[np.ndarray, np.ndarray], ...]
+    samples: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     ancestors: tuple[np.ndarray, ...]
     first_sog: np.ndarray
     first_course: np.ndarray
-    sample_path: np.ndarray
-    accelerations: np.ndarray
     levels: tuple[Level, ...]
     desired0: tuple[float, float]
 
@@ -125,16 +125,19 @@ class CandidateSet:
         owned = [course.shape[1] for _, course in self.edges]
         if sum(owned) != self.grid.n:
             raise ValueError(f"the levels own {owned} columns, which do not add up to grid.n {self.grid.n}")
-        if len(self.ancestors) != len(self.edges):
-            raise ValueError(f"{len(self.edges)} levels of edges but {len(self.ancestors)} ancestors entries")
-        for k, ((_, course), rows) in enumerate(zip(self.edges, self.ancestors)):
-            if len(rows) != len(self.sample_path):
-                raise ValueError(f"ancestors[{k}] has {len(rows)} rows for {len(self.sample_path)} leaves")
+        if not len(self.samples) == len(self.ancestors) == len(self.edges):
+            raise ValueError(f"{len(self.edges)} levels of edges, {len(self.samples)} of samples, {len(self.ancestors)} of ancestors")
+        for k, ((position, course), samples, rows) in enumerate(zip(self.edges, self.samples, self.ancestors)):
+            per_edge = [len(a) for a in (position[0], *samples, *((self.first_sog, self.first_course) if k == 0 else ()))]
+            if set(per_edge) - {len(course)}:
+                raise ValueError(f"level {k}'s per-edge arrays have {per_edge} rows for {len(course)} edges")
+            if len(rows) != len(self):
+                raise ValueError(f"ancestors[{k}] has {len(rows)} rows for {len(self)} leaves")
             if len(rows) and not 0 <= rows.min() <= rows.max() < len(course):
                 raise ValueError(f"ancestors[{k}] indexes outside level {k}'s {len(course)} edges")
 
     def __len__(self) -> int:
-        return len(self.sample_path)
+        return len(self.edges[-1][1])
 
     @property
     def first_grid(self) -> TimeGrid:
@@ -146,7 +149,8 @@ class CandidateSet:
         on the integration grid."""
         u_d, chi_d = self.desired0
         parts = []
-        for level, (a_u, a_r) in zip(self.levels, self.accelerations[leaf]):
+        for level, (_, _, a_u, a_r), rows in zip(self.levels, self.samples, self.ancestors):
+            a_u, a_r = a_u[rows[leaf]], a_r[rows[leaf]]
             sog, course = level.reference(u_d, chi_d, a_u, a_r)
             rot, sog_acc, rot_acc = a_r * level.cum_c, a_u * level.unit_s, a_r * level.unit_c
             parts.append(np.stack([sog, rot, course, sog_acc, rot_acc]))
@@ -192,7 +196,7 @@ def generate_tree(
     position = np.array([[float(north0)], [float(east0)]])
     # per level: each edge's parent node, (sog, rot) sample indices and
     # accelerations, and its prediction on the columns the level owns
-    parents, kept, edges = [], [], []
+    parents, samples, edges = [], [], []
     t_level = t
     for level_idx, level in enumerate(levels):
         # below the root nodes sit at the end of a maneuver: zero ROT,
@@ -230,7 +234,7 @@ def generate_tree(
         if level_idx == 0:
             first_sog, first_course = sog, course
         parents.append(node)
-        kept.append((i_sog, i_rot, a_u, a_r))
+        samples.append((i_sog, i_rot, a_u, a_r))
         width = None if level_idx == len(levels) - 1 else -1
         edges.append((track[..., :width], course_bar[:, :width]))
         u_d, chi_d = sog[:, -1], course[:, -1]
@@ -242,19 +246,13 @@ def generate_tree(
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
-    sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
-    accelerations = np.empty(sample_path.shape)
-    for k, (rows, (i_sog, i_rot, a_u, a_r)) in enumerate(zip(ancestors, kept)):
-        sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
-        accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
     return CandidateSet(
         grid=grid,
         edges=tuple(edges),
+        samples=tuple(samples),
         ancestors=tuple(ancestors),
-        first_sog=first_sog[ancestors[0]],
-        first_course=first_course[ancestors[0]],
-        sample_path=sample_path,
-        accelerations=accelerations,
+        first_sog=first_sog,
+        first_course=first_course,
         levels=tuple(levels),
         desired0=desired0,
     )

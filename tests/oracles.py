@@ -23,7 +23,9 @@ library integrates it on the evaluation grid directly. `level_at` builds
 a tree level's profiles from its absolute start time t0, which the
 profiles the library builds once per config must match at any t0. `leaf_rows`
 gathers each candidate's prediction over the whole grid from its
-ancestor edges, which the library scores one edge at a time.
+ancestor edges, which the library scores one edge at a time;
+`leaf_samples` and `leaf_firsts` gather its samples and its first
+maneuver, which the library keeps once per edge.
 `whole_table_csv` formats a CSV from one array of the whole table,
 which the library writes in row blocks (`sim.runlog_csv_blocks`).
 """
@@ -372,15 +374,7 @@ def full_resolution_tree(params, model, state, t, desired_vel0, tau0, guidance_h
     ancestors = [np.arange(len(parents[-1]))]
     for parent in parents[:0:-1]:
         ancestors.insert(0, parent[ancestors[0]])
-    sample_path = np.empty((len(ancestors[0]), len(levels), 2), dtype=np.intp)
-    accelerations = np.empty(sample_path.shape)
-    for k, (rows, (i_sog, i_rot, a_u, a_r)) in enumerate(zip(ancestors, kept)):
-        sample_path[:, k, 0], sample_path[:, k, 1] = i_sog[rows], i_rot[rows]
-        accelerations[:, k, 0], accelerations[:, k, 1] = a_u[rows], a_r[rows]
-    return CandidateSet(
-        grid, tuple(edges), tuple(ancestors), first_sog[ancestors[0]], first_course[ancestors[0]],
-        sample_path, accelerations, tuple(levels), desired0,
-    )
+    return CandidateSet(grid, tuple(edges), tuple(kept), tuple(ancestors), first_sog, first_course, tuple(levels), desired0)
 
 
 def leaf_rows(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,6 +386,23 @@ def leaf_rows(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for channels in zip(*cands.edges)
     )
     return north, east, course
+
+
+def leaf_samples(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's (sog, rot) sample indices and sampled (sog, rot)
+    accelerations at every level, (n_leaves, n_levels, 2) each: its
+    ancestors' samples, level by level."""
+    i_sog, i_rot, a_u, a_r = (
+        np.stack([channel[rows] for channel, rows in zip(channels, cands.ancestors)], axis=1)
+        for channels in zip(*cands.samples)
+    )
+    return np.stack([i_sog, i_rot], axis=-1), np.stack([a_u, a_r], axis=-1)
+
+
+def leaf_firsts(cands: CandidateSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's desired (sog, course) over the first maneuver,
+    (n_leaves, first_grid.n) each: its level-0 ancestor's."""
+    return cands.first_sog[cands.ancestors[0]], cands.first_course[cands.ancestors[0]]
 
 
 def whole_table_csv(columns: list[tuple[str, np.ndarray]]) -> str:

@@ -193,8 +193,8 @@ def test_c05_tree_shape_and_solve_time():
     shapes_ok = (
         table is not None
         and len(cands) <= 225
-        and cands.sample_path.shape[1:] == (3, 2)
-        and abs(cands.grid.span - 55.0) < 1e-9
+        and len(cands.samples) == 3
+        and abs(cands.grid.t_end - cands.grid.t0 - 55.0) < 1e-9
     )
     ok = shapes_ok and elapsed < 1.0
     _report(5, ok, "tree shape (<=225 x 3 maneuvers x 55 s) and solve time",
@@ -346,10 +346,9 @@ def _random_instance(rng):
     }
     cand_set = CandidateSet(
         grid=grid,
-        edges=((np.array([rows["north"], rows["east"]]), rows["course"]),), ancestors=(np.arange(n_cand),),
-        first_sog=rows["sog"], first_course=rows["ref_course"],
-        sample_path=np.zeros((n_cand, 1, 2), dtype=int),
-        accelerations=np.zeros((n_cand, 1, 2)), levels=(), desired0=(0.0, 0.0),
+        edges=((np.array([rows["north"], rows["east"]]), rows["course"]),),
+        samples=((np.zeros(n_cand, dtype=int),) * 2 + (np.zeros(n_cand),) * 2,), ancestors=(np.arange(n_cand),),
+        first_sog=rows["sog"], first_course=rows["ref_course"], levels=(), desired0=(0.0, 0.0),
     )
     return inst, cand_set, dtraj, obs_preds, geom, weights, prev
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import colavmpc
 from colavmpc import config as cfg_mod
 from colavmpc import scenarios
 from colavmpc.cli import _summary_text, main
@@ -60,8 +61,9 @@ def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog
 
 
 def _loaded_submodules(module):
-    """The colavmpc.* modules a fresh interpreter holds after importing `module`."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    """The colavmpc.* modules a fresh interpreter holds after importing
+    `module`, from the copy of the package these tests import."""
+    src = Path(colavmpc.__file__).resolve().parents[1]
     code = f"import sys, {module}; print(*(n for n in sys.modules if n.startswith('colavmpc.')))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
@@ -336,11 +338,17 @@ def test_raster_rejects_bad_flags(flag, value, tmp_path, capsys):
 
 def test_validate_and_run_reject_negative_seeds(tmp_path, capsys):
     cfg_path, _ = _small_config(tmp_path, seed=-1)
-    assert main(["validate", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
-    assert not (tmp_path / "out").exists()
+    # a config whose obstacles share an id fails the same way: one error
+    # line from each command, and run writes nothing
+    dup_path, data = _small_config(tmp_path, name="dup_ids")
+    data["obstacles"] *= 2
+    dup_path.write_text(json.dumps(data))
+    for path, error in ((cfg_path, "config.seed: must be >= 0"), (dup_path, "obstacles: duplicate id 'target'")):
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["-3", "x", "1.5"])

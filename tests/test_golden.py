@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from colavmpc import scenarios
 from colavmpc.cli import main
 from golden.make_golden import GOLDEN, moved, output_digests, run_args
 
@@ -24,10 +25,22 @@ DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 RECORDED_NUMPY = json.loads((GOLDEN / "environment.json").read_text())["numpy"]
 
 
-@pytest.mark.parametrize("case", sorted(DIGESTS))
-def test_golden_outputs(case, tmp_path):
+# every golden case from its own arguments, and head_on-radar once more
+# from a head_on config file: --noise and --seed override a --config file
+# as they do a --scenario
+RUNS = [pytest.param(case, False, id=case) for case in sorted(DIGESTS)]
+RUNS.append(pytest.param("head_on-radar", True, id="head_on-radar-from-config"))
+
+
+@pytest.mark.parametrize("case, from_config", RUNS)
+def test_golden_outputs(case, from_config, tmp_path):
+    args = run_args(case)
+    if from_config:
+        config = tmp_path / "head_on.json"
+        config.write_text(json.dumps(scenarios.build_config_dict("head_on")))
+        args = ["--config", str(config), "--noise", "radar", "--seed", "0"]
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", *run_args(case), "--out", str(tmp_path)])
+        code = main(["run", *args, "--out", str(tmp_path)])
     assert code == 0
     versions = f"golden recorded under numpy {RECORDED_NUMPY}; this run uses numpy {np.__version__}"
     assert (tmp_path / "metrics.json").read_text() == (GOLDEN / case / "metrics.json").read_text(), versions

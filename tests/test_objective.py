@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import outer_penalty_at, penalty_at, region_radius, relative_bearing
-from colavmpc import objective, scenarios
+from colavmpc import objective, scenarios, sim
+from colavmpc import tree as tree_mod
 from colavmpc.core import TimeGrid, VelocityTrajectory, wrap_angle
 from colavmpc.guidance import DesiredTrajectory
 from colavmpc.objective import (
@@ -263,10 +264,10 @@ def _set(*cands) -> CandidateSet:
         return arr.reshape(len(cands), GRID.n)
 
     return CandidateSet(
-        grid=GRID, edges=((np.array([rows(0), rows(1)]), rows(2)),), ancestors=(np.arange(len(cands)),),
-        first_sog=rows(3)[:, :N_FIRST], first_course=rows(4)[:, :N_FIRST],
-        sample_path=np.zeros((len(cands), 1, 2), dtype=int),
-        accelerations=np.zeros((len(cands), 1, 2)), levels=(), desired0=(0.0, 0.0),
+        grid=GRID, edges=((np.array([rows(0), rows(1)]), rows(2)),),
+        samples=((np.zeros(len(cands), dtype=int),) * 2 + (np.zeros(len(cands)),) * 2,),
+        ancestors=(np.arange(len(cands)),), first_sog=rows(3)[:, :N_FIRST], first_course=rows(4)[:, :N_FIRST],
+        levels=(), desired0=(0.0, 0.0),
     )
 
 
@@ -320,15 +321,27 @@ def test_avoid_cost_prediction_must_cover_horizon():
 
 
 def test_select_requires_the_evaluation_grid():
-    # predictions and the previous reference must sit on the candidates'
-    # grid exactly: a grid shifted by 1e-12 s or with another dt is an error
+    # predictions must sit on the candidates' grid exactly: a grid shifted
+    # by 1e-12 s or with another dt is an error
     cands = _set(_line())
     for grid in (TimeGrid(GRID.t0 + 1e-12, GRID.dt, GRID.n), TimeGrid.from_span(0.0, 25.0, 0.25)):
         obs = ObstaclePrediction(grid=grid, north=np.zeros(grid.n), east=np.full(grid.n, 1e4), course=0.0)
         with pytest.raises(ValueError, match="not the evaluation grid"):
             _select(cands, [obs])
+    # the committed reference is read at the first maneuver's grid points,
+    # to 1e-9 of its own step (VelocityTrajectory.window): one shifted by
+    # 1e-12 s, or at 0.25 s steps, is read there, at 0.2 rad, and not at
+    # the 0 rad between them
+    firsts = _set(*(_line(sog=sog, course=course) for sog, course in [(5.0, 0.0), (5.0, 0.2), (6.0, 0.0)]))
     for grid in (TimeGrid(1e-12, 0.5, N_FIRST), TimeGrid.from_span(0.0, 5.0, 0.25)):
-        with pytest.raises(ValueError, match="not the first maneuver"):
+        zeros = np.zeros(grid.n)
+        course = np.where(np.isclose(grid.times() % 0.5, 0.0), 0.2, 0.0)
+        prev = VelocityTrajectory(grid, np.full(grid.n, 5.0), zeros, course, zeros, zeros)
+        np.testing.assert_array_equal(_select(firsts, prev=prev).tran, [1.0, 0.0, 1.0])
+    # one with no point at the grid's start, or whose step does not divide
+    # the grid's, is an error
+    for grid in (TimeGrid(-0.125, 0.5, N_FIRST + 1), TimeGrid.from_span(0.0, 5.0, 0.2)):
+        with pytest.raises(ValueError, match="is not on the grid"):
             _select(cands, prev=VelocityTrajectory.constant(grid, 5.0, 0.0))
 
 
@@ -513,7 +526,7 @@ def _check_ancestor_sums(cands, dtraj, obstacles, geom, weights, prev):
     zeros = np.zeros(cands.first_grid.n)
     tran = oracles.tran_cost([
         VelocityTrajectory(cands.first_grid, sog, zeros, course, zeros, zeros)
-        for sog, course in zip(cands.first_sog, cands.first_course)
+        for sog, course in zip(*oracles.leaf_firsts(cands))
     ], prev)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
     assert np.any(avoid > 0.0)
@@ -533,13 +546,51 @@ def test_select_sums_ancestor_edges_on_an_uneven_tree():
     cands = generate_tree(build_levels(params, 0.1, 0.5), model, (0.0, 0.0, 0.0, 10.0, 0.0), 0.0, desired, tau0, None)
     assert cands.grid == GRID
     np.testing.assert_array_equal(np.bincount(cands.ancestors[0]), [27, 27, 27, 18, 18, 18])
-    assert 2 not in cands.sample_path[cands.ancestors[0] >= 3, 1, 0]
+    assert 2 not in oracles.leaf_samples(cands)[0][cands.ancestors[0] >= 3, 1, 0]
     t = GRID.times()
     head_on = _track(400.0 - 5.0 * t, 20.0, math.pi)
     crossing = _track(200.0, 150.0 - 8.0 * t, -math.pi / 2)
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, desired[0])
     for geom in (GEOM_ELL, GEOM_CIRC):
         _check_ancestor_sums(cands, dtraj, [head_on, crossing], geom, WEIGHTS, _vel_const(12.0, 0.05))
+
+
+def test_tran_keep_set_is_over_leaves_not_first_maneuvers(monkeypatch):
+    # three first maneuvers, which differ in speed only; the committed
+    # reference lies a quarter of the way from the middle one to the
+    # fastest, and the middle one's node gets no level-1 children, so no
+    # leaf takes the closest first maneuver: the keep set is the leaves
+    # closest to the reference, those of the fastest first maneuver
+    model = default_model()
+    params = TreeParams((5.0, 10.0), (3, 1), (1, 3), 1.0, 5.0, 5.0, 5.0, 5.0)
+    levels, state, tau0 = build_levels(params, 0.1, 0.5), (0.0, 0.0, 0.0, 5.0, 0.0), model.damping(5.0, 0.0)
+    childless, real, calls = 1, tree_mod.terminal_sog_feasible, []
+
+    def feasible(model, sog_terminal):
+        calls.append(1)
+        mask = real(model, sog_terminal)
+        if len(calls) == 2:
+            mask[childless] = False
+        return mask
+
+    monkeypatch.setattr(tree_mod, "terminal_sog_feasible", feasible)
+    cands = generate_tree(levels, model, state, 0.0, (5.0, 0.0), tau0, None)
+    assert len(cands.first_sog) == 3 and len(cands) == 6 and childless not in cands.ancestors[0]
+    fgrid, zeros = cands.first_grid, np.zeros(cands.first_grid.n)
+    sog = 0.75 * cands.first_sog[childless] + 0.25 * cands.first_sog[2]
+    commanded = VelocityTrajectory(fgrid, sog, zeros, cands.first_course[childless], zeros, zeros)
+    table = select(cands, LINE, [], GEOM_CIRC, WEIGHTS, commanded)
+    tran = oracles.tran_cost([
+        VelocityTrajectory(fgrid, sog, zeros, course, zeros, zeros) for sog, course in zip(*oracles.leaf_firsts(cands))
+    ], commanded)
+    np.testing.assert_array_equal(tran == 0.0, cands.ancestors[0] == 2)
+    np.testing.assert_array_equal(table.tran, tran)
+    # the winner's planner.csv row reads its own leaf's first maneuver
+    winner = table.selected
+    row = sim.Solve(0.0, cands, table).row()
+    reference, n = cands.trajectory(winner), len(levels[0].cum_s)
+    assert row["course_change"] == abs(reference.course[n - 1] - reference.course[0])
+    assert row["sog_change"] == reference.sog[n - 1] - reference.sog[0]
 
 
 def test_select_sums_ancestor_edges_on_the_shipped_tree(monkeypatch):

@@ -247,7 +247,8 @@ def test_integrate_primitives_identity_maneuver():
 def test_integrate_primitives_cross_product_count():
     cands = _one_level(5.0, 5, 5)
     assert len(cands) <= 25
-    pairs = {tuple(path[0]) for path in cands.sample_path.tolist()}
+    i_sog, i_rot, _, _ = cands.samples[0]
+    pairs = set(zip(i_sog.tolist(), i_rot.tolist()))
     assert len(pairs) == len(cands)  # every kept (sog, rot) sample pair once
 
 
@@ -257,7 +258,7 @@ def test_integrate_primitives_filters_overspeed():
     cands = _one_level(5.0, 3, 1, sog=10.0, desired=(MODEL.u_max - 0.5, 0.0))
     assert 0 < len(cands) < 3
     assert np.all(cands.first_sog[:, -1] <= MODEL.u_max + 1e-9)
-    assert 2 not in cands.sample_path[:, 0, 0]
+    assert 2 not in cands.samples[0][0]
 
 
 def test_integrate_primitives_all_infeasible():

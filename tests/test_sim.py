@@ -606,7 +606,7 @@ def test_plan_step_plans_on_its_own_clock():
     solve = plan_step(config, t, state, commanded, tau, estimates)
     candidates, table = solve.candidates, solve.table
     assert table is not None
-    assert candidates.grid == TimeGrid.from_span(t, config.tree.horizon, config.eval_dt)
+    assert candidates.grid == TimeGrid.from_span(t, sum(config.tree.step_times), config.eval_dt)
     assert candidates.grid.t0 == t and candidates.first_grid.t0 == t
     assert candidates.trajectory(table.selected).grid.t0 == t
 
@@ -833,8 +833,8 @@ def test_run_recovers_after_a_failsafe_streak_past_the_horizon(monkeypatch):
 
 
 def test_plan_step_reads_the_committed_reference_at_its_grid_points(monkeypatch):
-    # the tree starts from the committed reference at t, and the
-    # transitional cost compares against it on the first maneuver's
+    # the tree starts from the committed reference at t, and select is
+    # handed that reference and reads it on the first maneuver's
     # evaluation grid; both reads equal interpolating it there, exactly
     import oracles
     from colavmpc import sim
@@ -854,11 +854,13 @@ def test_plan_step_reads_the_committed_reference_at_its_grid_points(monkeypatch)
     monkeypatch.setattr(sim, "select", recorded_select)
     _, metrics = run(scenarios.build_scenario("head_on", seed=0, noise="radar"))
     assert metrics.failsafe_count == 0 and len(compared) == len(committed) == 40
-    for commanded, (candidates, previous_first) in zip(committed, compared):
-        expected = oracles.resample(commanded, candidates.first_grid)
-        assert previous_first.grid == expected.grid
-        for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
-            np.testing.assert_array_equal(getattr(previous_first, name), getattr(expected, name))
+    for commanded, (candidates, reference) in zip(committed, compared):
+        assert reference is commanded
+        fgrid = candidates.first_grid
+        expected = oracles.resample(commanded, fgrid)
+        window = commanded.window(fgrid.t0, fgrid.n, fgrid.dt / commanded.grid.dt)
+        for name, channel in zip(("sog", "rot", "course", "sog_acc", "rot_acc"), window, strict=True):
+            np.testing.assert_array_equal(channel, getattr(expected, name))
         assert candidates.desired0 == (expected.sog[0], expected.course[0])
 
 

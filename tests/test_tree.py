@@ -58,22 +58,24 @@ def test_table_configuration_shape():
     cands = _grow(state, (5.0, 0.0))
     assert len(cands) <= 225
     assert len(cands) == 225  # all feasible from a benign state
-    assert cands.sample_path.shape == (225, 3, 2)
-    assert cands.grid.span == pytest.approx(55.0)
+    assert cands.grid.t_end - cands.grid.t0 == pytest.approx(55.0)
     assert cands.grid.dt == EVAL_DT
     # each edge once, on the columns its level owns: 10 + 40 + 61 = grid.n
     assert [(position.shape, course.shape) for position, course in cands.edges] == [
         ((2, 25, 10), (25, 10)), ((2, 75, 40), (75, 40)), ((2, 225, 61), (225, 61)),
     ]
     assert cands.grid.n == 10 + 40 + 61
-    for rows, n_edges in zip(cands.ancestors, (25, 75, 225), strict=True):
+    # and each edge's samples once, one row per edge
+    for rows, samples, n_edges in zip(cands.ancestors, cands.samples, (25, 75, 225), strict=True):
         assert rows.shape == (225,) and rows.min() == 0 and rows.max() == n_edges - 1
+        assert [array.shape for array in samples] == [(n_edges,)] * 4
     for channel in oracles.leaf_rows(cands):
         assert channel.shape == (225, cands.grid.n)
     for channel in (cands.first_sog, cands.first_course):
-        assert channel.shape == (225, cands.first_grid.n)
-    assert cands.first_grid.span == pytest.approx(5.0)
-    assert cands.accelerations.shape == (225, 3, 2)
+        assert channel.shape == (25, cands.first_grid.n)
+    assert cands.first_grid.t_end - cands.first_grid.t0 == pytest.approx(5.0)
+    for array in oracles.leaf_samples(cands):
+        assert array.shape == (225, 3, 2)
     assert cands.trajectory(0).grid == TimeGrid(0.0, DT, 551)
 
 
@@ -82,7 +84,7 @@ def test_three_level_span_25s():
     state = _state()
     cands = _grow(state, (5.0, 0.0), params=params)
     assert len(cands) == 45
-    assert cands.grid.span == pytest.approx(25.0)
+    assert cands.grid.t_end - cands.grid.t0 == pytest.approx(25.0)
 
 
 def test_degenerate_tree_continues_current_velocity():
@@ -125,11 +127,13 @@ def test_first_maneuver_matches_full_prefix():
     firsts = _grow(state, (5.0, 0.0), params=first_params)
     assert firsts.grid == cands.first_grid
     stride = int(round(EVAL_DT / DT))
-    by_samples = {tuple(path[0]): j for j, path in enumerate(firsts.sample_path.tolist())}
+    paths, first_paths = oracles.leaf_samples(cands)[0], oracles.leaf_samples(firsts)[0]
+    (first_sog, first_course), (firsts_sog, firsts_course) = oracles.leaf_firsts(cands), oracles.leaf_firsts(firsts)
+    by_samples = {tuple(path[0]): j for j, path in enumerate(first_paths.tolist())}
     for leaf in range(0, len(cands), 37):
-        j = by_samples[tuple(cands.sample_path[leaf, 0].tolist())]
-        np.testing.assert_array_equal(cands.first_sog[leaf], firsts.first_sog[j])
-        np.testing.assert_array_equal(cands.first_course[leaf], firsts.first_course[j])
+        j = by_samples[tuple(paths[leaf, 0].tolist())]
+        np.testing.assert_array_equal(first_sog[leaf], firsts_sog[j])
+        np.testing.assert_array_equal(first_course[leaf], firsts_course[j])
         traj, first = cands.trajectory(leaf), firsts.trajectory(j)
         n = first.grid.n
         assert traj.grid == TimeGrid(0.0, DT, 551)
@@ -139,8 +143,8 @@ def test_first_maneuver_matches_full_prefix():
             np.testing.assert_array_equal(getattr(traj, name)[: n - 1], getattr(first, name)[:-1])
         np.testing.assert_array_equal(traj.sog[:n], first.sog)
         np.testing.assert_array_equal(traj.course[:n], first.course)
-        np.testing.assert_array_equal(traj.sog[:n:stride], cands.first_sog[leaf])
-        np.testing.assert_array_equal(traj.course[:n:stride], cands.first_course[leaf])
+        np.testing.assert_array_equal(traj.sog[:n:stride], first_sog[leaf])
+        np.testing.assert_array_equal(traj.course[:n:stride], first_course[leaf])
 
 
 def test_leaf_rows_follow_their_ancestors():
@@ -158,13 +162,15 @@ def test_leaf_rows_follow_their_ancestors():
             TABLE_PARAMS.step_times[:k], TABLE_PARAMS.n_sog[:k], TABLE_PARAMS.n_course[:k],
             1.0, 5.0, 5.0, 5.0, 5.0,
         ))
-        by_prefix = {tuple(map(tuple, path)): j for j, path in enumerate(cut.sample_path.tolist())}
+        cut_paths, cut_accelerations = oracles.leaf_samples(cut)
+        full_paths, full_accelerations = oracles.leaf_samples(full)
+        by_prefix = {tuple(map(tuple, path)): j for j, path in enumerate(cut_paths.tolist())}
         end = cut.grid.n - 1
         stride = int(round(EVAL_DT / DT))
         full_rows, cut_rows = oracles.leaf_rows(full), oracles.leaf_rows(cut)
-        for leaf, path in enumerate(full.sample_path.tolist()):
+        for leaf, path in enumerate(full_paths.tolist()):
             j = by_prefix[tuple(map(tuple, path[:k]))]
-            np.testing.assert_array_equal(full.accelerations[leaf, :k], cut.accelerations[j])
+            np.testing.assert_array_equal(full_accelerations[leaf, :k], cut_accelerations[j])
             for full_channel, cut_channel in zip(full_rows, cut_rows):
                 np.testing.assert_array_equal(full_channel[leaf, :end], cut_channel[j, :end])
             assert full_rows[0][leaf, end] == pytest.approx(cut_rows[0][j, end], abs=1e-9)
@@ -180,7 +186,11 @@ def _trim_last_level(cands):
     "change,message",
     [
         (lambda c: {"edges": _trim_last_level(c)}, "the levels own [10, 40, 60] columns, which do not add up to grid.n 111"),
-        (lambda c: {"ancestors": c.ancestors[:-1]}, "3 levels of edges but 2 ancestors entries"),
+        (lambda c: {"ancestors": c.ancestors[:-1]}, "3 levels of edges, 3 of samples, 2 of ancestors"),
+        (lambda c: {"samples": c.samples[:-1]}, "3 levels of edges, 2 of samples, 3 of ancestors"),
+        (lambda c: {"samples": (c.samples[0], (*c.samples[1][:3], c.samples[1][3][:-1]), c.samples[2])},
+         "level 1's per-edge arrays have [75, 75, 75, 75, 74] rows for 75 edges"),
+        (lambda c: {"first_course": c.first_course[:-1]}, "level 0's per-edge arrays have [25, 25, 25, 25, 25, 25, 24] rows for 25 edges"),
         (lambda c: {"ancestors": (c.ancestors[0], c.ancestors[1][:-1], c.ancestors[2])}, "ancestors[1] has 224 rows for 225 leaves"),
         (lambda c: {"ancestors": (c.ancestors[0], c.ancestors[1] + 1, c.ancestors[2])}, "ancestors[1] indexes outside level 1's 75 edges"),
         (lambda c: {"ancestors": (c.ancestors[0] - 1, *c.ancestors[1:])}, "ancestors[0] indexes outside level 0's 25 edges"),
@@ -197,7 +207,7 @@ def test_tree_deterministic():
     a = _grow(state, (5.0, -0.3))
     b = _grow(state, (5.0, -0.3))
     assert len(a) == len(b)
-    np.testing.assert_array_equal(a.sample_path, b.sample_path)
+    np.testing.assert_array_equal(oracles.leaf_samples(a)[0], oracles.leaf_samples(b)[0])
     np.testing.assert_array_equal(a.first_sog, b.first_sog)
     for a_rows, b_rows, a_edges, b_edges in zip(a.ancestors, b.ancestors, a.edges, b.edges):
         np.testing.assert_array_equal(a_rows, b_rows)
@@ -254,7 +264,7 @@ def test_guidance_seeded_child_hits_targets_below_root():
     node_end = cands.first_grid.n - 1
     child_end = int(round((TABLE_PARAMS.step_times[0] + TABLE_PARAMS.step_times[1]) / DT))
     nodes = {}
-    for leaf, path in enumerate(cands.sample_path.tolist()):
+    for leaf, path in enumerate(oracles.leaf_samples(cands)[0].tolist()):
         nodes.setdefault(tuple(path[0]), []).append(leaf)
     assert len(nodes) == 25
     reachable = 0
@@ -265,7 +275,7 @@ def test_guidance_seeded_child_hits_targets_below_root():
             pred_course[node, node_end], TABLE_PARAMS.step_times[0], los,
         )
         # course changes relative to the node's desired course
-        node_course = cands.first_course[node, -1]
+        node_course = oracles.leaf_firsts(cands)[1][node, -1]
         changes = np.array([cands.trajectory(leaf).course[child_end] for leaf in leaves]) - node_course
         target = wrap_angle(chi_los - node_course)
         if changes.min() - 1e-9 <= target <= changes.max() + 1e-9:
@@ -306,8 +316,9 @@ def test_select_prefers_guidance_seeded_candidate_without_obstacles():
     # guidance hook, with zero align and zero transitional cost
     targets = los_targets(dtraj, state.north, state.east, state.course, 0.0, los)
     best = table.selected
-    assert abs(cands.first_sog[best, -1] - targets[0]) < 1e-9
-    assert abs(wrap_angle(cands.first_course[best, -1] - targets[1])) < 1e-9
+    first_sog, first_course = oracles.leaf_firsts(cands)
+    assert abs(first_sog[best, -1] - targets[0]) < 1e-9
+    assert abs(wrap_angle(first_course[best, -1] - targets[1])) < 1e-9
     assert table.align[best] == pytest.approx(0.0, abs=1e-9)
     assert table.tran[best] == 0.0
 
@@ -332,7 +343,9 @@ def test_empty_tree_when_all_level0_infeasible():
         assert arr.shape == (0, cands.grid.n)
     assert [rows.shape for rows in cands.ancestors] == [(0,)] * 3
     assert cands.first_sog.shape == (0, cands.first_grid.n)
-    assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
+    assert [array.shape for samples in cands.samples for array in samples] == [(0,)] * 12
+    for array in oracles.leaf_samples(cands):
+        assert array.shape == (0, 3, 2)
 
 
 @pytest.mark.parametrize("first_rejected", [2, 3])
@@ -367,8 +380,12 @@ def test_empty_tree_when_a_level_below_the_root_is_infeasible(monkeypatch, first
     for arr in oracles.leaf_rows(cands):
         assert arr.shape == (0, cands.grid.n)
     assert [rows.shape for rows in cands.ancestors] == [(0,)] * 3
-    assert cands.first_sog.shape == cands.first_course.shape == (0, cands.first_grid.n)
-    assert cands.sample_path.shape == cands.accelerations.shape == (0, 3, 2)
+    # the first maneuvers are level 0's edges, which the emptied level leaves
+    assert cands.first_sog.shape == cands.first_course.shape == (full_nodes[1], cands.first_grid.n)
+    for array in oracles.leaf_firsts(cands):
+        assert array.shape == (0, cands.first_grid.n)
+    for array in oracles.leaf_samples(cands):
+        assert array.shape == (0, 3, 2)
 
 
 def test_tree_rejects_tau0_outside_limits():
@@ -419,7 +436,7 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
         levels, *rest = args
         cands = generate_tree(*args)
         oracle = oracles.full_resolution_tree(params, *rest, levels[0].dt, levels[0].eval_dt)
-        np.testing.assert_array_equal(cands.sample_path, oracle.sample_path)
+        np.testing.assert_array_equal(oracles.leaf_samples(cands)[0], oracles.leaf_samples(oracle)[0])
         np.testing.assert_array_equal(cands.first_sog, oracle.first_sog)
         np.testing.assert_array_equal(cands.first_course, oracle.first_course)
         n0 = cands.first_grid.n
@@ -436,10 +453,12 @@ def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monke
         cands = generate_tree(build_levels(params, dt, dt), *rest)
         oracle = oracles.full_resolution_tree(params, *rest, dt, dt)
         assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
-        for name in ("first_sog", "first_course", "sample_path", "accelerations"):
+        for name in ("first_sog", "first_course"):
             np.testing.assert_array_equal(getattr(cands, name), getattr(oracle, name), err_msg=name)
         for k, (edges, o_edges) in enumerate(zip(cands.edges, oracle.edges, strict=True)):
             np.testing.assert_array_equal(cands.ancestors[k], oracle.ancestors[k], err_msg=f"ancestors[{k}]")
+            for name, channel, o_channel in zip(("i_sog", "i_rot", "a_u", "a_r"), cands.samples[k], oracle.samples[k]):
+                np.testing.assert_array_equal(channel, o_channel, err_msg=f"samples[{k}] {name}")
             for name, channel, o_channel in zip(("(north, east)", "course"), edges, o_edges):
                 np.testing.assert_array_equal(channel, o_channel, err_msg=f"edges[{k}] {name}")
         for level, full in zip(cands.levels, oracle.levels):
