@@ -16,21 +16,6 @@ from .objective import penalty_field
 from .obstacles import NOISE_PRESETS
 
 
-def _add_config_args(p: argparse.ArgumentParser, with_out: bool):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", type=Path, help="scenario config JSON path")
-    src.add_argument(
-        "--scenario", choices=scenarios.SCENARIO_NAMES, help="shipped scenario name"
-    )
-    if with_out:
-        p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=_integer(0), default=None, help="override the config seed")
-    p.add_argument(
-        "--noise", choices=sorted(NOISE_PRESETS), default=None,
-        help="override the noise preset",
-    )
-
-
 def _load_config(args) -> cfg_mod.ScenarioConfig:
     """The --config file or --scenario, with --seed and --noise applied."""
     config = cfg_mod.load(args.config) if args.config is not None else scenarios.build_scenario(args.scenario)
@@ -160,24 +145,30 @@ def main(argv=None) -> int:
         description="Sample-based MPC collision avoidance planner and scenario simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options each command takes, as parent parsers. --seed and --noise
+    # change a run, so raster and validate take neither and load the
+    # config as given (source's defaults)
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", type=Path, help="scenario config JSON path")
+    group.add_argument("--scenario", choices=scenarios.SCENARIO_NAMES, help="shipped scenario name")
+    source.set_defaults(seed=None, noise=None)
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--seed", type=_integer(0), help="override the config seed")
+    overrides.add_argument("--noise", choices=sorted(NOISE_PRESETS), help="override the noise preset")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p_run = sub.add_parser("run", help="simulate a scenario and write logs/metrics")
-    _add_config_args(p_run, with_out=True)
+    p_run = sub.add_parser("run", parents=[source, out, overrides], help="simulate a scenario and write logs/metrics")
     p_run.set_defaults(func=cmd_run)
-
-    p_solve = sub.add_parser("solve", help="single planner solve with a cost table")
-    _add_config_args(p_solve, with_out=False)
+    p_solve = sub.add_parser("solve", parents=[source, overrides], help="single planner solve with a cost table")
     p_solve.set_defaults(func=cmd_solve)
-
-    p_raster = sub.add_parser("raster", help="rasterize the penalty field to CSV")
-    _add_config_args(p_raster, with_out=True)
+    p_raster = sub.add_parser("raster", parents=[source, out], help="rasterize the penalty field to CSV")
     p_raster.add_argument("--course", type=_finite_float(), default=0.0, help="obstacle course [rad]")
     p_raster.add_argument("--half-extent", type=_finite_float(0.0, inclusive=False), default=400.0, help="half size [m]")
     p_raster.add_argument("--cell", type=_finite_float(0.0, inclusive=False), default=5.0, help="cell size [m]")
     p_raster.set_defaults(func=cmd_raster)
-
-    p_val = sub.add_parser("validate", help="check a scenario config")
-    _add_config_args(p_val, with_out=False)
+    p_val = sub.add_parser("validate", parents=[source], help="check a scenario config")
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)

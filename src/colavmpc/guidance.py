@@ -91,10 +91,7 @@ class DesiredTrajectory:
     def course(self, t):
         """Path tangent course at time(s) t."""
         arc = self.speed * np.asarray(t, dtype=float)
-        out = self._seg_course[self._segment_index(arc)]
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return self._seg_course[self._segment_index(arc)]
 
 
 @dataclass(frozen=True)

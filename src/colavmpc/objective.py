@@ -222,15 +222,14 @@ def select(
     obstacles: list[ObstaclePrediction],
     geom: PenaltyGeometry,
     weights: ObjectiveWeights,
-    commanded: VelocityTrajectory | None,
+    commanded: VelocityTrajectory,
 ) -> CostTable:
     """Per-candidate cost breakdown and the index of the weighted minimum.
 
     Every term integrates on the candidates' evaluation grid, which must
     be the grid of every obstacle prediction. The transitional term reads
     the committed reference at that grid's points over the first maneuver
-    (VelocityTrajectory.window); with none it is zero. Ties break toward
-    the lowest index.
+    (VelocityTrajectory.window). Ties break toward the lowest index.
     """
     if not candidates:
         raise ValueError("empty candidate set")
@@ -296,17 +295,14 @@ def select(
     align = sum(cost[rows] for cost, rows in zip(edge_align, candidates.ancestors))
     avoid = sum(edge_avoid[first + rows] for (_, first, _), rows in zip(levels, candidates.ancestors))
 
-    if commanded is None:
-        tran = np.zeros(len(candidates))
-    else:
-        fgrid = candidates.first_grid
-        prev_sog, _, prev_course, _, _ = commanded.window(fgrid.t0, fgrid.n, fgrid.dt / commanded.grid.dt)
-        # one deviation per first maneuver, gathered to the leaves before the keep set's minimum
-        first = candidates.ancestors[0]
-        dev_sog = _trapz(np.abs(candidates.first_sog - prev_sog), fgrid.dt)[first]
-        dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev_course)), fgrid.dt)[first]
-        keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
-        tran = np.where(keep, 0.0, 1.0)
+    fgrid = candidates.first_grid
+    prev_sog, _, prev_course, _, _ = commanded.window(fgrid.t0, fgrid.n, fgrid.dt / commanded.grid.dt)
+    # one deviation per first maneuver, gathered to the leaves before the keep set's minimum
+    first = candidates.ancestors[0]
+    dev_sog = _trapz(np.abs(candidates.first_sog - prev_sog), fgrid.dt)[first]
+    dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev_course)), fgrid.dt)[first]
+    keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
+    tran = np.where(keep, 0.0, 1.0)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
     return CostTable(align=align, avoid=avoid, tran=tran, total=total, selected=int(total.argmin()))
 

@@ -56,6 +56,11 @@ class VesselModel:
             raise ValueError("tau_rate_min must be <= tau_rate_max component-wise")
         if self.u_min < 0.0 or self.u_min >= self.u_max:
             raise ValueError("speed envelope requires 0 <= u_min < u_max")
+        # each inertia is linear in U, so its ends on [0, u_max] decide its sign
+        for m0, m1 in (("m_u0", "m_u1"), ("m_r0", "m_r1")):
+            c0, c1 = getattr(self, m0), getattr(self, m1)
+            if min(c0, c0 + c1 * self.u_max) <= 0.0:
+                raise ValueError(f"inertia {m0} + {m1}*U must be > 0 for U in [0, u_max], got {m0}={c0}, {m1}={c1}")
 
     def mass(self, sog):
         """Diagonal of M(x) as (m_sog, m_rot); for floats or arrays."""

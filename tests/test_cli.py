@@ -17,6 +17,7 @@ from colavmpc.cli import _summary_text, main
 from colavmpc.config import SCHEMA_VERSION
 from colavmpc.obstacles import NOISE_PRESETS
 from colavmpc.sim import Metrics
+from golden.make_golden import GOLDEN
 
 
 def _small_config(tmp_path, name="mini", seed=0, with_obstacle=True, ownship_sog=5.0):
@@ -237,6 +238,28 @@ def test_raster_circular_symmetric(tmp_path):
         assert group.max() - group.min() < 1e-9
 
 
+def test_a_circular_penalty_of_the_same_reach_runs_end_to_end(tmp_path):
+    # the circular kind's use: the ablation that plans a shipped encounter
+    # again without the COLREGs shape's starboard extension. Against a
+    # circle as wide as each region's widest semi-axis, crossing_starboard
+    # passes the obstacle on the other side, aware_noncompliant, where the
+    # shipped shape (the golden run) passes it compliant
+    data = scenarios.build_config_dict("crossing_starboard")
+    shipped = cfg_mod.from_dict(data).geometry
+    radii = [max(shipped.semi_axes(k)) for k in range(3)]
+    data["penalty"] = {"kind": "circular", "gamma1": shipped.gamma1, "radii": radii}
+    cfg_path = tmp_path / "circular.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cfg_mod.load(cfg_path).geometry.reach == shipped.reach
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    golden = GOLDEN / "crossing_starboard-none" / "metrics.json"
+    runs = [json.loads(path.read_text())["obstacles"]["target"] for path in (golden, tmp_path / "out" / "metrics.json")]
+    assert [(m["situation"], m["passing_side"], m["compliance"]) for m in runs] == [
+        ("crossing_give_way", "port", "compliant"), ("crossing_give_way", "starboard", "aware_noncompliant"),
+    ]
+    assert [m["collision_time_s"] for m in runs] == [0.0, 0.0]
+
+
 def test_validate_accepts_all_shipped_scenarios(capsys):
     for name in scenarios.SCENARIO_NAMES:
         assert main(["validate", "--scenario", name]) == 0
@@ -389,42 +412,21 @@ def test_solve_and_validate_take_no_out(command, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["raster", "validate"])
+def test_raster_and_validate_take_no_seed_or_noise(command, tmp_path, capsys):
+    # neither option changes what raster writes or what validate checks
+    out = ["--out", str(tmp_path / "x")] if command == "raster" else []
+    for flag, value in (("--seed", "3"), ("--noise", "radar")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "head_on", *out, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/path.json"]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_run_scenarios_script_rejects_negative_seed(monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    import run_scenarios
-
-    monkeypatch.setattr("sys.argv", ["run_scenarios.py", "--seed", "-1"])
-    with pytest.raises(SystemExit) as exc:
-        run_scenarios.main()
-    assert exc.value.code == 2
-    assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("below", [False, True])
-def test_run_scenarios_script_rejects_unusable_out(below, tmp_path, monkeypatch, capsys):
-    # an existing file as --out, or a path below one, is one error line and
-    # exit 1 before the first scenario is simulated
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    import run_scenarios
-    from colavmpc import sim
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a scenario was simulated before --out was checked")
-
-    monkeypatch.setattr(sim, "run", refuse)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker / "x" if below else blocker
-    monkeypatch.setattr("sys.argv", ["run_scenarios.py", "--out", str(out)])
-    assert run_scenarios.main() == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ def test_seed_flag_applies_to_a_valid_config_only(tmp_path, capsys):
     # own seed breaks the rule is still the config error naming it
     cfg_path = tmp_path / "head_on.json"
     cfg_path.write_text(json.dumps(scenarios.build_config_dict("head_on", seed=-1)))
-    assert main(["validate", "--config", str(cfg_path), "--seed", "3"]) == 1
+    assert main(["solve", "--config", str(cfg_path), "--seed", "3"]) == 1
     assert capsys.readouterr().err == "error: config.seed: must be >= 0\n"
 
 
@@ -348,6 +348,14 @@ _A, _B = (50.0, 150.0, 250.0), (25.0, 75.0, 125.0)
         pytest.param(lambda d: d.update(vessel=_vessel_section(tau_rate_max=[0.5, 0.5, 0.5])),
                      lambda c: dataclasses.replace(c.vessel, tau_rate_max=(0.5, 0.5, 0.5)),
                      "vessel: ", "tau_rate_max", id="tau_rate_max"),
+        # inertia at or below 0 inverted the tree's rot ranges (m_r0 -2) or
+        # held every call (m_u0 -0.5); m_u1 -0.03 makes it negative at u_max
+        pytest.param(lambda d: d.update(vessel=_vessel_section(m_r0=-2.0)),
+                     lambda c: dataclasses.replace(c.vessel, m_r0=-2.0), "vessel: ", "m_r0=-2.0", id="m_r0"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(m_u0=-0.5)),
+                     lambda c: dataclasses.replace(c.vessel, m_u0=-0.5), "vessel: ", "m_u0=-0.5", id="m_u0"),
+        pytest.param(lambda d: d.update(vessel=_vessel_section(m_u1=-0.03)),
+                     lambda c: dataclasses.replace(c.vessel, m_u1=-0.03), "vessel: ", "m_u1=-0.03", id="m_u1"),
         pytest.param(lambda d: d.update(gains={**_GAINS, "kp": [-0.6, 2.2, 1.0]}),
                      lambda c: dataclasses.replace(c.gains, kp_sog=-0.6), "gains: ", "kp_sog", id="kp"),
         pytest.param(lambda d: d.update(gains={**_GAINS, "ki": [0.05, 0.0]}),

@@ -271,7 +271,12 @@ def _set(*cands) -> CandidateSet:
     )
 
 
-def _select(cands, obstacles=(), geom=GEOM_CIRC, weights=WEIGHTS, prev=None):
+# a test that wants no transitional term holds a reference at w_tran = 0
+NO_TRAN = dataclasses.replace(WEIGHTS, w_tran=0.0)
+HOLD = VelocityTrajectory.constant(TimeGrid.from_span(0.0, 5.0, 0.5), 5.0, 0.0)
+
+
+def _select(cands, obstacles=(), geom=GEOM_CIRC, weights=NO_TRAN, prev=HOLD):
     return select(cands, LINE, list(obstacles), geom, weights, prev)
 
 
@@ -403,7 +408,7 @@ def test_select_scale_invariance():
     cands = _set(_line(0.0), _line(40.0), _line(-60.0))
     obs = _static_prediction(80.0, 10.0, course=math.pi)
     prev = _vel_const(5.0, 0.0)
-    best1 = _select(cands, [obs], prev=prev).selected
+    best1 = _select(cands, [obs], weights=WEIGHTS, prev=prev).selected
     scaled = ObjectiveWeights(
         w_align=WEIGHTS.w_align * 7.5, w_avoid=WEIGHTS.w_avoid * 7.5,
         w_tran=WEIGHTS.w_tran * 7.5, w_course=WEIGHTS.w_course,
@@ -416,8 +421,8 @@ def test_select_deterministic():
     cands = _set(*(_line(off) for off in (0.0, 25.0, -25.0, 50.0)))
     obs = _static_prediction(70.0, 0.0)
     prev = _vel_const(5.0, 0.0)
-    r1 = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
-    r2 = _select(cands, [obs], geom=GEOM_ELL, prev=prev)
+    r1 = _select(cands, [obs], geom=GEOM_ELL, weights=WEIGHTS, prev=prev)
+    r2 = _select(cands, [obs], geom=GEOM_ELL, weights=WEIGHTS, prev=prev)
     assert r1.selected == r2.selected
     np.testing.assert_array_equal(r1.total, r2.total)
 

@@ -223,6 +223,18 @@ def test_gains_validation():
         default_gains().kp_sog = 1.0
 
 
+def test_model_inertia_is_positive_over_the_speed_envelope():
+    # each inertia is linear in U, so it is checked at U = 0 and U = u_max:
+    # 0 at either end is rejected, and a falling one positive at both is kept
+    for m0, m1 in (("m_u0", "m_u1"), ("m_r0", "m_r1")):
+        c0 = getattr(MODEL, m0)
+        for changes in ({m0: 0.0}, {m1: -c0 / MODEL.u_max}):
+            with pytest.raises(ValueError, match=rf"^inertia {m0} \+ {m1}\*U must be > 0 for U in \[0, u_max\]"):
+                dataclasses.replace(MODEL, **changes)
+        kept = dataclasses.replace(MODEL, **{m1: -0.5 * c0 / MODEL.u_max})
+        assert min(kept.mass(0.0)) > 0.0 and min(kept.mass(MODEL.u_max)) > 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_model_and_gains_reject_non_finite_values(bad):
     # a NaN field passed every `<`/`<=` check, so any error it caused
