@@ -72,12 +72,17 @@ class DesiredTrajectory:
 
     def position(self, t):
         """Desired position at time(s) t as (north, east) arrays."""
+        return self.poses(t)[:2]
+
+    def poses(self, t):
+        """Desired (north, east, course) at time(s) t as arrays, from one
+        segment lookup: the bits of position(t) and course(t)."""
         arc = self.speed * np.asarray(t, dtype=float)
         idx = self._segment_index(arc)
         frac = arc - self._cum_len[idx]
         north = self._points[idx, 0] + frac * self._seg_cos[idx]
         east = self._points[idx, 1] + frac * self._seg_sin[idx]
-        return north, east
+        return north, east, self._seg_course[idx]
 
     def pose(self, t: float) -> tuple[float, float, float]:
         """Desired (north, east, course) at one float time t, as plain floats: one

@@ -234,9 +234,8 @@ def select(
     if not candidates:
         raise ValueError("empty candidate set")
     grid = candidates.grid
-    times = grid.times()
-    ref = np.array(dtraj.position(times))
-    ref_chi = dtraj.course(times)
+    ref_north, ref_east, ref_chi = dtraj.poses(grid.times())
+    ref = np.array((ref_north, ref_east))
     # Each edge is scored once, on the columns its level owns, with its
     # trapezoid weight: dt, or dt/2 on the grid's first and last column.
     # A leaf's align and avoid are the sums of its ancestors' edge costs.
@@ -297,11 +296,11 @@ def select(
 
     fgrid = candidates.first_grid
     prev_sog, _, prev_course, _, _ = commanded.window(fgrid.t0, fgrid.n, fgrid.dt / commanded.grid.dt)
-    # one deviation per first maneuver, gathered to the leaves before the keep set's minimum
-    first = candidates.ancestors[0]
-    dev_sog = _trapz(np.abs(candidates.first_sog - prev_sog), fgrid.dt)[first]
-    dev_chi = _trapz(np.abs(wrap_angle(candidates.first_course - prev_course)), fgrid.dt)[first]
-    keep = (dev_sog <= dev_sog.min() + TRAN_TOL) & (dev_chi <= dev_chi.min() + TRAN_TOL)
+    # one (sog, course) deviation per first maneuver, gathered to the
+    # leaves before each channel's keep-set minimum
+    dev = np.array((candidates.first_sog - prev_sog, wrap_angle(candidates.first_course - prev_course)))
+    dev = _trapz(np.abs(dev, out=dev), fgrid.dt)[:, candidates.ancestors[0]]
+    keep = (dev <= dev.min(axis=1, keepdims=True) + TRAN_TOL).all(axis=0)
     tran = np.where(keep, 0.0, 1.0)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
     return CostTable(align=align, avoid=avoid, tran=tran, total=total, selected=int(total.argmin()))

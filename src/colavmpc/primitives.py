@@ -123,6 +123,68 @@ def sample_accelerations(
     return sog, rot
 
 
+def node_samples(
+    model: VesselModel, sog: float, rot: float, tau0, t_ramp: float, n_sog: int, n_course: int, desired=None,
+) -> tuple[list[float], list[float]]:
+    """One node's sample grids in plain floats: the operations, order and
+    bits of sample_accelerations(possible_accelerations(...)) at that node,
+    and the same ValueErrors.
+
+    tau0 is the node's (tau_m, tau_delta), or None for the input that
+    holds (sog, rot), saturated to the limits; desired is None or one
+    (sog, rot) desired acceleration. Returns (sog samples, rot samples).
+    """
+    if n_sog < 1 or n_course < 1:
+        raise ValueError("sample counts must be >= 1")
+    (lo_m, lo_d), (hi_m, hi_d) = model.tau_min, model.tau_max
+    s_sog, s_rot = model.damping(sog, rot)
+    if tau0 is None:
+        tau_m, tau_d = _clip(s_sog, lo_m, hi_m), _clip(s_rot, lo_d, hi_d)
+    else:
+        tau = np.asarray(tau0, dtype=float)
+        if tau.shape != (2,):
+            raise ValueError(f"tau0 needs one value per actuator, got shape {tau.shape}")
+        tau_m, tau_d = tau.tolist()
+        if tau_m < lo_m - 1e-9 or tau_m > hi_m + 1e-9 or tau_d < lo_d - 1e-9 or tau_d > hi_d + 1e-9:
+            raise ValueError(f"tau0 {[tau_m, tau_d]} outside actuator limits")
+    # the inputs reachable in one ramp, low bound first: each rate limit
+    # times t_ramp added to tau0, then saturated
+    (rate_m_lo, rate_d_lo), (rate_m_hi, rate_d_hi) = model.tau_rate_min, model.tau_rate_max
+    m_sog, m_rot = model.mass(sog)
+    d_sog, d_rot = (None, None) if desired is None else desired
+    return (
+        _node_channel(
+            (_clip(tau_m + t_ramp * rate_m_lo, lo_m, hi_m) - s_sog) / m_sog,
+            (_clip(tau_m + t_ramp * rate_m_hi, lo_m, hi_m) - s_sog) / m_sog, n_sog, d_sog,
+        ),
+        _node_channel(
+            (_clip(tau_d + t_ramp * rate_d_lo, lo_d, hi_d) - s_rot) / m_rot,
+            (_clip(tau_d + t_ramp * rate_d_hi, lo_d, hi_d) - s_rot) / m_rot, n_course, d_rot,
+        ),
+    )
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.minimum(np.maximum(x, lo), hi) on floats, as numpy's x86 kernels
+    give it: NaN propagates and a tie returns the second operand, so
+    signed zeros keep numpy's bits."""
+    x = lo if lo >= x or lo != lo else x
+    return hi if hi <= x or hi != hi else x
+
+
+def _node_channel(lo: float, hi: float, n: int, desired) -> list[float]:
+    """_sample_channel for one node in plain floats."""
+    if n == 1:
+        return [_clip(0.0, lo, hi)]
+    step = (hi - lo) / (n - 1)
+    samples = [lo + i * step for i in range(n)]
+    samples[-1] = hi
+    if desired is not None and lo <= desired <= hi:
+        gaps = [abs(s - desired) for s in samples]
+        samples[gaps.index(min(gaps))] = desired
+    return samples
+
+
 def sog_profile_unit(t_rel: np.ndarray, p: TreeParams) -> np.ndarray:
     """SOG acceleration trapezoid with unit plateau on relative times."""
     t = np.asarray(t_rel, dtype=float)

@@ -25,10 +25,12 @@ import numpy as np
 
 from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, is_multiple, wrap_angle
 from .primitives import (
-    TreeParams, course_profile_unit, possible_accelerations, sample_accelerations, sog_profile_unit,
-    terminal_sog_feasible,
+    TreeParams, course_profile_unit, node_samples, possible_accelerations, sample_accelerations,
+    sog_profile_unit, terminal_sog_feasible,
 )
 from .vessel import VesselModel
+
+SMALL_NODES = 8  # levels of at most this many nodes run their node stage in plain floats (measured crossover)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +180,15 @@ def generate_tree(
     or None, supplies the desired-acceleration substitution for all
     nodes of a level at once: t is the level's start time,
     north/east/course the nodes' predicted poses and desired their
-    (sog, course) reference values, all (n_nodes,) arrays. tau0 must
-    lie within the actuator limits. Returns the candidates in
-    deterministic order (node, then SOG sample, then ROT sample), with
-    no leaves if some level has no feasible maneuver; the hook then sees
-    zero nodes.
+    (sog, course) reference values, all (n_nodes,) arrays. It is called
+    only at levels that sample more than one acceleration per node, the
+    only ones that use it. tau0 must lie within the actuator limits.
+    A level of at most SMALL_NODES nodes computes its reachable ranges
+    and sample grids node by node in plain floats (node_samples), with
+    the bits of the array functions the larger levels use. Returns the
+    candidates in deterministic order (node, then SOG sample, then ROT
+    sample), with no leaves if some level has no feasible maneuver; the
+    hook then sees zero nodes.
     """
     eval_dt = levels[0].eval_dt
     grid = TimeGrid(t, eval_dt, sum(len(level.decay_s) - 1 for level in levels) + 1)
@@ -199,21 +205,33 @@ def generate_tree(
     parents, samples, edges = [], [], []
     t_level = t
     for level_idx, level in enumerate(levels):
+        # a level with one sog and one rot sample ignores desired accelerations
+        desired_acc = None
+        if guidance_hook is not None and level.n_sog * level.n_course > 1:
+            desired_acc = guidance_hook(t_level, *position, chi_bar, (u_d, chi_d))
         # below the root nodes sit at the end of a maneuver: zero ROT,
         # steady-state actuator input
-        node_sog = np.maximum(u_bar, 0.0)
-        if level_idx == 0:
-            node_rot, node_tau = float(rot0), tau0
+        n_nodes = len(u_bar)
+        if n_nodes <= SMALL_NODES:  # the root always: the array stage's bits, node by node
+            node_rot, node_tau = (float(rot0), tau0) if level_idx == 0 else (0.0, None)
+            # np.maximum(u_bar, 0.0)'s bits, -0.0 and NaN included
+            node_sog = [0.0 if 0.0 >= u else u for u in u_bar.tolist()]
+            wanted = [None] * n_nodes if desired_acc is None else zip(
+                *(np.asarray(acc, dtype=float).tolist() for acc in desired_acc)
+            )
+            grids = [
+                node_samples(model, sog, node_rot, node_tau, level.t_ramp, level.n_sog, level.n_course, acc)
+                for sog, acc in zip(node_sog, wanted)
+            ]
+            sog_samples = np.array([sog for sog, _ in grids]).reshape(n_nodes, level.n_sog)
+            rot_samples = np.array([rot for _, rot in grids]).reshape(n_nodes, level.n_course)
         else:
-            node_rot = 0.0
+            node_sog = np.maximum(u_bar, 0.0)
             node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
-        desired_acc = None if guidance_hook is None else guidance_hook(
-            t_level, *position, chi_bar, (u_d, chi_d)
-        )
-        sog_samples, rot_samples = sample_accelerations(
-            possible_accelerations(model, node_sog, node_rot, node_tau, level.t_ramp),
-            level.n_sog, level.n_course, desired_acc,
-        )
+            sog_samples, rot_samples = sample_accelerations(
+                possible_accelerations(model, node_sog, 0.0, node_tau, level.t_ramp),
+                level.n_sog, level.n_course, desired_acc,
+            )
         feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
         node, i_sog, i_rot = np.nonzero(feasible[:, :, None].repeat(level.n_course, axis=2))
         # a level with no feasible maneuver leaves no nodes: the levels

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -445,6 +446,21 @@ def test_noise_study_script_rejects_bad_flags(flag, value, expected, monkeypatch
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected {expected}, got '{value}'" in err and "Traceback" not in err
+
+
+def test_replay_calls_script_runs_the_checkout_against_itself():
+    # both sides load this checkout under their own package names: every
+    # planner row must match, and the replay prints its ratios
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "replay_calls.py"), str(root), str(root),
+         "--workload", "encounters", "--seed", "1", "--configs", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert re.fullmatch(r"encounters seed 1: \d+ calls of 1 configs, planner rows identical", lines[0])
+    assert re.fullmatch(r"median per-call change/parent: \d+\.\d{3}", lines[1])
 
 
 def test_summary_names_the_preset_the_noise_equals(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from colavmpc.core import TimeGrid, VesselState, cumtrapz
 from colavmpc.primitives import (
     TreeParams,
     course_profile_unit,
+    node_samples,
     possible_accelerations,
     sample_accelerations,
     sog_profile_unit,
@@ -55,6 +57,8 @@ def test_sat_shape_mismatch():
     # an actuator input that is not one value per actuator is rejected
     with pytest.raises(ValueError):
         possible_accelerations(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0)
+    with pytest.raises(ValueError, match="one value per actuator"):
+        node_samples(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0, 1, 1)
 
 
 def test_tree_params_invariants():
@@ -176,6 +180,62 @@ def test_sample_rows_match_per_node_calls():
     assert sog[0, 3] == 0.4  # substituted
     np.testing.assert_array_equal(sog[1], np.linspace(-0.2, 0.6, 5))  # 0.7 is out of range
     assert rot[1, 2] == 0.1  # replaces the upper edge 0.2, the sample nearest to it
+
+
+def _desired_near(lo, hi, kinds, rng):
+    """Desired accelerations for ranges [lo, hi], one of kinds per node:
+    on either end, inside, on a grid midpoint, or outside on either side."""
+    width = hi - lo
+    picks = {
+        "lo": lo, "hi": hi, "inside": lo + rng.uniform(0.0, 1.0, lo.shape) * width,
+        "midpoint": lo + 0.5 * width, "below": lo - 0.1 - width, "above": hi + 0.1 + width,
+    }
+    return np.array([picks[kind][i] for i, kind in enumerate(kinds)])
+
+
+@pytest.mark.parametrize("n_sog,n_course", list(itertools.product((1, 2, 3, 5), repeat=2)))
+def test_node_samples_keep_the_array_stages_bits(n_sog, n_course):
+    # the tree's per-node float stage gives, node by node, the bits and
+    # shapes of sample_accelerations(possible_accelerations(...)) over all
+    # nodes at once: root-like nodes (rot != 0, one shared tau0 on or inside
+    # the limits) and steady-state nodes (rot 0, tau held by damping and
+    # saturated), at speeds over [0, u_max] (the ramp saturates at u_max and
+    # at the throttle floor there), with desired accelerations inside,
+    # outside and exactly on each range end, or none
+    rng = np.random.default_rng(1000 * n_sog + n_course)
+    lo, hi = np.array(MODEL.tau_min), np.array(MODEL.tau_max)
+    speeds = np.concatenate([[0.0, MODEL.u_min, MODEL.u_max], rng.uniform(0.0, MODEL.u_max, 45)])
+    kinds = ("lo", "hi", "inside", "midpoint", "below", "above")
+    shared_taus = [lo, hi, np.array([lo[0], hi[1]]), np.array([hi[0], lo[1]]), lo + rng.uniform(0.0, 1.0, 2) * (hi - lo)]
+    cases = [(rng.uniform(-0.3, 0.3, speeds.shape), tau0) for tau0 in shared_taus]
+    cases.append((0.0, None))
+    checked = set()
+    for t_ramp in (1.0, 2.0):
+        for rot, tau0 in cases:
+            node_tau = tau0 if tau0 is not None else MODEL.saturate(np.array(MODEL.damping(speeds, 0.0)).T)
+            bounds = possible_accelerations(MODEL, speeds, rot, node_tau, t_ramp)
+            desired = tuple(
+                _desired_near(b_lo, b_hi, rng.choice(kinds, speeds.shape), rng)
+                for b_lo, b_hi in (bounds[:2], bounds[2:])
+            )
+            for wanted in (None, desired):
+                sog, rot_samples = sample_accelerations(bounds, n_sog, n_course, wanted)
+                assert sog.shape == (len(speeds), n_sog) and rot_samples.shape == (len(speeds), n_course)
+                for i, speed in enumerate(speeds.tolist()):
+                    node_rot = rot if tau0 is None else rot[i].item()
+                    acc = None if wanted is None else (wanted[0][i].item(), wanted[1][i].item())
+                    got = node_samples(MODEL, speed, node_rot, tau0, t_ramp, n_sog, n_course, acc)
+                    for row, want in zip(got, (sog[i], rot_samples[i])):
+                        row = np.array(row)
+                        assert row.dtype == want.dtype and row.shape == want.shape
+                        assert row.tobytes() == want.tobytes(), (speed, node_rot, tau0, t_ramp, acc)
+                    if acc is not None:
+                        checked.update(
+                            (channel, "inside" if b_lo < d < b_hi else "lo" if d == b_lo else "hi" if d == b_hi else "out")
+                            for channel, d, b_lo, b_hi in ((0, acc[0], bounds[0][i], bounds[1][i]), (1, acc[1], bounds[2][i], bounds[3][i]))
+                        )
+    # every desired kind reached each channel
+    assert checked == {(channel, kind) for channel in (0, 1) for kind in ("inside", "lo", "hi", "out")}
 
 
 def test_clip_replacements_keep_np_clips_bits():

@@ -298,6 +298,14 @@ def test_guidance_hook_called_once_per_level():
     cands = _grow(state, (5.0, 0.0), hook)
     assert len(cands) == 225
     assert calls == [(0.0, 1), (5.0, 25), (25.0, 75)]
+    # a transit-shaped tree: the second level's three nodes take one sog
+    # and one rot sample each, which ignore a desired acceleration, so the
+    # hook is not called there; both levels run the float node stage
+    calls.clear()
+    transit = dataclasses.replace(TABLE_PARAMS, step_times=(5.0, 20.0), n_sog=(1, 1), n_course=(3, 1))
+    assert 3 <= tree_mod.SMALL_NODES
+    assert len(_grow(state, (5.0, 0.0), hook, params=transit)) == 3
+    assert calls == [(0.0, 1)]
 
 
 def test_select_prefers_guidance_seeded_candidate_without_obstacles():
@@ -389,9 +397,11 @@ def test_empty_tree_when_a_level_below_the_root_is_infeasible(monkeypatch, first
 
 
 def test_tree_rejects_tau0_outside_limits():
+    # above tau_max or below tau_min, raised from the root's float node stage
     state = _state()
-    with pytest.raises(ValueError, match="outside actuator limits"):
-        _grow(state, (5.0, 0.0), tau0=np.array([1.5, 0.0]))
+    for tau0 in ([1.5, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match=re.escape(f"tau0 {tau0} outside actuator limits")):
+            _grow(state, (5.0, 0.0), tau0=np.array(tau0))
 
 
 def test_prediction_feedback_decays_initial_error():
