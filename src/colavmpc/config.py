@@ -156,7 +156,7 @@ class ScenarioConfig:
     levels: tuple[Level, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.seed, Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise ValueError(f"config.seed: must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("config.seed: must be >= 0")
@@ -318,9 +318,11 @@ def from_dict(data: dict) -> ScenarioConfig:
 
 def load(path) -> ScenarioConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return from_dict(data)

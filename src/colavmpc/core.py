@@ -117,10 +117,6 @@ class TimeGrid:
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + (self.n - 1) * self.dt
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 

@@ -66,19 +66,12 @@ class DesiredTrajectory:
     def waypoints(points, speed: float) -> "DesiredTrajectory":
         return DesiredTrajectory(np.asarray(points, dtype=float), speed)
 
-    def _segment_index(self, arc):
-        idx = np.searchsorted(self._cum_len, arc, side="right") - 1
-        return np.minimum(np.maximum(idx, 0), len(self._seg_len) - 1)
-
-    def position(self, t):
-        """Desired position at time(s) t as (north, east) arrays."""
-        return self.poses(t)[:2]
-
     def poses(self, t):
         """Desired (north, east, course) at time(s) t as arrays, from one
-        segment lookup: the bits of position(t) and course(t)."""
+        segment lookup."""
         arc = self.speed * np.asarray(t, dtype=float)
-        idx = self._segment_index(arc)
+        idx = np.searchsorted(self._cum_len, arc, side="right") - 1
+        idx = np.minimum(np.maximum(idx, 0), len(self._seg_len) - 1)
         frac = arc - self._cum_len[idx]
         north = self._points[idx, 0] + frac * self._seg_cos[idx]
         east = self._points[idx, 1] + frac * self._seg_sin[idx]
@@ -86,17 +79,12 @@ class DesiredTrajectory:
 
     def pose(self, t: float) -> tuple[float, float, float]:
         """Desired (north, east, course) at one float time t, as plain floats: one
-        bisect over the breakpoints, then position(t)'s and course(t)'s arithmetic and bits."""
+        bisect over the breakpoints, then poses(t)'s arithmetic and bits."""
         arc = self.speed * float(t)
         i = min(max(bisect_right(self._breaks, arc) - 1, 0), len(self._segments) - 1)
         north, east, cos_c, sin_c, course = self._segments[i]
         frac = arc - self._breaks[i]
         return north + frac * cos_c, east + frac * sin_c, course
-
-    def course(self, t):
-        """Path tangent course at time(s) t."""
-        arc = self.speed * np.asarray(t, dtype=float)
-        return self._seg_course[self._segment_index(arc)]
 
 
 @dataclass(frozen=True)

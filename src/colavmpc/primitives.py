@@ -62,31 +62,27 @@ class TreeParams:
             raise ValueError("time constants must be > 0")
 
 
-def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
-    """Acceleration ranges reachable from tau0 within one ramp time.
+def level_samples(model: VesselModel, sog, t_ramp: float, n_sog: int, n_course: int, desired):
+    """The sample grids of a level's nodes at rest, as arrays: zero ROT,
+    each speed in sog (n_nodes,) held by the input saturate(damping(sog, 0)).
 
-    sog and rot are node velocities (scalars or arrays); tau0 holds one
-    (tau_m, tau_delta) input along its last axis, shared or per node.
-    Returns (sog_min, sog_max, rot_min, rot_max) shaped like the nodes.
+    A node samples the accelerations reachable within one ramp time on
+    uniform endpoint-inclusive grids. desired is None or per-node (sog,
+    rot) desired accelerations; a channel with more than one sample whose
+    desired acceleration lies inside its range has the sample nearest to
+    it replaced by it (ties toward the lower index). Returns (sog samples
+    (n_nodes, n_sog), rot samples (n_nodes, n_course)).
     """
-    tau0 = np.asarray(tau0, dtype=float)
-    lo = np.asarray(model.tau_min)
-    hi = np.asarray(model.tau_max)
-    if tau0.shape[-1:] != lo.shape:
-        raise ValueError(f"tau0 needs one value per actuator, got shape {tau0.shape}")
-    if ((tau0 < lo - 1e-9) | (tau0 > hi + 1e-9)).any():
-        raise ValueError(f"tau0 {tau0.tolist()} outside actuator limits")
-    # the inputs reachable in one ramp, (..., bound, actuator), low bound first
+    tau0 = model.saturate(np.array(model.damping(sog, 0.0)).T)
+    # the inputs reachable in one ramp, (node, bound, actuator), low bound first
     ramp = t_ramp * np.array([model.tau_rate_min, model.tau_rate_max])
-    tau = model.saturate(tau0[..., None, :] + ramp)
-    sog, rot = np.asarray(sog)[..., None], np.asarray(rot)[..., None]
-    du, dr = model.rates(sog, rot, tau[..., 0], tau[..., 1])
-    return du[..., 0], du[..., 1], dr[..., 0], dr[..., 1]
+    tau = model.saturate(tau0[:, None, :] + ramp)
+    du, dr = model.rates(sog[:, None], 0.0, tau[..., 0], tau[..., 1])
+    d_sog, d_rot = (None, None) if desired is None else desired
+    return _sample_channel(du[:, 0], du[:, 1], n_sog, d_sog), _sample_channel(dr[:, 0], dr[:, 1], n_course, d_rot)
 
 
 def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     if n == 1:
         # keep constant speed/course representable: 0 if reachable,
         # else the range edge nearest zero; a desired value is ignored
@@ -101,38 +97,17 @@ def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
     return samples
 
 
-def sample_accelerations(
-    bounds, n_sog: int, n_course: int, desired=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform endpoint-inclusive sample grids over the reachable ranges.
-
-    bounds is (sog_min, sog_max, rot_min, rot_max) as returned by
-    possible_accelerations; the samples run along a new last axis. A
-    channel with more than one sample whose desired acceleration lies
-    inside its range has the sample nearest to it replaced by it (ties
-    toward the lower index).
-    """
-    if n_sog < 1 or n_course < 1:
-        raise ValueError("sample counts must be >= 1")
-    sog_min, sog_max, rot_min, rot_max = bounds
-    d_sog = d_rot = None
-    if desired is not None:
-        d_sog, d_rot = desired
-    sog = _sample_channel(sog_min, sog_max, n_sog, d_sog)
-    rot = _sample_channel(rot_min, rot_max, n_course, d_rot)
-    return sog, rot
-
-
 def node_samples(
     model: VesselModel, sog: float, rot: float, tau0, t_ramp: float, n_sog: int, n_course: int, desired=None,
 ) -> tuple[list[float], list[float]]:
-    """One node's sample grids in plain floats: the operations, order and
-    bits of sample_accelerations(possible_accelerations(...)) at that node,
-    and the same ValueErrors.
+    """One node's sample grids in plain floats, by level_samples' rules
+    at any ROT and input. At rest (rot 0, tau0 None) it gives the
+    operations, order and bits of level_samples at that node.
 
-    tau0 is the node's (tau_m, tau_delta), or None for the input that
-    holds (sog, rot), saturated to the limits; desired is None or one
-    (sog, rot) desired acceleration. Returns (sog samples, rot samples).
+    tau0 is the node's (tau_m, tau_delta), which must lie within the
+    actuator limits, or None for the input that holds (sog, rot),
+    saturated to the limits; desired is None or one (sog, rot) desired
+    acceleration. Returns (sog samples, rot samples).
     """
     if n_sog < 1 or n_course < 1:
         raise ValueError("sample counts must be >= 1")

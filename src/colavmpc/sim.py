@@ -188,16 +188,16 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     integral = (0.0, 0.0)
 
     n_rows = n_steps + 1
-    # the tracker's updates: the step of each and its estimates; a step
-    # holds the last update at or before it
-    update_steps, update_estimates = [], []
+    times = dt * np.arange(n_rows)
+    # the tracker's updates: each estimates at the first step at or after
+    # its time; a step holds the last update at or before it
+    due = []
     next_obs_t = 0.0
-    for step_idx in range(n_rows):
-        t = step_idx * dt
-        while t >= next_obs_t - 1e-9:
-            update_steps.append(step_idx)
-            update_estimates.append(track(t))
-            next_obs_t += config.noise.period
+    while next_obs_t - 1e-9 <= times[-1]:
+        due.append(next_obs_t - 1e-9)
+        next_obs_t += config.noise.period
+    update_steps = np.searchsorted(times, due)
+    update_estimates = [track(step * dt) for step in update_steps.tolist()]
     held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
 
     ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
@@ -225,16 +225,15 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     planner = PlannerSeries(**{
         f.name: np.array([row[f.name] for row in planner_rows]) for f in fields(PlannerSeries)
     })
-    t = dt * np.arange(n_rows)
     obstacles = {}
     for script, estimates in zip(config.obstacles, zip(*update_estimates)):
         est = np.array([(e.north, e.east, e.sog, e.course, e.timestamp) for e in estimates])
-        obstacles[script.id] = ObstacleSeries(*ground_truth(script, t), *est[held].T)
+        obstacles[script.id] = ObstacleSeries(*ground_truth(script, times), *est[held].T)
     log = RunLog(
         name=config.name,
         seed=config.seed,
         dt=dt,
-        t=t,
+        t=times,
         **dict(zip(plant_names, np.frombuffer(plant_rows).reshape(n_rows, len(plant_names)).T)),
         **{f"ref_{name}": channel for name, channel in zip(ref_names, ref)},
         # each step logs the winner of the last call at or before it

@@ -25,8 +25,7 @@ import numpy as np
 
 from .core import TimeGrid, VelocityTrajectory, VesselState, cumtrapz, is_multiple, wrap_angle
 from .primitives import (
-    TreeParams, course_profile_unit, node_samples, possible_accelerations, sample_accelerations,
-    sog_profile_unit, terminal_sog_feasible,
+    TreeParams, course_profile_unit, level_samples, node_samples, sog_profile_unit, terminal_sog_feasible,
 )
 from .vessel import VesselModel
 
@@ -185,10 +184,10 @@ def generate_tree(
     only ones that use it. tau0 must lie within the actuator limits.
     A level of at most SMALL_NODES nodes computes its reachable ranges
     and sample grids node by node in plain floats (node_samples), with
-    the bits of the array functions the larger levels use. Returns the
-    candidates in deterministic order (node, then SOG sample, then ROT
-    sample), with no leaves if some level has no feasible maneuver; the
-    hook then sees zero nodes.
+    the bits of the array stage the larger levels use (level_samples).
+    Returns the candidates in deterministic order (node, then SOG sample,
+    then ROT sample), with no leaves if some level has no feasible
+    maneuver; the hook then sees zero nodes.
     """
     eval_dt = levels[0].eval_dt
     grid = TimeGrid(t, eval_dt, sum(len(level.decay_s) - 1 for level in levels) + 1)
@@ -226,11 +225,8 @@ def generate_tree(
             sog_samples = np.array([sog for sog, _ in grids]).reshape(n_nodes, level.n_sog)
             rot_samples = np.array([rot for _, rot in grids]).reshape(n_nodes, level.n_course)
         else:
-            node_sog = np.maximum(u_bar, 0.0)
-            node_tau = model.saturate(np.array(model.damping(node_sog, 0.0)).T)
-            sog_samples, rot_samples = sample_accelerations(
-                possible_accelerations(model, node_sog, 0.0, node_tau, level.t_ramp),
-                level.n_sog, level.n_course, desired_acc,
+            sog_samples, rot_samples = level_samples(
+                model, np.maximum(u_bar, 0.0), level.t_ramp, level.n_sog, level.n_course, desired_acc,
             )
         feasible = terminal_sog_feasible(model, u_d[:, None] + sog_samples * level.cum_s[-1])
         node, i_sog, i_rot = np.nonzero(feasible[:, :, None].repeat(level.n_course, axis=2))

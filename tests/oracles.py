@@ -17,6 +17,11 @@ obstacle-frame offsets and no bearing, and must agree with both to
 rounding; `penalty_at` calls it at a distance and bearing. `mod_wrap`
 wraps angles with `np.mod` alone: the library skips `np.mod` where
 adding or subtracting 2*pi once is exact, and must give the same bits.
+`possible_accelerations` and `sample_accelerations` are the node stage's
+generic array form, at any ROT and any shared or per-node actuator
+input, where the library keeps one form for nodes at rest
+(`primitives.level_samples`) and one for a single node in plain floats
+(`primitives.node_samples`); both must give its bits.
 `full_resolution_tree` grows the tree with the prediction integrated on
 the integration grid and then thinned to the evaluation grid, where the
 library integrates it on the evaluation grid directly. `level_at` builds
@@ -37,14 +42,9 @@ import numpy as np
 
 from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.objective import TRAN_TOL, PenaltyGeometry, penalty
-from colavmpc.primitives import (
-    course_profile_unit,
-    possible_accelerations,
-    sample_accelerations,
-    sog_profile_unit,
-    terminal_sog_feasible,
-)
+from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
 from colavmpc.tree import CandidateSet, build_levels
+from colavmpc.vessel import VesselModel
 
 
 def _trapz(values, dt):
@@ -54,8 +54,7 @@ def _trapz(values, dt):
 def align_cost(grid: TimeGrid, north, east, course, dtraj, w_course) -> float:
     """Time integral of weighted position and course error vs the reference."""
     times = grid.times()
-    ref_n, ref_e = dtraj.position(times)
-    ref_course = dtraj.course(times)
+    ref_n, ref_e, ref_course = dtraj.poses(times)
     err_pos = np.hypot(north - ref_n, east - ref_e)
     err_course = np.abs(wrap_angle(course - ref_course))
     return float(_trapz(err_pos + w_course * err_course, grid.dt))
@@ -82,13 +81,13 @@ def resample(traj: VelocityTrajectory, grid: TimeGrid) -> VelocityTrajectory:
     """
     src = traj.grid
     tol = 1e-9
-    if grid.t0 < src.t0 - tol or grid.t_end > src.t_end + tol:
+    ts, tq = src.times(), grid.times()
+    if grid.t0 < src.t0 - tol or tq[-1] > ts[-1] + tol:
         raise ValueError(
-            f"target grid [{grid.t0}, {grid.t_end}] outside source span "
-            f"[{src.t0}, {src.t_end}]"
+            f"target grid [{grid.t0}, {tq[-1]}] outside source span "
+            f"[{src.t0}, {ts[-1]}]"
         )
-    ts = src.times()
-    tq = np.clip(grid.times(), src.t0, src.t_end)
+    tq = np.clip(tq, src.t0, ts[-1])
     return VelocityTrajectory(
         grid=grid,
         sog=np.interp(tq, ts, traj.sog),
@@ -302,6 +301,67 @@ def outer_penalty_at(d, d0, d1, d2, gamma1):
     return np.reshape([
         penalty(PenaltyGeometry.circular(radii, gamma1), di, 0.0) for di, *radii in zip(*(a.ravel() for a in args))
     ], args[0].shape)
+
+
+def possible_accelerations(model: VesselModel, sog, rot, tau0, t_ramp: float):
+    """Acceleration ranges reachable from tau0 within one ramp time.
+
+    sog and rot are node velocities (scalars or arrays); tau0 holds one
+    (tau_m, tau_delta) input along its last axis, shared or per node.
+    Returns (sog_min, sog_max, rot_min, rot_max) shaped like the nodes.
+    """
+    tau0 = np.asarray(tau0, dtype=float)
+    lo = np.asarray(model.tau_min)
+    hi = np.asarray(model.tau_max)
+    if tau0.shape[-1:] != lo.shape:
+        raise ValueError(f"tau0 needs one value per actuator, got shape {tau0.shape}")
+    if ((tau0 < lo - 1e-9) | (tau0 > hi + 1e-9)).any():
+        raise ValueError(f"tau0 {tau0.tolist()} outside actuator limits")
+    # the inputs reachable in one ramp, (..., bound, actuator), low bound first
+    ramp = t_ramp * np.array([model.tau_rate_min, model.tau_rate_max])
+    tau = model.saturate(tau0[..., None, :] + ramp)
+    sog, rot = np.asarray(sog)[..., None], np.asarray(rot)[..., None]
+    du, dr = model.rates(sog, rot, tau[..., 0], tau[..., 1])
+    return du[..., 0], du[..., 1], dr[..., 0], dr[..., 1]
+
+
+def _sample_channel(lo, hi, n: int, desired) -> np.ndarray:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if n == 1:
+        # keep constant speed/course representable: 0 if reachable,
+        # else the range edge nearest zero; a desired value is ignored
+        return np.minimum(np.maximum(0.0, lo), hi)[..., None]
+    samples = lo[..., None] + np.arange(n) * ((hi - lo) / (n - 1))[..., None]
+    samples[..., -1] = hi
+    if desired is not None:
+        desired = np.asarray(desired, dtype=float)
+        nearest = np.abs(samples - desired[..., None]).argmin(axis=-1)
+        hit = ((lo <= desired) & (desired <= hi))[..., None] & (np.arange(n) == nearest[..., None])
+        samples = np.where(hit, desired[..., None], samples)
+    return samples
+
+
+def sample_accelerations(
+    bounds, n_sog: int, n_course: int, desired=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform endpoint-inclusive sample grids over the reachable ranges.
+
+    bounds is (sog_min, sog_max, rot_min, rot_max) as returned by
+    possible_accelerations; the samples run along a new last axis. A
+    channel with more than one sample whose desired acceleration lies
+    inside its range has the sample nearest to it replaced by it (ties
+    toward the lower index).
+    """
+    if n_sog < 1 or n_course < 1:
+        raise ValueError("sample counts must be >= 1")
+    sog_min, sog_max, rot_min, rot_max = bounds
+    d_sog = d_rot = None
+    if desired is not None:
+        d_sog, d_rot = desired
+    sog = _sample_channel(sog_min, sog_max, n_sog, d_sog)
+    rot = _sample_channel(rot_min, rot_max, n_course, d_rot)
+    return sog, rot
 
 
 def level_at(params, index, t0, dt, stride) -> dict[str, np.ndarray]:

@@ -194,7 +194,7 @@ def test_c05_tree_shape_and_solve_time():
         table is not None
         and len(cands) <= 225
         and len(cands.samples) == 3
-        and abs(cands.grid.t_end - cands.grid.t0 - 55.0) < 1e-9
+        and abs(cands.grid.times()[-1] - cands.grid.t0 - 55.0) < 1e-9
     )
     ok = shapes_ok and elapsed < 1.0
     _report(5, ok, "tree shape (<=225 x 3 maneuvers x 55 s) and solve time",
@@ -334,14 +334,14 @@ def _random_instance(rng):
         grid=fgrid, sog=prev_sog, rot=np.zeros(n_first), course=prev_course,
         sog_acc=np.zeros(n_first), rot_acc=np.zeros(n_first),
     )
-    ref_n, ref_e = dtraj.position(times)
+    ref_n, ref_e, ref_chi = dtraj.poses(times)
     inst = {
         "times": times.tolist(), "first_times": fgrid.times().tolist(),
         "cands": cands, "obstacles": obstacles, "geom": geom_d,
         "w_align": weights.w_align, "w_avoid": weights.w_avoid,
         "w_tran": weights.w_tran, "w_course": weights.w_course,
         "ref_n": ref_n.tolist(), "ref_e": ref_e.tolist(),
-        "ref_chi": [dtraj.course(float(t)) for t in times],
+        "ref_chi": ref_chi.tolist(),
         "prev_sog": prev_sog.tolist(), "prev_course": prev_course.tolist(),
     }
     cand_set = CandidateSet(

@@ -142,6 +142,22 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
+def test_config_not_utf8_is_an_error_line(tmp_path, capsys):
+    cfg_path, data = _small_config(tmp_path)
+    # the name's e-acute as the one Latin-1 byte 0xe9, which is no UTF-8
+    cfg_path.write_bytes(json.dumps({**data, "name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON (") and err.count("\n") == 1
+
+
+def test_config_nested_too_deeply_is_an_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: JSON nested too deeply to read\n"
+
+
 def test_solve_prints_cost_table(tmp_path, capsys):
     cfg_path, _ = _small_config(tmp_path)
     assert main(["solve", "--config", str(cfg_path)]) == 0

@@ -50,11 +50,12 @@ def test_waypoints_and_custom_noise():
     data["noise"] = {"pos_std": 5.0, "sog_std": 0.1, "course_std": 0.2, "latency": 1.0, "period": 2.5}
     cfg = cfgm.from_dict(data)
     # the desired track is the waypoint polyline, traversed at 4 m/s
-    assert cfg.desired.position(0.0) == (0.0, 0.0)
-    assert cfg.desired.course(0.0) == pytest.approx(math.atan2(50.0, 300.0))
+    north, east, course = cfg.desired.pose(0.0)
+    assert (north, east) == (0.0, 0.0)
+    assert course == pytest.approx(math.atan2(50.0, 300.0))
     assert cfg.desired.speed == 4.0
     end = math.hypot(300.0, 50.0) / 4.0
-    assert np.allclose(cfg.desired.position(end), (300.0, 50.0))
+    assert np.allclose(cfg.desired.pose(end)[:2], (300.0, 50.0))
     assert cfg.noise == EstimateNoise(pos_std=5.0, sog_std=0.1, course_std=0.2, latency=1.0, period=2.5)
 
 
@@ -135,6 +136,10 @@ def test_negative_seeds_rejected():
     with pytest.raises(ValueError) as err:
         dataclasses.replace(cfgm.from_dict(data), seed=-3)
     assert str(err.value) == "config.seed: must be >= 0"
+    # a bool is no seed, though Python counts it an integer
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(cfgm.from_dict(data), seed=True)
+    assert str(err.value) == "config.seed: must be an integer, got True"
 
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def test_time_grid_invariants():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 0.1, 1)
     g = TimeGrid.from_span(2.0, 5.0, 0.5)
-    assert g.n == 11 and g.t_end == pytest.approx(7.0)
+    assert g.n == 11 and g.times()[-1] == pytest.approx(7.0)
     assert TimeGrid(0.0, 0.1, np.int64(3)).times().shape == (3,)
     with pytest.raises(ValueError):
         TimeGrid.from_span(0.0, 5.2, 0.5)

@@ -45,26 +45,25 @@ STEP = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_so
 
 def test_line_trajectory_geometry():
     line = DesiredTrajectory.line(0.0, 0.0, math.pi / 2, 4.0)
-    n, e = line.position(10.0)
+    n, e, _ = line.pose(10.0)
     assert n == pytest.approx(0.0, abs=1e-12)
     assert e == pytest.approx(40.0, abs=1e-12)
-    assert line.course(3.0) == pytest.approx(math.pi / 2)
+    assert line.pose(3.0)[2] == pytest.approx(math.pi / 2)
 
 
 def test_waypoint_trajectory_corner():
     track = DesiredTrajectory.waypoints([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
-    assert track.course(1.0) == pytest.approx(0.0)
-    assert track.course(30.0) == pytest.approx(math.pi / 2)  # 150 m along, past corner
-    n, e = track.position(30.0)
-    assert (n, e) == (pytest.approx(100.0), pytest.approx(50.0))
+    assert track.pose(1.0)[2] == pytest.approx(0.0)
+    n, e, course = track.pose(30.0)  # 150 m along, past corner
+    assert (n, e, course) == (pytest.approx(100.0), pytest.approx(50.0), pytest.approx(math.pi / 2))
     # beyond the end: extrapolate along the last segment
-    n, e = track.position(100.0)
+    n, e, _ = track.pose(100.0)
     assert (n, e) == (pytest.approx(100.0), pytest.approx(400.0))
 
 
 def test_waypoint_degenerate_segments_filtered():
     track = DesiredTrajectory.waypoints([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]], 5.0)
-    assert track.course(0.0) == pytest.approx(0.0)
+    assert track.pose(0.0)[2] == pytest.approx(0.0)
     with pytest.raises(ValueError):
         DesiredTrajectory.waypoints([[1.0, 1.0], [1.0, 1.0]], 5.0)
 
@@ -73,7 +72,7 @@ def _bits(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-def test_pose_has_the_bits_of_position_and_course():
+def test_pose_has_the_bits_of_poses():
     # at every waypoint breakpoint cum_len[i] / speed, its float
     # neighbours, 0 and past the end of the track, on a waypoint track
     # and on a line
@@ -91,9 +90,8 @@ def test_pose_has_the_bits_of_position_and_course():
         for t in times:
             pose = dtraj.pose(t)
             assert all(type(x) is float for x in pose)
-            north, east = dtraj.position(np.array([t]))
-            assert _bits(*pose) == _bits(north[0], east[0], dtraj.course(np.array([t]))[0])
-            assert _bits(*pose) == _bits(*dtraj.position(t), dtraj.course(t))
+            assert _bits(*pose) == _bits(*(channel[0] for channel in dtraj.poses(np.array([t]))))
+            assert _bits(*pose) == _bits(*dtraj.poses(t))
 
 
 def test_speed_target_keeps_np_clips_signed_zero():

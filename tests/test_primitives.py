@@ -11,10 +11,11 @@ import oracles
 from colavmpc.core import TimeGrid, VesselState, cumtrapz
 from colavmpc.primitives import (
     TreeParams,
+    _node_channel,
+    _sample_channel,
     course_profile_unit,
+    level_samples,
     node_samples,
-    possible_accelerations,
-    sample_accelerations,
     sog_profile_unit,
 )
 from colavmpc.tree import build_levels, generate_tree
@@ -41,22 +42,27 @@ def _rates(sog, rot, tau):
     return float(du), float(dr)
 
 
+def _ranges(sog, rot, tau0, t_ramp):
+    """(sog_min, sog_max, rot_min, rot_max) reachable from the input tau0
+    within t_ramp: the ends of node_samples' two-sample grids."""
+    (sog_min, sog_max), (rot_min, rot_max) = node_samples(MODEL, sog, rot, tau0, t_ramp, 2, 2)
+    return sog_min, sog_max, rot_min, rot_max
+
+
 def test_sat_examples():
     # the actuator input reachable within one ramp is clamped to the limits
     # from above and below, and passes through unclamped inside them
-    _, sog_max, _, rot_max = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)
+    _, sog_max, _, rot_max = _ranges(10.0, 0.0, MODEL.tau_max, 1.0)
     assert (sog_max, rot_max) == pytest.approx(_rates(10.0, 0.0, MODEL.tau_max), abs=1e-12)
-    sog_min, _, rot_min, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_min, 1.0)
+    sog_min, _, rot_min, _ = _ranges(10.0, 0.0, MODEL.tau_min, 1.0)
     assert (sog_min, rot_min) == pytest.approx(_rates(10.0, 0.0, MODEL.tau_min), abs=1e-12)
-    sog_min, sog_max, rot_min, rot_max = possible_accelerations(MODEL, 10.0, 0.0, [0.5, 0.0], 0.5)
+    sog_min, sog_max, rot_min, rot_max = _ranges(10.0, 0.0, [0.5, 0.0], 0.5)
     assert (sog_max, rot_max) == pytest.approx(_rates(10.0, 0.0, (0.75, 0.25)), abs=1e-12)
     assert (sog_min, rot_min) == pytest.approx(_rates(10.0, 0.0, (0.25, -0.25)), abs=1e-12)
 
 
 def test_sat_shape_mismatch():
     # an actuator input that is not one value per actuator is rejected
-    with pytest.raises(ValueError):
-        possible_accelerations(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0)
     with pytest.raises(ValueError, match="one value per actuator"):
         node_samples(MODEL, 5.0, 0.0, np.full(3, 0.5), 1.0, 1, 1)
 
@@ -104,7 +110,7 @@ def test_tree_params_reject_non_finite_values(bad):
 
 def test_possible_accelerations_saturated_upper_edge():
     # already at full throttle: the upper edge is the max-throttle rate
-    _, sog_max, _, _ = possible_accelerations(MODEL, 10.0, 0.0, MODEL.tau_max, 1.0)
+    _, sog_max, _, _ = _ranges(10.0, 0.0, MODEL.tau_max, 1.0)
     du_max, _ = MODEL.rates(10.0, 0.0, MODEL.tau_max[0], MODEL.tau_max[1])
     assert sog_max == pytest.approx(float(du_max), abs=1e-12)
 
@@ -114,69 +120,69 @@ def test_possible_accelerations_symmetric_iff_limits_symmetric():
     tau0 = np.array([0.5, 0.0])
     d1, d2 = MODEL.d_u1, MODEL.d_u2
     sog0 = (-d1 + math.sqrt(d1**2 + 4 * d2 * tau0[0])) / (2 * d2)
-    sog_min, sog_max, rot_min, rot_max = possible_accelerations(MODEL, sog0, 0.0, tau0, 0.5)
+    sog_min, sog_max, rot_min, rot_max = _ranges(sog0, 0.0, tau0, 0.5)
     assert sog_max + sog_min == pytest.approx(0.0, abs=1e-12)
     assert rot_max + rot_min == pytest.approx(0.0, abs=1e-12)
 
 
 def test_possible_accelerations_top_speed_pinned():
-    _, sog_max, _, _ = possible_accelerations(MODEL, 18.0, 0.0, [1.0, 0.0], 1.0)
+    _, sog_max, _, _ = _ranges(18.0, 0.0, [1.0, 0.0], 1.0)
     assert abs(sog_max) < 1e-6
 
 
-BOUNDS = (-1.0, 1.0, -1.0, 1.0)
+def _channels(lo, hi, n, desired=None):
+    """One channel's samples over the range [lo, hi] from both of the
+    library's samplers, the array stage's and the float stage's, as lists."""
+    return [_sample_channel(np.asarray(lo), np.asarray(hi), n, desired).tolist(), _node_channel(lo, hi, n, desired)]
 
 
 def test_sample_uniform_grid():
-    sog, rot = sample_accelerations(BOUNDS, 5, 5)
-    np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
-    np.testing.assert_allclose(rot, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
+    for samples in _channels(-1.0, 1.0, 5):
+        np.testing.assert_allclose(samples, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
 
 
 def test_sample_desired_substitution():
-    sog, _ = sample_accelerations(BOUNDS, 5, 1, desired=(0.4, None))
-    # 0.5 is nearer to 0.4 than 0 is, so it gets replaced
-    np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.4, 1.0], atol=1e-15)
+    for samples in _channels(-1.0, 1.0, 5, 0.4):
+        # 0.5 is nearer to 0.4 than 0 is, so it gets replaced
+        np.testing.assert_allclose(samples, [-1.0, -0.5, 0.0, 0.4, 1.0], atol=1e-15)
 
 
 def test_sample_desired_outside_box_ignored():
-    sog, rot = sample_accelerations(BOUNDS, 5, 3, desired=(2.0, -1.5))
-    np.testing.assert_allclose(sog, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
-    np.testing.assert_allclose(rot, [-1.0, 0.0, 1.0], atol=1e-15)
+    for samples in _channels(-1.0, 1.0, 5, 2.0):
+        np.testing.assert_allclose(samples, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-15)
+    for samples in _channels(-1.0, 1.0, 3, -1.5):
+        np.testing.assert_allclose(samples, [-1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_sample_tie_breaks_low_index():
-    sog, _ = sample_accelerations(BOUNDS, 3, 1, desired=(0.5, None))
-    # 0.5 is equidistant from samples 0.0 and 1.0; the lower index moves
-    np.testing.assert_allclose(sog, [-1.0, 0.5, 1.0], atol=1e-15)
+    for samples in _channels(-1.0, 1.0, 3, 0.5):
+        # 0.5 is equidistant from samples 0.0 and 1.0; the lower index moves
+        np.testing.assert_allclose(samples, [-1.0, 0.5, 1.0], atol=1e-15)
 
 
 def test_sample_single_prefers_zero():
-    sog, rot = sample_accelerations((-1.0, 1.0, 0.2, 0.6), 1, 1)
-    assert sog[0] == 0.0
-    assert rot[0] == 0.2  # nearest endpoint when 0 unreachable
+    assert _channels(-1.0, 1.0, 1) == [[0.0], [0.0]]
+    assert _channels(0.2, 0.6, 1) == [[0.2], [0.2]]  # nearest endpoint when 0 unreachable
 
 
 def test_sample_single_ignores_desired():
     # a single-sample channel stays the constant-hold sample
-    sog, rot = sample_accelerations(BOUNDS, 1, 1, desired=(0.4, -0.3))
-    assert sog.tolist() == [0.0]
-    assert rot.tolist() == [0.0]
+    assert _channels(-1.0, 1.0, 1, 0.4) == [[0.0], [0.0]]
+    assert _channels(-1.0, 1.0, 1, -0.3) == [[0.0], [0.0]]
 
 
 def test_sample_rows_match_per_node_calls():
     # per-node ranges and desired values sample row by row, exactly as
-    # one call per node does
-    bounds = tuple(np.array(pair) for pair in ([-1.0, -0.2], [1.0, 0.6], [-0.1, -0.3], [0.1, 0.2]))
-    desired = (np.array([0.4, 0.7]), np.array([-0.05, 0.1]))
-    sog, rot = sample_accelerations(bounds, 5, 3, desired)
+    # one call per node does, in either sampler
+    (sog_lo, sog_hi), (rot_lo, rot_hi) = ([-1.0, -0.2], [1.0, 0.6]), ([-0.1, -0.3], [0.1, 0.2])
+    desired = ([0.4, 0.7], [-0.05, 0.1])
+    sog = _sample_channel(np.array(sog_lo), np.array(sog_hi), 5, np.array(desired[0]))
+    rot = _sample_channel(np.array(rot_lo), np.array(rot_hi), 3, np.array(desired[1]))
     assert sog.shape == (2, 5) and rot.shape == (2, 3)
     for node in range(2):
-        one = sample_accelerations(
-            tuple(b[node] for b in bounds), 5, 3, tuple(d[node] for d in desired)
-        )
-        np.testing.assert_array_equal(sog[node], one[0])
-        np.testing.assert_array_equal(rot[node], one[1])
+        for rows, lo, hi, n, wanted in ((sog, sog_lo, sog_hi, 5, desired[0]), (rot, rot_lo, rot_hi, 3, desired[1])):
+            for one in _channels(lo[node], hi[node], n, wanted[node]):
+                assert np.array(one).tobytes() == rows[node].tobytes()
     assert sog[0, 3] == 0.4  # substituted
     np.testing.assert_array_equal(sog[1], np.linspace(-0.2, 0.6, 5))  # 0.7 is out of range
     assert rot[1, 2] == 0.1  # replaces the upper edge 0.2, the sample nearest to it
@@ -193,13 +199,15 @@ def _desired_near(lo, hi, kinds, rng):
     return np.array([picks[kind][i] for i, kind in enumerate(kinds)])
 
 
-@pytest.mark.parametrize("n_sog,n_course", list(itertools.product((1, 2, 3, 5), repeat=2)))
+@pytest.mark.parametrize("n_sog,n_course", list(itertools.product((1, 2, 3, 5, 7), repeat=2)))
 def test_node_samples_keep_the_array_stages_bits(n_sog, n_course):
-    # the tree's per-node float stage gives, node by node, the bits and
-    # shapes of sample_accelerations(possible_accelerations(...)) over all
-    # nodes at once: root-like nodes (rot != 0, one shared tau0 on or inside
-    # the limits) and steady-state nodes (rot 0, tau held by damping and
-    # saturated), at speeds over [0, u_max] (the ramp saturates at u_max and
+    # the tree's two node stages give the bits and shapes of the generic
+    # array form, oracles.sample_accelerations(oracles.possible_accelerations(...))
+    # over all nodes at once: the float stage node_samples node by node in
+    # every case, root-like nodes (rot != 0, one shared tau0 on or inside
+    # the limits) and nodes at rest (rot 0, tau held by damping and
+    # saturated), and the array stage level_samples over all nodes at rest
+    # at once; at speeds over [0, u_max] (the ramp saturates at u_max and
     # at the throttle floor there), with desired accelerations inside,
     # outside and exactly on each range end, or none
     rng = np.random.default_rng(1000 * n_sog + n_course)
@@ -213,14 +221,19 @@ def test_node_samples_keep_the_array_stages_bits(n_sog, n_course):
     for t_ramp in (1.0, 2.0):
         for rot, tau0 in cases:
             node_tau = tau0 if tau0 is not None else MODEL.saturate(np.array(MODEL.damping(speeds, 0.0)).T)
-            bounds = possible_accelerations(MODEL, speeds, rot, node_tau, t_ramp)
+            bounds = oracles.possible_accelerations(MODEL, speeds, rot, node_tau, t_ramp)
             desired = tuple(
                 _desired_near(b_lo, b_hi, rng.choice(kinds, speeds.shape), rng)
                 for b_lo, b_hi in (bounds[:2], bounds[2:])
             )
             for wanted in (None, desired):
-                sog, rot_samples = sample_accelerations(bounds, n_sog, n_course, wanted)
+                sog, rot_samples = oracles.sample_accelerations(bounds, n_sog, n_course, wanted)
                 assert sog.shape == (len(speeds), n_sog) and rot_samples.shape == (len(speeds), n_course)
+                if tau0 is None:
+                    got = level_samples(MODEL, speeds, t_ramp, n_sog, n_course, wanted)
+                    for grid, want in zip(got, (sog, rot_samples)):
+                        assert grid.dtype == want.dtype and grid.shape == want.shape
+                        assert grid.tobytes() == want.tobytes(), (t_ramp, wanted is None)
                 for i, speed in enumerate(speeds.tolist()):
                     node_rot = rot if tau0 is None else rot[i].item()
                     acc = None if wanted is None else (wanted[0][i].item(), wanted[1][i].item())
@@ -238,32 +251,45 @@ def test_node_samples_keep_the_array_stages_bits(n_sog, n_course):
     assert checked == {(channel, kind) for channel in (0, 1) for kind in ("inside", "lo", "hi", "out")}
 
 
+def _clipped_grids(model, sog, tau0, t_ramp):
+    """The (sog, rot) two-sample grids reachable from tau0 at zero ROT,
+    with every input clipped by np.clip: each range's ends, placed as the
+    samplers place them."""
+    ends = []
+    for rate in (model.tau_rate_min, model.tau_rate_max):
+        tau = np.clip(tau0 + t_ramp * np.asarray(rate), model.tau_min, model.tau_max)
+        ends.append(model.rates(sog, 0.0, tau[..., 0], tau[..., 1]))
+    (du_lo, dr_lo), (du_hi, dr_hi) = ends
+    return [np.stack([lo + 0.0 * (hi - lo), hi], axis=-1) for lo, hi in ((du_lo, du_hi), (dr_lo, dr_hi))]
+
+
 def test_clip_replacements_keep_np_clips_bits():
     # each np.clip the planner calls without its wrapper gives np.clip's
     # bytes, signed zeros included, on zero-width ranges and on ranges
     # with an edge at +-0.0
     edges = (-1.0, -0.0, 0.0, 1.0)
     lo, hi = (np.array(side) for side in zip(*[(a, b) for a in edges for b in edges if a <= b]))
-    # a single-sample channel: 0 clipped to the reachable range
-    sog, rot = sample_accelerations((lo, hi, lo, hi), 1, 1)
-    assert sog.tobytes() == rot.tobytes() == np.clip(0.0, lo, hi)[..., None].tobytes()
+    # a single-sample channel: 0 clipped to the reachable range, in either sampler
+    assert _sample_channel(lo, hi, 1, None).tobytes() == np.clip(0.0, lo, hi)[..., None].tobytes()
+    single = [_node_channel(a, b, 1, None) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert np.array(single).tobytes() == np.clip(0.0, lo, hi)[..., None].tobytes()
     # actuator inputs against the limits, shared and per node
     values = np.array([[a, b] for a in edges for b in edges])
     for tau_min, tau_max in [((-1.0, -0.0), (0.0, 1.0)), ((0.0, -1.0), (1.0, -0.0)), ((-0.0, 0.0), (1.0, 1.0))]:
         model = dataclasses.replace(MODEL, tau_min=tau_min, tau_max=tau_max)
         for tau in (values, values[:, None, :], values[5]):
             assert model.saturate(tau).tobytes() == np.clip(tau, tau_min, tau_max).tobytes()
-        # the reachable range: tau0 +- t_ramp * rate lands on +-0.0 and on the limits
-        for tau0 in (np.array([tau_min, tau_max]), np.array(tau_max)):
-            tau0 = np.clip(tau0, tau_min, tau_max)
-            bounds = possible_accelerations(model, np.full(tau0.shape[:-1], 5.0), 0.0, tau0, 2.0)
-            expected = []
-            for rate in (model.tau_rate_min, model.tau_rate_max):
-                tau = np.clip(tau0 + 2.0 * np.asarray(rate), tau_min, tau_max)
-                expected.append(model.rates(5.0, 0.0, tau[..., 0], tau[..., 1]))
-            (du_lo, dr_lo), (du_hi, dr_hi) = expected
-            for got, want in zip(bounds, (du_lo, du_hi, dr_lo, dr_hi)):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the reachable range: tau0 +- t_ramp * rate lands on +-0.0 and on
+        # the limits, from a given input at the limits (node_samples) and
+        # from the input that holds a node at rest (level_samples)
+        for tau0 in (np.array(tau_min), np.array(tau_max)):
+            got = node_samples(model, 5.0, 0.0, tau0, 2.0, 2, 2)
+            for grid, want in zip(got, _clipped_grids(model, 5.0, tau0, 2.0)):
+                assert np.array(grid).tobytes() == want.tobytes()
+        speeds = np.array([0.0, 5.0, MODEL.u_max])
+        tau0 = np.clip(np.array(model.damping(speeds, 0.0)).T, tau_min, tau_max)
+        for grid, want in zip(level_samples(model, speeds, 2.0, 2, 2, None), _clipped_grids(model, speeds, tau0, 2.0)):
+            assert grid.tobytes() == want.tobytes()
     # the unit profiles are their ramps clipped to [0, 1], at +-0.0 and
     # the ramp and maneuver ends
     t = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

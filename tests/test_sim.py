@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
+from random_encounters import rotated
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.cli import write_outputs
-from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs, wrap_angle
+from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs
 from colavmpc.grading import Metrics, _compliance, classify_situation, compute_metrics, situation_labels
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
@@ -531,7 +532,7 @@ def test_run_waypoint_track():
     from colavmpc.guidance import DesiredTrajectory
 
     track = DesiredTrajectory.waypoints([[0, 0], [400, 0], [800, 200]], 5.0)
-    ref_n, ref_e = track.position(log.t)
+    ref_n, ref_e, _ = track.poses(log.t)
     err = np.hypot(log.own_north - ref_n, log.own_east - ref_e)
     assert err[-1] < 10.0  # converges back after the corner
     assert err.max() < 80.0
@@ -864,21 +865,6 @@ def test_plan_step_reads_the_committed_reference_at_its_grid_points(monkeypatch)
         assert candidates.desired0 == (expected.sog[0], expected.course[0])
 
 
-def _rotated(name, angle):
-    """The shipped scenario's config dict turned by angle about the origin:
-    positions rotated, ownship and obstacle courses wrapped, and the desired
-    line's course left unwrapped, so a turn by pi plans a +pi line from a
-    -pi ownship."""
-    data = scenarios.build_config_dict(name, noise="none")
-    cos, sin = math.cos(angle), math.sin(angle)
-    for item in (data["ownship"], data["desired"], *data["obstacles"]):
-        item["north"], item["east"] = cos * item["north"] - sin * item["east"], sin * item["north"] + cos * item["east"]
-    for item in (data["ownship"], *data["obstacles"]):
-        item["course"] = float(wrap_angle(item["course"] + angle))
-    data["desired"]["course"] += angle
-    return data
-
-
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
 def test_a_run_turned_about_the_origin_plans_the_same_encounter(name):
     # every shipped geometry heads near north, so only a turned copy
@@ -891,7 +877,7 @@ def test_a_run_turned_about_the_origin_plans_the_same_encounter(name):
 
     _, north = run(scenarios.build_scenario(name, noise="none"))
     for angle in (math.pi, math.pi / 2, -math.pi / 2, 3.0):
-        _, turned = run(cfgm.from_dict(_rotated(name, angle)))
+        _, turned = run(cfgm.from_dict(rotated(name, angle)))
         assert outcome(turned) == outcome(north), angle
         assert abs(turned.obstacles["target"].min_distance - north.obstacles["target"].min_distance) <= 1e-6, angle
 

@@ -8,7 +8,6 @@ import pytest
 from colavmpc.core import TimeGrid, VesselState, wrap_angle
 from colavmpc.guidance import DesiredTrajectory, LosParams, desired_acceleration, los_targets
 import oracles
-from colavmpc.primitives import possible_accelerations, sample_accelerations
 from colavmpc import scenarios, sim
 from colavmpc import tree as tree_mod
 from colavmpc.tree import TreeParams, build_levels, generate_tree
@@ -58,7 +57,7 @@ def test_table_configuration_shape():
     cands = _grow(state, (5.0, 0.0))
     assert len(cands) <= 225
     assert len(cands) == 225  # all feasible from a benign state
-    assert cands.grid.t_end - cands.grid.t0 == pytest.approx(55.0)
+    assert cands.grid.times()[-1] - cands.grid.t0 == pytest.approx(55.0)
     assert cands.grid.dt == EVAL_DT
     # each edge once, on the columns its level owns: 10 + 40 + 61 = grid.n
     assert [(position.shape, course.shape) for position, course in cands.edges] == [
@@ -73,7 +72,7 @@ def test_table_configuration_shape():
         assert channel.shape == (225, cands.grid.n)
     for channel in (cands.first_sog, cands.first_course):
         assert channel.shape == (25, cands.first_grid.n)
-    assert cands.first_grid.t_end - cands.first_grid.t0 == pytest.approx(5.0)
+    assert cands.first_grid.times()[-1] - cands.first_grid.t0 == pytest.approx(5.0)
     for array in oracles.leaf_samples(cands):
         assert array.shape == (225, 3, 2)
     assert cands.trajectory(0).grid == TimeGrid(0.0, DT, 551)
@@ -84,7 +83,7 @@ def test_three_level_span_25s():
     state = _state()
     cands = _grow(state, (5.0, 0.0), params=params)
     assert len(cands) == 45
-    assert cands.grid.t_end - cands.grid.t0 == pytest.approx(25.0)
+    assert cands.grid.times()[-1] - cands.grid.t0 == pytest.approx(25.0)
 
 
 def test_degenerate_tree_continues_current_velocity():
@@ -221,8 +220,8 @@ def test_level0_matches_single_step_primitives():
     state = _state(sog=5.0)
     tau0 = _tau0(state)
     cands = _grow(state, (5.0, 0.0), params=params)
-    bounds = possible_accelerations(MODEL, state.sog, state.rot, tau0, 1.0)
-    sog_s, rot_s = sample_accelerations(bounds, 5, 5)
+    bounds = oracles.possible_accelerations(MODEL, state.sog, state.rot, tau0, 1.0)
+    sog_s, rot_s = oracles.sample_accelerations(bounds, 5, 5)
     grid = TimeGrid.from_span(0.0, 5.0, DT)
     trajs = oracles.integrate_primitives(MODEL, sog_s, rot_s, (5.0, 0.0), params, grid)
     assert len(cands) == len(trajs)

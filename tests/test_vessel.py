@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colavmpc.vessel import ControllerGains, control_law, default_gains, default_model, step_plant
-from colavmpc.primitives import possible_accelerations
+from colavmpc.primitives import node_samples
 
 MODEL = default_model()
 
@@ -45,9 +45,9 @@ def test_damping_decelerates():
 def test_dynamics_rejects_out_of_range_tau():
     # the planner refuses to expand from an actuator input outside the limits
     with pytest.raises(ValueError):
-        possible_accelerations(MODEL, 5.0, 0.0, (0.0, 0.0), 1.0)
+        node_samples(MODEL, 5.0, 0.0, (0.0, 0.0), 1.0, 1, 1)
     with pytest.raises(ValueError):
-        possible_accelerations(MODEL, 5.0, 0.0, (1.2, 0.0), 1.0)
+        node_samples(MODEL, 5.0, 0.0, (1.2, 0.0), 1.0, 1, 1)
 
 
 def test_inverse_model_at_rest():
