@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from numbers import Integral
@@ -51,7 +52,7 @@ class _Reader:
             raise ConfigError(f"{self._path}.{key}: expected {self._EXPECTED[kind]}")
         if kind is not float:
             return value
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or an integer past the largest float
             raise ConfigError(f"{self._path}.{key}: expected a finite number")
         return float(value)
 
@@ -228,7 +229,7 @@ def _parse_desired(r: _Reader) -> DesiredTrajectory:
             points.append((item.number("north"), item.number("east")))
             item.finish()
         args = (points, r.number("speed"))
-        build = DesiredTrajectory.waypoints
+        build = DesiredTrajectory
     else:
         raise ConfigError(f"desired.kind: unknown kind {kind!r}")
     r.finish()
@@ -317,9 +318,19 @@ def from_dict(data: dict) -> ScenarioConfig:
 
 
 def load(path) -> ScenarioConfig:
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # bad syntax, not UTF-8, or an integer of too many digits for Python
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply to read") from exc

@@ -9,6 +9,7 @@ unwrapped; wrapping happens only when two angles are compared.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral
 from typing import NamedTuple
@@ -74,12 +75,13 @@ def _outputs(record) -> list[tuple[str, object]]:
 def require_finite(record, names=None) -> None:
     """Raise a ValueError naming the first of the named fields (default:
     all) of the dataclass record, or element of a tuple field, that is
-    not a finite number. A None field is absent and passes."""
+    not a finite number, an integer past the largest float included. A
+    None field is absent and passes."""
     for name in names or [f.name for f in fields(record)]:
         value = getattr(record, name)
         items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
         for i, x in items:
-            if x is not None and not math.isfinite(x):
+            if x is not None and not abs(x) <= sys.float_info.max:
                 label = name if i is None else f"{name}[{i}]"
                 raise ValueError(f"{label} must be finite, got {x}")
 
@@ -132,36 +134,31 @@ class TimeGrid:
 class VelocityTrajectory:
     """Desired velocity trajectory on a grid.
 
-    Channels: sog (m/s), rot (rad/s), course (rad, unwrapped), and the
-    accelerations sog_acc (m/s^2), rot_acc (rad/s^2) that generated them.
+    channels is a (5, grid.n) table whose rows are sog (m/s), rot
+    (rad/s), course (rad, unwrapped), and the accelerations sog_acc
+    (m/s^2), rot_acc (rad/s^2) that generated them, each readable by
+    its name.
     """
 
     grid: TimeGrid
-    sog: np.ndarray
-    rot: np.ndarray
-    course: np.ndarray
-    sog_acc: np.ndarray
-    rot_acc: np.ndarray
+    channels: np.ndarray
 
     def __post_init__(self):
-        for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n,):
-                raise ValueError(f"{name} must have length grid.n={self.grid.n}")
-            object.__setattr__(self, name, arr)
+        table = np.asarray(self.channels, dtype=float)
+        if table.shape != (5, self.grid.n):
+            raise ValueError(f"channels must have shape (5, grid.n={self.grid.n}), got {table.shape}")
+        object.__setattr__(self, "channels", table)
+
+    sog = property(lambda self: self.channels[0])
+    rot = property(lambda self: self.channels[1])
+    course = property(lambda self: self.channels[2])
+    sog_acc = property(lambda self: self.channels[3])
+    rot_acc = property(lambda self: self.channels[4])
 
     @staticmethod
     def constant(grid: TimeGrid, sog: float, course: float) -> "VelocityTrajectory":
         """Hold a fixed speed and course over the grid (zero ROT)."""
-        zeros = np.zeros(grid.n)
-        return VelocityTrajectory(
-            grid=grid,
-            sog=np.full(grid.n, float(sog)),
-            rot=zeros,
-            course=np.full(grid.n, float(course)),
-            sog_acc=zeros,
-            rot_acc=zeros,
-        )
+        return VelocityTrajectory(grid, np.array([[sog], [0.0], [course], [0.0], [0.0]]).repeat(grid.n, axis=1))
 
     def window(self, t: float, n: int, stride=1) -> np.ndarray:
         """The (sog, rot, course, sog_acc, rot_acc) channels at t,
@@ -182,8 +179,7 @@ class VelocityTrajectory:
         past = min(n, max(0, -((start - self.grid.n) // step)))
         rows = start + step * np.arange(n)
         rows[past:] = self.grid.n - 1
-        channels = (self.sog, self.rot, self.course, self.sog_acc, self.rot_acc)
-        out = np.array(channels)[:, rows]
+        out = self.channels[:, rows]
         out[[1, 3, 4], past:] = 0.0
         return out
 

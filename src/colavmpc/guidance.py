@@ -19,70 +19,57 @@ from .primitives import TreeParams
 
 
 class DesiredTrajectory:
-    """Planar C1 trajectory traversed at the constant `speed` (m/s).
-
-    Either an infinite straight line from a start point, or a
-    piecewise-linear waypoint track (extrapolated along its last
-    segment beyond the end).
+    """Planar C1 trajectory traversed at the constant `speed` (m/s): a
+    piecewise-linear track through at least two (north, east) points,
+    extrapolated along its last segment beyond the end. `line` builds
+    an infinite straight line from a start point.
     """
 
-    def __init__(self, points: np.ndarray, speed: float, line_course: float | None = None):
+    def __init__(self, points, speed: float):
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2 or len(points) < 1:
-            raise ValueError("points must be an (n, 2) array")
+        if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
+            raise ValueError("points must be an (n, 2) array of at least 2 points")
         if not np.isfinite(points).all():
             raise ValueError(f"points must be finite, got {points.tolist()}")
         if not (math.isfinite(speed) and speed > 0.0):
             raise ValueError(f"speed must be finite and > 0, got {speed}")
-        if line_course is not None and not math.isfinite(line_course):
-            raise ValueError(f"line_course must be finite, got {line_course}")
-        if len(points) == 1:
-            if line_course is None:
-                raise ValueError("a single-point trajectory needs a course")
-            direction = np.array([math.cos(line_course), math.sin(line_course)])
-            points = np.vstack([points[0], points[0] + direction])
         seg = np.diff(points, axis=0)
-        seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        keep = seg_len > 1e-9
+        keep = np.hypot(seg[:, 0], seg[:, 1]) > 1e-9
         if not np.any(keep):
             raise ValueError("trajectory needs at least one non-degenerate segment")
-        self._points = np.vstack([points[:-1][keep], points[-1]])
-        seg = np.diff(self._points, axis=0)
-        self._seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        self._seg_course = np.arctan2(seg[:, 1], seg[:, 0])
-        self._seg_cos, self._seg_sin = np.cos(self._seg_course), np.sin(self._seg_course)
-        self._cum_len = np.concatenate([[0.0], np.cumsum(self._seg_len)])
+        points = np.vstack([points[:-1][keep], points[-1]])
+        seg = np.diff(points, axis=0)
+        course = np.arctan2(seg[:, 1], seg[:, 0])
+        # one row per segment: start north, east, cos, sin and course
+        self._table = np.column_stack([points[:-1], np.cos(course), np.sin(course), course])
+        self._cum_len = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
         self.speed = float(speed)
-        # plain floats for pose(): breakpoints; per segment start, cos, sin, course
-        self._breaks = self._cum_len.tolist()
-        rows = np.column_stack([self._points[:-1], self._seg_cos, self._seg_sin, self._seg_course])
-        self._segments = rows.tolist()
+        # plain floats for pose()
+        self._breaks, self._rows = self._cum_len.tolist(), self._table.tolist()
 
     @staticmethod
     def line(north: float, east: float, course: float, speed: float) -> "DesiredTrajectory":
-        return DesiredTrajectory(np.array([[north, east]]), speed, line_course=course)
-
-    @staticmethod
-    def waypoints(points, speed: float) -> "DesiredTrajectory":
-        return DesiredTrajectory(np.asarray(points, dtype=float), speed)
+        """The infinite straight line from (north, east) along course."""
+        if not math.isfinite(course):
+            raise ValueError(f"course must be finite, got {course}")
+        return DesiredTrajectory([[north, east], [north + math.cos(course), east + math.sin(course)]], speed)
 
     def poses(self, t):
         """Desired (north, east, course) at time(s) t as arrays, from one
         segment lookup."""
         arc = self.speed * np.asarray(t, dtype=float)
         idx = np.searchsorted(self._cum_len, arc, side="right") - 1
-        idx = np.minimum(np.maximum(idx, 0), len(self._seg_len) - 1)
+        idx = np.minimum(np.maximum(idx, 0), len(self._table) - 1)
+        north, east, cos_c, sin_c, course = self._table.T[:, idx]
         frac = arc - self._cum_len[idx]
-        north = self._points[idx, 0] + frac * self._seg_cos[idx]
-        east = self._points[idx, 1] + frac * self._seg_sin[idx]
-        return north, east, self._seg_course[idx]
+        return north + frac * cos_c, east + frac * sin_c, course
 
     def pose(self, t: float) -> tuple[float, float, float]:
         """Desired (north, east, course) at one float time t, as plain floats: one
         bisect over the breakpoints, then poses(t)'s arithmetic and bits."""
         arc = self.speed * float(t)
-        i = min(max(bisect_right(self._breaks, arc) - 1, 0), len(self._segments) - 1)
-        north, east, cos_c, sin_c, course = self._segments[i]
+        i = min(max(bisect_right(self._breaks, arc) - 1, 0), len(self._rows) - 1)
+        north, east, cos_c, sin_c, course = self._rows[i]
         frac = arc - self._breaks[i]
         return north + frac * cos_c, east + frac * sin_c, course
 

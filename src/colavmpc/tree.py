@@ -157,8 +157,7 @@ class CandidateSet:
             parts.append(np.stack([sog, rot, course, sog_acc, rot_acc]))
             u_d, chi_d = sog[-1], course[-1]
         channels = _join(parts)
-        grid = TimeGrid(self.grid.t0, self.levels[0].dt, channels.shape[1])
-        return VelocityTrajectory(grid, *channels)
+        return VelocityTrajectory(TimeGrid(self.grid.t0, self.levels[0].dt, channels.shape[1]), channels)
 
 
 def _join(blocks: list[np.ndarray]) -> np.ndarray:

@@ -88,14 +88,7 @@ def resample(traj: VelocityTrajectory, grid: TimeGrid) -> VelocityTrajectory:
             f"[{src.t0}, {ts[-1]}]"
         )
     tq = np.clip(tq, src.t0, ts[-1])
-    return VelocityTrajectory(
-        grid=grid,
-        sog=np.interp(tq, ts, traj.sog),
-        rot=np.interp(tq, ts, traj.rot),
-        course=np.interp(tq, ts, traj.course),
-        sog_acc=np.interp(tq, ts, traj.sog_acc),
-        rot_acc=np.interp(tq, ts, traj.rot_acc),
-    )
+    return VelocityTrajectory(grid, [np.interp(tq, ts, channel) for channel in traj.channels])
 
 
 def tran_deviation(first: VelocityTrajectory, previous_first: VelocityTrajectory) -> tuple[float, float]:
@@ -137,16 +130,8 @@ def integrate_primitives(model, sog_accs, rot_accs, initial, p, grid: TimeGrid) 
         if not ok:
             continue
         for a_r in rot_accs:
-            out.append(
-                VelocityTrajectory(
-                    grid=grid,
-                    sog=sog0 + a_u * cum_s,
-                    rot=a_r * cum_c,
-                    course=course0 + a_r * cum2_c,
-                    sog_acc=a_u * unit_s,
-                    rot_acc=a_r * unit_c,
-                )
-            )
+            channels = [sog0 + a_u * cum_s, a_r * cum_c, course0 + a_r * cum2_c, a_u * unit_s, a_r * unit_c]
+            out.append(VelocityTrajectory(grid, channels))
     return out
 
 

@@ -330,10 +330,8 @@ def _random_instance(rng):
     )
     prev_sog = rng.uniform(0.0, 8.0, n_first)
     prev_course = rng.uniform(-math.pi, math.pi, n_first)
-    prev = VelocityTrajectory(
-        grid=fgrid, sog=prev_sog, rot=np.zeros(n_first), course=prev_course,
-        sog_acc=np.zeros(n_first), rot_acc=np.zeros(n_first),
-    )
+    zeros = np.zeros(n_first)
+    prev = VelocityTrajectory(fgrid, [prev_sog, zeros, prev_course, zeros, zeros])
     ref_n, ref_e, ref_chi = dtraj.poses(times)
     inst = {
         "times": times.tolist(), "first_times": fgrid.times().tolist(),

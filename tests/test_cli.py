@@ -158,6 +158,34 @@ def test_config_nested_too_deeply_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg_path}: JSON nested too deeply to read\n"
 
 
+def test_config_integer_past_the_largest_float_is_an_error_line(tmp_path, capsys):
+    # JSON reads 1 and 400 zeros as an int, which no float holds: no finite
+    # number, like NaN and inf; past 4300 digits Python's int parser refuses
+    # the text itself. An integer seed of that size is read
+    cfg_path, data = _small_config(tmp_path)
+    huge, planner = 10**400, data["planner"]
+    for text, error in (
+        (json.dumps({**data, "duration": huge}), "config.duration: expected a finite number\n"),
+        (json.dumps({**data, "planner": {**planner, "step_times": [5.0, huge]}}),
+         "config.planner.step_times[1]: expected a finite number\n"),
+        (json.dumps({**data, "planner": {**planner, "n_sog": [huge, 1]}}), f"planner: n_sog[0] must be finite, got {huge}\n"),
+        (json.dumps(data).replace('"duration": 20.0', '"duration": 1' + "0" * 5000), f"{cfg_path}: invalid JSON (Exceeds the limit"),
+    ):
+        cfg_path.write_text(text)
+        assert main(["validate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    cfg_path.write_text(json.dumps({**data, "seed": huge}))
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+
+
+def test_config_duplicate_key_is_an_error_line(tmp_path, capsys):
+    cfg_path, data = _small_config(tmp_path)
+    cfg_path.write_text(json.dumps(data).replace('"seed": 0,', '"seed": 0, "seed": 5,', 1))
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: duplicate key 'seed'\n"
+
+
 def test_solve_prints_cost_table(tmp_path, capsys):
     cfg_path, _ = _small_config(tmp_path)
     assert main(["solve", "--config", str(cfg_path)]) == 0

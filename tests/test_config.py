@@ -262,9 +262,10 @@ def _number_leaves(node, path=()):
         yield path
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "10**400", "-10**400"])
 def test_non_finite_numbers_rejected(bad):
-    # json.loads accepts NaN and Infinity; every number field refuses them
+    # json.loads accepts NaN and Infinity, and integers no float holds;
+    # every number field refuses them
     original = scenarios.build_config_dict("crossing_starboard")
     paths = list(_number_leaves(original))
     assert len(paths) > 30

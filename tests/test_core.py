@@ -173,23 +173,12 @@ def _ramp_trajectory():
     """11 points from t = 2 in steps of 0.1, every channel a distinct ramp."""
     grid = TimeGrid(2.0, 0.1, 11)
     ramp = np.linspace(0.0, 1.0, 11)
-    return VelocityTrajectory(
-        grid=grid,
-        sog=4.0 + ramp,
-        rot=0.1 + 0.01 * ramp,
-        course=0.5 * ramp,
-        sog_acc=0.2 - 0.1 * ramp,
-        rot_acc=-0.03 + ramp,
-    )
-
-
-def _channels(traj):
-    return np.stack([traj.sog, traj.rot, traj.course, traj.sog_acc, traj.rot_acc])
+    return VelocityTrajectory(grid, [4.0 + ramp, 0.1 + 0.01 * ramp, 0.5 * ramp, 0.2 - 0.1 * ramp, -0.03 + ramp])
 
 
 def test_window_reads_grid_points():
     traj = _ramp_trajectory()
-    channels = _channels(traj)
+    channels = traj.channels
     np.testing.assert_array_equal(traj.window(2.0, 11), channels)
     # t is a planner clock: 2.0 + 3 * 0.1 is 2.3000000000000003
     np.testing.assert_array_equal(traj.window(2.0 + 3 * 0.1, 4), channels[:, 3:7])
@@ -201,21 +190,21 @@ def test_resample_identity():
     # trajectory's own grid: every channel exactly as stored
     traj = _ramp_trajectory()
     out = traj.window(traj.grid.t0, traj.grid.n)
-    np.testing.assert_array_equal(out, _channels(traj))
-    np.testing.assert_array_equal(out, _channels(oracles.resample(traj, traj.grid)))
+    np.testing.assert_array_equal(out, traj.channels)
+    np.testing.assert_array_equal(out, oracles.resample(traj, traj.grid).channels)
 
 
 def test_resample_reproduces_source_points():
     traj = _ramp_trajectory()
     sub = TimeGrid(2.2, 0.1, 6)  # source points 2..7
     out = traj.window(sub.t0, sub.n)
-    np.testing.assert_array_equal(out, _channels(traj)[:, 2:8])
-    np.testing.assert_allclose(out, _channels(oracles.resample(traj, sub)), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(out, traj.channels[:, 2:8])
+    np.testing.assert_allclose(out, oracles.resample(traj, sub).channels, rtol=0.0, atol=1e-12)
 
 
 def test_window_strided():
     traj = _ramp_trajectory()
-    channels = _channels(traj)
+    channels = traj.channels
     np.testing.assert_array_equal(traj.window(2.1, 4, stride=3), channels[:, 1:11:3])
     # an evaluation step over the integration step, as a float ratio
     np.testing.assert_array_equal(traj.window(2.0, 3, 0.5 / 0.1), channels[:, ::5])
@@ -223,7 +212,7 @@ def test_window_strided():
 
 def test_window_holds_past_the_end():
     traj = _ramp_trajectory()
-    channels = _channels(traj)
+    channels = traj.channels
     out = traj.window(2.8, 6)  # points 8, 9, 10, then three past the end
     np.testing.assert_array_equal(out[:, :3], channels[:, 8:])
     assert np.all(out[0, 3:] == traj.sog[-1])
@@ -247,12 +236,10 @@ def test_window_rejects_reads_off_the_grid(t, stride):
 
 def test_trajectory_length_validation():
     grid = TimeGrid(0.0, 0.5, 4)
-    with pytest.raises(ValueError):
-        VelocityTrajectory(
-            grid=grid,
-            sog=np.zeros(3),
-            rot=np.zeros(4),
-            course=np.zeros(4),
-            sog_acc=np.zeros(4),
-            rot_acc=np.zeros(4),
-        )
+    for shape in ((5, 3), (4, 4), (5,), (5, 4, 1)):
+        with pytest.raises(ValueError, match=r"^channels must have shape \(5, grid.n=4\), got "):
+            VelocityTrajectory(grid, np.zeros(shape))
+    # each named channel is its row of the one table
+    traj = VelocityTrajectory(grid, np.arange(20.0).reshape(5, 4))
+    rows = [traj.sog, traj.rot, traj.course, traj.sog_acc, traj.rot_acc]
+    assert all(np.shares_memory(row, traj.channels) for row in rows) and np.array_equal(rows, traj.channels)

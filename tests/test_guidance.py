@@ -32,14 +32,15 @@ def test_los_params_reject_non_finite_values(bad):
 def test_desired_trajectory_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="^speed must be finite and > 0"):
         DesiredTrajectory.line(0.0, 0.0, 0.0, bad)
-    with pytest.raises(ValueError, match="^line_course must be finite"):
+    with pytest.raises(ValueError, match="^course must be finite"):
         DesiredTrajectory.line(0.0, 0.0, bad, 5.0)
     with pytest.raises(ValueError, match="^points must be finite"):
         DesiredTrajectory.line(bad, 0.0, 0.0, 5.0)
     with pytest.raises(ValueError, match="^points must be finite"):
-        DesiredTrajectory.waypoints([(0.0, 0.0), (100.0, bad)], 5.0)
+        DesiredTrajectory([(0.0, 0.0), (100.0, bad)], 5.0)
 
 
+LINE = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)  # north from the origin at 5 m/s
 STEP = TreeParams((5.0,), (5,), (5,), t_ramp=1.0, t_sog=5.0, t_course=5.0, tc_sog=5.0, tc_course=5.0)
 
 
@@ -52,7 +53,7 @@ def test_line_trajectory_geometry():
 
 
 def test_waypoint_trajectory_corner():
-    track = DesiredTrajectory.waypoints([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
+    track = DesiredTrajectory([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
     assert track.pose(1.0)[2] == pytest.approx(0.0)
     n, e, course = track.pose(30.0)  # 150 m along, past corner
     assert (n, e, course) == (pytest.approx(100.0), pytest.approx(50.0), pytest.approx(math.pi / 2))
@@ -62,10 +63,12 @@ def test_waypoint_trajectory_corner():
 
 
 def test_waypoint_degenerate_segments_filtered():
-    track = DesiredTrajectory.waypoints([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]], 5.0)
+    track = DesiredTrajectory([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]], 5.0)
     assert track.pose(0.0)[2] == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        DesiredTrajectory.waypoints([[1.0, 1.0], [1.0, 1.0]], 5.0)
+    with pytest.raises(ValueError, match="^trajectory needs at least one non-degenerate segment"):
+        DesiredTrajectory([[1.0, 1.0], [1.0, 1.0]], 5.0)
+    with pytest.raises(ValueError, match=r"^points must be an \(n, 2\) array of at least 2 points"):
+        DesiredTrajectory([[1.0, 1.0]], 5.0)
 
 
 def _bits(*values):
@@ -79,7 +82,7 @@ def test_pose_has_the_bits_of_poses():
     points = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0], [-30.0, 250.0], [-31.5, 260.25]])
     cum_len = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))])
     cases = [
-        (DesiredTrajectory.waypoints(points, 3.0), cum_len, 3.0),
+        (DesiredTrajectory(points, 3.0), cum_len, 3.0),
         (DesiredTrajectory.line(10.0, -5.0, 0.7, 4.0), [0.0, 1.0], 4.0),
     ]
     for dtraj, breaks, speed in cases:
@@ -98,52 +101,46 @@ def test_speed_target_keeps_np_clips_signed_zero():
     # exactly one along-track gain's worth ahead and sailing against the
     # path, the unclipped speed target is 0.0 / -1.0 = -0.0; np.clip to
     # [0, u_max_los] keeps it, and so does the wrapper-free clip
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, _ = los_targets(line, np.array([1000.0, 1000.0]), np.zeros(2), np.array([math.pi, 0.0]), 0.0, PARAMS)
+    u_d, _ = los_targets(LINE, np.array([1000.0, 1000.0]), np.zeros(2), np.array([math.pi, 0.0]), 0.0, PARAMS)
     assert u_d.tobytes() == np.clip(np.array([-0.0, 0.0]), 0.0, PARAMS.u_max_los).tobytes()
-    u_d, _ = los_targets(line, 1000.0, 0.0, math.pi, 0.0, PARAMS)
+    u_d, _ = los_targets(LINE, 1000.0, 0.0, math.pi, 0.0, PARAMS)
     assert np.asarray(u_d).tobytes() == np.clip(-0.0, 0.0, PARAMS.u_max_los).tobytes()
 
 
 def test_on_path_equilibrium():
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, chi_d = los_targets(line, 50.0, 0.0, 0.0, 10.0, PARAMS)
+    u_d, chi_d = los_targets(LINE, 50.0, 0.0, 0.0, 10.0, PARAMS)
     assert chi_d == pytest.approx(0.0, abs=1e-12)
     assert u_d == pytest.approx(5.0, abs=1e-12)
 
 
 def test_cross_track_equal_to_lookahead():
     # vessel a full lookahead to starboard: course target is path - pi/4
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    _, chi_d = los_targets(line, 0.0, PARAMS.lookahead, 0.0, 0.0, PARAMS)
+    _, chi_d = los_targets(LINE, 0.0, PARAMS.lookahead, 0.0, 0.0, PARAMS)
     assert chi_d == pytest.approx(-math.pi / 4, abs=1e-12)
 
 
 def test_perpendicular_guard():
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, chi_d = los_targets(line, 0.0, 0.0, math.pi / 2, 0.0, PARAMS)
+    u_d, chi_d = los_targets(LINE, 0.0, 0.0, math.pi / 2, 0.0, PARAMS)
     assert math.isfinite(u_d) and math.isfinite(chi_d)
     assert 0.0 <= u_d <= PARAMS.u_max_los
     assert u_d == pytest.approx(min(5.0 / PARAMS.epsilon, PARAMS.u_max_los))
 
 
 def test_ahead_of_schedule_slows_down():
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, _ = los_targets(line, 200.0, 0.0, 0.0, 0.0, PARAMS)  # 200 m ahead
+    u_d, _ = los_targets(LINE, 200.0, 0.0, 0.0, 0.0, PARAMS)  # 200 m ahead
     assert u_d == pytest.approx(5.0 - 0.005 * 200.0, abs=1e-12)
 
 
 def test_speed_target_saturated():
-    line = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    u_d, _ = los_targets(line, -1e5, 0.0, 0.0, 0.0, PARAMS)
+    u_d, _ = los_targets(LINE, -1e5, 0.0, 0.0, 0.0, PARAMS)
     assert u_d == PARAMS.u_max_los
-    u_d, _ = los_targets(line, 1e5, 0.0, 0.0, 0.0, PARAMS)
+    u_d, _ = los_targets(LINE, 1e5, 0.0, 0.0, 0.0, PARAMS)
     assert u_d == 0.0
 
 
 def test_targets_elementwise_over_arrays():
     # one call over node arrays equals one call per node
-    track = DesiredTrajectory.waypoints([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
+    track = DesiredTrajectory([[0.0, 0.0], [100.0, 0.0], [100.0, 200.0]], 5.0)
     north = np.array([10.0, 150.0, -30.0, 80.0])
     east = np.array([-20.0, 60.0, 5.0, 600.0])
     course = np.array([0.1, 2.0, -3.0, 1.5])

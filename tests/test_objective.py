@@ -23,7 +23,7 @@ from colavmpc.objective import (
 )
 from colavmpc.tree import CandidateSet, TreeParams, build_levels, generate_tree
 from colavmpc.vessel import default_model
-from test_tree import _shipped_calls
+from test_tree import _recorded_calls
 
 # Table-style defaults used across the suite
 GEOM_ELL = PenaltyGeometry.elliptical(a=(50.0, 150.0, 250.0), b=(25.0, 75.0, 125.0), d_colregs=100.0, gamma1=0.1)
@@ -341,7 +341,7 @@ def test_select_requires_the_evaluation_grid():
     for grid in (TimeGrid(1e-12, 0.5, N_FIRST), TimeGrid.from_span(0.0, 5.0, 0.25)):
         zeros = np.zeros(grid.n)
         course = np.where(np.isclose(grid.times() % 0.5, 0.0), 0.2, 0.0)
-        prev = VelocityTrajectory(grid, np.full(grid.n, 5.0), zeros, course, zeros, zeros)
+        prev = VelocityTrajectory(grid, [np.full(grid.n, 5.0), zeros, course, zeros, zeros])
         np.testing.assert_array_equal(_select(firsts, prev=prev).tran, [1.0, 0.0, 1.0])
     # one with no point at the grid's start, or whose step does not divide
     # the grid's, is an error
@@ -530,7 +530,7 @@ def _check_ancestor_sums(cands, dtraj, obstacles, geom, weights, prev):
     avoid = np.array([oracles.avoid_cost(cands.grid, n, e, obstacles, geom) for n, e, _ in rows])
     zeros = np.zeros(cands.first_grid.n)
     tran = oracles.tran_cost([
-        VelocityTrajectory(cands.first_grid, sog, zeros, course, zeros, zeros)
+        VelocityTrajectory(cands.first_grid, [sog, zeros, course, zeros, zeros])
         for sog, course in zip(*oracles.leaf_firsts(cands))
     ], prev)
     total = weights.w_align * align + weights.w_avoid * avoid + weights.w_tran * tran
@@ -583,10 +583,10 @@ def test_tran_keep_set_is_over_leaves_not_first_maneuvers(monkeypatch):
     assert len(cands.first_sog) == 3 and len(cands) == 6 and childless not in cands.ancestors[0]
     fgrid, zeros = cands.first_grid, np.zeros(cands.first_grid.n)
     sog = 0.75 * cands.first_sog[childless] + 0.25 * cands.first_sog[2]
-    commanded = VelocityTrajectory(fgrid, sog, zeros, cands.first_course[childless], zeros, zeros)
+    commanded = VelocityTrajectory(fgrid, [sog, zeros, cands.first_course[childless], zeros, zeros])
     table = select(cands, LINE, [], GEOM_CIRC, WEIGHTS, commanded)
     tran = oracles.tran_cost([
-        VelocityTrajectory(fgrid, sog, zeros, course, zeros, zeros) for sog, course in zip(*oracles.leaf_firsts(cands))
+        VelocityTrajectory(fgrid, [sog, zeros, course, zeros, zeros]) for sog, course in zip(*oracles.leaf_firsts(cands))
     ], commanded)
     np.testing.assert_array_equal(tran == 0.0, cands.ancestors[0] == 2)
     np.testing.assert_array_equal(table.tran, tran)
@@ -602,7 +602,7 @@ def test_select_sums_ancestor_edges_on_the_shipped_tree(monkeypatch):
     # every planner call of a shipped run, against an obstacle 300 m ahead
     # of the ownship, 20 m to its side, closing at 5 m/s
     config = scenarios.build_scenario("head_on", noise="radar")
-    for args in _shipped_calls(monkeypatch, "head_on", "radar"):
+    for args in _recorded_calls(monkeypatch, "generate_tree", config):
         cands = generate_tree(*args)
         north, east, course, _, _ = args[2]
         t = cands.grid.times() - cands.grid.t0

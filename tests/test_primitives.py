@@ -108,14 +108,14 @@ def test_tree_params_reject_non_finite_values(bad):
             dataclasses.replace(two_levels, step_times=step_times)
 
 
-def test_possible_accelerations_saturated_upper_edge():
+def test_node_samples_range_saturated_upper_edge():
     # already at full throttle: the upper edge is the max-throttle rate
     _, sog_max, _, _ = _ranges(10.0, 0.0, MODEL.tau_max, 1.0)
     du_max, _ = MODEL.rates(10.0, 0.0, MODEL.tau_max[0], MODEL.tau_max[1])
     assert sog_max == pytest.approx(float(du_max), abs=1e-12)
 
 
-def test_possible_accelerations_symmetric_iff_limits_symmetric():
+def test_node_samples_range_symmetric_iff_limits_symmetric():
     # pick an equilibrium where the reachable tau range stays interior
     tau0 = np.array([0.5, 0.0])
     d1, d2 = MODEL.d_u1, MODEL.d_u2
@@ -125,7 +125,7 @@ def test_possible_accelerations_symmetric_iff_limits_symmetric():
     assert rot_max + rot_min == pytest.approx(0.0, abs=1e-12)
 
 
-def test_possible_accelerations_top_speed_pinned():
+def test_node_samples_range_top_speed_pinned():
     _, sog_max, _, _ = _ranges(18.0, 0.0, [1.0, 0.0], 1.0)
     assert abs(sog_max) < 1e-6
 
@@ -325,9 +325,7 @@ def test_integrate_primitives_identity_maneuver():
     cands = _one_level(5.0, 1, 1, sog=5.0, course=0.7)
     assert len(cands) == 1
     traj = cands.trajectory(0)
-    assert np.all(traj.sog == 5.0)
-    assert np.all(traj.rot == 0.0)
-    assert np.all(traj.course == 0.7)
+    assert np.all(traj.channels == [[5.0], [0.0], [0.7], [0.0], [0.0]])  # sog, rot, course, sog_acc, rot_acc
 
 
 def test_integrate_primitives_cross_product_count():

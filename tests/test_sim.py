@@ -531,7 +531,7 @@ def test_run_waypoint_track():
     log, _ = run(cfgm.from_dict(d))
     from colavmpc.guidance import DesiredTrajectory
 
-    track = DesiredTrajectory.waypoints([[0, 0], [400, 0], [800, 200]], 5.0)
+    track = DesiredTrajectory([[0, 0], [400, 0], [800, 200]], 5.0)
     ref_n, ref_e, _ = track.poses(log.t)
     err = np.hypot(log.own_north - ref_n, log.own_east - ref_e)
     assert err[-1] < 10.0  # converges back after the corner
@@ -568,11 +568,7 @@ def test_prediction_matches_closed_loop_plant():
         integral = (0.0, 0.0)
         dt = 0.1
         for k in range(desired.grid.n - 1):
-            ref = (
-                desired.sog[k], desired.rot[k], desired.course[k],
-                desired.sog_acc[k], desired.rot_acc[k],
-            )
-            tau, integral = control_law(model, gains, s, ref, integral, dt)
+            tau, integral = control_law(model, gains, s, desired.channels[:, k].tolist(), integral, dt)
             s = step_plant(model, s, tau, dt)
             north, east, course, _, _ = s
             pos_err = math.hypot(
@@ -777,11 +773,9 @@ def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
     winner = candidates.trajectory(table.selected)
     assert np.all(log.selected[:50] == table.selected) and np.all(log.selected[50:] == -1)
     n = winner.grid.n
-    for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
-        held = getattr(log, f"ref_{name}")
-        np.testing.assert_array_equal(held[:n], getattr(winner, name))
-        final = getattr(winner, name)[-1] if name in ("sog", "course") else 0.0
-        assert np.all(held[n:] == final), name
+    held = np.array([getattr(log, f"ref_{name}") for name in ("sog", "rot", "course", "sog_acc", "rot_acc")])
+    np.testing.assert_array_equal(held[:, :n], winner.channels)
+    assert np.all(held[:, n:].T == winner.channels[:, -1] * [1.0, 0.0, 1.0, 0.0, 0.0])  # sog and course hold, the rest is 0
     _assert_estimates_held(log, calls)
 
 

@@ -14,6 +14,7 @@ from colavmpc.tree import TreeParams, build_levels, generate_tree
 from colavmpc.vessel import default_model
 
 MODEL = default_model()
+LOS = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
 DT = 0.1
 EVAL_DT = 0.5
 
@@ -37,9 +38,9 @@ def _grow(state, desired, hook=None, params=TABLE_PARAMS, tau0=None, t=0.0):
     return generate_tree(build_levels(params, DT, EVAL_DT), MODEL, state, t, desired, tau0, hook)
 
 
-def _los_hook(dtraj, los):
+def _los_hook(dtraj):
     def hook(t, north, east, course, desired):
-        targets = los_targets(dtraj, north, east, course, t, los)
+        targets = los_targets(dtraj, north, east, course, t, LOS)
         return desired_acceleration(targets, desired, TABLE_PARAMS)
 
     return hook
@@ -137,13 +138,10 @@ def test_first_maneuver_matches_full_prefix():
         n = first.grid.n
         assert traj.grid == TimeGrid(0.0, DT, 551)
         # the next level starts on the boundary sample, at the same sog and
-        # course but from zero ROT and acceleration
-        for name in ("rot", "sog_acc", "rot_acc"):
-            np.testing.assert_array_equal(getattr(traj, name)[: n - 1], getattr(first, name)[:-1])
-        np.testing.assert_array_equal(traj.sog[:n], first.sog)
-        np.testing.assert_array_equal(traj.course[:n], first.course)
-        np.testing.assert_array_equal(traj.sog[:n:stride], first_sog[leaf])
-        np.testing.assert_array_equal(traj.course[:n:stride], first_course[leaf])
+        # course (rows 0, 2) but from zero ROT and acceleration (rows 1, 3, 4)
+        np.testing.assert_array_equal(traj.channels[[1, 3, 4], : n - 1], first.channels[[1, 3, 4], :-1])
+        np.testing.assert_array_equal(traj.channels[[0, 2], :n], first.channels[[0, 2]])
+        np.testing.assert_array_equal(traj.channels[[0, 2], :n:stride], [first_sog[leaf], first_course[leaf]])
 
 
 def test_leaf_rows_follow_their_ancestors():
@@ -152,9 +150,8 @@ def test_leaf_rows_follow_their_ancestors():
     # leaf's path repeats its prediction over levels 0..k, and ends level k
     # where the cut leaf ends
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.3, 5.5)
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
     state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
-    hook = _los_hook(dtraj, los)
+    hook = _los_hook(dtraj)
     full = _grow(state, (5.0, 0.1), hook)
     for k in (1, 2):
         cut = _grow(state, (5.0, 0.1), hook, params=TreeParams(
@@ -228,18 +225,16 @@ def test_level0_matches_single_step_primitives():
     for leaf, traj in enumerate(trajs):
         rebuilt = cands.trajectory(leaf)
         assert rebuilt.grid == traj.grid
-        for name in ("sog", "rot", "course", "sog_acc", "rot_acc"):
-            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(traj, name))
+        np.testing.assert_array_equal(rebuilt.channels, traj.channels)
 
 
 def test_guidance_seeded_candidate_hits_targets():
     # with the hook active, some candidate's first maneuver ends exactly on
     # the LOS targets evaluated at the root
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.3, 5.5)
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
     state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
-    targets = los_targets(dtraj, state.north, state.east, state.course, 0.0, los)
-    cands = _grow(state, (5.0, 0.1), _los_hook(dtraj, los))
+    targets = los_targets(dtraj, state.north, state.east, state.course, 0.0, LOS)
+    cands = _grow(state, (5.0, 0.1), _los_hook(dtraj))
     end_sog = cands.first_sog[:, -1]
     end_course = cands.first_course[:, -1]
     hit = (np.abs(end_sog - targets[0]) < 1e-9) & (
@@ -255,10 +250,9 @@ def test_guidance_seeded_child_hits_targets_below_root():
     # The path turns between t = 0 and the level-1 start, and the vessel
     # starts off its desired course, so the target depends on the level
     # time and on the node's own desired course
-    dtraj = DesiredTrajectory.waypoints([[0.0, -40.0], [20.0, -40.0], [1000.0, 300.0]], 5.5)
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
+    dtraj = DesiredTrajectory([[0.0, -40.0], [20.0, -40.0], [1000.0, 300.0]], 5.5)
     state = _state(north=5.0, east=-40.0, course=0.1, sog=5.0)
-    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj, los))
+    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj))
     pred_north, pred_east, pred_course = oracles.leaf_rows(cands)
     node_end = cands.first_grid.n - 1
     child_end = int(round((TABLE_PARAMS.step_times[0] + TABLE_PARAMS.step_times[1]) / DT))
@@ -271,7 +265,7 @@ def test_guidance_seeded_child_hits_targets_below_root():
         node = leaves[0]
         _, chi_los = los_targets(
             dtraj, pred_north[node, node_end], pred_east[node, node_end],
-            pred_course[node, node_end], TABLE_PARAMS.step_times[0], los,
+            pred_course[node, node_end], TABLE_PARAMS.step_times[0], LOS,
         )
         # course changes relative to the node's desired course
         node_course = oracles.leaf_firsts(cands)[1][node, -1]
@@ -285,8 +279,7 @@ def test_guidance_seeded_child_hits_targets_below_root():
 
 def test_guidance_hook_called_once_per_level():
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
-    los_hook = _los_hook(dtraj, los)
+    los_hook = _los_hook(dtraj)
     calls = []
 
     def hook(t, north, east, course, desired):
@@ -312,16 +305,15 @@ def test_select_prefers_guidance_seeded_candidate_without_obstacles():
     from colavmpc.objective import ObjectiveWeights, PenaltyGeometry, select
 
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, 5.0)
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
     state = _state()
-    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj, los))
+    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj))
     prev = VelocityTrajectory.constant(TimeGrid.from_span(0.0, 5.0, 0.5), 5.0, 0.0)
     weights = ObjectiveWeights(w_align=1.0, w_avoid=6000.0, w_tran=4200.0, w_course=100.0)
     geom = PenaltyGeometry.circular((25.0, 75.0, 125.0), 0.1)
     table = select(cands, dtraj, [], geom, weights, prev)
     # on-path start: the winner is the hold-course candidate seeded by the
     # guidance hook, with zero align and zero transitional cost
-    targets = los_targets(dtraj, state.north, state.east, state.course, 0.0, los)
+    targets = los_targets(dtraj, state.north, state.east, state.course, 0.0, LOS)
     best = table.selected
     first_sog, first_course = oracles.leaf_firsts(cands)
     assert abs(first_sog[best, -1] - targets[0]) < 1e-9
@@ -333,8 +325,7 @@ def test_select_prefers_guidance_seeded_candidate_without_obstacles():
 def test_single_sample_levels_hold_speed():
     state = _state()
     dtraj = DesiredTrajectory.line(0.0, 0.0, 0.0, 8.0)  # wants to speed up
-    los = LosParams(lookahead=500.0, along_track_gain=0.005, u_max_los=MODEL.u_max)
-    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj, los))
+    cands = _grow(state, (5.0, 0.0), _los_hook(dtraj))
     for leaf in range(0, len(cands), 37):
         # levels 1 and 2 have n_sog=1: speed stays at the level-0 terminal value
         tail = cands.trajectory(leaf).sog[len(cands.levels[0].cum_s) - 1 :]
@@ -415,18 +406,32 @@ def test_prediction_feedback_decays_initial_error():
     ) < 0.15 * math.exp(-50.0 / 5.0) + 1e-9
 
 
-def _shipped_calls(monkeypatch, scenario, noise):
-    """The generate_tree arguments of every planner call of one shipped
-    run: real states, and the LOS hook as sim.plan_step wires it."""
-    calls = []
+def _recorded_calls(monkeypatch, name, *configs):
+    """The arguments of every call of sim's function name in runs of the
+    configs: real states, and the LOS hook as sim.plan_step wires it."""
+    real, calls = getattr(sim, name), []
 
     def recording(*args):
         calls.append(args)
-        return generate_tree(*args)
+        return real(*args)
 
-    monkeypatch.setattr(sim, "generate_tree", recording)
-    sim.run(scenarios.build_scenario(scenario, noise=noise))
+    monkeypatch.setattr(sim, name, recording)
+    for config in configs:
+        sim.run(config)
+    monkeypatch.setattr(sim, name, real)
     return calls
+
+
+def _bytes_of(value, path="") -> list[tuple]:
+    """(path, dtype, shape, bytes) of every array in a record, nested ones
+    included, and (path, type, repr) of every other value."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) for x in _bytes_of(getattr(value, f.name), f"{path}.{f.name}")]
+    if isinstance(value, tuple):
+        return [x for i, item in enumerate(value) for x in _bytes_of(item, f"{path}[{i}]")]
+    if isinstance(value, np.ndarray):
+        return [(path, value.dtype.str, value.shape, value.tobytes())]
+    return [(path, type(value).__name__, repr(value))]
 
 
 @pytest.mark.parametrize("scenario,noise", [("head_on", "radar"), ("crossing_port", "none")])
@@ -437,7 +442,7 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
     # (crossing_port, none) and 3.1 cm here (head_on, radar), so 5 cm
     # leaves a margin of about 1.5x. The desired channels and level 0's
     # course do not depend on the integration, so they keep their bits
-    calls = _shipped_calls(monkeypatch, scenario, noise)
+    calls = _recorded_calls(monkeypatch, "generate_tree", scenarios.build_scenario(scenario, noise=noise))
     assert len(calls) >= 40
     params = scenarios.build_scenario(scenario, noise=noise).tree
     worst = 0.0
@@ -456,23 +461,11 @@ def test_prediction_on_the_evaluation_grid_stays_near_the_full_resolution_oracle
 
 
 def test_prediction_with_eval_dt_equal_to_dt_is_the_full_resolution_oracle(monkeypatch):
-    params = scenarios.build_scenario("head_on", noise="radar").tree
-    for levels, *rest in _shipped_calls(monkeypatch, "head_on", "radar")[::8]:
+    config = scenarios.build_scenario("head_on", noise="radar")
+    for levels, *rest in _recorded_calls(monkeypatch, "generate_tree", config)[::8]:
         dt = levels[0].dt
-        cands = generate_tree(build_levels(params, dt, dt), *rest)
-        oracle = oracles.full_resolution_tree(params, *rest, dt, dt)
-        assert cands.grid == oracle.grid and cands.desired0 == oracle.desired0
-        for name in ("first_sog", "first_course"):
-            np.testing.assert_array_equal(getattr(cands, name), getattr(oracle, name), err_msg=name)
-        for k, (edges, o_edges) in enumerate(zip(cands.edges, oracle.edges, strict=True)):
-            np.testing.assert_array_equal(cands.ancestors[k], oracle.ancestors[k], err_msg=f"ancestors[{k}]")
-            for name, channel, o_channel in zip(("i_sog", "i_rot", "a_u", "a_r"), cands.samples[k], oracle.samples[k]):
-                np.testing.assert_array_equal(channel, o_channel, err_msg=f"samples[{k}] {name}")
-            for name, channel, o_channel in zip(("(north, east)", "course"), edges, o_edges):
-                np.testing.assert_array_equal(channel, o_channel, err_msg=f"edges[{k}] {name}")
-        for level, full in zip(cands.levels, oracle.levels):
-            np.testing.assert_array_equal(level.decay_s, full.decay_s)
-            np.testing.assert_array_equal(level.decay_c, full.decay_c)
+        cands = generate_tree(build_levels(config.tree, dt, dt), *rest)
+        assert _bytes_of(cands) == _bytes_of(oracles.full_resolution_tree(config.tree, *rest, dt, dt))
 
 
 @pytest.mark.parametrize(
@@ -510,3 +503,21 @@ def test_levels_built_once_match_the_per_start_time_formula():
                 else:
                     bound = (2e-13 if name.startswith("unit") else 2e-14) * np.abs(expected).max()
                     np.testing.assert_allclose(got, expected, rtol=0.0, atol=bound, err_msg=where)
+
+
+def test_node_stages_agree_on_recorded_trees(monkeypatch):
+    # every 5th planner call of three golden runs, replayed with only the
+    # root's node stage in floats (node_samples) and with every level's,
+    # gives the default run's candidates and costs byte for byte. At 0 the
+    # root would take the array stage, which holds nodes at rest
+    from test_sim import _golden_config
+
+    configs = [_golden_config(case) for case in ("head_on-radar", "traffic_0", "transit_0")]
+    configs[2] = dataclasses.replace(configs[2], duration=300.0)
+    calls = _recorded_calls(monkeypatch, "plan_step", *configs)[::5]
+    expected = [_bytes_of(sim.plan_step(*args)) for args in calls]
+    assert len(calls) >= 30
+    for small_nodes in (1, 10**6):
+        monkeypatch.setattr(tree_mod, "SMALL_NODES", small_nodes)
+        for k, args in enumerate(calls):
+            assert _bytes_of(sim.plan_step(*args)) == expected[k], f"SMALL_NODES={small_nodes}, call {k} at t={args[1]}"
