@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    solve = sim.first_solve(_load_config(args))
+    solve = next(sim.solves(_load_config(args)))
     table = solve.table
     if table is None:
         print("fail-safe: no feasible candidates, holding previous desired velocity")

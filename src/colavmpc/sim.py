@@ -1,19 +1,19 @@
 """Closed-loop scenario engine.
 
-Draws the synthetic tracker's updates first, then plans once per planner
-period and steps the plant and controller through it on the integration
-clock. Each planner call (plan_step) grows the maneuver tree seeded from
-the previously commanded desired velocity, predicts the observed
-obstacles at constant velocity, scores the candidates and hands the
-winner to the controller. Logs everything, grades the log with
-grading.compute_metrics and writes the outputs.
+solves draws the synthetic tracker's updates first, then yields one
+planner call per period and steps the plant and controller through it
+on the integration clock; run drains it. Each call (plan_step) grows the
+maneuver tree seeded from the previously commanded desired velocity,
+predicts the observed obstacles at constant velocity, scores the
+candidates and hands the winner to the controller. Logs everything,
+grades the log with grading.compute_metrics and writes the outputs.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,41 +150,29 @@ def plan_step(
     return Solve(t, candidates, table)
 
 
-def _start(config: ScenarioConfig):
-    """run's start: the ownship at its steady actuator input, the hold
-    reference over one planner period, and the tracker, seeded once."""
-    state = config.ownship
-    tau = config.vessel.damping(state.sog, state.rot)
-    grid = TimeGrid.from_span(0.0, config.planner_period, config.integration_dt)
-    rng = np.random.default_rng(config.seed)
+def solves(config: ScenarioConfig) -> Generator[Solve, None, tuple[RunLog, Metrics]]:
+    """Simulate the scenario, yielding each planner call's Solve in time
+    order; deterministic for a given config and seed.
 
-    def track(t: float) -> list[ObstacleEstimate]:
-        return [observe(s, config.noise, t, rng) for s in config.obstacles]
-
-    return state, tau, VelocityTrajectory.constant(grid, state.sog, state.course), track
-
-
-def first_solve(config: ScenarioConfig) -> Solve:
-    """run's first planner call, at t = 0."""
-    state, tau, commanded, track = _start(config)
-    return plan_step(config, 0.0, state, commanded, tau, track(0.0))
-
-
-def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
-    """Simulate the scenario; deterministic for a given config and seed.
-
-    The tracker never sees the plan, so its updates are drawn first. Each
-    planner period then plans from the last update at or before its start,
-    reads its reference rows once from the committed trajectory, held past
-    its end, and steps the controller and plant through them on plain
-    floats (north, east, course, sog, rot). The ground truth and the held
-    tracker estimates are logged after the loop.
+    The ownship starts at its steady actuator input, holding its sog and
+    course for the first period. The tracker never sees the plan, so its
+    updates are drawn first. Each planner period then plans from the last
+    update at or before its start. Once the caller has taken that Solve,
+    the period reads its reference rows once from the committed
+    trajectory, held past its end, and steps the controller and plant
+    through them on plain floats (north, east, course, sog, rot); so
+    next(solves(config)) steps nothing. Exhausted, it returns run's
+    (RunLog, Metrics), logging the ground truth and held estimates last.
     """
     model = config.vessel
     dt = config.integration_dt
     n_steps = int(round(config.duration / dt))
     planner_every = int(round(config.planner_period / dt))
-    state, tau, commanded, track = _start(config)
+    state = config.ownship
+    tau = model.damping(state.sog, state.rot)
+    grid = TimeGrid.from_span(0.0, config.planner_period, dt)
+    commanded = VelocityTrajectory.constant(grid, state.sog, state.course)
+    rng = np.random.default_rng(config.seed)
     integral = (0.0, 0.0)
 
     n_rows = n_steps + 1
@@ -197,7 +185,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         due.append(next_obs_t - 1e-9)
         next_obs_t += config.noise.period
     update_steps = np.searchsorted(times, due)
-    update_estimates = [track(step * dt) for step in update_steps.tolist()]
+    update_estimates = [[observe(s, config.noise, step * dt, rng) for s in config.obstacles] for step in update_steps.tolist()]
     held = np.searchsorted(update_steps, np.arange(n_rows), side="right") - 1
 
     ref_names = ("sog", "rot", "course", "sog_acc", "rot_acc")
@@ -209,6 +197,7 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
     for start in range(0, n_steps, planner_every):  # whole periods (ScenarioConfig)
         t = start * dt
         solve = plan_step(config, t, state, commanded, tau, update_estimates[held[start]])
+        yield solve
         planner_rows.append(solve.row())
         if solve.table is not None:  # a hold keeps the committed reference
             commanded = solve.candidates.trajectory(solve.selected)
@@ -242,6 +231,16 @@ def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
         planner=planner,
     )
     return log, compute_metrics(log, config.geometry)
+
+
+def run(config: ScenarioConfig) -> tuple[RunLog, Metrics]:
+    """Simulate the scenario: solves drained, its return value."""
+    calls = solves(config)
+    while True:
+        try:
+            next(calls)
+        except StopIteration as done:
+            return done.value
 
 
 CSV_BLOCK_ROWS = 1024  # rows per block of runlog_csv_blocks and planner_csv_blocks

@@ -33,6 +33,8 @@ ancestor edges, which the library scores one edge at a time;
 maneuver, which the library keeps once per edge.
 `whole_table_csv` formats a CSV from one array of the whole table,
 which the library writes in row blocks (`sim.runlog_csv_blocks`).
+`every_solve` keeps every `Solve` of a closed-loop run, which `sim.run`
+drops once its row is logged.
 """
 
 import io
@@ -43,6 +45,7 @@ import numpy as np
 from colavmpc.core import TWO_PI, TimeGrid, VelocityTrajectory, cumtrapz, wrap_angle
 from colavmpc.objective import TRAN_TOL, PenaltyGeometry, penalty
 from colavmpc.primitives import course_profile_unit, sog_profile_unit, terminal_sog_feasible
+from colavmpc.sim import solves
 from colavmpc.tree import CandidateSet, build_levels
 from colavmpc.vessel import VesselModel
 
@@ -461,3 +464,14 @@ def whole_table_csv(columns: list[tuple[str, np.ndarray]]) -> str:
     for row in np.column_stack(arrays):
         buf.write(template % tuple(row))
     return buf.getvalue()
+
+
+def every_solve(config) -> tuple[list, tuple]:
+    """Each Solve that sim.solves(config) yields, in order, and its return
+    value, run's (log, metrics)."""
+    calls, taken = solves(config), []
+    while True:
+        try:
+            taken.append(next(calls))
+        except StopIteration as done:
+            return taken, done.value

@@ -17,7 +17,7 @@ from colavmpc.grading import classify_situation
 from colavmpc.guidance import DesiredTrajectory, desired_acceleration
 from colavmpc.objective import ObjectiveWeights, ObstaclePrediction, PenaltyGeometry, select
 from colavmpc.primitives import TreeParams, course_profile_unit, sog_profile_unit
-from colavmpc.sim import first_solve, run, runlog_to_csv
+from colavmpc.sim import run, runlog_to_csv, solves
 from colavmpc.tree import CandidateSet
 
 GEOM_T2 = PenaltyGeometry.elliptical((50.0, 150.0, 250.0), (25.0, 75.0, 125.0), 100.0, 0.1)
@@ -186,7 +186,7 @@ def test_c04_table_spot_values():
 def test_c05_tree_shape_and_solve_time():
     cfg = scenarios.build_scenario("head_on")
     t_start = time.perf_counter()
-    solve = first_solve(cfg)
+    solve = next(solves(cfg))
     elapsed = time.perf_counter() - t_start
     cands, table = solve.candidates, solve.table
 

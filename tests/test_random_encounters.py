@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from colavmpc import config as cfgm
 from colavmpc import sim
-from colavmpc.core import _outputs
+from colavmpc.core import TimeGrid, VelocityTrajectory, _outputs
 from random_encounters import START_MIN, encounter
 
 
@@ -44,17 +45,9 @@ def test_encounters_keep_their_rules():
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_random_encounter_runs_clear_and_repeats(seed, monkeypatch):
+def test_random_encounter_runs_clear_and_repeats(seed):
     config = cfgm.from_dict(encounter(seed))
-    real_plan_step, solves = sim.plan_step, []
-
-    def recorded_plan_step(*args):
-        solves.append(real_plan_step(*args))
-        return solves[-1]
-
-    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
-    log, metrics = sim.run(config)
-    monkeypatch.undo()
+    solves, (log, metrics) = oracles.every_solve(config)
 
     # finite logs; a fail-safe row's costs are NaN by design
     for name, column in _outputs(log) + [column for ser in log.obstacles.values() for column in _outputs(ser)]:
@@ -65,7 +58,8 @@ def test_random_encounter_runs_clear_and_repeats(seed, monkeypatch):
     # winner, or on a fail-safe hold the reference committed before
     every = round(config.planner_period / config.integration_dt)
     ref = np.array([log.ref_sog, log.ref_rot, log.ref_course, log.ref_sog_acc, log.ref_rot_acc])
-    committed = sim._start(config)[2]
+    start = TimeGrid.from_span(0.0, config.planner_period, config.integration_dt)
+    committed = VelocityTrajectory.constant(start, config.ownship.sog, config.ownship.course)  # the start's hold
     for k, solve in enumerate(solves):
         if solve.table is not None:
             committed = solve.candidates.trajectory(solve.selected)

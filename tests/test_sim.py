@@ -12,7 +12,7 @@ from random_encounters import rotated
 from colavmpc import config as cfgm
 from colavmpc import scenarios
 from colavmpc.cli import write_outputs
-from colavmpc.core import TimeGrid, VelocityTrajectory, VesselState, _outputs
+from colavmpc.core import TimeGrid, VesselState, _outputs
 from colavmpc.grading import Metrics, _compliance, classify_situation, compute_metrics, situation_labels
 from colavmpc.objective import PenaltyGeometry
 from colavmpc.sim import (
@@ -21,13 +21,12 @@ from colavmpc.sim import (
     PlannerSeries,
     RunLog,
     _csv_blocks,
-    first_solve,
-    plan_step,
     planner_csv_blocks,
     planner_to_csv,
     run,
     runlog_csv_blocks,
     runlog_to_csv,
+    solves,
 )
 from golden.make_golden import GOLDEN
 
@@ -183,28 +182,16 @@ def test_metrics_situation_is_first_label():
     assert compute_metrics(_onto_obstacle_log(), GEOM).obstacles["target"].situation == "head_on"
 
 
-def test_levels_are_read_only_and_shared_by_every_call(monkeypatch):
-    from colavmpc import sim
-
+def test_levels_are_read_only_and_shared_by_every_call():
     # from_dict builds the levels with the config, before any planner call
     config = scenarios.build_scenario("head_on", noise="radar")
     assert "levels" in vars(config)
-    assert first_solve(config).candidates.levels is config.levels
     for level in config.levels:
         for f in dataclasses.fields(level):
             if isinstance(getattr(level, f.name), np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(level, f.name)[0] = 1.0
-    real_generate_tree, seen = sim.generate_tree, []
-
-    def recording(*args):
-        candidates = real_generate_tree(*args)
-        seen.append(candidates.levels)
-        return candidates
-
-    monkeypatch.setattr(sim, "generate_tree", recording)
-    config = scenarios.build_scenario("head_on", noise="radar")
-    run(config)
+    seen = [solve.candidates.levels for solve in solves(config)]
     assert len(seen) == 40 and all(levels is config.levels for levels in seen)
     # a replaced config builds its own levels, here on the integration grid
     fine = dataclasses.replace(config, eval_dt=config.integration_dt).levels
@@ -478,16 +465,46 @@ def test_first_solve_is_runs_first_call(case):
     config = dataclasses.replace(config, duration=config.planner_period)
     log, _ = run(config)
     assert len(log.planner.t) == 1
-    row = first_solve(config).row()
+    row = next(solves(config)).row()
     assert row.keys() == {f.name for f in dataclasses.fields(PlannerSeries)}
     for name, value in row.items():
         assert value == getattr(log.planner, name)[0], name
 
 
 def test_first_solve_holds_when_nothing_is_feasible():
-    solve = first_solve(_failsafe_config())
+    solve = next(solves(_failsafe_config()))
     assert solve.table is None and solve.selected == -1
     assert solve.row()["failsafe"]
+
+
+def test_each_solve_taken_steps_one_planner_period(monkeypatch):
+    # the first call grows; from the second on, level 1 rejects
+    # everything and every call holds. Taking call k has stepped the
+    # plant through k planner periods, and the calls' rows are the
+    # returned log's planner.csv rows
+    from colavmpc import sim
+
+    real_step_plant, steps = sim.step_plant, []
+
+    def step_plant(*args):
+        steps.append(args)
+        return real_step_plant(*args)
+
+    monkeypatch.setattr(sim, "step_plant", step_plant)
+    _reject_from_call(monkeypatch, 5)
+    d = scenarios.build_config_dict("head_on")
+    d["duration"] = 30.0
+    config = cfgm.from_dict(d)
+    every = round(config.planner_period / config.integration_dt)
+    calls, rows = solves(config), []
+    with pytest.raises(StopIteration) as done:
+        while True:
+            rows.append(next(calls).row())
+            assert len(steps) == (len(rows) - 1) * every
+    log, _ = done.value.value
+    assert len(steps) == 300 and list(log.planner.failsafe) == [False] + [True] * 5
+    for f in dataclasses.fields(PlannerSeries):
+        np.testing.assert_array_equal([row[f.name] for row in rows], getattr(log.planner, f.name), f.name)
 
 
 def test_run_two_obstacles():
@@ -582,27 +599,13 @@ def test_prediction_matches_closed_loop_plant():
 
 
 def test_plan_step_plans_on_its_own_clock():
-    # 350 plant steps of 0.1 s sum to a time that differs from 350 * 0.1 in
-    # the last bits; the state carries no clock, and the candidates'
-    # evaluation grid starts exactly at the planner's t
-    from colavmpc.obstacles import observe
-    from colavmpc.vessel import step_plant
-
+    # the call at 35 s comes after 350 plant steps of 0.1 s, whose sum
+    # differs from 350 * 0.1 in the last bits; the state carries no clock,
+    # and the candidates' evaluation grid starts exactly at the planner's t
     config = scenarios.build_scenario("head_on")
-    dt, n = config.integration_dt, 350
-    state = config.ownship
-    tau = config.vessel.damping(state.sog, state.rot)
-    for _ in range(n):
-        state = VesselState(*step_plant(config.vessel, state, tau, dt))
-    t = n * dt
-    commanded = VelocityTrajectory.constant(
-        TimeGrid.from_span(0.0, t + config.planner_period, dt), state.sog, state.course
-    )
-    rng = np.random.default_rng(0)
-    estimates = [observe(s, config.noise, t, rng) for s in config.obstacles]
-    solve = plan_step(config, t, state, commanded, tau, estimates)
-    candidates, table = solve.candidates, solve.table
-    assert table is not None
+    solve = next(itertools.islice(solves(config), 7, None))
+    t, candidates, table = solve.t, solve.candidates, solve.table
+    assert t == 350 * config.integration_dt and table is not None
     assert candidates.grid == TimeGrid.from_span(t, sum(config.tree.step_times), config.eval_dt)
     assert candidates.grid.t0 == t and candidates.first_grid.t0 == t
     assert candidates.trajectory(table.selected).grid.t0 == t
@@ -738,7 +741,7 @@ def _reject_from_call(monkeypatch, first_rejected):
 
 def test_plan_step_holds_when_a_level_below_the_root_empties(monkeypatch):
     _reject_from_call(monkeypatch, 2)
-    solve = first_solve(scenarios.build_scenario("head_on"))
+    solve = next(solves(scenarios.build_scenario("head_on")))
     assert solve.table is None
     assert not solve.candidates
 
@@ -752,19 +755,9 @@ def test_run_holds_the_committed_reference_on_failsafe(monkeypatch):
     d["noise"] = {
         "pos_std": 10.0, "sog_std": 0.3, "course_std": 0.2, "latency": 0.0, "period": 0.35,
     }
-    from colavmpc import sim
-
-    real_plan_step = sim.plan_step
-    plans = []
-
-    def recorded_plan_step(*args):
-        plans.append(real_plan_step(*args))
-        return plans[-1]
-
-    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
     calls = _recorded_observe(monkeypatch)
     _reject_from_call(monkeypatch, 5)
-    log, metrics = run(cfgm.from_dict(d))
+    plans, (log, metrics) = oracles.every_solve(cfgm.from_dict(d))
 
     assert metrics.planner_calls == 14
     assert list(log.planner.failsafe) == [False] + [True] * 13
@@ -878,30 +871,24 @@ def test_a_run_turned_about_the_origin_plans_the_same_encounter(name):
 
 @pytest.mark.parametrize("noise", ["none", "radar"])
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
-def test_one_period_prediction_error_is_bounded(name, noise, monkeypatch):
+def test_one_period_prediction_error_is_bounded(name, noise):
     # each winner's predicted position one planner period on, the first
     # column of its level-1 edge, against where the next call finds the
-    # ownship; pairs that touch a hold are skipped. The largest error is
-    # 0.19-0.46 m over these runs; a plant with twice the planner's m_u0
-    # and m_r0 reads 2.2-4.3 m. tc_course at 1 s or 30 s reads 0.19-0.49 m,
-    # so this bound does not see the prediction's time constants
-    from colavmpc import sim
-
-    real_plan_step, calls = sim.plan_step, []
-
-    def recorded_plan_step(config, t, state, *args):
-        calls.append((t, state, real_plan_step(config, t, state, *args)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(sim, "plan_step", recorded_plan_step)
-    run(scenarios.build_scenario(name, noise=noise))
+    # ownship, its log row at that call's step; pairs that touch a hold
+    # are skipped. The largest error is 0.19-0.46 m over these runs; a
+    # plant with twice the planner's m_u0 and m_r0 reads 2.2-4.3 m.
+    # tc_course at 1 s or 30 s reads 0.19-0.49 m, so this bound does not
+    # see the prediction's time constants
+    config = scenarios.build_scenario(name, noise=noise)
+    plans, (log, _) = oracles.every_solve(config)
+    every = round(config.planner_period / config.integration_dt)
     errors = []
-    for (_, _, solve), (t, state, after) in itertools.pairwise(calls):
+    for k, (solve, after) in enumerate(itertools.pairwise(plans), 1):
         if solve.table is None or after.table is None:
             continue
         cands = solve.candidates
-        assert cands.grid.times()[cands.edges[0][1].shape[1]] == pytest.approx(t, abs=1e-9)
+        assert cands.grid.times()[cands.edges[0][1].shape[1]] == pytest.approx(after.t, abs=1e-9)
         predicted = cands.edges[1][0][:, cands.ancestors[1][solve.selected], 0]
-        errors.append(math.hypot(predicted[0] - state[0], predicted[1] - state[1]))
+        errors.append(math.hypot(predicted[0] - log.own_north[k * every], predicted[1] - log.own_east[k * every]))
     assert len(errors) >= 38
     assert max(errors) <= 1.0
