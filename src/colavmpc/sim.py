@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Generator, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,15 +58,21 @@ class PlannerSeries:
     failsafe: np.ndarray = _out("failsafe")
     course_change: np.ndarray = _out("course_change_rad")
     sog_change: np.ndarray = _out("sog_change_mps")
+    pred_error: np.ndarray = _out("pred_error_m")
 
 
 @dataclass(frozen=True)
 class Solve:
-    """One planner call at time t; table is None on a fail-safe hold."""
+    """One planner call at time t; table is None on a fail-safe hold.
+
+    pred_error is the distance from the previous call's winner's
+    predicted (north, east) at t to the ownship's; solves sets it, and
+    it is NaN on the first call and after a hold."""
 
     t: float
     candidates: CandidateSet
     table: CostTable | None
+    pred_error: float = math.nan
 
     @property
     def selected(self) -> int:
@@ -79,6 +85,7 @@ class Solve:
             return dict(
                 t=self.t, candidate=-1, n_candidates=0, align=math.nan, avoid=math.nan,
                 tran=math.nan, total=math.nan, failsafe=True, course_change=0.0, sog_change=0.0,
+                pred_error=self.pred_error,
             )
         first = self.candidates.ancestors[0][k]
         sog, course = self.candidates.first_sog[first], self.candidates.first_course[first]
@@ -86,6 +93,7 @@ class Solve:
             t=self.t, candidate=k, n_candidates=len(self.candidates), align=table.align[k],
             avoid=table.avoid[k], tran=table.tran[k], total=table.total[k], failsafe=False,
             course_change=abs(course[-1] - course[0]), sog_change=sog[-1] - sog[0],
+            pred_error=self.pred_error,
         )
 
 
@@ -157,7 +165,8 @@ def solves(config: ScenarioConfig) -> Generator[Solve, None, tuple[RunLog, Metri
     The ownship starts at its steady actuator input, holding its sog and
     course for the first period. The tracker never sees the plan, so its
     updates are drawn first. Each planner period then plans from the last
-    update at or before its start. Once the caller has taken that Solve,
+    update at or before its start, and its Solve carries the previous
+    winner's one-period prediction error. Once the caller has taken it,
     the period reads its reference rows once from the committed
     trajectory, held past its end, and steps the controller and plant
     through them on plain floats (north, east, course, sog, rot); so
@@ -193,14 +202,23 @@ def solves(config: ScenarioConfig) -> Generator[Solve, None, tuple[RunLog, Metri
     plant_names = [f"own_{name}" for name in VesselState._fields] + ["tau_m", "tau_delta"]
     plant_rows = array("d")  # every step's plant state and command, flat
     planner_rows = []  # rows, not Solves: each holds its CandidateSet
+    predicted = None  # the last winner's (north, east) one period on; None after a hold
 
     for start in range(0, n_steps, planner_every):  # whole periods (ScenarioConfig)
         t = start * dt
         solve = plan_step(config, t, state, commanded, tau, update_estimates[held[start]])
+        if predicted is not None:
+            solve = replace(solve, pred_error=math.hypot(predicted[0] - state[0], predicted[1] - state[1]))
         yield solve
         planner_rows.append(solve.row())
+        predicted = None
         if solve.table is not None:  # a hold keeps the committed reference
-            commanded = solve.candidates.trajectory(solve.selected)
+            candidates, k = solve.candidates, solve.selected
+            commanded = candidates.trajectory(k)
+            # the period ends at level 1's first column, or at the last of
+            # a one-level tree's only level
+            level = min(1, len(candidates.edges) - 1)
+            predicted = candidates.edges[level][0][:, candidates.ancestors[level][k], 0 if level else -1].tolist()
         stop = start + planner_every
         ref[:, start:stop] = commanded.window(t, planner_every)
         for row in ref[:, start:stop].T.tolist():

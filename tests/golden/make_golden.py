@@ -14,13 +14,15 @@ written, so that their cases do not depend on a generator: ``traffic_0``
 case it writes ``<case>/metrics.json`` and records in ``digests.json``
 the sha256 of trajectory.csv and metrics.json, and one sha256 for each
 column group of planner.csv (``PLANNER_GROUPS``): the decisions the
-planner took, the size of each winner's first maneuver, and the costs
-it scored them with. A change to the numerics that keeps every
-decision then moves only ``planner.csv:maneuver`` and
-``planner.csv:costs``. The numpy and Python versions it ran under go to
-``environment.json``, so that a digest mismatch elsewhere can name
-them. Before it overwrites a case, it prints the names of the digests
-that differ from the committed ``digests.json``, or ``unchanged``.
+planner took, the size of each winner's first maneuver, the costs it
+scored them with, and the one-period prediction error. A change to the
+numerics that keeps every decision then moves only
+``planner.csv:maneuver``, ``planner.csv:costs`` and
+``planner.csv:prediction``. The numpy and Python versions it ran under
+go to ``environment.json``, so that a digest mismatch elsewhere can
+name them. Before it overwrites a case, it prints the names of the
+digests that differ from the committed ``digests.json``, or
+``unchanged``.
 Regenerate only for an intended change of behaviour, and say why
 in that change.
 """
@@ -50,6 +52,7 @@ PLANNER_GROUPS = {
     "decisions": ("t_s", "candidate", "n_candidates", "tran", "failsafe"),
     "maneuver": ("course_change_rad", "sog_change_mps"),
     "costs": ("align", "avoid", "total"),
+    "prediction": ("pred_error_m",),
 }
 
 

@@ -5,9 +5,10 @@ the noise presets none and radar (seed 0) and for every committed
 ``<case>/config.json`` (a multi-obstacle and a waypoint case),
 metrics.json and the digests of the outputs of ``colavmpc run``: the
 sha256 of trajectory.csv and metrics.json, and of planner.csv's
-decision, maneuver and cost columns apart, so that a mismatch names the
-group that moved. environment.json holds the numpy and Python versions
-they were recorded under. tests/golden/make_golden.py regenerates it.
+decision, maneuver, cost and prediction columns apart, so that a
+mismatch names the group that moved. environment.json holds the numpy
+and Python versions they were recorded under.
+tests/golden/make_golden.py regenerates it.
 """
 
 import contextlib

@@ -49,10 +49,13 @@ def test_random_encounter_runs_clear_and_repeats(seed):
     config = cfgm.from_dict(encounter(seed))
     solves, (log, metrics) = oracles.every_solve(config)
 
-    # finite logs; a fail-safe row's costs are NaN by design
+    # finite logs; a fail-safe row's costs are NaN by design, and so is
+    # the prediction error of the first call and of each call after a hold
     for name, column in _outputs(log) + [column for ser in log.obstacles.values() for column in _outputs(ser)]:
         assert np.isfinite(column).all(), name
-    for name, column in _outputs(log.planner):
+    planner = dict(_outputs(log.planner))
+    assert np.isnan(planner.pop("pred_error_m")).tolist() == [True, *log.planner.failsafe[:-1]]
+    for name, column in planner.items():
         assert np.isfinite(column[~log.planner.failsafe]).all(), name
     # every period follows the last committed reference: its call's
     # winner, or on a fail-safe hold the reference committed before

@@ -114,6 +114,7 @@ def _synthetic_log(east_offset=214.0, obstacle_course=0.0, n=481, dt=0.5):
         t=np.zeros(0), candidate=np.zeros(0, dtype=int), n_candidates=np.zeros(0, dtype=int),
         align=np.zeros(0), avoid=np.zeros(0), tran=np.zeros(0), total=np.zeros(0),
         failsafe=np.zeros(0, dtype=bool), course_change=np.zeros(0), sog_change=np.zeros(0),
+        pred_error=np.zeros(0),
     )
     return RunLog(
         name="synthetic", seed=0, dt=dt, t=t,
@@ -355,9 +356,9 @@ def test_failsafe_planner_rows_bytes():
     header, *lines = planner_to_csv(log).splitlines()
     assert header == (
         "t_s,candidate,n_candidates,align,avoid,tran,total,failsafe,"
-        "course_change_rad,sog_change_mps"
+        "course_change_rad,sog_change_mps,pred_error_m"
     )
-    assert lines == [f"{t:.12g},-1,0,nan,nan,nan,nan,1,0,0" for t in np.arange(6) * 5.0]
+    assert lines == [f"{t:.12g},-1,0,nan,nan,nan,nan,1,0,0,nan" for t in np.arange(6) * 5.0]
 
 
 # float cells whose %.12g text has a form of its own
@@ -386,7 +387,7 @@ def _noisy_log(n, n_calls):
     (_, i), (_, b), (_, f0), (_, f1), (_, f2) = _special_columns(n_calls)
     log.planner = PlannerSeries(
         t=f0, candidate=i, n_candidates=i + 1, align=f1, avoid=f2, tran=f0, total=f1,
-        failsafe=b, course_change=f2, sog_change=f0,
+        failsafe=b, course_change=f2, sog_change=f0, pred_error=f1,
     )
     return log
 
@@ -468,7 +469,7 @@ def test_first_solve_is_runs_first_call(case):
     row = next(solves(config)).row()
     assert row.keys() == {f.name for f in dataclasses.fields(PlannerSeries)}
     for name, value in row.items():
-        assert value == getattr(log.planner, name)[0], name
+        np.testing.assert_equal(value, getattr(log.planner, name)[0], name)  # NaN equals NaN
 
 
 def test_first_solve_holds_when_nothing_is_feasible():
@@ -527,8 +528,9 @@ def test_run_stationary_obstacle_on_the_desired_track(noise):
     log, metrics = run(cfgm.from_dict(d))
     series = [log, log.planner, *log.obstacles.values()]
     for name, values in (item for record in series for item in _outputs(record)):
-        assert np.all(np.isfinite(values)), name
-    assert metrics.failsafe_count == 0
+        # the first call has no previous winner, so no prediction error
+        assert np.all(np.isfinite(values[1:] if name == "pred_error_m" else values)), name
+    assert metrics.failsafe_count == 0 and math.isnan(log.planner.pred_error[0])
     assert metrics.obstacles["target"].collision_time == 0.0
 
 
@@ -799,6 +801,8 @@ def test_run_recovers_after_a_failsafe_streak_past_the_horizon(monkeypatch):
     log, _ = run(cfgm.from_dict(d))
 
     assert list(log.planner.failsafe) == [False] + [True] * 13 + [False] * 2
+    # a hold after a winner has a prediction error; a call after a hold has none
+    assert np.isnan(log.planner.pred_error).tolist() == [True, False] + [True] * 13 + [False]
     first, first_table = plans[0].candidates, plans[0].table
     winner = first.trajectory(first_table.selected)
     held = (winner.sog[-1], winner.course[-1])
@@ -874,21 +878,42 @@ def test_a_run_turned_about_the_origin_plans_the_same_encounter(name):
 def test_one_period_prediction_error_is_bounded(name, noise):
     # each winner's predicted position one planner period on, the first
     # column of its level-1 edge, against where the next call finds the
-    # ownship, its log row at that call's step; pairs that touch a hold
-    # are skipped. The largest error is 0.19-0.46 m over these runs; a
-    # plant with twice the planner's m_u0 and m_r0 reads 2.2-4.3 m.
-    # tc_course at 1 s or 30 s reads 0.19-0.49 m, so this bound does not
-    # see the prediction's time constants
+    # ownship, its log row at that call's step: planner.csv's pred_error_m,
+    # NaN on the first call and after a hold. The largest error is
+    # 0.19-0.46 m over these runs; a plant with twice the planner's m_u0
+    # and m_r0 reads 2.2-4.3 m. tc_course at 1 s or 30 s reads 0.19-0.49 m,
+    # so this bound does not see the prediction's time constants
     config = scenarios.build_scenario(name, noise=noise)
     plans, (log, _) = oracles.every_solve(config)
     every = round(config.planner_period / config.integration_dt)
-    errors = []
+    errors = [math.nan]
     for k, (solve, after) in enumerate(itertools.pairwise(plans), 1):
-        if solve.table is None or after.table is None:
+        if solve.table is None:
+            errors.append(math.nan)
             continue
         cands = solve.candidates
         assert cands.grid.times()[cands.edges[0][1].shape[1]] == pytest.approx(after.t, abs=1e-9)
         predicted = cands.edges[1][0][:, cands.ancestors[1][solve.selected], 0]
         errors.append(math.hypot(predicted[0] - log.own_north[k * every], predicted[1] - log.own_east[k * every]))
-    assert len(errors) >= 38
-    assert max(errors) <= 1.0
+    np.testing.assert_array_equal(log.planner.pred_error, errors)
+    assert np.isnan(errors).tolist() == [True, *log.planner.failsafe[:-1]]
+    assert np.count_nonzero(~np.isnan(errors)) >= 38
+    assert np.nanmax(errors) <= 1.0
+
+
+def test_a_one_level_tree_predicts_one_period_on_from_its_only_level():
+    # one level of 5 s: the planner period ends at the last column of
+    # level 0's edges
+    d = scenarios.build_config_dict("head_on", noise="radar")
+    d["planner"].update(step_times=[5.0], n_sog=[5], n_course=[5])
+    d["duration"] = 50.0
+    config = cfgm.from_dict(d)
+    plans, (log, _) = oracles.every_solve(config)
+    every = round(config.planner_period / config.integration_dt)
+    assert not log.planner.failsafe.any() and math.isnan(log.planner.pred_error[0])
+    for k, (solve, after) in enumerate(itertools.pairwise(plans), 1):
+        cands = solve.candidates
+        assert len(cands.edges) == 1 and cands.grid.times()[-1] == pytest.approx(after.t, abs=1e-9)
+        predicted = cands.edges[0][0][:, cands.ancestors[0][solve.selected], -1]
+        expected = math.hypot(predicted[0] - log.own_north[k * every], predicted[1] - log.own_east[k * every])
+        assert log.planner.pred_error[k] == expected, k
